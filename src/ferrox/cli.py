@@ -9,10 +9,11 @@ Subcommands:
 - ``olbricht`` verify the catalogue of classical solutions (JSON report)
 - ``cut``      one-sided hypergeometric values on the cut [1, inf)
 
-Exit codes: 0 success, 1 usage or parse error, 2 mathematical domain or
-parameter error, 3 verification failure.  All numeric JSON fields are
-printed with 17 significant digits so outputs diff cleanly.  The default
-tolerance 1e-12 can be overridden with the FERROX_TOL environment variable.
+Exit codes: 0 success, 1 usage or parse error, 2 mathematical domain,
+parameter or arithmetic (overflow) error, 3 verification failure.  All
+numeric JSON fields are printed with 17 significant digits so outputs diff
+cleanly.  The default tolerance 1e-12 can be overridden with the FERROX_TOL
+environment variable.
 """
 
 from __future__ import annotations
@@ -419,7 +420,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         sys.stderr.write(f"ferrox: {exc}\n")
         return exc.code
-    except FerroxError as exc:
+    except (FerroxError, ArithmeticError) as exc:
+        # ArithmeticError: overflow or division by zero inside a formula,
+        # which the library does not map to a FerroxError yet.
         _print_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return EXIT_MATH
 

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BranchCutError, DomainError, PoleError
 
 __all__ = [
-    "BranchedRoot",
     "RootVariant",
     "gamma",
     "gamma_quotient",
@@ -207,18 +205,6 @@ def z2m1_pow(z: complex, alpha: complex) -> complex:
     if z.imag == 0.0 and z.real <= 1.0:
         raise DomainError(f"(z^2-1)^alpha requires z off (-inf, 1]; got {z}")
     return principal_pow(z + 1.0, alpha) * principal_pow(z - 1.0, alpha)
-
-
-@dataclass(frozen=True)
-class BranchedRoot:
-    """A square root of x^2 - 1 tagged with the branch it came from."""
-
-    variant: RootVariant
-    value: complex
-
-    @classmethod
-    def at(cls, variant: RootVariant, x: complex) -> "BranchedRoot":
-        return cls(variant, root_y(variant, x))
 
 
 def root_y(variant: RootVariant, x: complex) -> complex:

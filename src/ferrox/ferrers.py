@@ -9,7 +9,10 @@ square-root arguments with the branch i sqrt(1 - x^2) (group III, each with
 an upper-sign and a lower-sign form valid on the whole domain), and one
 two-sided form in u = x + i sqrt(1 - x^2) and v = 1/u.  ``ferrers_q`` picks
 a valid representation automatically, preferring the smallest argument
-modulus; ``ferrers_q_rep`` evaluates a chosen one.
+modulus; ``ferrers_q_rep`` evaluates a chosen one.  Each entry is one record
+of domain, parameter exclusions, argument indices, evaluator and sign rule;
+the theta-forms of group III (``ferrers_q_rep_trig``) run the same
+evaluators at x = cos(theta).
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ from .hyp2f1 import (
     DEFAULT_TOL,
     CutSide,
     HypParams,
+    THETA_CUT,
     SeriesResult,
+    combine,
     f21,
     f21_cut,
     f21_regularized,
@@ -167,14 +172,6 @@ def _default_feval(tol: float) -> FEval:
     return ev
 
 
-def _combine(parts: list[tuple[complex, SeriesResult]]) -> tuple[complex, int, float]:
-    value = sum(c * r.value for c, r in parts)
-    terms = sum(r.terms_used for _, r in parts)
-    abs_tail = sum(abs(c * r.value) * r.tail_estimate for c, r in parts)
-    mag = abs(value)
-    return value, terms, (abs_tail / mag if mag else abs_tail)
-
-
 def _sinpi(z: complex) -> complex:
     return cmath.sin(math.pi * z)
 
@@ -202,21 +199,16 @@ def legendre_p(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcom
 
 def legendre_q(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
     """Second-kind associated Legendre function on the plane cut along
-    (-inf, 1]; undefined when nu + mu is a negative integer."""
+    (-inf, 1], e^{i pi mu} Gamma(nu + mu + 1) times ``legendre_q_bold``;
+    undefined when nu + mu is a negative integer."""
     z = complex(z)
     if not in_domain(DomainId.D2, z):
         raise DomainError(f"legendre_q requires z off (-inf, 1]; got {z}")
     if p.nu_plus_mu_in_neg_n():
         raise ParameterError(f"legendre_q undefined for nu + mu = {p.nu + p.mu} in -N")
-    nu, mu = p.nu, p.mu
-    pref = (_SQRT_PI * cmath.exp(1j * math.pi * mu)
-            * gamma_quotient((nu + mu + 1.0,), ())
-            * z2m1_pow(z, 0.5 * mu)
-            / (principal_pow(2.0, nu + 1.0) * principal_pow(z, nu + mu + 1.0)))
-    r = f21_regularized(
-        HypParams((nu + mu + 2.0) / 2.0, (nu + mu + 1.0) / 2.0, nu + 1.5),
-        1.0 / (z * z), tol)
-    return EvalOutcome(pref * r.value, None, r.terms_used, r.tail_estimate)
+    bold = legendre_q_bold(p, z, tol)
+    scale = cmath.exp(1j * math.pi * p.mu) * gamma_quotient((p.nu + p.mu + 1.0,), ())
+    return EvalOutcome(scale * bold.value, None, bold.terms_used, bold.tail_estimate)
 
 
 def legendre_q_bold(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
@@ -247,51 +239,53 @@ def ferrers_p(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
 
 
 # ---------------------------------------------------------------------------
-# The individual second-kind representations
+# The individual second-kind representations.  Every evaluator takes
+# (p, x, s, sgn, tol, fe): s = sqrt(1 - x^2), sgn the representation's sign
+# (see _Sign), and fe(a, b, c, w) the 2F1 factor.
 # ---------------------------------------------------------------------------
 
-def _eval_I1(p, x, tol, fe):
+def _eval_I1(p, x, s, sgn, tol, fe):
     nu, mu = p.nu, p.mu
     w = (1.0 - x) / 2.0
-    s = math.pi / (2.0 * _sinpi(mu))
+    k = math.pi / (2.0 * _sinpi(mu))
     pw = principal_pow((1.0 + x) / (1.0 - x), 0.5 * mu)
-    c1 = s * _cospi(mu) * rgamma(1.0 - mu) * pw
-    c2 = -s * gamma_quotient((nu + mu + 1.0,), (mu + 1.0, nu - mu + 1.0)) / pw
-    return _combine([(c1, fe(-nu, nu + 1.0, 1.0 - mu, w)),
-                     (c2, fe(-nu, nu + 1.0, 1.0 + mu, w))])
+    c1 = k * _cospi(mu) * rgamma(1.0 - mu) * pw
+    c2 = -k * gamma_quotient((nu + mu + 1.0,), (mu + 1.0, nu - mu + 1.0)) / pw
+    return combine([(c1, fe(-nu, nu + 1.0, 1.0 - mu, w)),
+                    (c2, fe(-nu, nu + 1.0, 1.0 + mu, w))])
 
 
-def _eval_I2(p, x, tol, fe):
+def _eval_I2(p, x, s, sgn, tol, fe):
     nu, mu = p.nu, p.mu
     w = (1.0 + x) / 2.0
     pw = principal_pow((1.0 - x) / (1.0 + x), 0.5 * mu)
     c1 = -0.5 * _cospi(nu) * gamma_quotient((mu,), ()) * pw
     c2 = (-0.5 * _cospi(nu + mu)
           * gamma_quotient((-mu, nu + mu + 1.0), (nu - mu + 1.0,)) / pw)
-    return _combine([(c1, fe(-nu, nu + 1.0, 1.0 - mu, w)),
-                     (c2, fe(-nu, nu + 1.0, 1.0 + mu, w))])
+    return combine([(c1, fe(-nu, nu + 1.0, 1.0 - mu, w)),
+                    (c2, fe(-nu, nu + 1.0, 1.0 + mu, w))])
 
 
-def _eval_I3(p, x, tol, fe):
+def _eval_I3(p, x, s, sgn, tol, fe):
     nu, mu = p.nu, p.mu
     w = (x - 1.0) / (x + 1.0)
     lead = principal_pow(1.0 + x, nu) / principal_pow(2.0, nu + 1.0)
     pw = principal_pow((1.0 + x) / (1.0 - x), 0.5 * mu)
     c1 = lead * _cospi(mu) * gamma_quotient((mu,), ()) * pw
     c2 = lead * gamma_quotient((-mu, nu + mu + 1.0), (nu - mu + 1.0,)) / pw
-    return _combine([(c1, fe(-nu, -nu - mu, 1.0 - mu, w)),
-                     (c2, fe(-nu, mu - nu, 1.0 + mu, w))])
+    return combine([(c1, fe(-nu, -nu - mu, 1.0 - mu, w)),
+                    (c2, fe(-nu, mu - nu, 1.0 + mu, w))])
 
 
-def _eval_I4(p, x, tol, fe):
+def _eval_I4(p, x, s, sgn, tol, fe):
     nu, mu = p.nu, p.mu
     w = (x + 1.0) / (x - 1.0)
     lead = -principal_pow(2.0, nu) / principal_pow(1.0 - x, nu + 1.0)
     pw = principal_pow((1.0 + x) / (1.0 - x), 0.5 * mu)
     c1 = lead * gamma_quotient((mu,), ()) * _cospi(nu) / pw
     c2 = lead * _cospi(nu + mu) * gamma_quotient((-mu, nu + mu + 1.0), (nu - mu + 1.0,)) * pw
-    return _combine([(c1, fe(nu + 1.0, nu - mu + 1.0, 1.0 - mu, w)),
-                     (c2, fe(nu + 1.0, nu + mu + 1.0, 1.0 + mu, w))])
+    return combine([(c1, fe(nu + 1.0, nu - mu + 1.0, 1.0 - mu, w)),
+                    (c2, fe(nu + 1.0, nu + mu + 1.0, 1.0 + mu, w))])
 
 
 def _halfplane_mix(p, sgn):
@@ -300,7 +294,7 @@ def _halfplane_mix(p, sgn):
     return _cospi(p.mu) - sgn * 1j * _sinpi(p.mu - p.nu) / (2.0 * _cospi(p.nu))
 
 
-def _eval_I5(p, x, tol, fe, sgn):
+def _eval_I5(p, x, s, sgn, tol, fe):
     nu, mu = p.nu, p.mu
     w = 2.0 / (1.0 + x)
     c1 = (principal_pow(2.0, nu) * _halfplane_mix(p, sgn)
@@ -311,11 +305,11 @@ def _eval_I5(p, x, tol, fe, sgn):
           * gamma_quotient((-nu,), (-2.0 * nu, nu - mu + 1.0))
           * principal_pow(1.0 + x, nu + 0.5 * mu)
           * principal_pow(1.0 - x, -0.5 * mu))
-    return _combine([(c1, fe(nu - mu + 1.0, nu + 1.0, 2.0 * nu + 2.0, w)),
-                     (c2, fe(-nu, -nu - mu, -2.0 * nu, w))])
+    return combine([(c1, fe(nu - mu + 1.0, nu + 1.0, 2.0 * nu + 2.0, w)),
+                    (c2, fe(-nu, -nu - mu, -2.0 * nu, w))])
 
 
-def _eval_I6(p, x, tol, fe, sgn):
+def _eval_I6(p, x, s, sgn, tol, fe):
     nu, mu = p.nu, p.mu
     w = 2.0 / (1.0 - x)
     c1 = (principal_pow(2.0, nu) * cmath.exp(-sgn * 1j * math.pi * (nu + 1.0))
@@ -328,35 +322,35 @@ def _eval_I6(p, x, tol, fe, sgn):
           * gamma_quotient((-nu,), (-2.0 * nu, nu - mu + 1.0))
           * principal_pow(1.0 + x, 0.5 * mu)
           * principal_pow(1.0 - x, nu - 0.5 * mu))
-    return _combine([(c1, fe(nu + mu + 1.0, nu + 1.0, 2.0 * nu + 2.0, w)),
-                     (c2, fe(-nu, mu - nu, -2.0 * nu, w))])
+    return combine([(c1, fe(nu + mu + 1.0, nu + 1.0, 2.0 * nu + 2.0, w)),
+                    (c2, fe(-nu, mu - nu, -2.0 * nu, w))])
 
 
-def _eval_I7(p, x, tol, fe_unused):
+def _eval_I7(p, x, s, sgn, tol, fe):
     # Both terms share the parameter set; the regularized series removes the
     # Gamma(1 - mu) pole, so integer mu is allowed here.
     nu, mu = p.nu, p.mu
     pw = principal_pow((1.0 + x) / (1.0 - x), 0.5 * mu)
-    s = _sinpi(nu + mu)
-    c1 = 0.5 * math.pi * _cospi(nu + mu) / s * pw
-    c2 = -0.5 * math.pi / s / pw
+    sn = _sinpi(nu + mu)
+    c1 = 0.5 * math.pi * _cospi(nu + mu) / sn * pw
+    c2 = -0.5 * math.pi / sn / pw
     r1 = f21_regularized(HypParams(-nu, nu + 1.0, 1.0 - mu), (1.0 - x) / 2.0, tol)
     r2 = f21_regularized(HypParams(-nu, nu + 1.0, 1.0 - mu), (1.0 + x) / 2.0, tol)
-    return _combine([(c1, r1), (c2, r2)])
+    return combine([(c1, r1), (c2, r2)])
 
 
-def _eval_II1(p, x, tol, fe):
+def _eval_II1(p, x, s, sgn, tol, fe):
     nu, mu = p.nu, p.mu
     w = 1.0 - x * x
     pw = principal_pow(1.0 - x * x, 0.5 * mu)
     c1 = principal_pow(2.0, mu - 1.0) * gamma_quotient((mu,), ()) * _cospi(mu) / pw
     c2 = (gamma_quotient((-mu, nu + mu + 1.0), (nu - mu + 1.0,))
           * pw / principal_pow(2.0, 1.0 + mu))
-    return _combine([(c1, fe((nu - mu + 1.0) / 2.0, (-nu - mu) / 2.0, 1.0 - mu, w)),
-                     (c2, fe((nu + mu + 1.0) / 2.0, (mu - nu) / 2.0, 1.0 + mu, w))])
+    return combine([(c1, fe((nu - mu + 1.0) / 2.0, (-nu - mu) / 2.0, 1.0 - mu, w)),
+                    (c2, fe((nu + mu + 1.0) / 2.0, (mu - nu) / 2.0, 1.0 + mu, w))])
 
 
-def _eval_II2(p, x, tol, fe, sgn):
+def _eval_II2(p, x, s, sgn, tol, fe):
     nu, mu = p.nu, p.mu
     w = 1.0 / (1.0 - x * x)
     c1 = (_SQRT_PI * principal_pow(2.0, -nu - 1.0)
@@ -368,11 +362,11 @@ def _eval_II2(p, x, tol, fe, sgn):
           * cmath.exp(sgn * 0.5j * math.pi * (nu + mu + 1.0)) / _cospi(nu)
           * gamma_quotient((), (nu - mu + 1.0, 0.5 - nu))
           * principal_pow(1.0 - x * x, 0.5 * nu))
-    return _combine([(c1, fe((nu - mu + 1.0) / 2.0, (nu + mu + 1.0) / 2.0, nu + 1.5, w)),
-                     (c2, fe((-nu - mu) / 2.0, (mu - nu) / 2.0, 0.5 - nu, w))])
+    return combine([(c1, fe((nu - mu + 1.0) / 2.0, (nu + mu + 1.0) / 2.0, nu + 1.5, w)),
+                    (c2, fe((-nu - mu) / 2.0, (mu - nu) / 2.0, 0.5 - nu, w))])
 
 
-def _eval_II3(p, x, tol, fe):
+def _eval_II3(p, x, s, sgn, tol, fe):
     nu, mu = p.nu, p.mu
     w = x * x
     lead = _SQRT_PI * principal_pow(2.0, mu - 1.0) / principal_pow(1.0 - x * x, 0.5 * mu)
@@ -380,11 +374,11 @@ def _eval_II3(p, x, tol, fe):
           * gamma_quotient(((nu + mu + 1.0) / 2.0,), ((nu - mu + 2.0) / 2.0,)))
     c2 = (lead * 2.0 * _cospi((nu + mu) / 2.0) * x
           * gamma_quotient(((nu + mu + 2.0) / 2.0,), ((nu - mu + 1.0) / 2.0,)))
-    return _combine([(c1, fe(-(nu + mu) / 2.0, (nu - mu + 1.0) / 2.0, 0.5, w)),
-                     (c2, fe((-nu - mu + 1.0) / 2.0, (nu - mu + 2.0) / 2.0, 1.5, w))])
+    return combine([(c1, fe(-(nu + mu) / 2.0, (nu - mu + 1.0) / 2.0, 0.5, w)),
+                    (c2, fe((-nu - mu + 1.0) / 2.0, (nu - mu + 2.0) / 2.0, 1.5, w))])
 
 
-def _eval_II4(p, x, tol, fe, sgn):
+def _eval_II4(p, x, s, sgn, tol, fe):
     nu, mu = p.nu, p.mu
     w = 1.0 / (x * x)
     pw = principal_pow(1.0 - x * x, 0.5 * mu)
@@ -396,11 +390,11 @@ def _eval_II4(p, x, tol, fe, sgn):
           * cmath.exp(sgn * 1j * math.pi * (0.5 + mu)) / _cospi(nu)
           * gamma_quotient((), (nu - mu + 1.0, 0.5 - nu))
           * principal_pow(x, nu - mu) * pw)
-    return _combine([(c1, fe((nu + mu + 1.0) / 2.0, (nu + mu + 2.0) / 2.0, nu + 1.5, w)),
-                     (c2, fe((mu - nu) / 2.0, (mu - nu + 1.0) / 2.0, 0.5 - nu, w))])
+    return combine([(c1, fe((nu + mu + 1.0) / 2.0, (nu + mu + 2.0) / 2.0, nu + 1.5, w)),
+                    (c2, fe((mu - nu) / 2.0, (mu - nu + 1.0) / 2.0, 0.5 - nu, w))])
 
 
-def _eval_II5(p, x, tol, fe):
+def _eval_II5(p, x, s, sgn, tol, fe):
     nu, mu = p.nu, p.mu
     w = (x * x - 1.0) / (x * x)
     pw = principal_pow(1.0 - x * x, 0.5 * mu)
@@ -408,11 +402,11 @@ def _eval_II5(p, x, tol, fe):
           * principal_pow(x, nu + mu) / pw)
     c2 = (gamma_quotient((nu + mu + 1.0, -mu), (nu - mu + 1.0,))
           / principal_pow(2.0, mu + 1.0) * pw * principal_pow(x, nu - mu))
-    return _combine([(c1, fe(-(nu + mu) / 2.0, (-nu - mu + 1.0) / 2.0, 1.0 - mu, w)),
-                     (c2, fe((mu - nu) / 2.0, (mu - nu + 1.0) / 2.0, 1.0 + mu, w))])
+    return combine([(c1, fe(-(nu + mu) / 2.0, (-nu - mu + 1.0) / 2.0, 1.0 - mu, w)),
+                    (c2, fe((mu - nu) / 2.0, (mu - nu + 1.0) / 2.0, 1.0 + mu, w))])
 
 
-def _eval_II6(p, x, tol, fe):
+def _eval_II6(p, x, s, sgn, tol, fe):
     nu, mu = p.nu, p.mu
     w = x * x / (x * x - 1.0)
     lead = _SQRT_PI * principal_pow(2.0, mu)
@@ -422,16 +416,15 @@ def _eval_II6(p, x, tol, fe):
     c2 = (lead * gamma_quotient(((nu + mu + 2.0) / 2.0,), ((nu - mu + 1.0) / 2.0,))
           * _cospi((nu + mu) / 2.0) * x
           * principal_pow(1.0 - x * x, 0.5 * (nu - 1.0)))
-    return _combine([(c1, fe((nu - mu + 1.0) / 2.0, (nu + mu + 1.0) / 2.0, 0.5, w)),
-                     (c2, fe((mu - nu + 1.0) / 2.0, (-nu - mu + 1.0) / 2.0, 1.5, w))])
+    return combine([(c1, fe((nu - mu + 1.0) / 2.0, (nu + mu + 1.0) / 2.0, 0.5, w)),
+                    (c2, fe((mu - nu + 1.0) / 2.0, (-nu - mu + 1.0) / 2.0, 1.5, w))])
 
 
-def _eval_III1(p, x, tol, fe, sgn):
+def _eval_III1(p, x, s, sgn, tol, fe):
     nu, mu = p.nu, p.mu
-    s = cmath.sqrt(1.0 - x * x)
     y = 1j * s
     w = (-sgn * x + y) / (2.0 * y)
-    pre = _SQRT_PI / (2.0 ** 1.5 * principal_pow(1.0 - x * x, 0.25))
+    pre = _SQRT_PI / (2.0 ** 1.5 * principal_pow(s, 0.5))
     c1 = (pre * cmath.exp(sgn * 0.5j * math.pi * (mu + 0.5))
           * gamma_quotient((nu + 0.5,), (nu - mu + 1.0,))
           * principal_pow(x + sgn * 1j * s, nu + 0.5))
@@ -439,42 +432,39 @@ def _eval_III1(p, x, tol, fe, sgn):
     c2 = (pre * cmath.exp(-sgn * 0.5j * math.pi * (mu + 0.5))
           * gamma_quotient((nu + mu + 1.0,), (nu + 1.5,)) * fac
           * principal_pow(x - sgn * 1j * s, nu + 0.5))
-    return _combine([(c1, fe(0.5 + mu, 0.5 - mu, 0.5 - nu, w)),
-                     (c2, fe(0.5 + mu, 0.5 - mu, nu + 1.5, w))])
+    return combine([(c1, fe(0.5 + mu, 0.5 - mu, 0.5 - nu, w)),
+                    (c2, fe(0.5 + mu, 0.5 - mu, nu + 1.5, w))])
 
 
-def _eval_III2(p, x, tol, fe, sgn):
+def _eval_III2(p, x, s, sgn, tol, fe):
     nu, mu = p.nu, p.mu
-    s = cmath.sqrt(1.0 - x * x)
     w = (x - sgn * 1j * s) / (x + sgn * 1j * s)
-    pre = _SQRT_PI * principal_pow(2.0, mu - 1.0) * principal_pow(1.0 - x * x, 0.5 * mu)
+    pre = _SQRT_PI * principal_pow(2.0, mu - 1.0) * principal_pow(s, mu)
     c1 = (pre * cmath.exp(sgn * 1j * math.pi * (mu + 0.5))
           * gamma_quotient((nu + 0.5,), (nu - mu + 1.0,))
           * principal_pow(x + sgn * 1j * s, nu - mu))
     fac = 1.0 + cmath.exp(sgn * 1j * math.pi * (nu + mu)) * _cospi(mu) / _cospi(nu)
     c2 = (pre * gamma_quotient((nu + mu + 1.0,), (nu + 1.5,)) * fac
           * principal_pow(x - sgn * 1j * s, nu + mu + 1.0))
-    return _combine([(c1, fe(0.5 + mu, mu - nu, 0.5 - nu, w)),
-                     (c2, fe(0.5 + mu, nu + mu + 1.0, nu + 1.5, w))])
+    return combine([(c1, fe(0.5 + mu, mu - nu, 0.5 - nu, w)),
+                    (c2, fe(0.5 + mu, nu + mu + 1.0, nu + 1.5, w))])
 
 
-def _eval_III3(p, x, tol, fe, sgn):
+def _eval_III3(p, x, s, sgn, tol, fe):
     nu, mu = p.nu, p.mu
-    s = cmath.sqrt(1.0 - x * x)
     w = 2j * s / (sgn * x + 1j * s)
-    pw = principal_pow(1.0 - x * x, 0.5 * mu)
+    pw = principal_pow(s, mu)
     c1 = (gamma_quotient((-mu, nu + mu + 1.0), (nu - mu + 1.0,))
           / principal_pow(2.0, mu + 1.0) * pw
           * principal_pow(x + sgn * 1j * s, nu - mu))
     c2 = (principal_pow(2.0, mu - 1.0) * gamma_quotient((mu,), ()) * _cospi(mu)
           * principal_pow(x + sgn * 1j * s, nu + mu) / pw)
-    return _combine([(c1, fe(0.5 + mu, mu - nu, 1.0 + 2.0 * mu, w)),
-                     (c2, fe(0.5 - mu, -nu - mu, 1.0 - 2.0 * mu, w))])
+    return combine([(c1, fe(0.5 + mu, mu - nu, 1.0 + 2.0 * mu, w)),
+                    (c2, fe(0.5 - mu, -nu - mu, 1.0 - 2.0 * mu, w))])
 
 
-def _eval_fourier_uv(p, x, tol, fe_unused):
+def _eval_fourier_uv(p, x, s, sgn, tol, fe):
     nu, mu = p.nu, p.mu
-    s = cmath.sqrt(1.0 - x * x)
     u = x + 1j * s
     v = x - 1j * s
     pre = (_SQRT_PI * principal_pow(2.0, mu - 1.0)
@@ -485,11 +475,11 @@ def _eval_fourier_uv(p, x, tol, fe_unused):
     r2 = f21_regularized(hp, v / u, tol)
     c1 = pre * principal_pow(u, nu + mu + 1.0)
     c2 = pre * principal_pow(v, nu + mu + 1.0)
-    return _combine([(c1, r1), (c2, r2)])
+    return combine([(c1, r1), (c2, r2)])
 
 
 # ---------------------------------------------------------------------------
-# Representation table: domain of x, parameter exclusions, argument indices
+# Representation table: one record per representation
 # ---------------------------------------------------------------------------
 
 _EXCL_NAMES = {
@@ -504,86 +494,19 @@ _EXCL_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class _RepSpec:
-    domain: str                       # "D1" | "D1+" | "half"
-    exclusions: tuple[str, ...]
-    argument_ids: tuple[int, ...]
-    sign_from_halfplane: bool = False
+class _Sign(Enum):
+    """Sign rule of a representation: none, fixed (the upper and lower forms
+    of group III), or taken from the half-plane of x (I5, I6, II2, II4)."""
 
+    NONE = 0
+    UPPER = +1
+    LOWER = -1
+    HALFPLANE = "halfplane"
 
-_REP_TABLE: dict[RepresentationId, _RepSpec] = {
-    RepresentationId.I1: _RepSpec("D1", ("mu_int", "numu_neg"), (1,)),
-    RepresentationId.I2: _RepSpec("D1", ("mu_int", "numu_neg"), (2,)),
-    RepresentationId.I3: _RepSpec("D1", ("mu_int", "numu_neg"), (3,)),
-    RepresentationId.I4: _RepSpec("D1", ("mu_int", "numu_neg"), (4,)),
-    RepresentationId.I5: _RepSpec("half", ("two_nu_int", "numu_nonpos"), (5,), True),
-    RepresentationId.I6: _RepSpec("half", ("two_nu_int", "numu_nonpos"), (6,), True),
-    RepresentationId.I7: _RepSpec("D1", ("numu_int",), (1, 2)),
-    RepresentationId.II1: _RepSpec("D1+", ("mu_int", "numu_neg"), (7,)),
-    RepresentationId.II2: _RepSpec("half", ("nu_half_int", "numu_neg"), (8,), True),
-    RepresentationId.II3: _RepSpec("D1", ("numu_neg",), (9,)),
-    RepresentationId.II4: _RepSpec("half", ("nu_half_int", "numu_neg"), (10,), True),
-    RepresentationId.II5: _RepSpec("D1+", ("mu_int", "numu_neg"), (11,)),
-    RepresentationId.II6: _RepSpec("D1", ("numu_pos", "numu_neg"), (12,)),
-    RepresentationId.III1_UPPER: _RepSpec("D1", ("nu_half_int", "numu_neg"), (13,)),
-    RepresentationId.III1_LOWER: _RepSpec("D1", ("nu_half_int", "numu_neg"), (17,)),
-    RepresentationId.III2_UPPER: _RepSpec("D1", ("nu_half_int", "numu_neg"), (14,)),
-    RepresentationId.III2_LOWER: _RepSpec("D1", ("nu_half_int", "numu_neg"), (18,)),
-    RepresentationId.III3_UPPER: _RepSpec("D1+", ("two_mu_int", "numu_neg"), (15,)),
-    RepresentationId.III3_LOWER: _RepSpec("D1+", ("two_mu_int", "numu_neg"), (16,)),
-    RepresentationId.FOURIER_UV: _RepSpec("D1", ("numu_neg",), (14, 18)),
-}
-
-_SIGNED_EVALUATORS = {
-    RepresentationId.I5: _eval_I5,
-    RepresentationId.I6: _eval_I6,
-    RepresentationId.II2: _eval_II2,
-    RepresentationId.II4: _eval_II4,
-}
-
-_FIXED_SIGN = {
-    RepresentationId.III1_UPPER: (_eval_III1, +1),
-    RepresentationId.III1_LOWER: (_eval_III1, -1),
-    RepresentationId.III2_UPPER: (_eval_III2, +1),
-    RepresentationId.III2_LOWER: (_eval_III2, -1),
-    RepresentationId.III3_UPPER: (_eval_III3, +1),
-    RepresentationId.III3_LOWER: (_eval_III3, -1),
-}
-
-_PLAIN_EVALUATORS = {
-    RepresentationId.I1: _eval_I1,
-    RepresentationId.I2: _eval_I2,
-    RepresentationId.I3: _eval_I3,
-    RepresentationId.I4: _eval_I4,
-    RepresentationId.I7: _eval_I7,
-    RepresentationId.II1: _eval_II1,
-    RepresentationId.II3: _eval_II3,
-    RepresentationId.II5: _eval_II5,
-    RepresentationId.II6: _eval_II6,
-    RepresentationId.FOURIER_UV: _eval_fourier_uv,
-}
-
-_TABLE_ORDER = {rep: i for i, rep in enumerate(_REP_TABLE)}
-
-
-def _check_params(rep: RepresentationId, p: ParamPair) -> str | None:
-    for key in _REP_TABLE[rep].exclusions:
-        label, pred = _EXCL_NAMES[key]
-        if pred(p):
-            return label
-    return None
-
-
-def _check_domain(rep: RepresentationId, x: complex) -> str | None:
-    dom = _REP_TABLE[rep].domain
-    if dom == "D1":
-        return None if in_domain(DomainId.D1, x) else "x not in D1"
-    if dom == "D1+":
-        return None if in_domain(DomainId.D1_PLUS, x) else "x not in D1 with Re x > 0"
-    if complex(x).imag == 0.0:
-        return "x on the real axis (half-plane representation)"
-    return None
+    def at(self, x: complex) -> int:
+        if self is _Sign.HALFPLANE:
+            return +1 if x.imag > 0 else -1
+        return self.value
 
 
 def _route_modulus(w: complex) -> float:
@@ -595,23 +518,77 @@ def _route_modulus(w: complex) -> float:
     return out
 
 
-def _preference(rep: RepresentationId, x: complex) -> float:
-    spec = _REP_TABLE[rep]
-    vals = []
-    for j in spec.argument_ids:
-        w = argument(j, x)
-        if rep is RepresentationId.FOURIER_UV:
-            vals.append(_route_modulus(w))
-        else:
-            vals.append(abs(w))
-    return max(vals)
+def _series_convergence(ids: tuple[int, ...], x: complex) -> tuple[bool, float]:
+    """Whether every series argument w_j(x) lies in the unit disk, and the
+    largest |w_j(x)| as the preference score."""
+    return all(in_region(j, x) for j in ids), max(abs(argument(j, x)) for j in ids)
 
 
-def _in_rep_region(rep: RepresentationId, x: complex) -> bool:
-    if rep is RepresentationId.FOURIER_UV:
-        return all(_route_modulus(argument(j, x)) < 0.9
-                   for j in _REP_TABLE[rep].argument_ids)
-    return all(in_region(j, x) for j in _REP_TABLE[rep].argument_ids)
+def _routed_convergence(ids: tuple[int, ...], x: complex) -> tuple[bool, float]:
+    """As ``_series_convergence`` for factors that the 2F1 engine moves to a
+    smaller argument first: each argument counts by its route modulus, and
+    the series converges where all of them are direct-series arguments."""
+    mods = [_route_modulus(argument(j, x)) for j in ids]
+    return all(m < THETA_CUT for m in mods), max(mods)
+
+
+@dataclass(frozen=True)
+class _RepSpec:
+    domain: str                       # "D1" | "D1+" | "half"
+    exclusions: tuple[str, ...]
+    argument_ids: tuple[int, ...]
+    #: (p, x, s = sqrt(1 - x^2), sign, tol, fe) -> SeriesResult, where fe
+    #: evaluates the 2F1 factors (principal values, or cut limits).
+    evaluator: Callable[..., SeriesResult]
+    sign: _Sign = _Sign.NONE
+    convergence: Callable[[tuple[int, ...], complex], tuple[bool, float]] = _series_convergence
+
+
+_R = RepresentationId
+_REP_TABLE: dict[RepresentationId, _RepSpec] = {
+    _R.I1: _RepSpec("D1", ("mu_int", "numu_neg"), (1,), _eval_I1),
+    _R.I2: _RepSpec("D1", ("mu_int", "numu_neg"), (2,), _eval_I2),
+    _R.I3: _RepSpec("D1", ("mu_int", "numu_neg"), (3,), _eval_I3),
+    _R.I4: _RepSpec("D1", ("mu_int", "numu_neg"), (4,), _eval_I4),
+    _R.I5: _RepSpec("half", ("two_nu_int", "numu_nonpos"), (5,), _eval_I5, _Sign.HALFPLANE),
+    _R.I6: _RepSpec("half", ("two_nu_int", "numu_nonpos"), (6,), _eval_I6, _Sign.HALFPLANE),
+    _R.I7: _RepSpec("D1", ("numu_int",), (1, 2), _eval_I7),
+    _R.II1: _RepSpec("D1+", ("mu_int", "numu_neg"), (7,), _eval_II1),
+    _R.II2: _RepSpec("half", ("nu_half_int", "numu_neg"), (8,), _eval_II2, _Sign.HALFPLANE),
+    _R.II3: _RepSpec("D1", ("numu_neg",), (9,), _eval_II3),
+    _R.II4: _RepSpec("half", ("nu_half_int", "numu_neg"), (10,), _eval_II4, _Sign.HALFPLANE),
+    _R.II5: _RepSpec("D1+", ("mu_int", "numu_neg"), (11,), _eval_II5),
+    _R.II6: _RepSpec("D1", ("numu_pos", "numu_neg"), (12,), _eval_II6),
+    _R.III1_UPPER: _RepSpec("D1", ("nu_half_int", "numu_neg"), (13,), _eval_III1, _Sign.UPPER),
+    _R.III1_LOWER: _RepSpec("D1", ("nu_half_int", "numu_neg"), (17,), _eval_III1, _Sign.LOWER),
+    _R.III2_UPPER: _RepSpec("D1", ("nu_half_int", "numu_neg"), (14,), _eval_III2, _Sign.UPPER),
+    _R.III2_LOWER: _RepSpec("D1", ("nu_half_int", "numu_neg"), (18,), _eval_III2, _Sign.LOWER),
+    _R.III3_UPPER: _RepSpec("D1+", ("two_mu_int", "numu_neg"), (15,), _eval_III3, _Sign.UPPER),
+    _R.III3_LOWER: _RepSpec("D1+", ("two_mu_int", "numu_neg"), (16,), _eval_III3, _Sign.LOWER),
+    # Both factors are continued by f21 (argument maps or ODE steps), so
+    # the route modulus, not |w|, decides convergence and preference.
+    _R.FOURIER_UV: _RepSpec("D1", ("numu_neg",), (14, 18), _eval_fourier_uv,
+                            convergence=_routed_convergence),
+}
+
+
+def _check_params(spec: _RepSpec, p: ParamPair) -> str | None:
+    for key in spec.exclusions:
+        label, pred = _EXCL_NAMES[key]
+        if pred(p):
+            return label
+    return None
+
+
+def _check_domain(spec: _RepSpec, x: complex) -> str | None:
+    dom = spec.domain
+    if dom == "D1":
+        return None if in_domain(DomainId.D1, x) else "x not in D1"
+    if dom == "D1+":
+        return None if in_domain(DomainId.D1_PLUS, x) else "x not in D1 with Re x > 0"
+    if complex(x).imag == 0.0:
+        return "x on the real axis (half-plane representation)"
+    return None
 
 
 def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
@@ -619,19 +596,33 @@ def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
     rejection and the argument-modulus preference score."""
     x = complex(x)
     out = []
-    for rep in _REP_TABLE:
-        reason = _check_params(rep, p) or _check_domain(rep, x)
+    for rep, spec in _REP_TABLE.items():
+        reason = _check_params(spec, p) or _check_domain(spec, x)
         if reason is not None:
             out.append(RepValidity(rep, False, reason, False, math.inf))
             continue
         try:
-            region = _in_rep_region(rep, x)
-            pref = _preference(rep, x)
+            region, pref = spec.convergence(spec.argument_ids, x)
         except DomainError as exc:
             out.append(RepValidity(rep, False, str(exc), False, math.inf))
             continue
         out.append(RepValidity(rep, True, None, region, pref))
     return out
+
+
+def _evaluate(rep: RepresentationId, p: ParamPair, x: complex, s: complex,
+              tol: float) -> EvalOutcome:
+    """Check ``rep``'s parameter exclusions and domain at x, then evaluate it
+    with s = sqrt(1 - x^2)."""
+    spec = _REP_TABLE[rep]
+    bad = _check_params(spec, p)
+    if bad is not None:
+        raise ParameterError(f"{bad} excluded by representation {rep.value}")
+    bad = _check_domain(spec, x)
+    if bad is not None:
+        raise DomainError(f"{bad} (representation {rep.value})")
+    r = spec.evaluator(p, x, s, spec.sign.at(x), tol, _default_feval(tol))
+    return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
 
 
 def ferrers_q_rep(rep: RepresentationId, p: ParamPair, x: complex,
@@ -644,22 +635,22 @@ def ferrers_q_rep(rep: RepresentationId, p: ParamPair, x: complex,
     disk are continued internally.
     """
     x = complex(x)
-    bad = _check_params(rep, p)
-    if bad is not None:
-        raise ParameterError(f"{bad} excluded by representation {rep.value}")
-    bad = _check_domain(rep, x)
-    if bad is not None:
-        raise DomainError(f"{bad} (representation {rep.value})")
-    fe = _default_feval(tol)
-    if rep in _PLAIN_EVALUATORS:
-        value, terms, tail = _PLAIN_EVALUATORS[rep](p, x, tol, fe)
-    elif rep in _FIXED_SIGN:
-        fn, sgn = _FIXED_SIGN[rep]
-        value, terms, tail = fn(p, x, tol, fe, sgn)
-    else:
-        sgn = +1 if x.imag > 0 else -1
-        value, terms, tail = _SIGNED_EVALUATORS[rep](p, x, tol, fe, sgn)
-    return EvalOutcome(value, rep, terms, tail)
+    return _evaluate(rep, p, x, cmath.sqrt(1.0 - x * x), tol)
+
+
+def ferrers_q_rep_trig(rep: RepresentationId, p: ParamPair, theta: float,
+                       tol: float = DEFAULT_TOL) -> EvalOutcome:
+    """The theta-forms of the square-root-family representations, with
+    x = cos(theta) and theta in (0, pi); equal to the x-forms there.
+
+    The same evaluator runs with s = sin(theta) in place of sqrt(1 - x^2),
+    which keeps full relative accuracy of s as theta -> 0.  Parameter and
+    domain checks are those of ``ferrers_q_rep`` at x = cos(theta)."""
+    if not 0.0 < theta < math.pi:
+        raise DomainError(f"theta must lie in (0, pi); got {theta}")
+    if _REP_TABLE[rep].sign not in (_Sign.UPPER, _Sign.LOWER):
+        raise ValueError(f"{rep.value} has no trigonometric form")
+    return _evaluate(rep, p, complex(math.cos(theta)), complex(math.sin(theta)), tol)
 
 
 def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
@@ -678,8 +669,9 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     for v in validity:
         if v.ok and not v.region_ok:
             reasons[v.rep.value] = "series argument has modulus >= 1 at x"
+    # validity is in table order and sorted() is stable, so ties keep it.
     ranked = sorted((v for v in validity if v.ok and v.region_ok),
-                    key=lambda v: (v.preference, _TABLE_ORDER[v.rep]))
+                    key=lambda v: v.preference)
     for cand in ranked:
         try:
             return ferrers_q_rep(cand.rep, p, x, tol)
@@ -718,17 +710,18 @@ def ferrers_q_halfplane_cut(rep: RepresentationId, p: ParamPair, x: float,
     half-plane the formula is continued from (+1 from above, -1 from below).
     The result must agree with every on-axis representation.
     """
-    if rep not in _SIGNED_EVALUATORS:
+    spec = _REP_TABLE[rep]
+    if spec.sign is not _Sign.HALFPLANE:
         raise ValueError(f"{rep.value} is not a half-plane representation")
     if not (isinstance(x, (int, float)) and -1.0 < float(x) < 1.0):
         raise DomainError(f"cut evaluation requires real x in (-1, 1); got {x}")
     if approach not in (+1, -1):
         raise ValueError("approach must be +1 or -1")
-    bad = _check_params(rep, p)
+    bad = _check_params(spec, p)
     if bad is not None:
         raise ParameterError(f"{bad} excluded by representation {rep.value}")
     x = float(x)
-    j = _REP_TABLE[rep].argument_ids[0]
+    j = spec.argument_ids[0]
     w_on_axis = argument(j, x)
     if not (w_on_axis.imag == 0.0 and w_on_axis.real > 1.0):
         raise DomainError(
@@ -742,65 +735,8 @@ def ferrers_q_halfplane_cut(rep: RepresentationId, p: ParamPair, x: float,
     # A subnormal imaginary part steers every prefactor power onto the branch
     # continued from the requested half-plane without perturbing its value.
     x_eval = complex(x, approach * 5e-324)
-    value, terms, tail = _SIGNED_EVALUATORS[rep](p, x_eval, tol, fe, approach)
-    return EvalOutcome(value, rep, terms, tail)
-
-
-# ---------------------------------------------------------------------------
-# Trigonometric forms of the square-root representations (x = cos theta)
-# ---------------------------------------------------------------------------
-
-def ferrers_q_rep_trig(rep: RepresentationId, p: ParamPair, theta: float,
-                       tol: float = DEFAULT_TOL) -> EvalOutcome:
-    """The theta-forms of the square-root-family representations, with
-    x = cos(theta) and theta in (0, pi); equal to the x-forms there."""
-    if not 0.0 < theta < math.pi:
-        raise DomainError(f"theta must lie in (0, pi); got {theta}")
-    nu, mu = p.nu, p.mu
-    fe = _default_feval(tol)
-    st, ct = math.sin(theta), math.cos(theta)
-    if rep in (RepresentationId.III1_UPPER, RepresentationId.III1_LOWER):
-        sgn = +1 if rep is RepresentationId.III1_UPPER else -1
-        w = 0.5 + sgn * 0.5j * (ct / st)
-        pre = _SQRT_PI / (2.0 ** 1.5 * math.sqrt(st))
-        c1 = (pre * cmath.exp(sgn * 0.5j * math.pi * (mu + 0.5))
-              * gamma_quotient((nu + 0.5,), (nu - mu + 1.0,))
-              * cmath.exp(sgn * 1j * (nu + 0.5) * theta))
-        fac = 1.0 + cmath.exp(sgn * 1j * math.pi * (nu + mu)) * _cospi(mu) / _cospi(nu)
-        c2 = (pre * cmath.exp(-sgn * 0.5j * math.pi * (mu + 0.5))
-              * gamma_quotient((nu + mu + 1.0,), (nu + 1.5,)) * fac
-              * cmath.exp(-sgn * 1j * (nu + 0.5) * theta))
-        value, terms, tail = _combine([
-            (c1, fe(0.5 + mu, 0.5 - mu, 0.5 - nu, w)),
-            (c2, fe(0.5 + mu, 0.5 - mu, nu + 1.5, w))])
-        return EvalOutcome(value, rep, terms, tail)
-    if rep in (RepresentationId.III2_UPPER, RepresentationId.III2_LOWER):
-        sgn = +1 if rep is RepresentationId.III2_UPPER else -1
-        w = cmath.exp(-sgn * 2j * theta)
-        pre = _SQRT_PI * principal_pow(2.0, mu - 1.0) * principal_pow(st, mu)
-        c1 = (pre * cmath.exp(sgn * 1j * math.pi * (mu + 0.5))
-              * gamma_quotient((nu + 0.5,), (nu - mu + 1.0,))
-              * cmath.exp(sgn * 1j * (nu - mu) * theta))
-        fac = 1.0 + cmath.exp(sgn * 1j * math.pi * (nu + mu)) * _cospi(mu) / _cospi(nu)
-        c2 = (pre * gamma_quotient((nu + mu + 1.0,), (nu + 1.5,)) * fac
-              * cmath.exp(-sgn * 1j * (nu + mu + 1.0) * theta))
-        value, terms, tail = _combine([
-            (c1, fe(0.5 + mu, mu - nu, 0.5 - nu, w)),
-            (c2, fe(0.5 + mu, nu + mu + 1.0, nu + 1.5, w))])
-        return EvalOutcome(value, rep, terms, tail)
-    if rep in (RepresentationId.III3_UPPER, RepresentationId.III3_LOWER):
-        sgn = +1 if rep is RepresentationId.III3_UPPER else -1
-        w = 1.0 - cmath.exp(-sgn * 2j * theta)
-        c1 = (gamma_quotient((-mu, nu + mu + 1.0), (nu - mu + 1.0,))
-              / principal_pow(2.0, mu + 1.0) * principal_pow(st, mu)
-              * cmath.exp(sgn * 1j * (nu - mu) * theta))
-        c2 = (principal_pow(2.0, mu - 1.0) * gamma_quotient((mu,), ()) * _cospi(mu)
-              * cmath.exp(sgn * 1j * (nu + mu) * theta) / principal_pow(st, mu))
-        value, terms, tail = _combine([
-            (c1, fe(0.5 + mu, mu - nu, 1.0 + 2.0 * mu, w)),
-            (c2, fe(0.5 - mu, -nu - mu, 1.0 - 2.0 * mu, w))])
-        return EvalOutcome(value, rep, terms, tail)
-    raise ValueError(f"{rep.value} has no trigonometric form")
+    r = spec.evaluator(p, x_eval, cmath.sqrt(1.0 - x_eval * x_eval), approach, tol, fe)
+    return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
 
 
 # ---------------------------------------------------------------------------

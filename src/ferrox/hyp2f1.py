@@ -41,6 +41,7 @@ __all__ = [
     "HypParams",
     "MAX_TERMS",
     "SeriesResult",
+    "combine",
     "f21",
     "f21_cut",
     "f21_cut_via",
@@ -86,6 +87,17 @@ class SeriesResult:
     value: complex
     terms_used: int
     tail_estimate: float
+
+
+def combine(parts: list[tuple[complex, SeriesResult]]) -> SeriesResult:
+    """The linear combination sum c_i F_i of (coefficient, series) pairs, with
+    the term counts summed and the tail estimate taken relative to the
+    combined value, so cancellation between the terms shows in it."""
+    value = sum(c * r.value for c, r in parts)
+    terms = sum(r.terms_used for _, r in parts)
+    abs_tail = sum(abs(c * r.value) * r.tail_estimate for c, r in parts)
+    mag = abs(value)
+    return SeriesResult(value, terms, abs_tail / mag if mag else abs_tail)
 
 
 def _terminating_index(p: HypParams) -> int | None:
@@ -233,12 +245,7 @@ def _recip_route(p: HypParams, w: complex, tol: float) -> SeriesResult:
     r2 = f21_series(HypParams(b, b - c + 1.0, b - a + 1.0), iw, tol / 4)
     p1 = gamma_quotient((c, b - a), (b, c - a)) * principal_pow(-w, -a)
     p2 = gamma_quotient((c, a - b), (a, c - b)) * principal_pow(-w, -b)
-    value = p1 * r1.value + p2 * r2.value
-    abs_tail = (abs(p1 * r1.value) * r1.tail_estimate
-                + abs(p2 * r2.value) * r2.tail_estimate)
-    denom = abs(value)
-    return SeriesResult(value, r1.terms_used + r2.terms_used,
-                        abs_tail / denom if denom else abs_tail)
+    return combine([(p1, r1), (p2, r2)])
 
 
 def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
@@ -348,13 +355,7 @@ def f21_cut_via(theorem: int, p: HypParams, x: float, side: CutSide,
               * (x - 1.0) ** (-b))
     else:
         raise ValueError(f"theorem index must be 1..4; got {theorem}")
-
-    value = p1 * r1.value + p2 * r2.value
-    abs_tail = (abs(p1 * r1.value) * r1.tail_estimate
-                + abs(p2 * r2.value) * r2.tail_estimate)
-    denom = abs(value)
-    return SeriesResult(value, r1.terms_used + r2.terms_used,
-                        abs_tail / denom if denom else abs_tail)
+    return combine([(p1, r1), (p2, r2)])
 
 
 def f21_cut(p: HypParams, x: float, side: CutSide,

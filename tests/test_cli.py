@@ -105,11 +105,18 @@ class TestEval:
         check_schema(obj, SCHEMA["eval"])
         assert abs(obj["value"]["re"] - math.atanh(0.5)) < 1e-10
 
-    def test_domain_error_exit_2(self):
-        code, obj = run_cli_json("eval", "--nu", "0", "--mu", "0", "--x", "1.5")
+    @pytest.mark.parametrize("argv,error_type,message", [
+        (("--nu", "0", "--mu", "0", "--x", "1.5"), "DomainError", "D1"),
+        # gamma_quotient overflows at this degree
+        (("--nu", "300.3", "--mu", "0.4", "--x", "0.3", "--rep", "FourierUV"),
+         "OverflowError", "range"),
+    ])
+    def test_domain_error_exit_2(self, argv, error_type, message):
+        code, obj = run_cli_json("eval", *argv)
         assert code == 2
         check_schema(obj, SCHEMA["error"])
-        assert "D1" in obj["error"]["message"]
+        assert obj["error"]["type"] == error_type
+        assert message in obj["error"]["message"]
 
     def test_parse_error_exit_1(self):
         code, _ = run_cli("eval", "--nu", "0", "--mu", "0", "--x", "zebra")

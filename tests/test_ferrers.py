@@ -32,6 +32,9 @@ Q1_HALF = -0.7253469278329726    # 0.5 atanh(1/2) - 1
 GRID_NU = (0.3, 1.7, -0.4 + 0.2j)
 GRID_MU = (0.25, -0.6, 0.1 + 0.1j)
 GRID_X = (0.9, -0.9, 0.5, -0.5, 0.1, -0.1, 0.3 + 0.4j, 0.3 - 0.4j)
+THETA_REPS = (R.III1_UPPER, R.III1_LOWER, R.III2_UPPER,
+              R.III2_LOWER, R.III3_UPPER, R.III3_LOWER)
+HALFPLANE_REPS = (R.I5, R.I6, R.II2, R.II4)
 
 
 def mp_series_oracle(a, b, c, w, n=200):
@@ -193,14 +196,36 @@ class TestSecondKindRepresentations:
             direct = ferrers_q_rep(R.II3, p, x).value
             assert rel_diff(rewritten, direct) < 1e-9
 
-    @pytest.mark.parametrize("rep", [R.III1_UPPER, R.III1_LOWER, R.III2_UPPER,
-                                     R.III2_LOWER, R.III3_UPPER, R.III3_LOWER])
+    @pytest.mark.parametrize("rep", THETA_REPS)
     @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 3, 2 * math.pi / 5])
     def test_trig_forms_match_x_forms(self, rep, theta):
         p = ParamPair(0.3, 0.4)
         a = ferrers_q_rep_trig(rep, p, theta).value
         b = ferrers_q_rep(rep, p, math.cos(theta)).value
         assert abs(a - b) <= 1e-9 * (1.0 + abs(b))
+
+    @pytest.mark.parametrize("rep", THETA_REPS)
+    def test_trig_forms_accurate_near_theta_zero(self, rep):
+        # s = sin(theta) keeps its relative accuracy as theta -> 0, where
+        # sqrt(1 - cos^2 theta) would lose digits
+        theta = 1e-3
+        got = ferrers_q_rep_trig(rep, ParamPair(0.3, 0.4), theta).value
+        want = complex(mp.legenq(0.3, 0.4, mp.cos(mp.mpf(theta)), type=2))
+        assert rel_diff(got, want) < 2e-12
+
+    @pytest.mark.parametrize("rep,p,theta,exc,match", [
+        # x = cos(theta) < 0 lies outside the III3 domain D1+
+        (R.III3_UPPER, ParamPair(0.3, 0.4), 2 * math.pi / 3, DomainError, "D1"),
+        (R.III3_UPPER, ParamPair(0.3, 0.4), 3 * math.pi / 4, DomainError, "D1"),
+        (R.III3_LOWER, ParamPair(0.3, 0.4), 2 * math.pi / 3, DomainError, "D1"),
+        (R.III3_LOWER, ParamPair(0.3, 0.4), 3 * math.pi / 4, DomainError, "D1"),
+        (R.III3_UPPER, ParamPair(0.3, 0.5), math.pi / 3, ParameterError, "2 mu in Z"),
+        (R.I1, ParamPair(0.3, 0.4), math.pi / 3, ValueError, "no trigonometric form"),
+        (R.FOURIER_UV, ParamPair(0.3, 0.4), math.pi / 3, ValueError, "no trigonometric form"),
+    ])
+    def test_trig_forms_share_x_form_checks(self, rep, p, theta, exc, match):
+        with pytest.raises(exc, match=match):
+            ferrers_q_rep_trig(rep, p, theta)
 
     def test_upper_and_lower_signs_agree(self):
         p = ParamPair(0.3, 0.4)
@@ -287,7 +312,7 @@ class TestConnectionRelations:
 
 
 class TestHalfplaneOnCut:
-    @pytest.mark.parametrize("rep", [R.I5, R.I6, R.II2, R.II4])
+    @pytest.mark.parametrize("rep", HALFPLANE_REPS)
     @pytest.mark.parametrize("approach", [+1, -1])
     def test_boundary_values_reduce_to_on_axis_reps(self, rep, approach):
         p = ParamPair(0.3, 0.4)
@@ -296,9 +321,10 @@ class TestHalfplaneOnCut:
             want = ferrers_q(p, x).value
             assert rel_diff(got, want) < 1e-8
 
-    def test_rejects_on_axis_reps(self):
+    @pytest.mark.parametrize("rep", [r for r in R if r not in HALFPLANE_REPS])
+    def test_rejects_on_axis_reps(self, rep):
         with pytest.raises(ValueError):
-            ferrers_q_halfplane_cut(R.I1, ParamPair(0.3, 0.4), 0.3)
+            ferrers_q_halfplane_cut(rep, ParamPair(0.3, 0.4), 0.3)
 
 
 class TestOdeResidual:
