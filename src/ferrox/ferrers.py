@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable
 
 from .complexmath import (
     NEAR_INT_TOL,
@@ -32,7 +32,6 @@ from .complexmath import (
     z2m1_pow,
 )
 from .errors import (
-    ConvergenceError,
     DomainError,
     FerroxError,
     NoRepresentationError,
@@ -518,17 +517,36 @@ def _route_modulus(w: complex) -> float:
     return out
 
 
-def _series_convergence(ids: tuple[int, ...], x: complex) -> tuple[bool, float]:
+class _Arguments(dict):
+    """The region test |w_j(x)| < 1 and the argument w_j(x) at one x, as a
+    pair keyed by j; each pair is computed on first use."""
+
+    __slots__ = ("x",)
+
+    def __init__(self, x: complex):
+        super().__init__()
+        self.x = x
+
+    def __missing__(self, j: int) -> tuple[bool, complex]:
+        pair = self[j] = (in_region(j, self.x), argument(j, self.x))
+        return pair
+
+
+def _series_convergence(ids: tuple[int, ...], args: _Arguments) -> tuple[bool, float]:
     """Whether every series argument w_j(x) lies in the unit disk, and the
     largest |w_j(x)| as the preference score."""
-    return all(in_region(j, x) for j in ids), max(abs(argument(j, x)) for j in ids)
+    if len(ids) == 1:  # every record but I7
+        inside, w = args[ids[0]]
+        return inside, abs(w)
+    pairs = [args[j] for j in ids]
+    return all([inside for inside, _ in pairs]), max([abs(w) for _, w in pairs])
 
 
-def _routed_convergence(ids: tuple[int, ...], x: complex) -> tuple[bool, float]:
+def _routed_convergence(ids: tuple[int, ...], args: _Arguments) -> tuple[bool, float]:
     """As ``_series_convergence`` for factors that the 2F1 engine moves to a
     smaller argument first: each argument counts by its route modulus, and
     the series converges where all of them are direct-series arguments."""
-    mods = [_route_modulus(argument(j, x)) for j in ids]
+    mods = [_route_modulus(args[j][1]) for j in ids]
     return all(m < THETA_CUT for m in mods), max(mods)
 
 
@@ -541,7 +559,7 @@ class _RepSpec:
     #: evaluates the 2F1 factors (principal values, or cut limits).
     evaluator: Callable[..., SeriesResult]
     sign: _Sign = _Sign.NONE
-    convergence: Callable[[tuple[int, ...], complex], tuple[bool, float]] = _series_convergence
+    convergence: Callable[[tuple[int, ...], _Arguments], tuple[bool, float]] = _series_convergence
 
 
 _R = RepresentationId
@@ -572,42 +590,68 @@ _REP_TABLE: dict[RepresentationId, _RepSpec] = {
 }
 
 
-def _check_params(spec: _RepSpec, p: ParamPair) -> str | None:
+def _exclusions(p: ParamPair, keys: Iterable[str] = _EXCL_NAMES) -> set[str]:
+    """The exclusion keys among ``keys`` whose predicate holds for p."""
+    return {key for key in keys if _EXCL_NAMES[key][1](p)}
+
+
+def _check_params(spec: _RepSpec, excluded: set[str]) -> str | None:
+    """Label of the first of ``spec``'s exclusions that is in ``excluded``."""
     for key in spec.exclusions:
-        label, pred = _EXCL_NAMES[key]
-        if pred(p):
-            return label
+        if key in excluded:
+            return _EXCL_NAMES[key][0]
     return None
 
 
-def _check_domain(spec: _RepSpec, x: complex) -> str | None:
-    dom = spec.domain
-    if dom == "D1":
+def _check_domain(domain: str, x: complex) -> str | None:
+    if domain == "D1":
         return None if in_domain(DomainId.D1, x) else "x not in D1"
-    if dom == "D1+":
+    if domain == "D1+":
         return None if in_domain(DomainId.D1_PLUS, x) else "x not in D1 with Re x > 0"
     if complex(x).imag == 0.0:
         return "x on the real axis (half-plane representation)"
     return None
 
 
-def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
-    """Per-representation validity at (p, x), with the reason for each
-    rejection and the argument-modulus preference score."""
-    x = complex(x)
-    out = []
+#: One row of ``_scan``: (rep, spec, reason, region_ok, preference).
+_ScanRow = tuple[RepresentationId, _RepSpec, str | None, bool, float]
+
+
+def _scan(excluded: set[str], x: complex) -> list[_ScanRow]:
+    """One pass over the representation table at x, for parameters whose
+    exclusion predicates ``excluded`` holds (see ``_exclusions``).
+
+    Each domain rule is tested once, and each series argument and its region
+    test at most once.  A row's reason is None when the identity holds at
+    the point; then region_ok and preference come from the record's
+    convergence test, and otherwise they are False and inf."""
+    domain_reason = {dom: _check_domain(dom, x) for dom in ("D1", "D1+", "half")}
+    args = _Arguments(x)
+    rows = []
     for rep, spec in _REP_TABLE.items():
-        reason = _check_params(spec, p) or _check_domain(spec, x)
-        if reason is not None:
-            out.append(RepValidity(rep, False, reason, False, math.inf))
-            continue
-        try:
-            region, pref = spec.convergence(spec.argument_ids, x)
-        except DomainError as exc:
-            out.append(RepValidity(rep, False, str(exc), False, math.inf))
-            continue
-        out.append(RepValidity(rep, True, None, region, pref))
-    return out
+        reason = _check_params(spec, excluded) or domain_reason[spec.domain]
+        if reason is None:
+            try:
+                region, pref = spec.convergence(spec.argument_ids, args)
+            except DomainError as exc:
+                reason = str(exc)
+            else:
+                rows.append((rep, spec, None, region, pref))
+                continue
+        rows.append((rep, spec, reason, False, math.inf))
+    return rows
+
+
+def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
+    """Per-representation validity at (p, x), in table order, with the
+    reason for each rejection and the argument-modulus preference score.
+
+    This reports the same single scan of the table that ``ferrers_q`` ranks:
+    the exclusion predicates are evaluated once, and each series argument
+    and its region test at most once per x."""
+    x = complex(x)
+    return [RepValidity(rep, reason is None, reason, region, pref)
+            for rep, _, reason, region, pref in _scan(_exclusions(p), x)]
 
 
 def _evaluate(rep: RepresentationId, p: ParamPair, x: complex, s: complex,
@@ -615,10 +659,10 @@ def _evaluate(rep: RepresentationId, p: ParamPair, x: complex, s: complex,
     """Check ``rep``'s parameter exclusions and domain at x, then evaluate it
     with s = sqrt(1 - x^2)."""
     spec = _REP_TABLE[rep]
-    bad = _check_params(spec, p)
+    bad = _check_params(spec, _exclusions(p, spec.exclusions))
     if bad is not None:
         raise ParameterError(f"{bad} excluded by representation {rep.value}")
-    bad = _check_domain(spec, x)
+    bad = _check_domain(spec.domain, x)
     if bad is not None:
         raise DomainError(f"{bad} (representation {rep.value})")
     r = spec.evaluator(p, x, s, spec.sign.at(x), tol, _default_feval(tol))
@@ -657,26 +701,39 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     """Ferrers function of the second kind, representation chosen
     automatically: among the representations whose parameter predicates pass
     and whose series converges at x, the one with the smallest argument
-    modulus wins (ties broken by table order)."""
+    modulus wins (ties broken by table order).
+
+    One scan of the table per call (the one ``valid_representations``
+    reports) evaluates the exclusion predicates once and each series
+    argument at most once; the winner's evaluator then runs directly with
+    s = sqrt(1 - x^2).  A candidate that raises a ``FerroxError`` or an
+    ``ArithmeticError`` (such as an overflowing gamma ratio) is skipped for
+    the next one; when none is left, ``NoRepresentationError`` maps every
+    representation to the reason it was not used."""
     x = complex(x)
     if not in_domain(DomainId.D1, x):
         raise DomainError(f"x not in D1: {x}")
-    if p.nu_plus_mu_in_neg_n():
+    excluded = _exclusions(p)
+    if "numu_neg" in excluded:
         raise ParameterError(
             f"Ferrers Q undefined for nu + mu = {p.nu + p.mu} in -N")
-    validity = valid_representations(p, x)
-    reasons = {v.rep.value: v.reason for v in validity if not v.ok}
-    for v in validity:
-        if v.ok and not v.region_ok:
-            reasons[v.rep.value] = "series argument has modulus >= 1 at x"
-    # validity is in table order and sorted() is stable, so ties keep it.
-    ranked = sorted((v for v in validity if v.ok and v.region_ok),
-                    key=lambda v: v.preference)
-    for cand in ranked:
+    rows = _scan(excluded, x)
+    # rows are in table order and sorted() is stable, so ties keep it.
+    ranked = sorted((row for row in rows if row[2] is None and row[3]),
+                    key=lambda row: row[4])
+    s = cmath.sqrt(1.0 - x * x)
+    fe = _default_feval(tol)
+    failed = {}
+    for rep, spec, _, _, _ in ranked:
         try:
-            return ferrers_q_rep(cand.rep, p, x, tol)
-        except (ConvergenceError, FerroxError) as exc:
-            reasons[cand.rep.value] = str(exc)
+            r = spec.evaluator(p, x, s, spec.sign.at(x), tol, fe)
+        except (FerroxError, ArithmeticError) as exc:
+            failed[rep.value] = str(exc)
+            continue
+        return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
+    reasons = {rep.value: "series argument has modulus >= 1 at x" if reason is None else reason
+               for rep, _, reason, region, _ in rows if reason is not None or not region}
+    reasons.update(failed)
     raise NoRepresentationError(
         f"no valid representation at nu={p.nu}, mu={p.mu}, x={x}", reasons)
 
@@ -717,7 +774,7 @@ def ferrers_q_halfplane_cut(rep: RepresentationId, p: ParamPair, x: float,
         raise DomainError(f"cut evaluation requires real x in (-1, 1); got {x}")
     if approach not in (+1, -1):
         raise ValueError("approach must be +1 or -1")
-    bad = _check_params(spec, p)
+    bad = _check_params(spec, _exclusions(p, spec.exclusions))
     if bad is not None:
         raise ParameterError(f"{bad} excluded by representation {rep.value}")
     x = float(x)

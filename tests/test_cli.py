@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import ferrox
 from ferrox.cli import emit_json, main, parse_complex
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "cli_schema.json").read_text())
@@ -64,6 +66,16 @@ def run_cli(*argv):
 def run_cli_json(*argv):
     code, out = run_cli(*argv)
     return code, json.loads(out)
+
+
+def run_cli_process(*argv, **kwargs):
+    """Run ``python -m ferrox.cli`` in a child process that imports the same
+    ferrox package as these tests."""
+    src = str(Path(ferrox.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "ferrox.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, **kwargs)
 
 
 class TestComplexLiterals:
@@ -128,9 +140,7 @@ class TestEval:
         assert code == 1
 
     def test_usage_error_exit_1(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ferrox.cli", "eval", "--nu", "0"],
-            capture_output=True, text=True)
+        proc = run_cli_process("eval", "--nu", "0", text=True)
         assert proc.returncode == 1
 
     def test_forced_reps_agree(self):
@@ -198,11 +208,10 @@ class TestRegion:
         assert middle and middle[0].endswith("1")
 
     def test_pgm_output(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ferrox.cli", "region", "--j", "1",
-             "--re-min", "-3", "--re-max", "3", "--im-min", "-3", "--im-max", "3",
-             "--nx", "41", "--ny", "41", "--format", "pgm"],
-            capture_output=True)
+        proc = run_cli_process(
+            "region", "--j", "1", "--re-min", "-3", "--re-max", "3",
+            "--im-min", "-3", "--im-max", "3", "--nx", "41", "--ny", "41",
+            "--format", "pgm")
         assert proc.returncode == 0
         data = proc.stdout
         assert data.startswith(b"P5\n41 41\n255\n")

@@ -1,11 +1,18 @@
 import cmath
+import dataclasses
 import math
 
 import mpmath as mp
 import pytest
 
 from conftest import rel_diff
-from ferrox.errors import DomainError, ParameterError
+from ferrox import ferrers
+from ferrox.errors import (
+    ConvergenceError,
+    DomainError,
+    NoRepresentationError,
+    ParameterError,
+)
 from ferrox.ferrers import (
     ParamPair,
     RepresentationId as R,
@@ -32,6 +39,11 @@ Q1_HALF = -0.7253469278329726    # 0.5 atanh(1/2) - 1
 GRID_NU = (0.3, 1.7, -0.4 + 0.2j)
 GRID_MU = (0.25, -0.6, 0.1 + 0.1j)
 GRID_X = (0.9, -0.9, 0.5, -0.5, 0.1, -0.1, 0.3 + 0.4j, 0.3 - 0.4j)
+# Dispatch points: the acceptance grid, two large degrees, x near +-1 and
+# one more complex x.
+DISPATCH_P = ([(nu, mu) for nu in GRID_NU for mu in GRID_MU]
+              + [(40.3, 0.25), (120.7, -0.6)])
+DISPATCH_X = GRID_X + (0.99, -0.99, -0.7 + 0.2j)
 THETA_REPS = (R.III1_UPPER, R.III1_LOWER, R.III2_UPPER,
               R.III2_LOWER, R.III3_UPPER, R.III3_LOWER)
 HALFPLANE_REPS = (R.I5, R.I6, R.II2, R.II4)
@@ -272,6 +284,62 @@ class TestDispatch:
         out = ferrers_q(ParamPair(0.3, 0.4), 0.2, tol=1e-12)
         assert out.tail_estimate <= 1e-12
         assert out.terms_used > 0
+
+    @staticmethod
+    def _ranked(p, x):
+        # The documented rule: valid and convergent entries, stable-sorted
+        # by preference (table order breaks ties).
+        return sorted((v for v in valid_representations(p, x) if v.ok and v.region_ok),
+                      key=lambda v: v.preference)
+
+    @pytest.mark.parametrize("x", DISPATCH_X)
+    @pytest.mark.parametrize("nu,mu", DISPATCH_P)
+    def test_winner_follows_valid_representations(self, nu, mu, x):
+        p = ParamPair(nu, mu)
+        first = self._ranked(p, x)[0].rep
+        out = ferrers_q(p, x)
+        assert out.rep is first
+        assert out == ferrers_q_rep(first, p, x)
+
+    def test_arithmetic_error_moves_to_next_candidate(self, monkeypatch):
+        p, x = ParamPair(0.3, 0.4), 0.3 + 0.4j
+        winner, runner_up = (v.rep for v in self._ranked(p, x)[:2])
+
+        def overflow(*args):
+            raise OverflowError("math range error")
+
+        monkeypatch.setitem(ferrers._REP_TABLE, winner, dataclasses.replace(
+            ferrers._REP_TABLE[winner], evaluator=overflow))
+        out = ferrers_q(p, x)
+        assert out.rep is runner_up
+        assert out == ferrers_q_rep(runner_up, p, x)
+
+    def test_failure_reasons_name_every_representation(self, monkeypatch):
+        def fail(*args):
+            raise ConvergenceError("forced failure")
+
+        for rep, spec in ferrers._REP_TABLE.items():
+            monkeypatch.setitem(ferrers._REP_TABLE, rep,
+                                dataclasses.replace(spec, evaluator=fail))
+        p, x = ParamPair(0.3, 1.0), 0.5
+        with pytest.raises(NoRepresentationError) as info:
+            ferrers_q(p, x)
+        want = {}
+        for v in valid_representations(p, x):
+            if not v.ok:
+                want[v.rep.value] = v.reason
+            elif not v.region_ok:
+                want[v.rep.value] = "series argument has modulus >= 1 at x"
+            else:
+                want[v.rep.value] = "forced failure"
+        assert info.value.reasons == want
+        assert len(want) == len(R)
+        # every kind of reason occurs at this point
+        assert want["I1"] == "mu in Z"
+        assert want["III3Upper"] == "2 mu in Z"
+        assert want["I5"] == "x on the real axis (half-plane representation)"
+        assert want["III2Upper"] == "series argument has modulus >= 1 at x"
+        assert want["I7"] == "forced failure"
 
 
 class TestLimitOracle:
