@@ -8,7 +8,9 @@ powers (exponents affine in nu and mu), its hypergeometric parameter triple
 the records.  Entries given classically as x -> -x reflections of earlier
 ones are stored that way.  Each entry also carries exactly one identity
 record: either a closed-form reduction to a Legendre or Ferrers function, or
-equality with another entry (Euler/Pfaff transformations, parity).
+equality with another entry (Euler/Pfaff transformations, parity).  The
+reductions are records too (target function, affine degree and order, gamma,
+power and phase factors, reflected terms), read by one interpreter.
 
 Square-root entries come in two branch variants (Y1 and Y2); the variants
 with arguments (y+x)/(2y) and (x+y)/(x-y) admit only Y1, since with Y2 those
@@ -26,6 +28,7 @@ from .complexmath import RootVariant, gamma_quotient, principal_pow, rgamma, roo
 from .errors import DomainError, FerroxError, ParameterError
 from .ferrers import (
     DEFAULT_TOL,
+    EvalOutcome,
     ParamPair,
     ferrers_p,
     legendre_ode_residual,
@@ -118,19 +121,9 @@ _III_ARGS: dict[str, Callable[[complex, complex], complex]] = {
 
 
 def _domain_ok(tag: str, x: complex) -> bool:
-    if tag == "D1":
-        return in_domain(DomainId.D1, x)
-    if tag == "D1+":
-        return in_domain(DomainId.D1_PLUS, x)
     if tag == "D1-offaxis":
         return in_domain(DomainId.D1, x) and complex(x).real != 0.0
-    if tag == "D2":
-        return in_domain(DomainId.D2, x)
-    if tag == "D2+":
-        return in_domain(DomainId.D2_PLUS, x)
-    if tag == "D3":
-        return in_domain(DomainId.D3, x)
-    raise ValueError(f"unknown domain tag {tag!r}")
+    return in_domain(DomainId(tag), x)
 
 
 def _e(group, index, roots, domain, prefactors=(), hyp=None, arg=None, reflect=None):
@@ -386,215 +379,136 @@ def eval_olbricht(oid: OlbrichtId, p: ParamPair, x: complex,
 # Identity records
 # ---------------------------------------------------------------------------
 
-Reduction = Callable[[ParamPair, complex, float], complex]
+@dataclass(frozen=True)
+class Reduction:
+    """Closed-form reduction of a catalogue entry, interpreted as
 
+        scale * sum_k sign_k * target(degree, order; +-x)
 
-def _gam(z: complex) -> complex:
-    return gamma_quotient((z,), ())
+    where scale is the product of the gamma numerators, an optional power
+    base^a, an optional 1/sqrt(pi) and an optional phase e^(i pi a), every
+    exponent and parameter affine in (nu, mu).
 
+    ``monodromy`` holds the rgamma argument c of the root-Y1 forms whose
+    equality with the Y2 form holds only in the upper half-plane: crossing to
+    the lower half-plane picks up a first-kind term from the monodromy of the
+    normalized second-kind function around z = 1, so there the sum T becomes
+    e^(-i pi mu) T - i pi rgamma(c) LegendreP(nu, -mu; x).
+    """
 
-def _qbold(nu_map, reflect):
-    def f(p: ParamPair, x: complex, tol: float) -> complex:
-        deg = nu_map(p.nu)
-        z = -x if reflect else x
-        return legendre_q_bold(ParamPair(deg, p.mu), z, tol).value
-    return f
+    target: Callable[[ParamPair, complex, float], EvalOutcome]
+    degree: Affine
+    order: Affine
+    gammas: tuple[Affine, ...]
+    #: (base, exponent) of a power factor
+    power: tuple[float, Affine] | None = None
+    inv_sqrt_pi: bool = False
+    #: a of a phase factor e^(i pi a)
+    phase: Affine | None = None
+    #: (sign, evaluate at -x) per summand
+    terms: tuple[tuple[int, bool], ...] = ((1, False),)
+    monodromy: Affine | None = None
 
-
-def _red_I1(p, x, tol):
-    return _gam(1.0 + p.mu) * ferrers_p(ParamPair(p.nu, -p.mu), x, tol).value
-
-
-def _red_I2(p, x, tol):
-    return _gam(1.0 - p.mu) * ferrers_p(p, x, tol).value
-
-
-def _red_I5(p, x, tol):
-    return _gam(1.0 + p.mu) * ferrers_p(ParamPair(p.nu, -p.mu), -x, tol).value
-
-
-def _red_I6(p, x, tol):
-    return _gam(1.0 - p.mu) * ferrers_p(p, -x, tol).value
-
-
-def _red_I9(p, x, tol):
-    return (principal_pow(4.0, -p.nu) / _SQRT_PI * _gam(0.5 - p.nu)
-            * _qbold(lambda nu: -nu - 1.0, True)(p, x, tol))
-
-
-def _red_I10(p, x, tol):
-    return (principal_pow(4.0, p.nu + 1.0) / _SQRT_PI * _gam(p.nu + 1.5)
-            * _qbold(lambda nu: nu, True)(p, x, tol))
-
-
-def _red_I13(p, x, tol):
-    return (principal_pow(4.0, -p.nu) / _SQRT_PI * _gam(0.5 - p.nu)
-            * _qbold(lambda nu: -nu - 1.0, False)(p, x, tol))
-
-
-def _red_I14(p, x, tol):
-    return (principal_pow(4.0, p.nu + 1.0) / _SQRT_PI * _gam(p.nu + 1.5)
-            * _qbold(lambda nu: nu, False)(p, x, tol))
-
-
-def _red_I17(p, x, tol):
-    return _gam(1.0 + p.mu) * legendre_p(ParamPair(p.nu, -p.mu), x, tol).value
-
-
-def _red_I18(p, x, tol):
-    return _gam(1.0 - p.mu) * legendre_p(p, x, tol).value
-
-
-def _red_I21(p, x, tol):
-    return _gam(1.0 + p.mu) * legendre_p(ParamPair(p.nu, -p.mu), -x, tol).value
-
-
-def _red_I22(p, x, tol):
-    return _gam(1.0 - p.mu) * legendre_p(p, -x, tol).value
-
-
-def _red_II1(p, x, tol):
-    nu, mu = p.nu, p.mu
-    c = (principal_pow(2.0, -mu - 1.0) / _SQRT_PI
-         * gamma_quotient((0.5 * nu - 0.5 * mu + 1.0, 0.5 - 0.5 * nu - 0.5 * mu), ()))
-    return c * (ferrers_p(p, x, tol).value + ferrers_p(p, -x, tol).value)
-
-
-def _red_II2(p, x, tol):
-    nu, mu = p.nu, p.mu
-    c = (principal_pow(2.0, -mu - 2.0) / _SQRT_PI
-         * gamma_quotient((0.5 * nu - 0.5 * mu + 0.5, -0.5 * nu - 0.5 * mu), ()))
-    return c * (ferrers_p(p, -x, tol).value - ferrers_p(p, x, tol).value)
-
-
-def _red_II5(p, x, tol):
-    return (principal_pow(2.0, p.mu) * _gam(1.0 + p.mu)
-            * ferrers_p(ParamPair(p.nu, -p.mu), x, tol).value)
-
-
-def _red_II7(p, x, tol):
-    return (principal_pow(2.0, -p.mu) * _gam(1.0 - p.mu)
-            * ferrers_p(p, x, tol).value)
-
-
-def _red_II9(p, x, tol):
-    return (principal_pow(2.0, -p.nu) / _SQRT_PI * _gam(0.5 - p.nu)
-            * _qbold(lambda nu: -nu - 1.0, False)(p, x, tol))
-
-
-def _red_II10(p, x, tol):
-    return (principal_pow(2.0, p.nu + 1.0) / _SQRT_PI * _gam(p.nu + 1.5)
-            * _qbold(lambda nu: nu, False)(p, x, tol))
-
-
-def _red_III5_Y2(p, x, tol):
-    return _gam(0.5 - p.nu) / _SQRT_PI * _qbold(lambda nu: -nu - 1.0, False)(p, x, tol)
-
-
-def _red_III5_Y1(p, x, tol):
-    # Equality with the Y2 form holds in the upper half-plane; crossing to
-    # the lower half-plane picks up a first-kind term from the monodromy of
-    # the normalized second-kind function around z = 1.
-    nu, mu = p.nu, p.mu
-    qb = _qbold(lambda n: -n - 1.0, False)(p, x, tol)
-    if complex(x).imag > 0:
-        return _gam(0.5 - nu) / _SQRT_PI * qb
-    pv = legendre_p(ParamPair(nu, -mu), x, tol).value
-    return (_gam(0.5 - nu) / _SQRT_PI
-            * (cmath.exp(-1j * math.pi * mu) * qb
-               - 1j * math.pi * rgamma(-nu - mu) * pv))
-
-
-def _red_III7_Y2(p, x, tol):
-    return _gam(p.nu + 1.5) / _SQRT_PI * _qbold(lambda nu: nu, False)(p, x, tol)
-
-
-def _red_III7_Y1(p, x, tol):
-    nu, mu = p.nu, p.mu
-    qb = _qbold(lambda n: n, False)(p, x, tol)
-    if complex(x).imag > 0:
-        return _gam(nu + 1.5) / _SQRT_PI * qb
-    pv = legendre_p(ParamPair(nu, -mu), x, tol).value
-    return (_gam(nu + 1.5) / _SQRT_PI
-            * (cmath.exp(-1j * math.pi * mu) * qb
-               - 1j * math.pi * rgamma(nu - mu + 1.0) * pv))
-
-
-def _red_III9_Y2(p, x, tol):
-    return (principal_pow(4.0, p.mu) * _gam(1.0 + p.mu)
-            * legendre_p(ParamPair(p.nu, -p.mu), x, tol).value)
-
-
-def _red_III9_Y1(p, x, tol):
-    return (cmath.exp(0.5j * math.pi * p.mu) * principal_pow(4.0, p.mu)
-            * _gam(1.0 + p.mu) * ferrers_p(ParamPair(p.nu, -p.mu), x, tol).value)
-
-
-def _red_III10_Y2(p, x, tol):
-    return (principal_pow(4.0, -p.mu) * _gam(1.0 - p.mu)
-            * legendre_p(p, x, tol).value)
-
-
-def _red_III10_Y1(p, x, tol):
-    return (cmath.exp(-0.5j * math.pi * p.mu) * principal_pow(4.0, -p.mu)
-            * _gam(1.0 - p.mu) * ferrers_p(p, x, tol).value)
+    def __call__(self, p: ParamPair, x: complex, tol: float) -> complex:
+        nu, mu = p.nu, p.mu
+        q = ParamPair(_aff(self.degree, nu, mu), _aff(self.order, nu, mu))
+        value = sum(sign * self.target(q, -x if reflect else x, tol).value
+                    for sign, reflect in self.terms)
+        if self.monodromy is not None and complex(x).imag <= 0:
+            pv = legendre_p(ParamPair(nu, -mu), x, tol).value
+            value = (cmath.exp(-1j * math.pi * mu) * value
+                     - 1j * math.pi * rgamma(_aff(self.monodromy, nu, mu)) * pv)
+        scale = gamma_quotient(tuple(_aff(g, nu, mu) for g in self.gammas), ())
+        if self.inv_sqrt_pi:
+            scale /= _SQRT_PI
+        if self.power is not None:
+            base, a = self.power
+            scale *= principal_pow(base, _aff(a, nu, mu))
+        if self.phase is not None:
+            scale *= cmath.exp(1j * math.pi * _aff(self.phase, nu, mu))
+        return scale * value
 
 
 @dataclass(frozen=True)
 class IdentityRecord:
+    """What one catalogue variant is verified against: a closed-form
+    reduction record, or another entry of the same group."""
+
     description: str
     #: closed-form reduction, or None when the record is entry-equality
     reduction: Reduction | None = None
-    #: (group, index, root-preserved, reflect) target for equality records
+    #: (group, index, reflect) target for equality records
     equals: tuple[str, int, bool] | None = None
 
 
 def _identity_table() -> dict[tuple[str, int, str | None], IdentityRecord]:
     t: dict[tuple[str, int, str | None], IdentityRecord] = {}
 
-    def named(g, i, root, desc, fn):
-        t[(g, i, root)] = IdentityRecord(desc, reduction=fn)
+    def named(g, i, root, desc, target, **fields):
+        t[(g, i, root)] = IdentityRecord(desc, reduction=Reduction(target, **fields))
 
     def dup(g, i, root, j, desc, reflect=False):
         t[(g, i, root)] = IdentityRecord(desc, equals=(g, j, reflect))
 
-    named("I", 1, None, "Gamma(1+mu) * FerrersP(nu, -mu; x)", _red_I1)
-    named("I", 2, None, "Gamma(1-mu) * FerrersP(nu, mu; x)", _red_I2)
+    fp, lp, qb = ferrers_p, legendre_p, legendre_q_bold
+    nu, mu, neg_mu = (0, 1, 0), (0, 0, 1), (0, 0, -1)
+    at_minus_x = ((1, True),)
+    # Gamma(1+mu) F(nu, -mu) and Gamma(1-mu) F(nu, mu)
+    up = dict(degree=nu, order=neg_mu, gammas=((1, 0, 1),))
+    down = dict(degree=nu, order=mu, gammas=((1, 0, -1),))
+    # Gamma(1/2-nu) QBold(-nu-1, mu) / sqrt(pi) and Gamma(nu+3/2) QBold(nu, mu) / sqrt(pi)
+    q_low = dict(degree=(-1, -1, 0), order=mu, gammas=((.5, -1, 0),), inv_sqrt_pi=True)
+    q_high = dict(degree=nu, order=mu, gammas=((1.5, 1, 0),), inv_sqrt_pi=True)
+
+    named("I", 1, None, "Gamma(1+mu) * FerrersP(nu, -mu; x)", fp, **up)
+    named("I", 2, None, "Gamma(1-mu) * FerrersP(nu, mu; x)", fp, **down)
     dup("I", 3, None, 1, "equal to I.1 (Euler transformation)")
     dup("I", 4, None, 2, "equal to I.2 (Euler transformation)")
-    named("I", 5, None, "Gamma(1+mu) * FerrersP(nu, -mu; -x)", _red_I5)
-    named("I", 6, None, "Gamma(1-mu) * FerrersP(nu, mu; -x)", _red_I6)
+    named("I", 5, None, "Gamma(1+mu) * FerrersP(nu, -mu; -x)", fp, **up, terms=at_minus_x)
+    named("I", 6, None, "Gamma(1-mu) * FerrersP(nu, mu; -x)", fp, **down, terms=at_minus_x)
     dup("I", 7, None, 5, "equal to I.5 (Euler transformation)")
     dup("I", 8, None, 6, "equal to I.6 (Euler transformation)")
-    named("I", 9, None, "4^-nu Gamma(1/2-nu) QBold(-nu-1, mu; -x) / sqrt(pi)", _red_I9)
-    named("I", 10, None, "4^(nu+1) Gamma(nu+3/2) QBold(nu, mu; -x) / sqrt(pi)", _red_I10)
+    named("I", 9, None, "4^-nu Gamma(1/2-nu) QBold(-nu-1, mu; -x) / sqrt(pi)", qb, **q_low,
+          power=(4.0, (0, -1, 0)), terms=at_minus_x)
+    named("I", 10, None, "4^(nu+1) Gamma(nu+3/2) QBold(nu, mu; -x) / sqrt(pi)", qb, **q_high,
+          power=(4.0, (1, 1, 0)), terms=at_minus_x)
     dup("I", 11, None, 9, "equal to I.9 (mu -> -mu symmetry)")
     dup("I", 12, None, 10, "equal to I.10 (mu -> -mu symmetry)")
-    named("I", 13, None, "4^-nu Gamma(1/2-nu) QBold(-nu-1, mu; x) / sqrt(pi)", _red_I13)
-    named("I", 14, None, "4^(nu+1) Gamma(nu+3/2) QBold(nu, mu; x) / sqrt(pi)", _red_I14)
+    named("I", 13, None, "4^-nu Gamma(1/2-nu) QBold(-nu-1, mu; x) / sqrt(pi)", qb, **q_low,
+          power=(4.0, (0, -1, 0)))
+    named("I", 14, None, "4^(nu+1) Gamma(nu+3/2) QBold(nu, mu; x) / sqrt(pi)", qb, **q_high,
+          power=(4.0, (1, 1, 0)))
     dup("I", 15, None, 13, "equal to I.13 (mu -> -mu symmetry)")
     dup("I", 16, None, 14, "equal to I.14 (mu -> -mu symmetry)")
-    named("I", 17, None, "Gamma(1+mu) * LegendreP(nu, -mu; x)", _red_I17)
-    named("I", 18, None, "Gamma(1-mu) * LegendreP(nu, mu; x)", _red_I18)
+    named("I", 17, None, "Gamma(1+mu) * LegendreP(nu, -mu; x)", lp, **up)
+    named("I", 18, None, "Gamma(1-mu) * LegendreP(nu, mu; x)", lp, **down)
     dup("I", 19, None, 17, "equal to I.17 (Euler transformation)")
     dup("I", 20, None, 18, "equal to I.18 (Euler transformation)")
-    named("I", 21, None, "Gamma(1+mu) * LegendreP(nu, -mu; -x)", _red_I21)
-    named("I", 22, None, "Gamma(1-mu) * LegendreP(nu, mu; -x)", _red_I22)
+    named("I", 21, None, "Gamma(1+mu) * LegendreP(nu, -mu; -x)", lp, **up, terms=at_minus_x)
+    named("I", 22, None, "Gamma(1-mu) * LegendreP(nu, mu; -x)", lp, **down, terms=at_minus_x)
     dup("I", 23, None, 21, "equal to I.21 (Euler transformation)")
     dup("I", 24, None, 22, "equal to I.22 (Euler transformation)")
 
     named("II", 1, None,
-          "even solution: c * (FerrersP(x) + FerrersP(-x)), y(0)=1, y'(0)=0", _red_II1)
+          "even solution: c * (FerrersP(x) + FerrersP(-x)), y(0)=1, y'(0)=0", fp,
+          degree=nu, order=mu, gammas=((1, .5, -.5), (.5, -.5, -.5)),
+          power=(2.0, (-1, 0, -1)), inv_sqrt_pi=True, terms=((1, False), (1, True)))
     named("II", 2, None,
-          "odd solution: c * (FerrersP(-x) - FerrersP(x)), y(0)=0, y'(0)=1", _red_II2)
+          "odd solution: c * (FerrersP(-x) - FerrersP(x)), y(0)=0, y'(0)=1", fp,
+          degree=nu, order=mu, gammas=((.5, .5, -.5), (0, -.5, -.5)),
+          power=(2.0, (-2, 0, -1)), inv_sqrt_pi=True, terms=((1, True), (-1, False)))
     dup("II", 3, None, 1, "equal to II.1 (Euler transformation)")
     dup("II", 4, None, 2, "equal to II.2 (Euler transformation)")
-    named("II", 5, None, "2^mu Gamma(1+mu) FerrersP(nu, -mu; x) on Re x > 0", _red_II5)
+    named("II", 5, None, "2^mu Gamma(1+mu) FerrersP(nu, -mu; x) on Re x > 0", fp, **up,
+          power=(2.0, mu))
     dup("II", 6, None, 5, "equal to II.5 on Re x > 0 (Euler transformation)")
-    named("II", 7, None, "2^-mu Gamma(1-mu) FerrersP(nu, mu; x) on Re x > 0", _red_II7)
+    named("II", 7, None, "2^-mu Gamma(1-mu) FerrersP(nu, mu; x) on Re x > 0", fp, **down,
+          power=(2.0, neg_mu))
     dup("II", 8, None, 7, "equal to II.7 on Re x > 0 (Euler transformation)")
-    named("II", 9, None, "2^-nu Gamma(1/2-nu) QBold(-nu-1, mu; x) / sqrt(pi)", _red_II9)
-    named("II", 10, None, "2^(nu+1) Gamma(nu+3/2) QBold(nu, mu; x) / sqrt(pi)", _red_II10)
+    named("II", 9, None, "2^-nu Gamma(1/2-nu) QBold(-nu-1, mu; x) / sqrt(pi)", qb, **q_low,
+          power=(2.0, (0, -1, 0)))
+    named("II", 10, None, "2^(nu+1) Gamma(nu+3/2) QBold(nu, mu; x) / sqrt(pi)", qb, **q_high,
+          power=(2.0, (1, 1, 0)))
     dup("II", 11, None, 10, "equal to II.10 (mu -> -mu symmetry)")
     dup("II", 12, None, 9, "equal to II.9 (mu -> -mu symmetry)")
     dup("II", 13, None, 9, "equal to II.9 (Pfaff transformation)")
@@ -616,22 +530,28 @@ def _identity_table() -> dict[tuple[str, int, str | None], IdentityRecord]:
     dup("III", 4, "Y1", 3, "equal to III.3 (Euler transformation)")
     named("III", 5, "Y1",
           "Gamma(1/2-nu) QBold(-nu-1, mu; x) / sqrt(pi) for Im x > 0; "
-          "two-term monodromy-corrected form for Im x < 0", _red_III5_Y1)
-    named("III", 5, "Y2", "Gamma(1/2-nu) QBold(-nu-1, mu; x) / sqrt(pi)", _red_III5_Y2)
+          "two-term monodromy-corrected form for Im x < 0", qb, **q_low,
+          monodromy=(0, -1, -1))
+    named("III", 5, "Y2", "Gamma(1/2-nu) QBold(-nu-1, mu; x) / sqrt(pi)", qb, **q_low)
     dup("III", 6, "Y1", 5, "equal to III.5 (Euler transformation)")
     dup("III", 6, "Y2", 5, "equal to III.5 (Euler transformation)")
     named("III", 7, "Y1",
           "Gamma(nu+3/2) QBold(nu, mu; x) / sqrt(pi) for Im x > 0; "
-          "two-term monodromy-corrected form for Im x < 0", _red_III7_Y1)
-    named("III", 7, "Y2", "Gamma(nu+3/2) QBold(nu, mu; x) / sqrt(pi)", _red_III7_Y2)
+          "two-term monodromy-corrected form for Im x < 0", qb, **q_high,
+          monodromy=(1, 1, -1))
+    named("III", 7, "Y2", "Gamma(nu+3/2) QBold(nu, mu; x) / sqrt(pi)", qb, **q_high)
     dup("III", 8, "Y1", 7, "equal to III.7 (Euler transformation)")
     dup("III", 8, "Y2", 7, "equal to III.7 (Euler transformation)")
     named("III", 9, "Y1",
-          "e^(i pi mu/2) 4^mu Gamma(1+mu) FerrersP(nu, -mu; x) on D1+", _red_III9_Y1)
-    named("III", 9, "Y2", "4^mu Gamma(1+mu) LegendreP(nu, -mu; x) on D2+", _red_III9_Y2)
+          "e^(i pi mu/2) 4^mu Gamma(1+mu) FerrersP(nu, -mu; x) on D1+", fp, **up,
+          power=(4.0, mu), phase=(0, 0, .5))
+    named("III", 9, "Y2", "4^mu Gamma(1+mu) LegendreP(nu, -mu; x) on D2+", lp, **up,
+          power=(4.0, mu))
     named("III", 10, "Y1",
-          "e^(-i pi mu/2) 4^-mu Gamma(1-mu) FerrersP(nu, mu; x) on D1+", _red_III10_Y1)
-    named("III", 10, "Y2", "4^-mu Gamma(1-mu) LegendreP(nu, mu; x) on D2+", _red_III10_Y2)
+          "e^(-i pi mu/2) 4^-mu Gamma(1-mu) FerrersP(nu, mu; x) on D1+", fp, **down,
+          power=(4.0, neg_mu), phase=(0, 0, -.5))
+    named("III", 10, "Y2", "4^-mu Gamma(1-mu) LegendreP(nu, mu; x) on D2+", lp, **down,
+          power=(4.0, neg_mu))
     for root in ("Y1", "Y2"):
         dup("III", 11, root, 10, "equal to III.10 (Euler transformation)")
         dup("III", 12, root, 9, "equal to III.9 (Euler transformation)")

@@ -80,7 +80,9 @@ def _check_singular(j: int, x: complex) -> None:
         raise SingularPointError(f"w_{j} singular at x = 1")
     if j in (8, 12) and (x == 1.0 or x == -1.0):
         raise SingularPointError(f"w_{j} singular at x = +-1")
-    if j in (10, 11) and x == 0.0:
+    # Maps 10 and 11 divide by x * x, which underflows to 0 for |x| below
+    # about 1e-162, so test the product and not x.
+    if j in (10, 11) and x * x == 0.0:
         raise SingularPointError(f"w_{j} singular at x = 0")
     if 13 <= j <= 18 and (x == 1.0 or x == -1.0):
         raise SingularPointError(f"w_{j} singular at x = +-1")

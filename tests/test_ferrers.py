@@ -341,6 +341,14 @@ class TestDispatch:
         assert want["III2Upper"] == "series argument has modulus >= 1 at x"
         assert want["I7"] == "forced failure"
 
+    @pytest.mark.parametrize("x", [1e-300j, 1e-170j])
+    def test_tiny_imaginary_x_matches_origin(self, x):
+        # x * x underflows to 0 here, so maps 10 and 11 are singular as at 0
+        p = ParamPair(0.3, 0.4)
+        got, want = ferrers_q(p, x), ferrers_q(p, 0.0)
+        assert got.rep is want.rep
+        assert rel_diff(got.value, want.value) < 1e-15
+
 
 class TestLimitOracle:
     @pytest.mark.parametrize("nu,mu,x,want", [

@@ -81,23 +81,22 @@ class TestPointValues:
 
 
 class TestIdentities:
-    def test_all_variants_verify(self):
+    @pytest.mark.parametrize("p", [
+        P,
+        ParamPair(1.6, -0.7),
+        ParamPair(-0.4 + 0.2j, 0.1 + 0.1j),
+        ParamPair(2.3, 1.3),
+        ParamPair(0.7 - 0.3j, -0.6 + 0.2j),
+    ])
+    def test_all_variants_verify(self, p):
         for oid in ALL_IDS:
-            rep = verify_identity(oid, P, default_samples(oid))
+            rep = verify_identity(oid, p, default_samples(oid))
             assert rep.max_residual < 1e-8, f"{oid.label()}: {rep}"
 
     def test_euler_duplicate_is_tight(self):
         rep = verify_identity(OlbrichtId("I", 3), P, default_samples(OlbrichtId("I", 3)),
                               tol=1e-13)
         assert rep.max_residual < 1e-12
-
-    def test_second_parameter_set(self):
-        q = ParamPair(1.6, -0.7)
-        for oid in (OlbrichtId("I", 14), OlbrichtId("II", 10),
-                    OlbrichtId("III", 7, RootVariant.Y2),
-                    OlbrichtId("III", 9, RootVariant.Y1)):
-            rep = verify_identity(oid, q, default_samples(oid))
-            assert rep.max_residual < 1e-8, oid.label()
 
     def test_root_variants_agree_upper_half_plane(self):
         for idx in (5, 7, 9, 10, 21, 23):

@@ -43,8 +43,9 @@ class TestArgumentMaps:
     def test_singular_points(self):
         with pytest.raises(SingularPointError):
             argument(3, -1.0)
-        with pytest.raises(SingularPointError):
-            argument(10, 0.0)
+        for x in (0.0, 1e-300j):
+            with pytest.raises(SingularPointError):
+                argument(10, x)
         with pytest.raises(SingularPointError):
             argument(13, 1.0)
 
