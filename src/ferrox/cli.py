@@ -421,8 +421,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"ferrox: {exc}\n")
         return exc.code
     except (FerroxError, ArithmeticError) as exc:
-        # ArithmeticError: overflow or division by zero inside a formula,
-        # which the library does not map to a FerroxError yet.
+        # ArithmeticError: safety net for an overflow or division by zero
+        # that no library check maps to a FerroxError.
         _print_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return EXIT_MATH
 

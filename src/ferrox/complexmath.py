@@ -5,15 +5,23 @@ Everything here is a pure function of scalars.  The principal branch
 (argument in (-pi, pi]) is used throughout; ``ln_gamma`` is the analytic
 continuation from the positive real axis, continuous on the plane cut along
 (-inf, 0].
+
+The one shared state is the ``ln_gamma`` memo: a bounded, thread-safe
+``functools.lru_cache`` of the 256 most recent arguments.  The
+connection formulas of one evaluation point share most of their gamma
+arguments, so the memo saves most of the gamma work there.  A cached value
+is the value the function computes, so no result depends on what the memo
+holds.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from enum import Enum
 
-from .errors import BranchCutError, DomainError, PoleError
+from .errors import BranchCutError, DomainError, ParameterError, PoleError, SingularPointError
 
 __all__ = [
     "RootVariant",
@@ -50,8 +58,16 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 
+#: (coefficient, offset) pairs of the shifted sum: _LANCZOS_C[k] / (z + k - 1).
+_LANCZOS_TERMS = tuple((c, float(k - 1)) for k, c in enumerate(_LANCZOS_C) if k)
+
 _LN_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LN_PI = math.log(math.pi)
+
+#: Entries kept by the ``ln_gamma`` memo.  One evaluation point of every
+#: valid representation uses about 30 distinct gamma arguments, a sweep of
+#: ``ferrers_q`` over x at fixed (nu, mu) a handful per parameter pair.
+_LN_GAMMA_MEMO_SIZE = 256
 
 #: Default tolerance for "is effectively an integer" predicates.  Prefactors
 #: like 1/sin(pi*mu) lose all precision closer to a pole than this.
@@ -88,8 +104,8 @@ class RootVariant(Enum):
 
 def _lanczos_sum(z: complex) -> complex:
     s = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[k] / (z + (k - 1))
+    for c, offset in _LANCZOS_TERMS:
+        s += c / (z + offset)
     return s
 
 
@@ -104,22 +120,34 @@ def _log_sin_pi_upper(z: complex) -> complex:
     )
 
 
+def _ln_gamma(z: complex) -> complex:
+    # No pole has Re z > 0, so most arguments skip the two predicates.
+    if z.real <= 0.0 and (_exact_nonpos_int(z) or near_int(z, 1e-300)):
+        raise PoleError(f"ln_gamma pole at z = {z}")
+    if z.imag < 0.0:
+        return _ln_gamma(z.conjugate()).conjugate()
+    if z.real >= 0.5:
+        t = z + (_LANCZOS_G - 0.5)
+        return _LN_SQRT_TWO_PI + (z - 0.5) * cmath.log(t) - t + cmath.log(_lanczos_sum(z))
+    return _LN_PI - _log_sin_pi_upper(z) - _ln_gamma(1.0 - z)
+
+
+@functools.lru_cache(maxsize=_LN_GAMMA_MEMO_SIZE)
 def ln_gamma(z: complex) -> complex:
     """Principal branch of log Gamma, continuous on C cut along (-inf, 0].
 
     Raises PoleError at the poles 0, -1, -2, ...  On the rest of the negative
     real axis the limit from the lower half-plane is returned, matching the
     usual software convention.
+
+    Memoized on ``z`` (see the module docstring).  Arguments that compare
+    equal, such as 2, 2.0 and 2+0j or imaginary parts +0.0 and -0.0, share
+    an entry; their values are bit-identical.  Errors are not cached.
     """
     z = complex(z)
-    if _exact_nonpos_int(z) or (near_int(z, 1e-300) and z.real <= 0):
-        raise PoleError(f"ln_gamma pole at z = {z}")
-    if z.imag < 0.0:
-        return ln_gamma(z.conjugate()).conjugate()
-    if z.real >= 0.5:
-        t = z + (_LANCZOS_G - 0.5)
-        return _LN_SQRT_TWO_PI + (z - 0.5) * cmath.log(t) - t + cmath.log(_lanczos_sum(z))
-    return _LN_PI - _log_sin_pi_upper(z) - ln_gamma(1.0 - z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"ln_gamma needs a finite argument; got {z}")
+    return _ln_gamma(z)
 
 
 def gamma(z: complex) -> complex:
@@ -158,7 +186,11 @@ def gamma_quotient(numerators=(), denominators=()) -> complex:
         return 0.0 + 0.0j
     for n in numerators:
         acc += ln_gamma(complex(n))
-    return cmath.exp(acc)
+    try:
+        return cmath.exp(acc)
+    except OverflowError:
+        raise ParameterError(
+            f"gamma quotient beyond double range: log modulus {acc.real:.6g}") from None
 
 
 def pochhammer(a: complex, n: int) -> complex:
@@ -196,7 +228,10 @@ def principal_pow(base: complex, exponent: complex) -> complex:
         raise BranchCutError(
             f"non-integer power {exponent} of negative real base {base}"
         )
-    return cmath.exp(exponent * cmath.log(base))
+    try:
+        return cmath.exp(exponent * cmath.log(base))
+    except OverflowError:
+        raise DomainError(f"{base} ** {exponent} is beyond double range") from None
 
 
 def z2m1_pow(z: complex, alpha: complex) -> complex:
@@ -222,5 +257,8 @@ def root_y(variant: RootVariant, x: complex) -> complex:
     if variant is RootVariant.Y2:
         if x.imag == 0.0 and abs(x.real) <= 1.0:
             raise DomainError(f"Y2 root undefined on the segment [-1, 1]; got {x}")
+        # x * x underflows to 0 for |x| below about 1e-162, so test the product.
+        if x * x == 0.0:
+            raise SingularPointError(f"Y2 root singular at x = 0; got {x}")
         return x * cmath.sqrt(1.0 - 1.0 / (x * x))
     raise ValueError(f"unknown root variant {variant!r}")

@@ -706,9 +706,10 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     One scan of the table per call (the one ``valid_representations``
     reports) evaluates the exclusion predicates once and each series
     argument at most once; the winner's evaluator then runs directly with
-    s = sqrt(1 - x^2).  A candidate that raises a ``FerroxError`` or an
-    ``ArithmeticError`` (such as an overflowing gamma ratio) is skipped for
-    the next one; when none is left, ``NoRepresentationError`` maps every
+    s = sqrt(1 - x^2).  A candidate that raises a ``FerroxError`` (such as
+    a gamma ratio beyond double range) is skipped for the next one, and so,
+    as a safety net, is one that raises an ``ArithmeticError`` the library
+    has not mapped; when none is left, ``NoRepresentationError`` maps every
     representation to the reason it was not used."""
     x = complex(x)
     if not in_domain(DomainId.D1, x):

@@ -143,20 +143,27 @@ def f21_series(p: HypParams, w: complex, tol: float = DEFAULT_TOL,
         raise ParameterError(f"2F1 series undefined: c = {p.c} is a nonpositive integer")
     if m is not None:
         return _polynomial_sum(p, w, m)
-    if abs(w) >= 1.0:
-        raise ConvergenceError(f"2F1 series diverges for |w| = {abs(w):.6g} >= 1")
+    aw = abs(w)
+    if aw >= 1.0:
+        raise ConvergenceError(f"2F1 series diverges for |w| = {aw:.6g} >= 1")
+    a, b, c = p.a, p.b, p.c
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     prev_small = False
-    for n in range(max_terms):
-        term *= (p.a + n) * (p.b + n) / ((p.c + n) * (n + 1)) * w
+    # A float counter adds the same value as an int one, without the
+    # int-to-float conversion in every complex operation.
+    n = 0.0
+    for _ in range(max_terms):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * w
         total += term
-        small = abs(term) <= tol * abs(total)
+        aterm = abs(term)
+        atotal = abs(total)
+        small = aterm <= tol * atotal
         if small and prev_small:
-            tail = abs(term) * abs(w) / (1.0 - abs(w))
-            denom = abs(total)
-            return SeriesResult(total, n + 2, tail / denom if denom else tail)
+            tail = aterm * aw / (1.0 - aw)
+            return SeriesResult(total, int(n) + 2, tail / atotal if atotal else tail)
         prev_small = small
+        n += 1.0
     raise ConvergenceError(
         f"2F1 series did not reach tol={tol:g} within {max_terms} terms at w={w}"
     )
@@ -174,6 +181,10 @@ def _taylor_step(p: HypParams, z0: complex, f0: complex, f1: complex,
     from the differential equation w(1-w)F'' + (c-(a+b+1)w)F' - abF = 0."""
     a, b, c = p.a, p.b, p.c
     q0 = z0 * (1.0 - z0)
+    # Loop invariants of the recurrence.  c stays inside the loop, added
+    # after lin * k: folding it into shift would round differently.
+    lin = 1.0 - 2.0 * z0
+    shift = (a + b + 1.0) * z0
     fk = f0
     fk1 = f1
     s = fk + fk1 * h
@@ -184,16 +195,18 @@ def _taylor_step(p: HypParams, z0: complex, f0: complex, f1: complex,
         # coefficient recurrence: q0 (k+2)(k+1) f_{k+2}
         #   = (k+a)(k+b) f_k - [ (1-2 z0) k + c - (a+b+1) z0 ] (k+1) f_{k+1}
         fk2 = ((k + a) * (k + b) * fk
-               - ((1.0 - 2.0 * z0) * k + c - (a + b + 1.0) * z0) * (k + 1) * fk1) \
+               - (lin * k + c - shift) * (k + 1) * fk1) \
             / (q0 * (k + 2) * (k + 1))
         hpow *= h
         term = fk2 * hpow
         s += term
         sp += (k + 2) * fk2 * hpow / h
         fk, fk1 = fk1, fk2
-        if abs(term) <= tol * abs(s) and last <= tol * abs(s):
-            return s, sp, k + 3, abs(term)
-        last = abs(term)
+        aterm = abs(term)
+        bound = tol * abs(s)
+        if aterm <= bound and last <= bound:
+            return s, sp, k + 3, aterm
+        last = aterm
     raise ConvergenceError(f"Taylor continuation step stalled at z0={z0}, h={h}")
 
 

@@ -121,7 +121,7 @@ class TestEval:
         (("--nu", "0", "--mu", "0", "--x", "1.5"), "DomainError", "D1"),
         # gamma_quotient overflows at this degree
         (("--nu", "300.3", "--mu", "0.4", "--x", "0.3", "--rep", "FourierUV"),
-         "OverflowError", "range"),
+         "ParameterError", "range"),
     ])
     def test_domain_error_exit_2(self, argv, error_type, message):
         code, obj = run_cli_json("eval", *argv)

@@ -17,7 +17,13 @@ from ferrox.complexmath import (
     root_y,
     z2m1_pow,
 )
-from ferrox.errors import BranchCutError, DomainError, PoleError
+from ferrox.errors import (
+    BranchCutError,
+    DomainError,
+    ParameterError,
+    PoleError,
+    SingularPointError,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -34,9 +40,18 @@ class TestLnGamma:
     def test_factorial(self):
         assert ln_gamma(5.0).real == pytest.approx(math.log(24.0), abs=1e-13)
 
-    @pytest.mark.parametrize("z", [0.0, -1.0, -7.0])
+    @pytest.mark.parametrize("z", [0.0, -1.0, -7.0, complex(-5.0, -0.0)])
     def test_poles_raise(self, z):
-        with pytest.raises(PoleError):
+        # on every call: the memo keeps no entry for an error
+        ln_gamma.cache_clear()
+        for _ in range(3):
+            with pytest.raises(PoleError):
+                ln_gamma(z)
+        assert ln_gamma.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(math.nan, 1.0)])
+    def test_non_finite_argument_rejected(self, z):
+        with pytest.raises(DomainError):
             ln_gamma(z)
 
     def test_conjugate_symmetry(self):
@@ -67,6 +82,47 @@ class TestLnGamma:
         assert worst < 1e-10
 
 
+def _memo_grid():
+    """About 300 (z, twin) pairs, where twin is a key equal to z: both
+    half-planes, the reflection region Re z < 1/2 and, on the two axes,
+    arguments whose real or imaginary part is +0.0 paired with -0.0."""
+    pairs = [(z, z) for z in kronecker_points(100, -10.0, 10.0)]
+    pairs += [(z, z) for z in kronecker_points(80, -10.0, 0.5)]
+    for k in range(40):
+        x = -9.75 + 0.5 * k
+        pairs += [(complex(x, 0.0), complex(x, -0.0)), (complex(x, -0.0), complex(x, 0.0))]
+    for k in range(10):
+        y = 0.25 + 0.5 * k
+        for im in (y, -y):
+            pairs += [(complex(0.0, im), complex(-0.0, im)), (complex(-0.0, im), complex(0.0, im))]
+    return pairs
+
+
+class TestLnGammaMemo:
+    """ln_gamma is memoized on z; a cached value must be the value the
+    function computes for that very argument."""
+
+    def test_warm_values_equal_cold_values(self):
+        pairs = _memo_grid()
+        assert len(pairs) >= 300
+        cold = []
+        for z, _ in pairs:
+            ln_gamma.cache_clear()
+            cold.append(repr(ln_gamma(z)))
+        ln_gamma.cache_clear()
+        for (z, twin), want in zip(pairs, cold):
+            ln_gamma(twin)
+            hits = ln_gamma.cache_info().hits
+            assert repr(ln_gamma(z)) == want, (z, twin)
+            assert ln_gamma.cache_info().hits == hits + 1
+
+    def test_size_is_bounded(self):
+        ln_gamma.cache_clear()
+        for k in range(1000):
+            ln_gamma(complex(1.5, 0.01 * k))
+        assert ln_gamma.cache_info().currsize <= 256
+
+
 class TestRgamma:
     def test_zeros_at_poles(self):
         assert rgamma(-1.0) == 0.0
@@ -85,6 +141,10 @@ class TestRgamma:
         # tiny values just off the nonpositive integers
         assert abs(rgamma(-3.0 + 1e-10)) < 1e-8
         assert abs(rgamma(-3.0 + 1e-10j)) < 1e-8
+
+    def test_quotient_beyond_double_range(self):
+        with pytest.raises(ParameterError, match="range"):
+            gamma_quotient((400.5,), (0.3,))
 
     def test_quotient_zero_on_denominator_pole(self):
         assert gamma_quotient((1.3,), (-2.0,)) == 0.0
@@ -130,6 +190,10 @@ class TestPrincipalPow:
         assert principal_pow(0.0, 0.0) == 1.0
         with pytest.raises(DomainError):
             principal_pow(0.0, -1.0)
+
+    def test_beyond_double_range(self):
+        with pytest.raises(DomainError, match="range"):
+            principal_pow(1e-300j, -2.7)
 
 
 class TestZ2m1Pow:
@@ -185,6 +249,10 @@ class TestRootY:
             root_y(RootVariant.Y1, 1.5)
         with pytest.raises(DomainError):
             root_y(RootVariant.Y2, 0.5)
+        # x * x underflows to 0 here
+        for x in (1e-300j, 1e-200 + 1e-200j):
+            with pytest.raises(SingularPointError):
+                root_y(RootVariant.Y2, x)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

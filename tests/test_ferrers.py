@@ -1,15 +1,19 @@
 import cmath
 import dataclasses
 import math
+import sys
+import threading
 
 import mpmath as mp
 import pytest
 
-from conftest import rel_diff
+from conftest import kronecker_points, rel_diff
 from ferrox import ferrers
+from ferrox.complexmath import ln_gamma
 from ferrox.errors import (
     ConvergenceError,
     DomainError,
+    FerroxError,
     NoRepresentationError,
     ParameterError,
 )
@@ -413,3 +417,55 @@ class TestOdeResidual:
         res = legendre_ode_residual(
             lambda z: ferrers_q_rep(rep, p, z).value, p.nu, p.mu, x)
         assert res < 1e-4
+
+
+def _rep_outcome(rep, p, x):
+    try:
+        return ferrers_q_rep(rep, p, x)
+    except FerroxError as exc:
+        return type(exc), str(exc)
+
+
+class TestThreadSafety:
+    def test_shared_ln_gamma_memo(self):
+        # The ln_gamma memo is shared by every thread.  Four threads (more
+        # than the cores of a small machine) evaluate the same inputs in
+        # different orders, with a short switch interval, while the memo
+        # evicts; each must see exactly the single-threaded results.
+        inputs = []
+        points = zip(kronecker_points(20, -0.9, 3.0), kronecker_points(20, -0.95, 0.95))
+        for k, (u, v) in enumerate(points):
+            p = ParamPair(u, complex(-u.imag, 0.3 * u.real - 0.5))
+            x = v if k % 2 else complex(v.real, 0.0)
+            inputs += [(rv.rep, p, x) for rv in valid_representations(p, x) if rv.ok]
+        inputs = inputs[:200]
+        assert len(inputs) == 200
+        ln_gamma.cache_clear()
+        want = [_rep_outcome(*args) for args in inputs]
+        # more distinct gamma arguments than the memo holds, so it evicts
+        assert ln_gamma.cache_info().misses > ln_gamma.cache_info().maxsize
+        results = [None] * 4
+        barrier = threading.Barrier(4)
+
+        def work(k):
+            order = [(i + 50 * k) % 200 for i in range(200)][::1 if k % 2 else -1]
+            barrier.wait()
+            got = {}
+            for i in order * 3:
+                got.setdefault(i, []).append(_rep_outcome(*inputs[i]))
+            results[k] = [got[i] for i in range(200)]
+
+        ln_gamma.cache_clear()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert got == [[w] * 3 for w in want]

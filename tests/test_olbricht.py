@@ -2,7 +2,7 @@ import pytest
 
 from conftest import rel_diff
 from ferrox.complexmath import RootVariant, gamma
-from ferrox.errors import DomainError, ParameterError
+from ferrox.errors import DomainError, FerroxError, ParameterError
 from ferrox.ferrers import ParamPair, ferrers_p
 from ferrox.olbricht import (
     ALL_IDS,
@@ -92,6 +92,16 @@ class TestIdentities:
         for oid in ALL_IDS:
             rep = verify_identity(oid, p, default_samples(oid))
             assert rep.max_residual < 1e-8, f"{oid.label()}: {rep}"
+
+    @pytest.mark.parametrize("x", [1e-300j, 1e-200 + 1e-200j])
+    def test_tiny_x_gives_value_or_ferrox_error(self, x):
+        # x * x underflows and x^(-1-nu-mu) overflows here; neither may
+        # escape as a bare ZeroDivisionError or OverflowError.
+        for oid in ALL_IDS:
+            try:
+                eval_olbricht(oid, P, x)
+            except FerroxError:
+                pass
 
     def test_euler_duplicate_is_tight(self):
         rep = verify_identity(OlbrichtId("I", 3), P, default_samples(OlbrichtId("I", 3)),
