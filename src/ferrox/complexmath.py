@@ -151,20 +151,28 @@ def ln_gamma(z: complex) -> complex:
 
 
 def gamma(z: complex) -> complex:
-    """Gamma function; raises PoleError on the nonpositive integers."""
-    return cmath.exp(ln_gamma(z))
+    """Gamma function; raises PoleError on the nonpositive integers and
+    ParameterError where the value is beyond double range."""
+    try:
+        return cmath.exp(ln_gamma(z))
+    except OverflowError:
+        raise ParameterError(f"gamma({z}) is beyond double range") from None
 
 
 def rgamma(z: complex) -> complex:
-    """Entire reciprocal gamma, exactly 0 at 0, -1, -2, ..."""
+    """Entire reciprocal gamma, exactly 0 at 0, -1, -2, ...; raises
+    ParameterError where the value is beyond double range."""
     z = complex(z)
     if _exact_nonpos_int(z):
         return 0.0 + 0.0j
-    if is_nonpos_int(z, 1e-8):
-        # Near a pole of gamma the direct exponential cancels badly; the
-        # reflection product stays well conditioned.
-        return cmath.sin(math.pi * z) * cmath.exp(ln_gamma(1.0 - z)) / math.pi
-    return cmath.exp(-ln_gamma(z))
+    try:
+        if is_nonpos_int(z, 1e-8):
+            # Near a pole of gamma the direct exponential cancels badly; the
+            # reflection product stays well conditioned.
+            return cmath.sin(math.pi * z) * cmath.exp(ln_gamma(1.0 - z)) / math.pi
+        return cmath.exp(-ln_gamma(z))
+    except OverflowError:
+        raise ParameterError(f"1/gamma({z}) is beyond double range") from None
 
 
 def gamma_quotient(numerators=(), denominators=()) -> complex:

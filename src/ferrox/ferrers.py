@@ -47,6 +47,7 @@ from .hyp2f1 import (
     f21,
     f21_cut,
     f21_regularized,
+    route_radius,
 )
 from .regions import DomainId, argument, in_domain, in_region
 
@@ -508,15 +509,6 @@ class _Sign(Enum):
         return self.value
 
 
-def _route_modulus(w: complex) -> float:
-    """Smallest working argument among w, w/(w-1), 1/w."""
-    r = abs(w)
-    out = min(r, abs(w / (w - 1.0))) if w != 1.0 else r
-    if r > 0:
-        out = min(out, 1.0 / r)
-    return out
-
-
 class _Arguments(dict):
     """The region test |w_j(x)| < 1 and the argument w_j(x) at one x, as a
     pair keyed by j; each pair is computed on first use."""
@@ -544,9 +536,9 @@ def _series_convergence(ids: tuple[int, ...], args: _Arguments) -> tuple[bool, f
 
 def _routed_convergence(ids: tuple[int, ...], args: _Arguments) -> tuple[bool, float]:
     """As ``_series_convergence`` for factors that the 2F1 engine moves to a
-    smaller argument first: each argument counts by its route modulus, and
+    smaller argument first: each argument counts by its route radius, and
     the series converges where all of them are direct-series arguments."""
-    mods = [_route_modulus(args[j][1]) for j in ids]
+    mods = [route_radius(args[j][1]) for j in ids]
     return all(m < THETA_CUT for m in mods), max(mods)
 
 
@@ -584,7 +576,7 @@ _REP_TABLE: dict[RepresentationId, _RepSpec] = {
     _R.III3_UPPER: _RepSpec("D1+", ("two_mu_int", "numu_neg"), (15,), _eval_III3, _Sign.UPPER),
     _R.III3_LOWER: _RepSpec("D1+", ("two_mu_int", "numu_neg"), (16,), _eval_III3, _Sign.LOWER),
     # Both factors are continued by f21 (argument maps or ODE steps), so
-    # the route modulus, not |w|, decides convergence and preference.
+    # the route radius, not |w|, decides convergence and preference.
     _R.FOURIER_UV: _RepSpec("D1", ("numu_neg",), (14, 18), _eval_fourier_uv,
                             convergence=_routed_convergence),
 }

@@ -3,13 +3,15 @@
 Provides the principal value everywhere off the cut, the regularized form
 (divided by Gamma(c), entire in c), and the two one-sided limits on the cut.
 
-Evaluation strategy: the argument is moved to small modulus with the maps
-w -> w/(w-1) (a Pfaff transformation) and w -> 1/w (a two-term connection
-formula, unusable when a - b is an integer).  When none of the candidate
-arguments is small enough, the function is continued numerically by Taylor
-steps on the hypergeometric differential equation along a cut-avoiding
-radial path; that fallback has no parameter restrictions, so degenerate
-integer cases never need logarithmic connection formulas.
+Evaluation strategy: the argument is moved to small modulus, first by the
+least of w, w/(w-1) (Pfaff) and 1/w, and only when that exceeds
+``THETA_CUT`` by 1-w, 1-1/w or 1/(1-w).  Each two-term connection formula is
+one ``_Connection`` record, shared with the cut limits, taken only when the
+difference it divides by (a - b or c - a - b) is ``CONNECTION_GAP`` off the
+integers.  Elsewhere (degenerate parameters, and near e^(+-i pi/3), where
+every map has modulus about 1) Taylor steps on the hypergeometric equation
+continue the function along a cut-avoiding path; that fallback has no
+parameter restrictions, so no logarithmic connection formula is needed.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .complexmath import (
     gamma_quotient,
@@ -47,18 +50,23 @@ __all__ = [
     "f21_cut_via",
     "f21_regularized",
     "f21_series",
+    "route_radius",
 ]
 
 DEFAULT_TOL = 1e-12
 MAX_TERMS = 50_000
 
-#: Largest working argument handed to the direct series; beyond this the
-#: ODE continuation takes over.
+#: Largest series argument a route may use; beyond it f21 tries the next
+#: routes and then the ODE continuation.
 THETA_CUT = 0.9
 
-#: Parameter differences closer to an integer than this disqualify a
-#: connection formula.
+#: Parameter differences closer to an integer than this make a connection
+#: formula undefined; ``f21_cut_via`` refuses it.
 DEGENERACY_TOL = 1e-8
+
+#: Least distance from the integers of the difference a route's connection
+#: formula divides by; closer in, its terms cancel (error about eps/delta^2).
+CONNECTION_GAP = 1e-2
 
 #: Window around a nonpositive integer c routed through the limit form of the
 #: regularized function.
@@ -100,28 +108,23 @@ def combine(parts: list[tuple[complex, SeriesResult]]) -> SeriesResult:
     return SeriesResult(value, terms, abs_tail / mag if mag else abs_tail)
 
 
-def _terminating_index(p: HypParams) -> int | None:
-    """Index m such that the series terminates after term m, or None."""
-    candidates = []
-    for u in (p.a, p.b):
-        u = complex(u)
-        if u.imag == 0.0 and u.real == round(u.real) and u.real <= 0.0:
-            candidates.append(int(-u.real))
-    if not candidates:
-        return None
-    return min(candidates)
-
-
-def _c_pole_index(c: complex) -> int | None:
-    c = complex(c)
-    if c.imag == 0.0 and c.real == round(c.real) and c.real <= 0.0:
-        return int(-c.real)
+def _nonpos_index(z: complex) -> int | None:
+    """m when z is exactly -m, m = 0, 1, 2, ...; else None."""
+    if z.imag == 0.0 and z.real == round(z.real) and z.real <= 0.0:
+        return int(-z.real)
     return None
 
 
-def _polynomial_sum(p: HypParams, w: complex, m: int) -> SeriesResult:
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
+def _polynomial(p: HypParams, w: complex) -> SeriesResult | None:
+    """The sum when a or b is a nonpositive integer (no cut), else None."""
+    ma, mb = _nonpos_index(p.a), _nonpos_index(p.b)
+    if ma is None and mb is None:
+        return None
+    m = mb if ma is None else ma if mb is None else min(ma, mb)
+    cp = _nonpos_index(p.c)
+    if cp is not None and cp < m:
+        raise ParameterError(f"2F1 undefined: c = {p.c} pole precedes termination")
+    total = term = 1.0 + 0.0j
     for n in range(m):
         term *= (p.a + n) * (p.b + n) / ((p.c + n) * (n + 1)) * w
         total += term
@@ -137,42 +140,35 @@ def f21_series(p: HypParams, w: complex, tol: float = DEFAULT_TOL,
     partial sum, which guards against alternating near-cancellation.
     """
     w = complex(w)
-    m = _terminating_index(p)
-    cp = _c_pole_index(p.c)
-    if cp is not None and (m is None or cp < m):
+    if (poly := _polynomial(p, w)) is not None:
+        return poly
+    if _nonpos_index(p.c) is not None:
         raise ParameterError(f"2F1 series undefined: c = {p.c} is a nonpositive integer")
-    if m is not None:
-        return _polynomial_sum(p, w, m)
     aw = abs(w)
     if aw >= 1.0:
         raise ConvergenceError(f"2F1 series diverges for |w| = {aw:.6g} >= 1")
     a, b, c = p.a, p.b, p.c
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
+    total = term = 1.0 + 0.0j
     prev_small = False
     # A float counter adds the same value as an int one, without the
     # int-to-float conversion in every complex operation.
     n = 0.0
-    for _ in range(max_terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * w
-        total += term
-        aterm = abs(term)
-        atotal = abs(total)
-        small = aterm <= tol * atotal
-        if small and prev_small:
-            tail = aterm * aw / (1.0 - aw)
-            return SeriesResult(total, int(n) + 2, tail / atotal if atotal else tail)
-        prev_small = small
-        n += 1.0
+    try:
+        for _ in range(max_terms):
+            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * w
+            total += term
+            aterm = abs(term)
+            atotal = abs(total)
+            small = aterm <= tol * atotal
+            if small and prev_small:
+                tail = aterm * aw / (1.0 - aw)
+                return SeriesResult(total, int(n) + 2, tail / atotal if atotal else tail)
+            prev_small = small
+            n += 1.0
+    except OverflowError:
+        raise ConvergenceError(f"2F1 series terms overflow at w={w}") from None
     raise ConvergenceError(
-        f"2F1 series did not reach tol={tol:g} within {max_terms} terms at w={w}"
-    )
-
-
-def _f21_derivative_series(p: HypParams, w: complex, tol: float) -> complex:
-    # F'(w) = (a b / c) 2F1(a+1, b+1; c+1; w)
-    shifted = HypParams(p.a + 1, p.b + 1, p.c + 1)
-    return p.a * p.b / p.c * f21_series(shifted, w, tol).value
+        f"2F1 series did not reach tol={tol:g} within {max_terms} terms at w={w}")
 
 
 def _taylor_step(p: HypParams, z0: complex, f0: complex, f1: complex,
@@ -185,8 +181,7 @@ def _taylor_step(p: HypParams, z0: complex, f0: complex, f1: complex,
     # after lin * k: folding it into shift would round differently.
     lin = 1.0 - 2.0 * z0
     shift = (a + b + 1.0) * z0
-    fk = f0
-    fk1 = f1
+    fk, fk1 = f0, f1
     s = fk + fk1 * h
     sp = fk1
     hpow = h
@@ -221,7 +216,9 @@ def _continue_along(p: HypParams, waypoints: list[complex], tol: float) -> Serie
     z = complex(waypoints[0])
     inner = f21_series(p, z, tol * 1e-2)
     f0 = inner.value
-    f1 = _f21_derivative_series(p, z, tol * 1e-2)
+    # F'(w) = (a b / c) 2F1(a+1, b+1; c+1; w)
+    shifted = f21_series(HypParams(p.a + 1, p.b + 1, p.c + 1), z, tol * 1e-2)
+    f1 = p.a * p.b / p.c * shifted.value
     terms = inner.terms_used
     tail = 0.0
     for target in waypoints[1:]:
@@ -245,20 +242,73 @@ def _continue_along(p: HypParams, waypoints: list[complex], tol: float) -> Serie
     return SeriesResult(f0, terms, tail / denom if denom else tail)
 
 
-def _f21_continued(p: HypParams, w: complex, tol: float) -> SeriesResult:
-    # The radial path stays off [1, inf) for every admissible w.
-    return _continue_along(p, [0.5 * w / abs(w), w], tol)
+@dataclass(frozen=True)
+class _Connection:
+    """Two-term connection formula (DLMF 15.8.2, 15.10.21-36): 2F1(a, b; c; w)
+    is sum_k G_k prod_j base_kj(w)^alpha_kj 2F1(a_k, b_k; c_k; t(w)), G_k a
+    gamma quotient.  ``terms(a, b, c)`` gives per term (a_k, b_k, c_k), the
+    gamma numerators and denominators, the exponents of ``bases[k]`` and the
+    cut-phase exponent beta_k: at w = x +- i0 the base negative there is
+    -|base| -+ i0, so its power is |base|^alpha e^(+-i pi beta)."""
+
+    arg: Callable[[complex], complex]
+    difference: str  # "a-b" or "c-a-b", the difference the terms divide by
+    bases: tuple[tuple[str, ...], tuple[str, ...]]  # keys of _BASES
+    terms: Callable[[complex, complex, complex], tuple]
+
+    def usable(self, p: HypParams, gap: float = CONNECTION_GAP) -> bool:
+        d = p.a - p.b if self.difference == "a-b" else p.c - p.a - p.b
+        return not near_int(d, gap)
 
 
-def _recip_route(p: HypParams, w: complex, tol: float) -> SeriesResult:
-    """Two-term connection formula in 1/w; requires a - b not an integer."""
-    a, b, c = p.a, p.b, p.c
-    iw = 1.0 / w
-    r1 = f21_series(HypParams(a, a - c + 1.0, a - b + 1.0), iw, tol / 4)
-    r2 = f21_series(HypParams(b, b - c + 1.0, b - a + 1.0), iw, tol / 4)
-    p1 = gamma_quotient((c, b - a), (b, c - a)) * principal_pow(-w, -a)
-    p2 = gamma_quotient((c, a - b), (a, c - b)) * principal_pow(-w, -b)
-    return combine([(p1, r1), (p2, r2)])
+_BASES = {"w": lambda w: w, "-w": lambda w: -w, "1-w": lambda w: 1.0 - w}
+
+#: By the theorem index of ``f21_cut_via``: arguments 1/w, 1-w, 1-1/w, 1/(1-w).
+_CONNECTIONS = {
+    1: _Connection(lambda w: 1.0 / w, "a-b", (("-w",), ("-w",)), lambda a, b, c: (
+        ((a, a - c + 1.0, a - b + 1.0), (c, b - a), (b, c - a), (-a,), a),
+        ((b, b - c + 1.0, b - a + 1.0), (c, a - b), (a, c - b), (-b,), b))),
+    2: _Connection(lambda w: 1.0 - w, "c-a-b", (("w",), ("1-w",)), lambda a, b, c: (
+        ((a - c + 1.0, b - c + 1.0, a + b - c + 1.0), (c, c - a - b), (c - a, c - b),
+         (1.0 - c,), None),
+        ((c - a, c - b, c - a - b + 1.0), (c, a + b - c), (a, b), (c - a - b,), a + b - c))),
+    3: _Connection(lambda w: 1.0 - 1.0 / w, "c-a-b", (("w",), ("1-w", "w")), lambda a, b, c: (
+        ((a, a - c + 1.0, a + b - c + 1.0), (c, c - a - b), (c - a, c - b), (-a,), None),
+        ((1.0 - a, c - a, c - a - b + 1.0), (c, a + b - c), (a, b), (c - a - b, a - c),
+         a + b - c))),
+    4: _Connection(lambda w: 1.0 / (1.0 - w), "a-b", (("1-w",), ("1-w",)), lambda a, b, c: (
+        ((a, c - b, a - b + 1.0), (c, b - a), (b, c - a), (-a,), a),
+        ((b, c - a, b - a + 1.0), (c, a - b), (a, c - b), (-b,), b))),
+}
+
+
+def _connect(k: _Connection, p: HypParams, w: complex, tol: float,
+             side: CutSide | None = None) -> SeriesResult:
+    """Principal value of a record at w off the cut (``side`` None; t(w) in
+    the series disk), or its limit at w = x > 1 from ``side``."""
+    t = k.arg(w)
+    parts = []
+    for bases, (triple, num, den, alphas, beta) in zip(k.bases, k.terms(p.a, p.b, p.c)):
+        coef = gamma_quotient(num, den)
+        if side is None:
+            for base, alpha in zip(bases, alphas):
+                coef *= principal_pow(_BASES[base](w), alpha)
+            parts.append((coef, f21_series(HypParams(*triple), t, tol / 4)))
+            continue
+        if beta is not None:
+            coef *= cmath.exp((1.0 if side is CutSide.ABOVE else -1.0) * 1j * math.pi * beta)
+        for base, alpha in zip(bases, alphas):
+            coef *= abs(_BASES[base](w)) ** alpha
+        parts.append((coef, f21(HypParams(*triple), t, tol / 4)))
+    return combine(parts)
+
+
+def route_radius(w: complex) -> float:
+    """Series-argument modulus of f21's first choice at w when a - b is off
+    the integers: the least of |w|, |w/(w-1)| and 1/|w|."""
+    r = abs(w)
+    out = min(r, abs(w / (w - 1.0))) if w != 1.0 else r
+    return min(out, 1.0 / r) if r > 0 else out
 
 
 def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
@@ -268,33 +318,34 @@ def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
     cut and are accepted at any w.
     """
     w = complex(w)
-    m = _terminating_index(p)
-    if m is not None:
-        cp = _c_pole_index(p.c)
-        if cp is not None and cp < m:
-            raise ParameterError(f"2F1 undefined: c = {p.c} pole precedes termination")
-        return _polynomial_sum(p, w, m)
+    if (poly := _polynomial(p, w)) is not None:
+        return poly
     if w.imag == 0.0 and w.real >= 1.0:
         raise BranchCutError(f"2F1 argument {w} lies on the branch cut [1, inf)")
-    if _c_pole_index(p.c) is not None:
+    if _nonpos_index(p.c) is not None:
         raise ParameterError(f"2F1 undefined for c = {p.c} in 0, -1, -2, ...")
 
     r_direct = abs(w)
-    r_pfaff = abs(w / (w - 1.0))
-    routes = [(r_direct, "direct"), (r_pfaff, "pfaff")]
-    if r_direct > 1.0 and not near_int(p.a - p.b, DEGENERACY_TOL):
-        routes.append((1.0 / r_direct, "recip"))
-    routes.sort(key=lambda t: t[0])
-    radius, route = routes[0]
+    routes = [(r_direct, "direct"), (abs(w / (w - 1.0)), "pfaff")]
+    if r_direct > 1.0 and _CONNECTIONS[1].usable(p):
+        routes.append((1.0 / r_direct, _CONNECTIONS[1]))
+    radius, route = min(routes, key=lambda t: t[0])
     if radius > THETA_CUT:
-        return _f21_continued(p, w, tol)
+        routes = [(abs(k.arg(w)), k) for k in map(_CONNECTIONS.get, (2, 3, 4)) if k.usable(p)]
+        radius, route = min(routes, key=lambda t: t[0], default=(radius, route))
+        if radius > THETA_CUT:  # the radial path stays off [1, inf)
+            return _continue_along(p, [0.5 * w / abs(w), w], tol)
+        out = _connect(route, p, w, tol)
+        if out.tail_estimate > tol:  # terms cancel near |w| = 1: sum tighter
+            out = _connect(route, p, w, tol * tol / out.tail_estimate)
+        return out
     if route == "direct":
         return f21_series(p, w, tol)
     if route == "pfaff":
         inner = f21_series(HypParams(p.a, p.c - p.b, p.c), w / (w - 1.0), tol / 2)
         pref = principal_pow(1.0 - w, -p.a)
         return SeriesResult(pref * inner.value, inner.terms_used, inner.tail_estimate)
-    return _recip_route(p, w, tol)
+    return _connect(route, p, w, tol)
 
 
 def f21_regularized(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
@@ -316,59 +367,23 @@ def f21_regularized(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> Serie
     return SeriesResult(rgamma(c) * inner.value, inner.terms_used, inner.tail_estimate)
 
 
-def _cut_phase(sign: CutSide, alpha: complex) -> complex:
-    s = 1.0 if sign is CutSide.ABOVE else -1.0
-    return cmath.exp(s * 1j * math.pi * alpha)
-
-
 def f21_cut_via(theorem: int, p: HypParams, x: float, side: CutSide,
                 tol: float = DEFAULT_TOL) -> SeriesResult:
     """One-sided limit 2F1(a, b; c; x +- i0), x > 1, by one of the four
     two-term connection formulas (1: argument 1/x, 2: 1-x, 3: 1-1/x,
     4: 1/(1-x)).  Formulas 1 and 4 need a - b off the integers; 2 and 3 need
     c - a - b off the integers."""
-    a, b, c = p.a, p.b, p.c
     if not (isinstance(x, (int, float)) and x > 1.0):
         raise DomainError(f"cut evaluation requires real x > 1; got {x}")
-    x = float(x)
-    if _c_pole_index(c) is not None:
-        raise ParameterError(f"2F1 undefined for c = {c} in 0, -1, -2, ...")
-
-    if theorem == 1:
-        if near_int(a - b, DEGENERACY_TOL):
-            raise DegenerateParameterError("argument-1/x formula needs a - b off the integers")
-        r1 = f21(HypParams(a, a - c + 1.0, a - b + 1.0), 1.0 / x, tol / 4)
-        r2 = f21(HypParams(b, b - c + 1.0, b - a + 1.0), 1.0 / x, tol / 4)
-        p1 = gamma_quotient((c, b - a), (b, c - a)) * _cut_phase(side, a) * x ** (-a)
-        p2 = gamma_quotient((c, a - b), (a, c - b)) * _cut_phase(side, b) * x ** (-b)
-    elif theorem == 2:
-        if near_int(c - a - b, DEGENERACY_TOL):
-            raise DegenerateParameterError("argument-(1-x) formula needs c - a - b off the integers")
-        r1 = f21(HypParams(a - c + 1.0, b - c + 1.0, a + b - c + 1.0), 1.0 - x, tol / 4)
-        r2 = f21(HypParams(c - a, c - b, c - a - b + 1.0), 1.0 - x, tol / 4)
-        p1 = gamma_quotient((c, c - a - b), (c - a, c - b)) * x ** (1.0 - c)
-        p2 = (gamma_quotient((c, a + b - c), (a, b))
-              * _cut_phase(side, a + b - c) * (x - 1.0) ** (c - a - b))
-    elif theorem == 3:
-        if near_int(c - a - b, DEGENERACY_TOL):
-            raise DegenerateParameterError("argument-(1-1/x) formula needs c - a - b off the integers")
-        r1 = f21(HypParams(a, a - c + 1.0, a + b - c + 1.0), 1.0 - 1.0 / x, tol / 4)
-        r2 = f21(HypParams(1.0 - a, c - a, c - a - b + 1.0), 1.0 - 1.0 / x, tol / 4)
-        p1 = gamma_quotient((c, c - a - b), (c - a, c - b)) * x ** (-a)
-        p2 = (gamma_quotient((c, a + b - c), (a, b)) * _cut_phase(side, a + b - c)
-              * (x - 1.0) ** (c - a - b) * x ** (a - c))
-    elif theorem == 4:
-        if near_int(a - b, DEGENERACY_TOL):
-            raise DegenerateParameterError("argument-1/(1-x) formula needs a - b off the integers")
-        r1 = f21(HypParams(a, c - b, a - b + 1.0), 1.0 / (1.0 - x), tol / 4)
-        r2 = f21(HypParams(b, c - a, b - a + 1.0), 1.0 / (1.0 - x), tol / 4)
-        p1 = (gamma_quotient((c, b - a), (b, c - a)) * _cut_phase(side, a)
-              * (x - 1.0) ** (-a))
-        p2 = (gamma_quotient((c, a - b), (a, c - b)) * _cut_phase(side, b)
-              * (x - 1.0) ** (-b))
-    else:
+    if _nonpos_index(p.c) is not None:
+        raise ParameterError(f"2F1 undefined for c = {p.c} in 0, -1, -2, ...")
+    if theorem not in _CONNECTIONS:
         raise ValueError(f"theorem index must be 1..4; got {theorem}")
-    return combine([(p1, r1), (p2, r2)])
+    k = _CONNECTIONS[theorem]
+    if not k.usable(p, DEGENERACY_TOL):
+        raise DegenerateParameterError(
+            f"cut formula {theorem} needs {k.difference} off the integers")
+    return _connect(k, p, float(x), tol, side)
 
 
 def f21_cut(p: HypParams, x: float, side: CutSide,
@@ -376,36 +391,21 @@ def f21_cut(p: HypParams, x: float, side: CutSide,
     """Limit of 2F1 on the cut from above or below, x > 1.
 
     Terminating (polynomial) cases are summed directly and carry no cut.
-    Otherwise the best-conditioned non-degenerate connection formula is used;
-    if every formula hits a gamma pole the error is reported rather than
-    approximated.
+    Otherwise the formula with the smallest argument among those whose
+    difference is ``CONNECTION_GAP`` off the integers is used (ties prefer
+    1-1/x, 1-x, 1/x); with none, ODE steps reach the cut.
     """
     if not (isinstance(x, (int, float)) and x > 1.0):
         raise DomainError(f"cut evaluation requires real x > 1; got {x}")
     x = float(x)
-    m = _terminating_index(p)
-    if m is not None:
-        cp = _c_pole_index(p.c)
-        if cp is not None and cp < m:
-            raise ParameterError(f"2F1 undefined: c = {p.c} pole precedes termination")
-        return _polynomial_sum(p, x, m)
-
-    ab_ok = not near_int(p.a - p.b, DEGENERACY_TOL)
-    cab_ok = not near_int(p.c - p.a - p.b, DEGENERACY_TOL)
-    candidates: list[tuple[float, int]] = []
-    if cab_ok:
-        candidates.append((1.0 - 1.0 / x, 3))
-        candidates.append((abs(1.0 - x), 2))
-    if ab_ok:
-        candidates.append((1.0 / x, 1))
-        candidates.append((abs(1.0 / (1.0 - x)), 4))
-    if not candidates:
-        # Both parameter differences are integers, so every two-term formula
-        # degenerates.  Continue numerically onto the cut from the requested
-        # side instead; the path arrives vertically, so the final Taylor
-        # element is the exact one-sided limit.
-        s = 0.7 if side is CutSide.ABOVE else -0.7
-        path = [0.4 + 0.0j, complex(0.4, s), complex(x, s), complex(x, 0.0)]
-        return _continue_along(p, path, tol)
-    candidates.sort(key=lambda t: t[0])
-    return f21_cut_via(candidates[0][1], p, x, side, tol)
+    if (poly := _polynomial(p, x)) is not None:
+        return poly
+    candidates = [(abs(_CONNECTIONS[n].arg(x)), n) for n in (3, 2, 1, 4)
+                  if _CONNECTIONS[n].usable(p)]
+    if candidates:
+        return f21_cut_via(min(candidates, key=lambda t: t[0])[1], p, x, side, tol)
+    # Continue numerically onto the cut from the requested side; the path
+    # arrives vertically, so the final Taylor element is the one-sided limit.
+    s = 0.7 if side is CutSide.ABOVE else -0.7
+    path = [0.4 + 0.0j, complex(0.4, s), complex(x, s), complex(x, 0.0)]
+    return _continue_along(p, path, tol)

@@ -170,6 +170,14 @@ class TestCompare:
         check_schema(obj, SCHEMA["compare"])
         assert obj["rel_spread"] < 1e-8
 
+    def test_series_overflow_exit_2(self):
+        # the I4 row's 2F1 terms overflow at this degree
+        code, obj = run_cli_json("compare", "--nu", "300.3", "--mu", "0.4",
+                                 "--x", "0.3+0.4i")
+        assert code == 2
+        check_schema(obj, SCHEMA["error"])
+        assert obj["error"]["type"] == "ConvergenceError"
+
     def test_integer_order_reasons(self):
         _, obj = run_cli_json("compare", "--nu", "0.3", "--mu", "1", "--x", "0.2")
         rows = {r["rep"]: r for r in obj["rows"]}

@@ -142,6 +142,12 @@ class TestRgamma:
         assert abs(rgamma(-3.0 + 1e-10)) < 1e-8
         assert abs(rgamma(-3.0 + 1e-10j)) < 1e-8
 
+    @pytest.mark.parametrize("func,z", [
+        (gamma, 200.0), (gamma, 180 + 0j), (rgamma, -200.5), (rgamma, -200.0 + 1e-10)])
+    def test_beyond_double_range(self, func, z):
+        with pytest.raises(ParameterError, match="range"):
+            func(z)
+
     def test_quotient_beyond_double_range(self):
         with pytest.raises(ParameterError, match="range"):
             gamma_quotient((400.5,), (0.3,))

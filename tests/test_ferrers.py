@@ -243,6 +243,11 @@ class TestSecondKindRepresentations:
         with pytest.raises(exc, match=match):
             ferrers_q_rep_trig(rep, p, theta)
 
+    def test_series_overflow_is_ferrox_error(self):
+        # the 2F1 terms of I4 overflow at this degree
+        with pytest.raises(FerroxError):
+            ferrers_q_rep(R.I4, ParamPair(300.3, 0.4), 0.3 + 0.4j)
+
     def test_upper_and_lower_signs_agree(self):
         p = ParamPair(0.3, 0.4)
         pairs = [(R.III1_UPPER, R.III1_LOWER), (R.III2_UPPER, R.III2_LOWER),

@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kronecker_reals, rel_diff
+from ferrox import hyp2f1
 from ferrox.errors import (
     BranchCutError,
     ConvergenceError,
@@ -107,6 +109,77 @@ class TestF21:
         want = -cmath.log(1.0 - w) / w
         got = f21(HypParams(1, 1, 2), w).value
         assert abs(got - want) <= 1e-11 * (1.0 + abs(want))
+
+
+def mp_rel_err(got: complex, p: HypParams, w: complex) -> float:
+    """Relative error of ``got`` against mpmath's 2F1 at 30 digits."""
+    with mp.workdps(30):
+        want = complex(mp.hyp2f1(p.a, p.b, p.c, w))
+    return abs(got - want) / abs(want)
+
+
+@pytest.fixture
+def ode_targets(monkeypatch):
+    """End points of every ODE continuation path taken during the test."""
+    targets = []
+    inner = hyp2f1._continue_along
+
+    def counting(p, waypoints, tol):
+        targets.append(waypoints[-1])
+        return inner(p, waypoints, tol)
+
+    monkeypatch.setattr(hyp2f1, "_continue_along", counting)
+    return targets
+
+
+#: a - b = -1 - delta (a two-term formula in 1/w or 1/(1-w) divides by it),
+#: and c - a - b = 1 + delta (the same for 1-w and 1-1/w).
+NEAR_DEGENERATE = {
+    "a-b": lambda d: HypParams(0.3, 1.3 + d, 0.9),
+    "c-a-b": lambda d: HypParams(0.3, 0.45, 1.75 + d),
+}
+NEAR_DEGENERATE_W = [2 + 0.5j, -3.0, -1.5 + 1j, 5j] + [
+    0.999 * cmath.exp(1j * t) for t in (0.3, 0.8, 1.4, 2.0, 2.8)]
+
+
+@pytest.mark.parametrize("delta", [2e-8, 1e-6, 1e-4, 1e-2])
+@pytest.mark.parametrize("family", sorted(NEAR_DEGENERATE))
+class TestNearIntegerDifferences:
+    """Two-term formulas near an integer parameter difference cancel; the
+    routes must avoid them there instead of returning their error."""
+
+    def test_principal_values(self, family, delta):
+        p = NEAR_DEGENERATE[family](delta)
+        for w in NEAR_DEGENERATE_W:
+            assert mp_rel_err(f21(p, w).value, p, w) <= 1e-12, w
+
+    @pytest.mark.parametrize("side,eps", [(CutSide.ABOVE, 1e-30), (CutSide.BELOW, -1e-30)],
+                             ids=["above", "below"])
+    def test_cut_values(self, family, delta, side, eps):
+        p = NEAR_DEGENERATE[family](delta)
+        got = f21_cut(p, 2.5, side).value
+        assert mp_rel_err(got, p, mp.mpc(2.5, eps)) <= 1e-12
+
+
+ROUTE_PARAMS = [HypParams(0.3, 0.7, 1.9), HypParams(0.3 + 0.2j, -1.7, 0.55)]
+
+
+class TestConnectionRoutes:
+    @pytest.mark.parametrize("r", [0.999, 1.0])
+    @pytest.mark.parametrize("theta", [0.3, 0.8, 1.4, 2.0, 2.8, -0.3, -1.4, -2.8])
+    def test_near_unit_circle_without_ode(self, ode_targets, r, theta):
+        w = r * cmath.exp(1j * theta)
+        for p in ROUTE_PARAMS:
+            assert mp_rel_err(f21(p, w).value, p, w) <= 1e-12
+        assert ode_targets == []
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("offset", [0.0, 0.049, -0.049, 0.049j, -0.049j, 0.035 + 0.035j])
+    def test_near_triple_point_by_ode(self, ode_targets, sign, offset):
+        w = cmath.exp(sign * 1j * math.pi / 3.0) + offset
+        for p in ROUTE_PARAMS:
+            assert mp_rel_err(f21(p, w).value, p, w) <= 1e-12
+        assert ode_targets == [w] * len(ROUTE_PARAMS)
 
 
 EULER_SAMPLES = [
