@@ -43,7 +43,7 @@ from .olbricht import (
     ode_samples,
     verify_identity,
 )
-from .regions import classify, in_region
+from .regions import ARGUMENT_COUNT, classify, in_region
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -237,7 +237,7 @@ def _grid_points(args):
 
 
 def _cmd_region(args) -> int:
-    js = [args.j] if args.j is not None else list(range(1, 19))
+    js = [args.j] if args.j is not None else list(range(1, ARGUMENT_COUNT + 1))
     if args.format == "pgm":
         if args.j is None:
             raise _CliError("PGM output needs a single --j", EXIT_USAGE)
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.set_defaults(func=_cmd_compare)
 
     rg = sub.add_parser("region", help="sample |w_j| < 1 regions on a grid")
-    rg.add_argument("--j", type=int, default=None, choices=range(1, 19),
+    rg.add_argument("--j", type=int, default=None, choices=range(1, ARGUMENT_COUNT + 1),
                     metavar="J", help="argument index 1..18 (all for CSV if omitted)")
     rg.add_argument("--re-min", dest="re_min", type=float, default=-3.0)
     rg.add_argument("--re-max", dest="re_max", type=float, default=3.0)

@@ -227,18 +227,18 @@ def principal_pow(base: complex, exponent: complex) -> complex:
         if exponent.real > 0 and exponent.imag == 0:
             return 0.0 + 0.0j
         raise DomainError(f"0 cannot be raised to the power {exponent}")
-    if base.imag == 0.0 and base.real < 0.0:
-        if exponent.imag == 0.0 and exponent.real == round(exponent.real):
-            n = int(exponent.real)
-            if abs(n) <= 4096:
-                return complex(base) ** n
-            return cmath.exp(n * cmath.log(base))
-        raise BranchCutError(
-            f"non-integer power {exponent} of negative real base {base}"
-        )
     try:
+        if base.imag == 0.0 and base.real < 0.0:
+            if exponent.imag == 0.0 and exponent.real == round(exponent.real):
+                n = int(exponent.real)
+                if abs(n) <= 4096:
+                    return complex(base) ** n
+                return cmath.exp(n * cmath.log(base))
+            raise BranchCutError(
+                f"non-integer power {exponent} of negative real base {base}"
+            )
         return cmath.exp(exponent * cmath.log(base))
-    except OverflowError:
+    except ArithmeticError:
         raise DomainError(f"{base} ** {exponent} is beyond double range") from None
 
 

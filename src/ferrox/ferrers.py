@@ -646,6 +646,19 @@ def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
             for rep, _, reason, region, pref in _scan(_exclusions(p), x)]
 
 
+def _run(rep: RepresentationId, p: ParamPair, x: complex, s: complex, sign: int,
+         tol: float, fe: FEval) -> EvalOutcome:
+    """Run ``rep``'s evaluator; an ``ArithmeticError`` (an intermediate value
+    beyond double range) becomes a ``DomainError`` that names ``rep``."""
+    try:
+        r = _REP_TABLE[rep].evaluator(p, x, s, sign, tol, fe)
+    except ArithmeticError as exc:
+        raise DomainError(
+            f"representation {rep.value}: intermediate value beyond double range ({exc})"
+        ) from None
+    return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
+
+
 def _evaluate(rep: RepresentationId, p: ParamPair, x: complex, s: complex,
               tol: float) -> EvalOutcome:
     """Check ``rep``'s parameter exclusions and domain at x, then evaluate it
@@ -657,16 +670,16 @@ def _evaluate(rep: RepresentationId, p: ParamPair, x: complex, s: complex,
     bad = _check_domain(spec.domain, x)
     if bad is not None:
         raise DomainError(f"{bad} (representation {rep.value})")
-    r = spec.evaluator(p, x, s, spec.sign.at(x), tol, _default_feval(tol))
-    return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
+    return _run(rep, p, x, s, spec.sign.at(x), tol, _default_feval(tol))
 
 
 def ferrers_q_rep(rep: RepresentationId, p: ParamPair, x: complex,
                   tol: float = DEFAULT_TOL) -> EvalOutcome:
     """Ferrers function of the second kind through one chosen representation.
 
-    Raises DomainError when x lies outside the representation's domain and
-    ParameterError naming the violated predicate for excluded parameters.
+    Raises DomainError when x lies outside the representation's domain or an
+    intermediate value is beyond double range, and ParameterError naming the
+    violated predicate for excluded parameters.
     The convergence region is not enforced here: arguments beyond the unit
     disk are continued internally.
     """
@@ -699,10 +712,10 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     reports) evaluates the exclusion predicates once and each series
     argument at most once; the winner's evaluator then runs directly with
     s = sqrt(1 - x^2).  A candidate that raises a ``FerroxError`` (such as
-    a gamma ratio beyond double range) is skipped for the next one, and so,
-    as a safety net, is one that raises an ``ArithmeticError`` the library
-    has not mapped; when none is left, ``NoRepresentationError`` maps every
-    representation to the reason it was not used."""
+    a gamma ratio beyond double range, or any ``ArithmeticError``, which
+    ``_run`` maps to ``DomainError``) is skipped for the next one; when none
+    is left, ``NoRepresentationError`` maps every representation to the
+    reason it was not used."""
     x = complex(x)
     if not in_domain(DomainId.D1, x):
         raise DomainError(f"x not in D1: {x}")
@@ -719,11 +732,9 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     failed = {}
     for rep, spec, _, _, _ in ranked:
         try:
-            r = spec.evaluator(p, x, s, spec.sign.at(x), tol, fe)
-        except (FerroxError, ArithmeticError) as exc:
+            return _run(rep, p, x, s, spec.sign.at(x), tol, fe)
+        except FerroxError as exc:
             failed[rep.value] = str(exc)
-            continue
-        return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
     reasons = {rep.value: "series argument has modulus >= 1 at x" if reason is None else reason
                for rep, _, reason, region, _ in rows if reason is not None or not region}
     reasons.update(failed)
@@ -785,8 +796,7 @@ def ferrers_q_halfplane_cut(rep: RepresentationId, p: ParamPair, x: float,
     # A subnormal imaginary part steers every prefactor power onto the branch
     # continued from the requested half-plane without perturbing its value.
     x_eval = complex(x, approach * 5e-324)
-    r = spec.evaluator(p, x_eval, cmath.sqrt(1.0 - x_eval * x_eval), approach, tol, fe)
-    return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
+    return _run(rep, p, x_eval, cmath.sqrt(1.0 - x_eval * x_eval), approach, tol, fe)
 
 
 # ---------------------------------------------------------------------------

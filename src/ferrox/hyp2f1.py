@@ -298,7 +298,11 @@ def _connect(k: _Connection, p: HypParams, w: complex, tol: float,
         if beta is not None:
             coef *= cmath.exp((1.0 if side is CutSide.ABOVE else -1.0) * 1j * math.pi * beta)
         for base, alpha in zip(bases, alphas):
-            coef *= abs(_BASES[base](w)) ** alpha
+            try:
+                coef *= abs(_BASES[base](w)) ** alpha
+            except ArithmeticError:
+                raise DomainError(
+                    f"|{base}| ** {alpha} at w={w} is beyond double range") from None
         parts.append((coef, f21(HypParams(*triple), t, tol / 4)))
     return combine(parts)
 

@@ -5,11 +5,11 @@ Arguments 1..6 are Moebius-type maps of x, 7..12 are maps of x^2, and 13..18
 involve a square root of x^2 - 1 (branch Y1 by default; the starred variants
 of 13 and 14 use branch Y2 and live on the plane cut along [-1, 1]).
 
-Each |w_j| < 1 predicate is implemented in closed form: disks, half-planes,
-the lemniscate |1-x||1+x| = 1, the circles |x| = 1, the hyperbola
-Re(x^2) = 1/2, and for the square-root family the criterion
-e^{2 beta} cos(2 alpha) vs 1/2 with x = cos(alpha + i beta).  Boundary points
-classify as outside.
+Each map is one record of the table ``_MAPS``: its singular points, its
+formula and a closed-form test of |w_j| < 1: disks, half-planes, the
+lemniscate |1-x||1+x| = 1, the circles |x| = 1, the hyperbola Re(x^2) = 1/2,
+and for the square-root family the criterion e^{2 beta} cos(2 alpha) vs 1/2
+with x = cos(alpha + i beta).  Boundary points classify as outside.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from .complexmath import RootVariant, root_y
 from .errors import DomainError, SingularPointError
@@ -33,8 +34,6 @@ __all__ = [
     "in_domain",
     "in_region",
 ]
-
-ARGUMENT_COUNT = 18
 
 
 class DomainId(Enum):
@@ -73,19 +72,64 @@ class RegionReport:
     domains: dict[DomainId, bool]
 
 
-def _check_singular(j: int, x: complex) -> None:
-    if j in (3, 5) and x == -1.0:
-        raise SingularPointError(f"w_{j} singular at x = -1")
-    if j in (4, 6) and x == 1.0:
-        raise SingularPointError(f"w_{j} singular at x = 1")
-    if j in (8, 12) and (x == 1.0 or x == -1.0):
-        raise SingularPointError(f"w_{j} singular at x = +-1")
+_SINGULAR = {
+    "-1": lambda x: x == -1.0,
+    "1": lambda x: x == 1.0,
+    "+-1": lambda x: x == 1.0 or x == -1.0,
     # Maps 10 and 11 divide by x * x, which underflows to 0 for |x| below
     # about 1e-162, so test the product and not x.
-    if j in (10, 11) and x * x == 0.0:
-        raise SingularPointError(f"w_{j} singular at x = 0")
-    if 13 <= j <= 18 and (x == 1.0 or x == -1.0):
-        raise SingularPointError(f"w_{j} singular at x = +-1")
+    "0": lambda x: x * x == 0.0,
+}
+
+
+def _criterion(x: complex, k: float) -> float:
+    """e^{k beta} cos(2 alpha) for x = cos(alpha + i beta), alpha in [0, pi]."""
+    th = cmath.acos(x)
+    return math.exp(k * th.imag) * math.cos(2.0 * th.real)
+
+
+class _Map(NamedTuple):
+    singular: str | None                       # x where w_j is singular: a _SINGULAR key
+    w: Callable[[complex, complex], complex]   # (x, y) -> w_j, y a root of x^2 - 1
+    inside: Callable[[complex], bool]          # |w_j(x)| < 1 on root Y1
+
+
+_MAPS: dict[int, _Map] = {
+    1: _Map(None, lambda x, y: (1.0 - x) / 2.0, lambda x: abs(1.0 - x) < 2.0),
+    2: _Map(None, lambda x, y: (1.0 + x) / 2.0, lambda x: abs(1.0 + x) < 2.0),
+    3: _Map("-1", lambda x, y: (x - 1.0) / (x + 1.0), lambda x: x.real > 0.0),
+    4: _Map("1", lambda x, y: (x + 1.0) / (x - 1.0), lambda x: x.real < 0.0),
+    5: _Map("-1", lambda x, y: 2.0 / (1.0 + x), lambda x: abs(1.0 + x) > 2.0),
+    6: _Map("1", lambda x, y: 2.0 / (1.0 - x), lambda x: abs(1.0 - x) > 2.0),
+    7: _Map(None, lambda x, y: 1.0 - x * x, lambda x: abs(1.0 - x) * abs(1.0 + x) < 1.0),
+    8: _Map("+-1", lambda x, y: 1.0 / (1.0 - x * x),
+            lambda x: abs(1.0 - x) * abs(1.0 + x) > 1.0),
+    9: _Map(None, lambda x, y: x * x, lambda x: abs(x) < 1.0),
+    10: _Map("0", lambda x, y: 1.0 / (x * x), lambda x: abs(x) > 1.0),
+    11: _Map("0", lambda x, y: (x * x - 1.0) / (x * x),
+             lambda x: x.real * x.real - x.imag * x.imag > 0.5),
+    12: _Map("+-1", lambda x, y: x * x / (x * x - 1.0),
+             lambda x: x.real * x.real - x.imag * x.imag < 0.5),
+    13: _Map("+-1", lambda x, y: (-x + y) / (2.0 * y), lambda x: _criterion(x, 2.0) < 0.5),
+    14: _Map("+-1", lambda x, y: (x - y) / (x + y), lambda x: x.imag > 0.0),
+    15: _Map("+-1", lambda x, y: 2.0 * y / (x + y), lambda x: _criterion(x, -2.0) > 0.5),
+    16: _Map("+-1", lambda x, y: 2.0 * y / (-x + y), lambda x: _criterion(x, 2.0) > 0.5),
+    17: _Map("+-1", lambda x, y: (x + y) / (2.0 * y), lambda x: _criterion(x, -2.0) < 0.5),
+    18: _Map("+-1", lambda x, y: (x + y) / (x - y), lambda x: x.imag < 0.0),
+}
+ARGUMENT_COUNT = len(_MAPS)
+
+
+def _lookup(j: int, x: complex, root: RootVariant) -> _Map:
+    """The record of map j, once j, the root and x are checked."""
+    m = _MAPS.get(j)
+    if m is None:
+        raise ValueError(f"argument index must be 1..18; got {j}")
+    if root is RootVariant.Y2 and j not in (13, 14):
+        raise DomainError(f"root Y2 is only defined for arguments 13 and 14; got {j}")
+    if m.singular is not None and _SINGULAR[m.singular](x):
+        raise SingularPointError(f"w_{j} singular at x = {m.singular}")
+    return m
 
 
 def argument(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> complex:
@@ -95,87 +139,13 @@ def argument(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> complex:
     the starred variants j in {13, 14}.
     """
     x = complex(x)
-    if not 1 <= j <= ARGUMENT_COUNT:
-        raise ValueError(f"argument index must be 1..18; got {j}")
-    if root is RootVariant.Y2 and j not in (13, 14):
-        raise DomainError(f"root Y2 is only defined for arguments 13 and 14; got {j}")
-    _check_singular(j, x)
-    if j == 1:
-        return (1.0 - x) / 2.0
-    if j == 2:
-        return (1.0 + x) / 2.0
-    if j == 3:
-        return (x - 1.0) / (x + 1.0)
-    if j == 4:
-        return (x + 1.0) / (x - 1.0)
-    if j == 5:
-        return 2.0 / (1.0 + x)
-    if j == 6:
-        return 2.0 / (1.0 - x)
-    if j == 7:
-        return 1.0 - x * x
-    if j == 8:
-        return 1.0 / (1.0 - x * x)
-    if j == 9:
-        return x * x
-    if j == 10:
-        return 1.0 / (x * x)
-    if j == 11:
-        return (x * x - 1.0) / (x * x)
-    if j == 12:
-        return x * x / (x * x - 1.0)
-    y = root_y(root, x)
-    if j == 13:
-        return (-x + y) / (2.0 * y)
-    if j == 14:
-        return (x - y) / (x + y)
-    if j == 15:
-        return 2.0 * y / (x + y)
-    if j == 16:
-        return 2.0 * y / (-x + y)
-    if j == 17:
-        return (x + y) / (2.0 * y)
-    return (x + y) / (x - y)
-
-
-def _alpha_beta(x: complex) -> tuple[float, float]:
-    # x = cos(alpha + i beta) with alpha in [0, pi]; Im x > 0 iff beta < 0.
-    th = cmath.acos(x)
-    return th.real, th.imag
+    return _lookup(j, x, root).w(x, root_y(root, x) if j > 12 else None)
 
 
 def in_region(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> bool:
     """Closed-form test of |w_j(x)| < 1 (strict; boundary counts as outside)."""
     x = complex(x)
-    if not 1 <= j <= ARGUMENT_COUNT:
-        raise ValueError(f"argument index must be 1..18; got {j}")
-    if root is RootVariant.Y2 and j not in (13, 14):
-        raise DomainError(f"root Y2 is only defined for arguments 13 and 14; got {j}")
-    _check_singular(j, x)
-    if j == 1:
-        return abs(1.0 - x) < 2.0
-    if j == 2:
-        return abs(1.0 + x) < 2.0
-    if j == 3:
-        return x.real > 0.0
-    if j == 4:
-        return x.real < 0.0
-    if j == 5:
-        return abs(1.0 + x) > 2.0
-    if j == 6:
-        return abs(1.0 - x) > 2.0
-    if j == 7:
-        return abs(1.0 - x) * abs(1.0 + x) < 1.0
-    if j == 8:
-        return abs(1.0 - x) * abs(1.0 + x) > 1.0
-    if j == 9:
-        return abs(x) < 1.0
-    if j == 10:
-        return abs(x) > 1.0
-    if j == 11:
-        return x.real * x.real - x.imag * x.imag > 0.5
-    if j == 12:
-        return x.real * x.real - x.imag * x.imag < 0.5
+    m = _lookup(j, x, root)
     if root is RootVariant.Y2:
         y = root_y(RootVariant.Y2, x)
         if j == 13:
@@ -183,18 +153,7 @@ def in_region(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> bool:
             return ((x - y) / (x + y)).real < 0.5
         # |w14*| < 1  iff  |x - y| < |x + y|  iff  Re(x conj(y)) > 0
         return (x * y.conjugate()).real > 0.0
-    alpha, beta = _alpha_beta(x)
-    if j == 13:
-        return math.exp(2.0 * beta) * math.cos(2.0 * alpha) < 0.5
-    if j == 14:
-        return x.imag > 0.0
-    if j == 15:
-        return math.exp(-2.0 * beta) * math.cos(2.0 * alpha) > 0.5
-    if j == 16:
-        return math.exp(2.0 * beta) * math.cos(2.0 * alpha) > 0.5
-    if j == 17:
-        return math.exp(-2.0 * beta) * math.cos(2.0 * alpha) < 0.5
-    return x.imag < 0.0
+    return m.inside(x)
 
 
 def classify(x: complex) -> RegionReport:
@@ -203,7 +162,7 @@ def classify(x: complex) -> RegionReport:
     yield inside = False rather than an error."""
     x = complex(x)
     inside: dict[int, bool] = {}
-    for j in range(1, ARGUMENT_COUNT + 1):
+    for j in _MAPS:
         try:
             inside[j] = in_region(j, x)
         except DomainError:

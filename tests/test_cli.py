@@ -170,13 +170,15 @@ class TestCompare:
         check_schema(obj, SCHEMA["compare"])
         assert obj["rel_spread"] < 1e-8
 
-    def test_series_overflow_exit_2(self):
-        # the I4 row's 2F1 terms overflow at this degree
-        code, obj = run_cli_json("compare", "--nu", "300.3", "--mu", "0.4",
-                                 "--x", "0.3+0.4i")
+    # the I4 row's 2F1 terms overflow at this degree; at x = 0.99 its
+    # prefactor power underflows to 0 and is divided by
+    @pytest.mark.parametrize("x,error", [("0.3+0.4i", "ConvergenceError"),
+                                         ("0.99", "DomainError")])
+    def test_series_overflow_exit_2(self, x, error):
+        code, obj = run_cli_json("compare", "--nu", "300.3", "--mu", "0.4", "--x", x)
         assert code == 2
         check_schema(obj, SCHEMA["error"])
-        assert obj["error"]["type"] == "ConvergenceError"
+        assert obj["error"]["type"] == error
 
     def test_integer_order_reasons(self):
         _, obj = run_cli_json("compare", "--nu", "0.3", "--mu", "1", "--x", "0.2")
@@ -326,11 +328,14 @@ class TestCutCommand:
         assert above["value"]["re"] == pytest.approx(below["value"]["re"], abs=1e-12)
         assert above["value"]["im"] == pytest.approx(-below["value"]["im"], abs=1e-12)
 
-    def test_domain_error_exit_2(self):
-        code, obj = run_cli_json("cut", "--a", "0.3", "--b", "1.1", "--c", "2.2",
-                                 "--x", "0.5", "--side", "above")
+    # x off the cut; a power |w| ** -a beyond double range
+    @pytest.mark.parametrize("a,x", [("0.3", "0.5"), ("-400.3", "1e6")])
+    def test_domain_error_exit_2(self, a, x):
+        code, obj = run_cli_json("cut", "--a", a, "--b", "1.1", "--c", "2.2",
+                                 "--x", x, "--side", "above")
         assert code == 2
         check_schema(obj, SCHEMA["error"])
+        assert obj["error"]["type"] == "DomainError"
 
 
 class TestTolEnvVar:

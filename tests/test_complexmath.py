@@ -197,9 +197,11 @@ class TestPrincipalPow:
         with pytest.raises(DomainError):
             principal_pow(0.0, -1.0)
 
-    def test_beyond_double_range(self):
-        with pytest.raises(DomainError, match="range"):
-            principal_pow(1e-300j, -2.7)
+    @pytest.mark.parametrize("base,exponent", [
+        (1e-300j, -2.7), (-10.0, 400), (-10.0, 5000), (-1e-200, -4)])
+    def test_beyond_double_range(self, base, exponent):
+        with pytest.raises(DomainError, match="beyond double range"):
+            principal_pow(base, exponent)
 
 
 class TestZ2m1Pow:

@@ -34,6 +34,7 @@ from ferrox.ferrers import (
     valid_representations,
 )
 from ferrox.hyp2f1 import HypParams, f21
+from ferrox.regions import argument
 
 mp.mp.dps = 30
 
@@ -247,6 +248,38 @@ class TestSecondKindRepresentations:
         # the 2F1 terms of I4 overflow at this degree
         with pytest.raises(FerroxError):
             ferrers_q_rep(R.I4, ParamPair(300.3, 0.4), 0.3 + 0.4j)
+
+    # a prefactor power underflows to 0 and is then divided by
+    @pytest.mark.parametrize("rep,p,x", [
+        (R.I4, ParamPair(300.3, 0.4), 0.99), (R.I4, ParamPair(300.3, 0.4), 0.999),
+        (R.II6, ParamPair(300.3, 0.4), 0.999), (R.I4, ParamPair(150.2, 60.3), 0.999)])
+    def test_underflow_is_domain_error(self, rep, p, x):
+        with pytest.raises(DomainError, match=f"{rep.value}: .*beyond double range"):
+            ferrers_q_rep(rep, p, x)
+
+    @pytest.mark.parametrize("rep", [
+        rep for rep, spec in ferrers._REP_TABLE.items() if len(spec.argument_ids) == 1])
+    def test_evaluator_arguments_match_table(self, rep):
+        # each 2F1 factor is evaluated at the argument map the record names
+        spec = ferrers._REP_TABLE[rep]
+        j = spec.argument_ids[0]
+        seen = []
+        feval = ferrers._default_feval(1e-12)
+
+        def fe(a, b, c, w):
+            seen.append(w)
+            return feval(a, b, c, w)
+
+        points = [x for x in (0.3, -0.45, 0.62, 0.85, 0.3 + 0.4j, -0.5 - 0.2j,
+                              0.7 - 0.3j, 1.2 + 0.5j)
+                  if ferrers._check_domain(spec.domain, x) is None]
+        assert points
+        for x in points:
+            seen.clear()
+            x = complex(x)
+            spec.evaluator(ParamPair(0.3, 0.4), x, cmath.sqrt(1.0 - x * x),
+                           spec.sign.at(x), 1e-12, fe)
+            assert seen and all(w == argument(j, x) for w in seen), (x, seen)
 
     def test_upper_and_lower_signs_agree(self):
         p = ParamPair(0.3, 0.4)

@@ -41,13 +41,18 @@ class TestArgumentMaps:
         assert abs(argument(18, x) - 1.0 / w14) < 1e-14
 
     def test_singular_points(self):
-        with pytest.raises(SingularPointError):
-            argument(3, -1.0)
-        for x in (0.0, 1e-300j):
-            with pytest.raises(SingularPointError):
-                argument(10, x)
-        with pytest.raises(SingularPointError):
-            argument(13, 1.0)
+        singular = {(j, x) for js, xs in [((3, 5), (-1.0,)), ((4, 6), (1.0,)),
+                                          ((8, 12, 13, 14, 15, 16, 17, 18), (1.0, -1.0)),
+                                          ((10, 11), (0.0, 1e-300j))]
+                    for j in js for x in xs}
+        for func in (argument, in_region):
+            for j in range(1, ARGUMENT_COUNT + 1):
+                for x in (-1.0, 1.0, 0.0, 1e-300j):
+                    if (j, x) in singular:
+                        with pytest.raises(SingularPointError, match=f"w_{j} singular"):
+                            func(j, x)
+                    else:
+                        func(j, x)
 
     def test_root_restriction(self):
         with pytest.raises(DomainError):
