@@ -10,14 +10,18 @@ an upper-sign and a lower-sign form valid on the whole domain), and one
 two-sided form in u = x + i sqrt(1 - x^2) and v = 1/u.  ``ferrers_q`` picks
 a valid representation automatically, preferring the smallest argument
 modulus; ``ferrers_q_rep`` evaluates a chosen one.  Each entry is one record
-of domain, parameter exclusions, argument indices, evaluator and sign rule;
-the theta-forms of group III (``ferrers_q_rep_trig``) run the same
-evaluators at x = cos(theta).
+of domain, parameter exclusions, the ``regions`` argument map of each 2F1
+factor, whether the factors are regularized, evaluator and sign rule; the
+evaluator returns only the two terms (coefficient, a, b, c), and one
+interpreter evaluates every record.  The theta-forms of group III
+(``ferrers_q_rep_trig``) run the same records at x = cos(theta).  A value
+beyond double range raises ``DomainError`` naming its function.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -49,7 +53,7 @@ from .hyp2f1 import (
     f21_regularized,
     route_radius,
 )
-from .regions import DomainId, argument, in_domain, in_region
+from .regions import DomainId, argument, in_domain, in_region, map_value
 
 __all__ = [
     "EvalOutcome",
@@ -75,10 +79,10 @@ _SQRT_PI = math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class ParamPair:
-    """Degree nu and order mu, with the integer-exclusion predicates the
-    representation table needs.  Values within 1e-9 of an excluded integer
-    count as excluded: closer than that, prefactors like 1/sin(pi mu) have
-    no usable precision."""
+    """Degree nu and order mu.  The integer-exclusion predicates of the
+    representation table are the values of ``_EXCL_NAMES``: values within
+    1e-9 of an excluded integer count as excluded, since closer than that,
+    prefactors like 1/sin(pi mu) have no usable precision."""
 
     nu: complex
     mu: complex
@@ -86,33 +90,6 @@ class ParamPair:
     def __post_init__(self):
         object.__setattr__(self, "nu", complex(self.nu))
         object.__setattr__(self, "mu", complex(self.mu))
-
-    def mu_is_integer(self) -> bool:
-        return near_int(self.mu, NEAR_INT_TOL)
-
-    def two_mu_is_integer(self) -> bool:
-        return near_int(2.0 * self.mu, NEAR_INT_TOL)
-
-    def two_nu_is_integer(self) -> bool:
-        return near_int(2.0 * self.nu, NEAR_INT_TOL)
-
-    def nu_plus_half_is_integer(self) -> bool:
-        return near_int(self.nu + 0.5, NEAR_INT_TOL)
-
-    def nu_plus_mu_is_integer(self) -> bool:
-        return near_int(self.nu + self.mu, NEAR_INT_TOL)
-
-    def nu_plus_mu_in_neg_n(self) -> bool:
-        s = self.nu + self.mu
-        return near_int(s, NEAR_INT_TOL) and round(s.real) <= -1
-
-    def nu_plus_mu_in_nonpos_n(self) -> bool:
-        s = self.nu + self.mu
-        return near_int(s, NEAR_INT_TOL) and round(s.real) <= 0
-
-    def nu_plus_mu_in_pos_n(self) -> bool:
-        s = self.nu + self.mu
-        return near_int(s, NEAR_INT_TOL) and round(s.real) >= 1
 
 
 class RepresentationId(Enum):
@@ -163,15 +140,6 @@ class RepValidity:
     preference: float
 
 
-FEval = Callable[[complex, complex, complex, complex], SeriesResult]
-
-
-def _default_feval(tol: float) -> FEval:
-    def ev(a, b, c, w):
-        return f21(HypParams(a, b, c), w, tol)
-    return ev
-
-
 def _sinpi(z: complex) -> complex:
     return cmath.sin(math.pi * z)
 
@@ -180,10 +148,34 @@ def _cospi(z: complex) -> complex:
     return cmath.cos(math.pi * z)
 
 
+def _guarded(label: str, evaluate: Callable, *args):
+    """``evaluate(*args)``; a non-finite value, an ``ArithmeticError`` or a
+    ``ValueError`` (a cmath domain error) becomes a ``DomainError`` naming
+    ``label``: some value on the way is beyond double range."""
+    try:
+        out = evaluate(*args)
+        if cmath.isfinite(out.value):
+            return out
+        reason = f"value {out.value}"
+    except (ArithmeticError, ValueError) as exc:
+        reason = str(exc)
+    raise DomainError(f"{label}: intermediate value beyond double range ({reason})")
+
+
+def _guard(fn: Callable[[ParamPair, complex, float], EvalOutcome]):
+    """The first-kind or cut-plane function ``fn`` under ``_guarded``; z is
+    converted first, so that a malformed z still raises its own error."""
+    @functools.wraps(fn)
+    def guarded(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
+        return _guarded(fn.__name__, fn, p, complex(z), tol)
+    return guarded
+
+
 # ---------------------------------------------------------------------------
 # Legendre functions on the cut plane D2 and Ferrers P on D1
 # ---------------------------------------------------------------------------
 
+@_guard
 def legendre_p(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
     """First-kind associated Legendre function on the plane cut along
     (-inf, 1].  Valid for all nu, mu (the regularized series removes the
@@ -197,6 +189,7 @@ def legendre_p(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcom
     return EvalOutcome(pref * r.value, None, r.terms_used, r.tail_estimate)
 
 
+@_guard
 def legendre_q(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
     """Second-kind associated Legendre function on the plane cut along
     (-inf, 1], e^{i pi mu} Gamma(nu + mu + 1) times ``legendre_q_bold``;
@@ -204,13 +197,14 @@ def legendre_q(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcom
     z = complex(z)
     if not in_domain(DomainId.D2, z):
         raise DomainError(f"legendre_q requires z off (-inf, 1]; got {z}")
-    if p.nu_plus_mu_in_neg_n():
+    if "numu_neg" in _exclusions(p, ("numu_neg",)):
         raise ParameterError(f"legendre_q undefined for nu + mu = {p.nu + p.mu} in -N")
     bold = legendre_q_bold(p, z, tol)
     scale = cmath.exp(1j * math.pi * p.mu) * gamma_quotient((p.nu + p.mu + 1.0,), ())
     return EvalOutcome(scale * bold.value, None, bold.terms_used, bold.tail_estimate)
 
 
+@_guard
 def legendre_q_bold(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
     """Normalized second-kind function e^{-i pi mu} Q / Gamma(nu + mu + 1);
     entire in both parameters and even in mu."""
@@ -226,6 +220,7 @@ def legendre_q_bold(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalO
     return EvalOutcome(pref * r.value, None, r.terms_used, r.tail_estimate)
 
 
+@_guard
 def ferrers_p(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
     """Ferrers function of the first kind on the plane cut outside [-1, 1];
     valid for all nu, mu."""
@@ -240,64 +235,56 @@ def ferrers_p(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
 
 # ---------------------------------------------------------------------------
 # The individual second-kind representations.  Every evaluator takes
-# (p, x, s, sgn, tol, fe): s = sqrt(1 - x^2), sgn the representation's sign
-# (see _Sign), and fe(a, b, c, w) the 2F1 factor.
+# (nu, mu, x, s, sgn), s = sqrt(1 - x^2) and sgn the representation's sign
+# (see _Sign), and returns its two terms as (coefficient, a, b, c); the
+# record names the argument map of each 2F1 factor and whether it is
+# regularized, and ``_interpret`` evaluates the factors.
 # ---------------------------------------------------------------------------
 
-def _eval_I1(p, x, s, sgn, tol, fe):
-    nu, mu = p.nu, p.mu
-    w = (1.0 - x) / 2.0
+def _eval_I1(nu, mu, x, s, sgn):
     k = math.pi / (2.0 * _sinpi(mu))
     pw = principal_pow((1.0 + x) / (1.0 - x), 0.5 * mu)
     c1 = k * _cospi(mu) * rgamma(1.0 - mu) * pw
     c2 = -k * gamma_quotient((nu + mu + 1.0,), (mu + 1.0, nu - mu + 1.0)) / pw
-    return combine([(c1, fe(-nu, nu + 1.0, 1.0 - mu, w)),
-                    (c2, fe(-nu, nu + 1.0, 1.0 + mu, w))])
+    return [(c1, -nu, nu + 1.0, 1.0 - mu),
+            (c2, -nu, nu + 1.0, 1.0 + mu)]
 
 
-def _eval_I2(p, x, s, sgn, tol, fe):
-    nu, mu = p.nu, p.mu
-    w = (1.0 + x) / 2.0
+def _eval_I2(nu, mu, x, s, sgn):
     pw = principal_pow((1.0 - x) / (1.0 + x), 0.5 * mu)
     c1 = -0.5 * _cospi(nu) * gamma_quotient((mu,), ()) * pw
     c2 = (-0.5 * _cospi(nu + mu)
           * gamma_quotient((-mu, nu + mu + 1.0), (nu - mu + 1.0,)) / pw)
-    return combine([(c1, fe(-nu, nu + 1.0, 1.0 - mu, w)),
-                    (c2, fe(-nu, nu + 1.0, 1.0 + mu, w))])
+    return [(c1, -nu, nu + 1.0, 1.0 - mu),
+            (c2, -nu, nu + 1.0, 1.0 + mu)]
 
 
-def _eval_I3(p, x, s, sgn, tol, fe):
-    nu, mu = p.nu, p.mu
-    w = (x - 1.0) / (x + 1.0)
+def _eval_I3(nu, mu, x, s, sgn):
     lead = principal_pow(1.0 + x, nu) / principal_pow(2.0, nu + 1.0)
     pw = principal_pow((1.0 + x) / (1.0 - x), 0.5 * mu)
     c1 = lead * _cospi(mu) * gamma_quotient((mu,), ()) * pw
     c2 = lead * gamma_quotient((-mu, nu + mu + 1.0), (nu - mu + 1.0,)) / pw
-    return combine([(c1, fe(-nu, -nu - mu, 1.0 - mu, w)),
-                    (c2, fe(-nu, mu - nu, 1.0 + mu, w))])
+    return [(c1, -nu, -nu - mu, 1.0 - mu),
+            (c2, -nu, mu - nu, 1.0 + mu)]
 
 
-def _eval_I4(p, x, s, sgn, tol, fe):
-    nu, mu = p.nu, p.mu
-    w = (x + 1.0) / (x - 1.0)
+def _eval_I4(nu, mu, x, s, sgn):
     lead = -principal_pow(2.0, nu) / principal_pow(1.0 - x, nu + 1.0)
     pw = principal_pow((1.0 + x) / (1.0 - x), 0.5 * mu)
     c1 = lead * gamma_quotient((mu,), ()) * _cospi(nu) / pw
     c2 = lead * _cospi(nu + mu) * gamma_quotient((-mu, nu + mu + 1.0), (nu - mu + 1.0,)) * pw
-    return combine([(c1, fe(nu + 1.0, nu - mu + 1.0, 1.0 - mu, w)),
-                    (c2, fe(nu + 1.0, nu + mu + 1.0, 1.0 + mu, w))])
+    return [(c1, nu + 1.0, nu - mu + 1.0, 1.0 - mu),
+            (c2, nu + 1.0, nu + mu + 1.0, 1.0 + mu)]
 
 
-def _halfplane_mix(p, sgn):
+def _halfplane_mix(nu, mu, sgn):
     # cos(pi mu) -+ i sin(pi(mu - nu)) / (2 cos(pi nu)), sign tied to the
     # half-plane of x.
-    return _cospi(p.mu) - sgn * 1j * _sinpi(p.mu - p.nu) / (2.0 * _cospi(p.nu))
+    return _cospi(mu) - sgn * 1j * _sinpi(mu - nu) / (2.0 * _cospi(nu))
 
 
-def _eval_I5(p, x, s, sgn, tol, fe):
-    nu, mu = p.nu, p.mu
-    w = 2.0 / (1.0 + x)
-    c1 = (principal_pow(2.0, nu) * _halfplane_mix(p, sgn)
+def _eval_I5(nu, mu, x, s, sgn):
+    c1 = (principal_pow(2.0, nu) * _halfplane_mix(nu, mu, sgn)
           * gamma_quotient((nu + 1.0, nu + mu + 1.0), (2.0 * nu + 2.0,))
           * principal_pow(1.0 + x, 0.5 * mu - nu - 1.0)
           * principal_pow(1.0 - x, -0.5 * mu))
@@ -305,15 +292,13 @@ def _eval_I5(p, x, s, sgn, tol, fe):
           * gamma_quotient((-nu,), (-2.0 * nu, nu - mu + 1.0))
           * principal_pow(1.0 + x, nu + 0.5 * mu)
           * principal_pow(1.0 - x, -0.5 * mu))
-    return combine([(c1, fe(nu - mu + 1.0, nu + 1.0, 2.0 * nu + 2.0, w)),
-                    (c2, fe(-nu, -nu - mu, -2.0 * nu, w))])
+    return [(c1, nu - mu + 1.0, nu + 1.0, 2.0 * nu + 2.0),
+            (c2, -nu, -nu - mu, -2.0 * nu)]
 
 
-def _eval_I6(p, x, s, sgn, tol, fe):
-    nu, mu = p.nu, p.mu
-    w = 2.0 / (1.0 - x)
+def _eval_I6(nu, mu, x, s, sgn):
     c1 = (principal_pow(2.0, nu) * cmath.exp(-sgn * 1j * math.pi * (nu + 1.0))
-          * _halfplane_mix(p, sgn)
+          * _halfplane_mix(nu, mu, sgn)
           * gamma_quotient((nu + 1.0, nu + mu + 1.0), (2.0 * nu + 2.0,))
           * principal_pow(1.0 + x, 0.5 * mu)
           * principal_pow(1.0 - x, -nu - 0.5 * mu - 1.0))
@@ -322,93 +307,79 @@ def _eval_I6(p, x, s, sgn, tol, fe):
           * gamma_quotient((-nu,), (-2.0 * nu, nu - mu + 1.0))
           * principal_pow(1.0 + x, 0.5 * mu)
           * principal_pow(1.0 - x, nu - 0.5 * mu))
-    return combine([(c1, fe(nu + mu + 1.0, nu + 1.0, 2.0 * nu + 2.0, w)),
-                    (c2, fe(-nu, mu - nu, -2.0 * nu, w))])
+    return [(c1, nu + mu + 1.0, nu + 1.0, 2.0 * nu + 2.0),
+            (c2, -nu, mu - nu, -2.0 * nu)]
 
 
-def _eval_I7(p, x, s, sgn, tol, fe):
+def _eval_I7(nu, mu, x, s, sgn):
     # Both terms share the parameter set; the regularized series removes the
     # Gamma(1 - mu) pole, so integer mu is allowed here.
-    nu, mu = p.nu, p.mu
     pw = principal_pow((1.0 + x) / (1.0 - x), 0.5 * mu)
     sn = _sinpi(nu + mu)
     c1 = 0.5 * math.pi * _cospi(nu + mu) / sn * pw
     c2 = -0.5 * math.pi / sn / pw
-    r1 = f21_regularized(HypParams(-nu, nu + 1.0, 1.0 - mu), (1.0 - x) / 2.0, tol)
-    r2 = f21_regularized(HypParams(-nu, nu + 1.0, 1.0 - mu), (1.0 + x) / 2.0, tol)
-    return combine([(c1, r1), (c2, r2)])
+    return [(c1, -nu, nu + 1.0, 1.0 - mu),
+            (c2, -nu, nu + 1.0, 1.0 - mu)]
 
 
-def _eval_II1(p, x, s, sgn, tol, fe):
-    nu, mu = p.nu, p.mu
-    w = 1.0 - x * x
+def _eval_II1(nu, mu, x, s, sgn):
     pw = principal_pow(1.0 - x * x, 0.5 * mu)
     c1 = principal_pow(2.0, mu - 1.0) * gamma_quotient((mu,), ()) * _cospi(mu) / pw
     c2 = (gamma_quotient((-mu, nu + mu + 1.0), (nu - mu + 1.0,))
           * pw / principal_pow(2.0, 1.0 + mu))
-    return combine([(c1, fe((nu - mu + 1.0) / 2.0, (-nu - mu) / 2.0, 1.0 - mu, w)),
-                    (c2, fe((nu + mu + 1.0) / 2.0, (mu - nu) / 2.0, 1.0 + mu, w))])
+    return [(c1, (nu - mu + 1.0) / 2.0, (-nu - mu) / 2.0, 1.0 - mu),
+            (c2, (nu + mu + 1.0) / 2.0, (mu - nu) / 2.0, 1.0 + mu)]
 
 
-def _eval_II2(p, x, s, sgn, tol, fe):
-    nu, mu = p.nu, p.mu
-    w = 1.0 / (1.0 - x * x)
+def _eval_II2(nu, mu, x, s, sgn):
     c1 = (_SQRT_PI * principal_pow(2.0, -nu - 1.0)
           * cmath.exp(sgn * 0.5j * math.pi * (-nu + mu - 1.0))
-          * _halfplane_mix(p, sgn)
+          * _halfplane_mix(nu, mu, sgn)
           * gamma_quotient((nu + mu + 1.0,), (nu + 1.5,))
           * principal_pow(1.0 - x * x, -0.5 * nu - 0.5))
     c2 = (math.pi ** 1.5 * principal_pow(2.0, nu - 1.0)
           * cmath.exp(sgn * 0.5j * math.pi * (nu + mu + 1.0)) / _cospi(nu)
           * gamma_quotient((), (nu - mu + 1.0, 0.5 - nu))
           * principal_pow(1.0 - x * x, 0.5 * nu))
-    return combine([(c1, fe((nu - mu + 1.0) / 2.0, (nu + mu + 1.0) / 2.0, nu + 1.5, w)),
-                    (c2, fe((-nu - mu) / 2.0, (mu - nu) / 2.0, 0.5 - nu, w))])
+    return [(c1, (nu - mu + 1.0) / 2.0, (nu + mu + 1.0) / 2.0, nu + 1.5),
+            (c2, (-nu - mu) / 2.0, (mu - nu) / 2.0, 0.5 - nu)]
 
 
-def _eval_II3(p, x, s, sgn, tol, fe):
-    nu, mu = p.nu, p.mu
-    w = x * x
+def _eval_II3(nu, mu, x, s, sgn):
     lead = _SQRT_PI * principal_pow(2.0, mu - 1.0) / principal_pow(1.0 - x * x, 0.5 * mu)
     c1 = (-lead * _sinpi((nu + mu) / 2.0)
           * gamma_quotient(((nu + mu + 1.0) / 2.0,), ((nu - mu + 2.0) / 2.0,)))
     c2 = (lead * 2.0 * _cospi((nu + mu) / 2.0) * x
           * gamma_quotient(((nu + mu + 2.0) / 2.0,), ((nu - mu + 1.0) / 2.0,)))
-    return combine([(c1, fe(-(nu + mu) / 2.0, (nu - mu + 1.0) / 2.0, 0.5, w)),
-                    (c2, fe((-nu - mu + 1.0) / 2.0, (nu - mu + 2.0) / 2.0, 1.5, w))])
+    return [(c1, -(nu + mu) / 2.0, (nu - mu + 1.0) / 2.0, 0.5),
+            (c2, (-nu - mu + 1.0) / 2.0, (nu - mu + 2.0) / 2.0, 1.5)]
 
 
-def _eval_II4(p, x, s, sgn, tol, fe):
-    nu, mu = p.nu, p.mu
-    w = 1.0 / (x * x)
+def _eval_II4(nu, mu, x, s, sgn):
     pw = principal_pow(1.0 - x * x, 0.5 * mu)
     c1 = (_SQRT_PI * principal_pow(2.0, -nu - 1.0)
-          * cmath.exp(sgn * 1j * math.pi * mu) * _halfplane_mix(p, sgn)
+          * cmath.exp(sgn * 1j * math.pi * mu) * _halfplane_mix(nu, mu, sgn)
           * gamma_quotient((nu + mu + 1.0,), (nu + 1.5,))
           * principal_pow(x, -nu - mu - 1.0) * pw)
     c2 = (math.pi ** 1.5 * principal_pow(2.0, nu - 1.0)
           * cmath.exp(sgn * 1j * math.pi * (0.5 + mu)) / _cospi(nu)
           * gamma_quotient((), (nu - mu + 1.0, 0.5 - nu))
           * principal_pow(x, nu - mu) * pw)
-    return combine([(c1, fe((nu + mu + 1.0) / 2.0, (nu + mu + 2.0) / 2.0, nu + 1.5, w)),
-                    (c2, fe((mu - nu) / 2.0, (mu - nu + 1.0) / 2.0, 0.5 - nu, w))])
+    return [(c1, (nu + mu + 1.0) / 2.0, (nu + mu + 2.0) / 2.0, nu + 1.5),
+            (c2, (mu - nu) / 2.0, (mu - nu + 1.0) / 2.0, 0.5 - nu)]
 
 
-def _eval_II5(p, x, s, sgn, tol, fe):
-    nu, mu = p.nu, p.mu
-    w = (x * x - 1.0) / (x * x)
+def _eval_II5(nu, mu, x, s, sgn):
     pw = principal_pow(1.0 - x * x, 0.5 * mu)
     c1 = (principal_pow(2.0, mu - 1.0) * _cospi(mu) * gamma_quotient((mu,), ())
           * principal_pow(x, nu + mu) / pw)
     c2 = (gamma_quotient((nu + mu + 1.0, -mu), (nu - mu + 1.0,))
           / principal_pow(2.0, mu + 1.0) * pw * principal_pow(x, nu - mu))
-    return combine([(c1, fe(-(nu + mu) / 2.0, (-nu - mu + 1.0) / 2.0, 1.0 - mu, w)),
-                    (c2, fe((mu - nu) / 2.0, (mu - nu + 1.0) / 2.0, 1.0 + mu, w))])
+    return [(c1, -(nu + mu) / 2.0, (-nu - mu + 1.0) / 2.0, 1.0 - mu),
+            (c2, (mu - nu) / 2.0, (mu - nu + 1.0) / 2.0, 1.0 + mu)]
 
 
-def _eval_II6(p, x, s, sgn, tol, fe):
-    nu, mu = p.nu, p.mu
-    w = x * x / (x * x - 1.0)
+def _eval_II6(nu, mu, x, s, sgn):
     lead = _SQRT_PI * principal_pow(2.0, mu)
     c1 = (-lead * gamma_quotient(((nu + mu + 1.0) / 2.0,), ((nu - mu + 2.0) / 2.0,))
           * _sinpi((nu + mu) / 2.0)
@@ -416,14 +387,11 @@ def _eval_II6(p, x, s, sgn, tol, fe):
     c2 = (lead * gamma_quotient(((nu + mu + 2.0) / 2.0,), ((nu - mu + 1.0) / 2.0,))
           * _cospi((nu + mu) / 2.0) * x
           * principal_pow(1.0 - x * x, 0.5 * (nu - 1.0)))
-    return combine([(c1, fe((nu - mu + 1.0) / 2.0, (nu + mu + 1.0) / 2.0, 0.5, w)),
-                    (c2, fe((mu - nu + 1.0) / 2.0, (-nu - mu + 1.0) / 2.0, 1.5, w))])
+    return [(c1, (nu - mu + 1.0) / 2.0, (nu + mu + 1.0) / 2.0, 0.5),
+            (c2, (mu - nu + 1.0) / 2.0, (-nu - mu + 1.0) / 2.0, 1.5)]
 
 
-def _eval_III1(p, x, s, sgn, tol, fe):
-    nu, mu = p.nu, p.mu
-    y = 1j * s
-    w = (-sgn * x + y) / (2.0 * y)
+def _eval_III1(nu, mu, x, s, sgn):
     pre = _SQRT_PI / (2.0 ** 1.5 * principal_pow(s, 0.5))
     c1 = (pre * cmath.exp(sgn * 0.5j * math.pi * (mu + 0.5))
           * gamma_quotient((nu + 0.5,), (nu - mu + 1.0,))
@@ -432,13 +400,11 @@ def _eval_III1(p, x, s, sgn, tol, fe):
     c2 = (pre * cmath.exp(-sgn * 0.5j * math.pi * (mu + 0.5))
           * gamma_quotient((nu + mu + 1.0,), (nu + 1.5,)) * fac
           * principal_pow(x - sgn * 1j * s, nu + 0.5))
-    return combine([(c1, fe(0.5 + mu, 0.5 - mu, 0.5 - nu, w)),
-                    (c2, fe(0.5 + mu, 0.5 - mu, nu + 1.5, w))])
+    return [(c1, 0.5 + mu, 0.5 - mu, 0.5 - nu),
+            (c2, 0.5 + mu, 0.5 - mu, nu + 1.5)]
 
 
-def _eval_III2(p, x, s, sgn, tol, fe):
-    nu, mu = p.nu, p.mu
-    w = (x - sgn * 1j * s) / (x + sgn * 1j * s)
+def _eval_III2(nu, mu, x, s, sgn):
     pre = _SQRT_PI * principal_pow(2.0, mu - 1.0) * principal_pow(s, mu)
     c1 = (pre * cmath.exp(sgn * 1j * math.pi * (mu + 0.5))
           * gamma_quotient((nu + 0.5,), (nu - mu + 1.0,))
@@ -446,51 +412,52 @@ def _eval_III2(p, x, s, sgn, tol, fe):
     fac = 1.0 + cmath.exp(sgn * 1j * math.pi * (nu + mu)) * _cospi(mu) / _cospi(nu)
     c2 = (pre * gamma_quotient((nu + mu + 1.0,), (nu + 1.5,)) * fac
           * principal_pow(x - sgn * 1j * s, nu + mu + 1.0))
-    return combine([(c1, fe(0.5 + mu, mu - nu, 0.5 - nu, w)),
-                    (c2, fe(0.5 + mu, nu + mu + 1.0, nu + 1.5, w))])
+    return [(c1, 0.5 + mu, mu - nu, 0.5 - nu),
+            (c2, 0.5 + mu, nu + mu + 1.0, nu + 1.5)]
 
 
-def _eval_III3(p, x, s, sgn, tol, fe):
-    nu, mu = p.nu, p.mu
-    w = 2j * s / (sgn * x + 1j * s)
+def _eval_III3(nu, mu, x, s, sgn):
     pw = principal_pow(s, mu)
     c1 = (gamma_quotient((-mu, nu + mu + 1.0), (nu - mu + 1.0,))
           / principal_pow(2.0, mu + 1.0) * pw
           * principal_pow(x + sgn * 1j * s, nu - mu))
     c2 = (principal_pow(2.0, mu - 1.0) * gamma_quotient((mu,), ()) * _cospi(mu)
           * principal_pow(x + sgn * 1j * s, nu + mu) / pw)
-    return combine([(c1, fe(0.5 + mu, mu - nu, 1.0 + 2.0 * mu, w)),
-                    (c2, fe(0.5 - mu, -nu - mu, 1.0 - 2.0 * mu, w))])
+    return [(c1, 0.5 + mu, mu - nu, 1.0 + 2.0 * mu),
+            (c2, 0.5 - mu, -nu - mu, 1.0 - 2.0 * mu)]
 
 
-def _eval_fourier_uv(p, x, s, sgn, tol, fe):
-    nu, mu = p.nu, p.mu
+def _eval_fourier_uv(nu, mu, x, s, sgn):
     u = x + 1j * s
     v = x - 1j * s
     pre = (_SQRT_PI * principal_pow(2.0, mu - 1.0)
            * principal_pow(1.0 - x * x, 0.5 * mu)
            * gamma_quotient((nu + mu + 1.0,), ()))
-    hp = HypParams(mu + 0.5, nu + mu + 1.0, nu + 1.5)
-    r1 = f21_regularized(hp, u / v, tol)
-    r2 = f21_regularized(hp, v / u, tol)
     c1 = pre * principal_pow(u, nu + mu + 1.0)
     c2 = pre * principal_pow(v, nu + mu + 1.0)
-    return combine([(c1, r1), (c2, r2)])
+    return [(c1, mu + 0.5, nu + mu + 1.0, nu + 1.5),
+            (c2, mu + 0.5, nu + mu + 1.0, nu + 1.5)]
 
 
 # ---------------------------------------------------------------------------
 # Representation table: one record per representation
 # ---------------------------------------------------------------------------
 
-_EXCL_NAMES = {
-    "mu_int": ("mu in Z", ParamPair.mu_is_integer),
-    "two_mu_int": ("2 mu in Z", ParamPair.two_mu_is_integer),
-    "two_nu_int": ("2 nu in Z", ParamPair.two_nu_is_integer),
-    "nu_half_int": ("nu + 1/2 in Z", ParamPair.nu_plus_half_is_integer),
-    "numu_int": ("nu + mu in Z", ParamPair.nu_plus_mu_is_integer),
-    "numu_neg": ("nu + mu in -N", ParamPair.nu_plus_mu_in_neg_n),
-    "numu_nonpos": ("nu + mu in -N0", ParamPair.nu_plus_mu_in_nonpos_n),
-    "numu_pos": ("nu + mu in N", ParamPair.nu_plus_mu_in_pos_n),
+def _numu_int_in(p: ParamPair, lo: float, hi: float) -> bool:
+    """Whether nu + mu is (within NEAR_INT_TOL) an integer in [lo, hi]."""
+    s = p.nu + p.mu
+    return near_int(s, NEAR_INT_TOL) and lo <= round(s.real) <= hi
+
+
+_EXCL_NAMES: dict[str, tuple[str, Callable[[ParamPair], bool]]] = {
+    "mu_int": ("mu in Z", lambda p: near_int(p.mu, NEAR_INT_TOL)),
+    "two_mu_int": ("2 mu in Z", lambda p: near_int(2.0 * p.mu, NEAR_INT_TOL)),
+    "two_nu_int": ("2 nu in Z", lambda p: near_int(2.0 * p.nu, NEAR_INT_TOL)),
+    "nu_half_int": ("nu + 1/2 in Z", lambda p: near_int(p.nu + 0.5, NEAR_INT_TOL)),
+    "numu_int": ("nu + mu in Z", lambda p: near_int(p.nu + p.mu, NEAR_INT_TOL)),
+    "numu_neg": ("nu + mu in -N", lambda p: _numu_int_in(p, -math.inf, -1)),
+    "numu_nonpos": ("nu + mu in -N0", lambda p: _numu_int_in(p, -math.inf, 0)),
+    "numu_pos": ("nu + mu in N", lambda p: _numu_int_in(p, 1, math.inf)),
 }
 
 
@@ -546,12 +513,14 @@ def _routed_convergence(ids: tuple[int, ...], args: _Arguments) -> tuple[bool, f
 class _RepSpec:
     domain: str                       # "D1" | "D1+" | "half"
     exclusions: tuple[str, ...]
+    #: the argument map of both 2F1 factors, or of each factor in turn
     argument_ids: tuple[int, ...]
-    #: (p, x, s = sqrt(1 - x^2), sign, tol, fe) -> SeriesResult, where fe
-    #: evaluates the 2F1 factors (principal values, or cut limits).
-    evaluator: Callable[..., SeriesResult]
+    #: (nu, mu, x, s = sqrt(1 - x^2), sign) -> two terms (coefficient, a, b, c)
+    evaluator: Callable[..., list[tuple[complex, complex, complex, complex]]]
     sign: _Sign = _Sign.NONE
     convergence: Callable[[tuple[int, ...], _Arguments], tuple[bool, float]] = _series_convergence
+    #: the factors are 2F1(a, b; c; w) / Gamma(c)
+    regularized: bool = False
 
 
 _R = RepresentationId
@@ -562,7 +531,7 @@ _REP_TABLE: dict[RepresentationId, _RepSpec] = {
     _R.I4: _RepSpec("D1", ("mu_int", "numu_neg"), (4,), _eval_I4),
     _R.I5: _RepSpec("half", ("two_nu_int", "numu_nonpos"), (5,), _eval_I5, _Sign.HALFPLANE),
     _R.I6: _RepSpec("half", ("two_nu_int", "numu_nonpos"), (6,), _eval_I6, _Sign.HALFPLANE),
-    _R.I7: _RepSpec("D1", ("numu_int",), (1, 2), _eval_I7),
+    _R.I7: _RepSpec("D1", ("numu_int",), (1, 2), _eval_I7, regularized=True),
     _R.II1: _RepSpec("D1+", ("mu_int", "numu_neg"), (7,), _eval_II1),
     _R.II2: _RepSpec("half", ("nu_half_int", "numu_neg"), (8,), _eval_II2, _Sign.HALFPLANE),
     _R.II3: _RepSpec("D1", ("numu_neg",), (9,), _eval_II3),
@@ -577,8 +546,8 @@ _REP_TABLE: dict[RepresentationId, _RepSpec] = {
     _R.III3_LOWER: _RepSpec("D1+", ("two_mu_int", "numu_neg"), (16,), _eval_III3, _Sign.LOWER),
     # Both factors are continued by f21 (argument maps or ODE steps), so
     # the route radius, not |w|, decides convergence and preference.
-    _R.FOURIER_UV: _RepSpec("D1", ("numu_neg",), (14, 18), _eval_fourier_uv,
-                            convergence=_routed_convergence),
+    _R.FOURIER_UV: _RepSpec("D1", ("numu_neg",), (18, 14), _eval_fourier_uv,
+                            convergence=_routed_convergence, regularized=True),
 }
 
 
@@ -646,17 +615,41 @@ def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
             for rep, _, reason, region, pref in _scan(_exclusions(p), x)]
 
 
+def _interpret(spec: _RepSpec, p: ParamPair, x: complex, s: complex, sign: int,
+               tol: float, side: CutSide | None) -> SeriesResult:
+    """The one interpreter of the records: the argument of each 2F1 factor
+    from the record's map with root y = i s, then the evaluator's two terms,
+    then each factor by ``f21`` (``f21_regularized`` for a regularized
+    record), or by its limit ``f21_cut`` on the cut from ``side``."""
+    y = 1j * s
+    ws = [map_value(j, x, y) for j in spec.argument_ids]
+    parts = []
+    terms = spec.evaluator(p.nu, p.mu, x, s, sign)
+    for (coef, a, b, c), w in zip(terms, ws * (2 // len(ws))):  # one map: both factors
+        hp = HypParams(a, b, c)
+        if side is not None:
+            r = f21_cut(hp, w.real, side, tol)
+        elif spec.regularized:
+            r = f21_regularized(hp, w, tol)
+        else:
+            r = f21(hp, w, tol)
+        parts.append((coef, r))
+    return combine(parts)
+
+
 def _run(rep: RepresentationId, p: ParamPair, x: complex, s: complex, sign: int,
-         tol: float, fe: FEval) -> EvalOutcome:
-    """Run ``rep``'s evaluator; an ``ArithmeticError`` (an intermediate value
-    beyond double range) becomes a ``DomainError`` that names ``rep``."""
-    try:
-        r = _REP_TABLE[rep].evaluator(p, x, s, sign, tol, fe)
-    except ArithmeticError as exc:
-        raise DomainError(
-            f"representation {rep.value}: intermediate value beyond double range ({exc})"
-        ) from None
+         tol: float, side: CutSide | None = None) -> EvalOutcome:
+    """``rep`` at x, s = sqrt(1 - x^2), by ``_interpret`` under ``_guarded``."""
+    r = _guarded(f"representation {rep.value}", _interpret, _REP_TABLE[rep], p, x, s,
+                 sign, tol, side)
     return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
+
+
+def _sqrt_one_minus_sq(x: complex) -> complex:
+    """sqrt(1 - x^2); ``DomainError`` where x^2 is beyond double range."""
+    if not cmath.isfinite(x * x):
+        raise DomainError(f"x^2 is beyond double range at x = {x}")
+    return cmath.sqrt(1.0 - x * x)
 
 
 def _evaluate(rep: RepresentationId, p: ParamPair, x: complex, s: complex,
@@ -670,21 +663,21 @@ def _evaluate(rep: RepresentationId, p: ParamPair, x: complex, s: complex,
     bad = _check_domain(spec.domain, x)
     if bad is not None:
         raise DomainError(f"{bad} (representation {rep.value})")
-    return _run(rep, p, x, s, spec.sign.at(x), tol, _default_feval(tol))
+    return _run(rep, p, x, s, spec.sign.at(x), tol)
 
 
 def ferrers_q_rep(rep: RepresentationId, p: ParamPair, x: complex,
                   tol: float = DEFAULT_TOL) -> EvalOutcome:
     """Ferrers function of the second kind through one chosen representation.
 
-    Raises DomainError when x lies outside the representation's domain or an
-    intermediate value is beyond double range, and ParameterError naming the
-    violated predicate for excluded parameters.
+    Raises DomainError when x lies outside the representation's domain, or
+    x^2, the value or an intermediate value is beyond double range, and
+    ParameterError naming the violated predicate for excluded parameters.
     The convergence region is not enforced here: arguments beyond the unit
     disk are continued internally.
     """
     x = complex(x)
-    return _evaluate(rep, p, x, cmath.sqrt(1.0 - x * x), tol)
+    return _evaluate(rep, p, x, _sqrt_one_minus_sq(x), tol)
 
 
 def ferrers_q_rep_trig(rep: RepresentationId, p: ParamPair, theta: float,
@@ -712,13 +705,15 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     reports) evaluates the exclusion predicates once and each series
     argument at most once; the winner's evaluator then runs directly with
     s = sqrt(1 - x^2).  A candidate that raises a ``FerroxError`` (such as
-    a gamma ratio beyond double range, or any ``ArithmeticError``, which
-    ``_run`` maps to ``DomainError``) is skipped for the next one; when none
-    is left, ``NoRepresentationError`` maps every representation to the
-    reason it was not used."""
+    a gamma ratio beyond double range, or any ``ArithmeticError`` or
+    non-finite value, which ``_run`` maps to ``DomainError``) is skipped for
+    the next one; when none is left, ``NoRepresentationError`` maps every
+    representation to the reason it was not used (``DomainError`` at once
+    where x^2 is beyond double range)."""
     x = complex(x)
     if not in_domain(DomainId.D1, x):
         raise DomainError(f"x not in D1: {x}")
+    s = _sqrt_one_minus_sq(x)
     excluded = _exclusions(p)
     if "numu_neg" in excluded:
         raise ParameterError(
@@ -727,12 +722,10 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     # rows are in table order and sorted() is stable, so ties keep it.
     ranked = sorted((row for row in rows if row[2] is None and row[3]),
                     key=lambda row: row[4])
-    s = cmath.sqrt(1.0 - x * x)
-    fe = _default_feval(tol)
     failed = {}
     for rep, spec, _, _, _ in ranked:
         try:
-            return _run(rep, p, x, s, spec.sign.at(x), tol, fe)
+            return _run(rep, p, x, s, spec.sign.at(x), tol)
         except FerroxError as exc:
             failed[rep.value] = str(exc)
     reasons = {rep.value: "series argument has modulus >= 1 at x" if reason is None else reason
@@ -789,14 +782,10 @@ def ferrers_q_halfplane_cut(rep: RepresentationId, p: ParamPair, x: float,
             f"argument w_{j}({x}) = {w_on_axis} is not on the cut (1, inf)")
     w_probe = argument(j, complex(x, approach * 1e-8))
     side = CutSide.ABOVE if w_probe.imag > 0 else CutSide.BELOW
-
-    def fe(a, b, c, w):
-        return f21_cut(HypParams(a, b, c), complex(w).real, side, tol)
-
     # A subnormal imaginary part steers every prefactor power onto the branch
     # continued from the requested half-plane without perturbing its value.
     x_eval = complex(x, approach * 5e-324)
-    return _run(rep, p, x_eval, cmath.sqrt(1.0 - x_eval * x_eval), approach, tol, fe)
+    return _run(rep, p, x_eval, cmath.sqrt(1.0 - x_eval * x_eval), approach, tol, side)
 
 
 # ---------------------------------------------------------------------------
@@ -814,6 +803,7 @@ def connection_residuals(p: ParamPair, x: complex,
     if not in_domain(DomainId.D1, x):
         raise DomainError(f"x not in D1: {x}")
     nu, mu = p.nu, p.mu
+    excluded = _exclusions(p)
     out: list[tuple[str, float]] = []
     lhs = ferrers_q(p, x, tol).value
 
@@ -821,7 +811,7 @@ def connection_residuals(p: ParamPair, x: complex,
         return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0)
 
     # On-axis relation: (2/pi) sin(pi mu) Q = cos(pi mu) P(mu) - ratio P(-mu)
-    if not p.mu_is_integer():
+    if "mu_int" not in excluded:
         pm = ferrers_p(p, x, tol).value
         pmm = ferrers_p(ParamPair(nu, -mu), x, tol).value
         rhs = (math.pi / (2.0 * _sinpi(mu))
@@ -833,7 +823,7 @@ def connection_residuals(p: ParamPair, x: complex,
         return out
     upper = x.imag > 0.0
     tag = "upper" if upper else "lower"
-    q_val = legendre_q(p, x, tol).value if not p.nu_plus_mu_in_neg_n() else None
+    q_val = legendre_q(p, x, tol).value if "numu_neg" not in excluded else None
     p_val = legendre_p(p, x, tol).value
 
     if q_val is not None:
@@ -845,7 +835,7 @@ def connection_residuals(p: ParamPair, x: complex,
                    - 0.5j * math.pi * cmath.exp(-0.5j * math.pi * mu) * p_val)
         out.append((f"legendre_qp_{tag}", resid(rhs)))
 
-    if not p.mu_is_integer():
+    if "mu_int" not in excluded:
         pmm_val = legendre_p(ParamPair(nu, -mu), x, tol).value
         phase = cmath.exp(0.5j * math.pi * mu) if upper else cmath.exp(-0.5j * math.pi * mu)
         rhs = (0.5 * math.pi * _cospi(mu) / _sinpi(mu) * phase * p_val
@@ -853,10 +843,10 @@ def connection_residuals(p: ParamPair, x: complex,
                * gamma_quotient((nu + mu + 1.0,), (nu - mu + 1.0,)) * pmm_val)
         out.append((f"legendre_pp_{tag}", resid(rhs)))
 
-    if (q_val is not None and not p.nu_plus_half_is_integer()
+    if (q_val is not None and "nu_half_int" not in excluded
             and not near_int(mu - nu, NEAR_INT_TOL)):
         refl = ParamPair(-nu - 1.0, mu)
-        if not refl.nu_plus_mu_in_neg_n():
+        if not _exclusions(refl, ("numu_neg",)):
             q2_val = legendre_q(refl, x, tol).value
             t = _sinpi(mu - nu) / (2.0 * _cospi(nu))
             if upper:

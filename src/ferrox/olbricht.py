@@ -36,7 +36,7 @@ from .ferrers import (
     legendre_q_bold,
 )
 from .hyp2f1 import HypParams, f21
-from .regions import DomainId, argument, in_domain
+from .regions import DomainId, argument, in_domain, map_value
 
 __all__ = [
     "ALL_IDS",
@@ -88,6 +88,7 @@ class CatalogueEntry:
     prefactors: tuple[tuple[str, Affine], ...] = ()
     hyp: tuple[Affine, Affine, Affine] | None = None
     #: regions argument index for groups I/II, "w13".."w18" for group III
+    #: (the same maps, taken with the entry's root)
     argument: int | str | None = None
     #: evaluate as the referenced entry of the same group at -x
     reflect_of: int | None = None
@@ -109,16 +110,6 @@ _BASES: dict[str, Callable[[complex, complex | None], complex]] = {
     "x_minus_y": lambda x, y: x - y,
     "y_minus_x": lambda x, y: y - x,
 }
-
-_III_ARGS: dict[str, Callable[[complex, complex], complex]] = {
-    "w13": lambda x, y: (y - x) / (2.0 * y),
-    "w14": lambda x, y: (x - y) / (x + y),
-    "w15": lambda x, y: 2.0 * y / (y + x),
-    "w16": lambda x, y: 2.0 * y / (y - x),
-    "w17": lambda x, y: (y + x) / (2.0 * y),
-    "w18": lambda x, y: (x + y) / (x - y),
-}
-
 
 def _domain_ok(tag: str, x: complex) -> bool:
     if tag == "D1-offaxis":
@@ -366,7 +357,7 @@ def eval_olbricht(oid: OlbrichtId, p: ParamPair, x: complex,
         else:
             pref *= principal_pow(_BASES[tag](x, y), alpha)
     if isinstance(e.argument, str):
-        w = _III_ARGS[e.argument](x, y)
+        w = map_value(int(e.argument[1:]), x, y)
     else:
         w = argument(e.argument, x)
     a = _aff(e.hyp[0], nu, mu)

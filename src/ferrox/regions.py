@@ -33,6 +33,7 @@ __all__ = [
     "curve_w13",
     "in_domain",
     "in_region",
+    "map_value",
 ]
 
 
@@ -83,9 +84,11 @@ _SINGULAR = {
 
 
 def _criterion(x: complex, k: float) -> float:
-    """e^{k beta} cos(2 alpha) for x = cos(alpha + i beta), alpha in [0, pi]."""
+    """e^{k beta} cos(2 alpha) for x = cos(alpha + i beta), alpha in [0, pi].
+    e^{k beta} is capped at e^709, below the double maximum, which leaves
+    its comparison with 1/2 unchanged: |cos(2 alpha)| is never below 1e-17."""
     th = cmath.acos(x)
-    return math.exp(k * th.imag) * math.cos(2.0 * th.real)
+    return math.exp(min(k * th.imag, 709.0)) * math.cos(2.0 * th.real)
 
 
 class _Map(NamedTuple):
@@ -132,14 +135,29 @@ def _lookup(j: int, x: complex, root: RootVariant) -> _Map:
     return m
 
 
+def map_value(j: int, x: complex, y: complex | None) -> complex:
+    """w_j(x) with y the chosen root of x^2 - 1 (read by maps 13..18 only),
+    without the checks of ``argument``."""
+    return _MAPS[j].w(x, y)
+
+
 def argument(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> complex:
     """Evaluate the j-th hypergeometric argument map at x.
 
     The ``root`` choice matters only for j in 13..18; Y2 is accepted only for
-    the starred variants j in {13, 14}.
+    the starred variants j in {13, 14}.  Those six maps are ratios of x - y,
+    x + y and 2y, where (x - y)(x + y) = 1: at large |x| the smaller of x -+ y
+    cancels, to 0 from |x| of about 1e8 on.  From |x| = 50 on, where it has
+    lost four of its sixteen digits, they raise ``DomainError``.
     """
     x = complex(x)
-    return _lookup(j, x, root).w(x, root_y(root, x) if j > 12 else None)
+    m = _lookup(j, x, root)
+    if j <= 12:
+        return m.w(x, None)
+    y = root_y(root, x)
+    if abs(x) >= 50.0:
+        raise DomainError(f"w_{j} at x = {x}: x -+ sqrt(x^2 - 1) loses its digits")
+    return m.w(x, y)
 
 
 def in_region(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> bool:

@@ -243,6 +243,14 @@ class TestRegion:
         want = math.pi * 4.0 / 36.0
         assert abs(frac - want) < 0.02
 
+    def test_far_grid(self):
+        # |x| = 1.4e200 at the corners, beyond the range of e^{2 beta}
+        code, out = run_cli("region", "--re-min=-1e200", "--re-max=1e200", "--im-min=-1e200",
+                            "--im-max=1e200", "--nx", "2", "--ny", "2")
+        assert code == 0
+        rows = out.strip().split("\r\n")
+        assert len(rows) == 5 and all(len(r.split(",")) == 20 for r in rows)
+
     def test_pgm_requires_single_j(self):
         code, _ = run_cli("region", "--format", "pgm")
         assert code == 1

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import sys
 import threading
+from collections import Counter
 
 import mpmath as mp
 import pytest
@@ -257,29 +258,31 @@ class TestSecondKindRepresentations:
         with pytest.raises(DomainError, match=f"{rep.value}: .*beyond double range"):
             ferrers_q_rep(rep, p, x)
 
-    @pytest.mark.parametrize("rep", [
-        rep for rep, spec in ferrers._REP_TABLE.items() if len(spec.argument_ids) == 1])
-    def test_evaluator_arguments_match_table(self, rep):
-        # each 2F1 factor is evaluated at the argument map the record names
+    @pytest.mark.parametrize("rep", list(R))
+    def test_evaluator_arguments_match_table(self, rep, monkeypatch):
+        # each 2F1 factor is evaluated at an argument map the record names:
+        # both factors at its one map, or one factor at each of its two maps
         spec = ferrers._REP_TABLE[rep]
-        j = spec.argument_ids[0]
         seen = []
-        feval = ferrers._default_feval(1e-12)
 
-        def fe(a, b, c, w):
-            seen.append(w)
-            return feval(a, b, c, w)
+        def recording(f):
+            def evaluate(hp, w, tol):
+                seen.append(w)
+                return f(hp, w, tol)
+            return evaluate
 
+        monkeypatch.setattr(ferrers, "f21", recording(ferrers.f21))
+        monkeypatch.setattr(ferrers, "f21_regularized", recording(ferrers.f21_regularized))
         points = [x for x in (0.3, -0.45, 0.62, 0.85, 0.3 + 0.4j, -0.5 - 0.2j,
                               0.7 - 0.3j, 1.2 + 0.5j)
                   if ferrers._check_domain(spec.domain, x) is None]
         assert points
+        ids = spec.argument_ids * (2 // len(spec.argument_ids))
         for x in points:
             seen.clear()
-            x = complex(x)
-            spec.evaluator(ParamPair(0.3, 0.4), x, cmath.sqrt(1.0 - x * x),
-                           spec.sign.at(x), 1e-12, fe)
-            assert seen and all(w == argument(j, x) for w in seen), (x, seen)
+            ferrers_q_rep(rep, ParamPair(0.3, 0.4), x)
+            want = [argument(j, x) for j in ids]
+            assert Counter(seen) == Counter(want), (x, seen, want)
 
     def test_upper_and_lower_signs_agree(self):
         p = ParamPair(0.3, 0.4)
@@ -390,6 +393,55 @@ class TestDispatch:
         got, want = ferrers_q(p, x), ferrers_q(p, 0.0)
         assert got.rep is want.rep
         assert rel_diff(got.value, want.value) < 1e-15
+
+
+class TestBeyondDoubleRange:
+    # |x| from 1e2 to 1e300 in both half-planes.  Beyond about 1.3e154, x^2
+    # is not a double; from about 50 on, the square-root maps lose digits to
+    # cancellation and the scan takes group II instead.
+    LARGE_X = [cmath.rect(10.0 ** e, t) for e in (2, 4, 6, 8, 10, 30, 100, 153, 155, 200, 300)
+               for t in (0.5, 1.0, math.pi / 2, 2.9, -0.3, -2.0, -math.pi / 2)]
+
+    @pytest.mark.parametrize("nu,mu", [(0.3, 0.4), (1.7, -0.6), (-0.4 + 0.2j, 0.1 + 0.1j)])
+    def test_large_x_accurate_or_ferrox_error(self, nu, mu):
+        p = ParamPair(nu, mu)
+        returned = 0
+        for x in self.LARGE_X:
+            try:
+                got = ferrers_q(p, x).value
+            except FerroxError:
+                assert abs(x) > 1e154, x
+                continue
+            want = complex(mp.legenq(nu, mu, x, type=2))
+            assert rel_diff(got, want) < 1e-10, (x, got, want)
+            returned += 1
+        assert returned == 8 * 7
+
+    @pytest.mark.parametrize("call", [ferrers_q, lambda p, x: ferrers_q_rep(R.II3, p, x)],
+                             ids=["ferrers_q", "ferrers_q_rep"])
+    def test_x_squared_beyond_double_range(self, call):
+        with pytest.raises(DomainError, match="x\\^2 is beyond double range"):
+            call(ParamPair(0.3, 0.4 + 300j), 1e155j)
+
+    # each call used to raise a bare ZeroDivisionError or return NaN or inf
+    @pytest.mark.parametrize("call,label", [
+        (lambda: legendre_q_bold(ParamPair(300.3, 0.4), 0.01j), "legendre_q_bold"),
+        (lambda: legendre_q_bold(ParamPair(300.3, 0.4), 1e-3 + 1e-3j), "legendre_q_bold"),
+        (lambda: legendre_q(ParamPair(300.3, 0.4), 0.01j), "legendre_q_bold"),
+        (lambda: ferrers_p(ParamPair(400.5 + 1j, -0.3), 3 + 4j), "ferrers_p"),
+        (lambda: legendre_p(ParamPair(0.3, 0.4 + 300j), 0.01j), "legendre_p"),
+        (lambda: ferrers_q_rep(R.I5, ParamPair(300.3, 0.4), 0.5 + 0.5j), "I5"),
+    ], ids=["q_bold_0.01i", "q_bold_1e-3(1+i)", "q", "ferrers_p", "p", "I5"])
+    def test_non_finite_is_domain_error(self, call, label):
+        with pytest.raises(DomainError, match=f"{label}: .*beyond double range"):
+            call()
+
+    def test_dispatch_skips_non_finite_candidate(self):
+        # II6 wins the scan and returns NaN there; every other candidate
+        # overflows too, although the value (about 3e20) is a double
+        with pytest.raises(NoRepresentationError) as info:
+            ferrers_q(ParamPair(0.3, 0.4 + 300j), 3 + 4j)
+        assert "II6: intermediate value beyond double range" in info.value.reasons["II6"]
 
 
 class TestLimitOracle:

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 
 from conftest import kronecker_points
@@ -60,6 +61,21 @@ class TestArgumentMaps:
         # starred variants are fine
         assert abs(argument(14, 2.0, RootVariant.Y2)) < 1.0
 
+    def test_square_root_maps_refuse_cancellation(self):
+        # (x - y)(x + y) = 1: at |x| = 40 the smaller factor keeps about 12
+        # digits; from about 50 on the maps raise, and at 1e8i x - y is 0
+        x = 40.0 + 10.0j
+        with mp.workdps(40):
+            y = 1j * mp.sqrt(1 - mp.mpc(x) ** 2)
+            want = {13: (-x + y) / (2 * y), 14: (x - y) / (x + y), 15: 2 * y / (x + y),
+                    16: 2 * y / (-x + y), 17: (x + y) / (2 * y), 18: (x + y) / (x - y)}
+            for j, w in want.items():
+                assert abs(argument(j, x) - w) / abs(w) < 1e-11, j
+        for x in (60.0 + 10.0j, -1e3j, 1e8j, 1e200 + 1e200j):
+            for j in range(13, 19):
+                with pytest.raises(DomainError, match=f"w_{j} at x = .* loses its digits"):
+                    argument(j, x)
+
 
 class TestInRegion:
     def test_disk(self):
@@ -115,6 +131,22 @@ class TestInRegion:
             if count >= 1000:
                 break
         assert count >= 1000
+
+    def test_criterion_beyond_exp_range(self):
+        # e^{2 beta} overflows from |x| of about 1e154 on; the tests of maps
+        # 13, 15, 16 and 17 still agree with |w_j| < 1 (root Y1) computed
+        # with enough digits to survive the cancellation in x -+ y
+        for e in (100, 154, 155, 200, 300):
+            for t in (0.3, 1.2, 2.0, 2.9, -0.4, -1.6, -2.7):
+                x = cmath.rect(10.0 ** e, t)
+                with mp.workdps(2 * e + 30):
+                    xm = mp.mpc(x)
+                    y = 1j * mp.sqrt(1 - xm ** 2)
+                    w = {13: (y - xm) / (2 * y), 15: 2 * y / (xm + y),
+                         16: 2 * y / (y - xm), 17: (xm + y) / (2 * y)}
+                    for j, wj in w.items():
+                        assert in_region(j, x) == (abs(wj) < 1), (j, x)
+                assert classify(x).inside[13] == in_region(13, x)
 
 
 class TestConformalRanges:
