@@ -4,6 +4,7 @@ Subcommands:
 
 - ``eval``     evaluate the second-kind Ferrers function (JSON)
 - ``compare``  evaluate every valid representation and report the spread
+               (a row that raises carries its error instead of a value)
 - ``region``   sample convergence regions on a grid (CSV or PGM raster)
 - ``fourier``  partial sums of the cosine expansion plus convergence class
 - ``olbricht`` verify the catalogue of classical solutions (JSON report)
@@ -138,6 +139,10 @@ def _print_json(obj) -> None:
     sys.stdout.write(emit_json(obj) + "\n")
 
 
+def _error_json(exc: Exception) -> dict:
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 def _default_tol() -> float:
     raw = os.environ.get("FERROX_TOL")
     if raw is None:
@@ -188,11 +193,16 @@ def _cmd_compare(args) -> int:
         if not v.ok:
             row["reason"] = v.reason
         else:
-            out = ferrers_q_rep(v.rep, p, x, tol)
-            row["value"] = out.value
-            row["terms_used"] = out.terms_used
-            row["tail_estimate"] = out.tail_estimate
-            values.append(out.value)
+            try:
+                out = ferrers_q_rep(v.rep, p, x, tol)
+            except FerroxError as exc:
+                # one failing representation leaves the rest of the table
+                row.update(_error_json(exc))
+            else:
+                row["value"] = out.value
+                row["terms_used"] = out.terms_used
+                row["tail_estimate"] = out.tail_estimate
+                values.append(out.value)
         rows.append(row)
     spread = 0.0
     for i in range(len(values)):
@@ -423,7 +433,7 @@ def main(argv=None) -> int:
     except (FerroxError, ArithmeticError) as exc:
         # ArithmeticError: safety net for an overflow or division by zero
         # that no library check maps to a FerroxError.
-        _print_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        _print_json(_error_json(exc))
         return EXIT_MATH
 
 

@@ -9,7 +9,10 @@ square-root arguments with the branch i sqrt(1 - x^2) (group III, each with
 an upper-sign and a lower-sign form valid on the whole domain), and one
 two-sided form in u = x + i sqrt(1 - x^2) and v = 1/u.  ``ferrers_q`` picks
 a valid representation automatically, preferring the smallest argument
-modulus; ``ferrers_q_rep`` evaluates a chosen one.  Each entry is one record
+modulus: each call computes every argument once, ranks the entries that pass
+their parameter, domain and argument checks, and runs the closed-form region
+test only on the candidates it tries.  ``ferrers_q_rep`` evaluates a chosen
+representation, with the same checks.  Each entry is one record
 of domain, parameter exclusions, the ``regions`` argument map of each 2F1
 factor, whether the factors are regularized, evaluator and sign rule; the
 evaluator returns only the two terms (coefficient, a, b, c), and one
@@ -25,6 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .complexmath import (
@@ -53,7 +57,15 @@ from .hyp2f1 import (
     f21_regularized,
     route_radius,
 )
-from .regions import DomainId, argument, in_domain, in_region, map_value
+from .regions import (
+    DomainId,
+    argument,
+    in_domain,
+    in_region,
+    map_value,
+    map_values,
+    unusable_maps,
+)
 
 __all__ = [
     "EvalOutcome",
@@ -476,39 +488,6 @@ class _Sign(Enum):
         return self.value
 
 
-class _Arguments(dict):
-    """The region test |w_j(x)| < 1 and the argument w_j(x) at one x, as a
-    pair keyed by j; each pair is computed on first use."""
-
-    __slots__ = ("x",)
-
-    def __init__(self, x: complex):
-        super().__init__()
-        self.x = x
-
-    def __missing__(self, j: int) -> tuple[bool, complex]:
-        pair = self[j] = (in_region(j, self.x), argument(j, self.x))
-        return pair
-
-
-def _series_convergence(ids: tuple[int, ...], args: _Arguments) -> tuple[bool, float]:
-    """Whether every series argument w_j(x) lies in the unit disk, and the
-    largest |w_j(x)| as the preference score."""
-    if len(ids) == 1:  # every record but I7
-        inside, w = args[ids[0]]
-        return inside, abs(w)
-    pairs = [args[j] for j in ids]
-    return all([inside for inside, _ in pairs]), max([abs(w) for _, w in pairs])
-
-
-def _routed_convergence(ids: tuple[int, ...], args: _Arguments) -> tuple[bool, float]:
-    """As ``_series_convergence`` for factors that the 2F1 engine moves to a
-    smaller argument first: each argument counts by its route radius, and
-    the series converges where all of them are direct-series arguments."""
-    mods = [route_radius(args[j][1]) for j in ids]
-    return all(m < THETA_CUT for m in mods), max(mods)
-
-
 @dataclass(frozen=True)
 class _RepSpec:
     domain: str                       # "D1" | "D1+" | "half"
@@ -518,9 +497,11 @@ class _RepSpec:
     #: (nu, mu, x, s = sqrt(1 - x^2), sign) -> two terms (coefficient, a, b, c)
     evaluator: Callable[..., list[tuple[complex, complex, complex, complex]]]
     sign: _Sign = _Sign.NONE
-    convergence: Callable[[tuple[int, ...], _Arguments], tuple[bool, float]] = _series_convergence
     #: the factors are 2F1(a, b; c; w) / Gamma(c)
     regularized: bool = False
+    #: f21 moves each factor to a smaller argument first, so the route
+    #: radius, not |w|, decides convergence and preference
+    routed: bool = False
 
 
 _R = RepresentationId
@@ -544,10 +525,8 @@ _REP_TABLE: dict[RepresentationId, _RepSpec] = {
     _R.III2_LOWER: _RepSpec("D1", ("nu_half_int", "numu_neg"), (18,), _eval_III2, _Sign.LOWER),
     _R.III3_UPPER: _RepSpec("D1+", ("two_mu_int", "numu_neg"), (15,), _eval_III3, _Sign.UPPER),
     _R.III3_LOWER: _RepSpec("D1+", ("two_mu_int", "numu_neg"), (16,), _eval_III3, _Sign.LOWER),
-    # Both factors are continued by f21 (argument maps or ODE steps), so
-    # the route radius, not |w|, decides convergence and preference.
     _R.FOURIER_UV: _RepSpec("D1", ("numu_neg",), (18, 14), _eval_fourier_uv,
-                            convergence=_routed_convergence, regularized=True),
+                            regularized=True, routed=True),
 }
 
 
@@ -574,55 +553,88 @@ def _check_domain(domain: str, x: complex) -> str | None:
     return None
 
 
-#: One row of ``_scan``: (rep, spec, reason, region_ok, preference).
-_ScanRow = tuple[RepresentationId, _RepSpec, str | None, bool, float]
+def _check_maps(spec: _RepSpec, unusable: dict[int, str]) -> str | None:
+    """The reason ``unusable`` (``regions.unusable_maps`` at x) gives for the
+    first of ``spec``'s argument maps that it names."""
+    for j in spec.argument_ids:
+        if j in unusable:
+            return unusable[j]
+    return None
 
 
-def _scan(excluded: set[str], x: complex) -> list[_ScanRow]:
-    """One pass over the representation table at x, for parameters whose
-    exclusion predicates ``excluded`` holds (see ``_exclusions``).
+#: One row of ``_rank``: (rep, spec, reason, score).
+_Row = tuple[RepresentationId, _RepSpec, str | None, float]
+_SCORE = itemgetter(3)
 
-    Each domain rule is tested once, and each series argument and its region
-    test at most once.  A row's reason is None when the identity holds at
-    the point; then region_ok and preference come from the record's
-    convergence test, and otherwise they are False and inf."""
+
+def _rank(excluded: set[str], x: complex,
+          y: complex) -> tuple[list[_Row], dict[int, complex]]:
+    """Every record at x, in table order, for parameters whose exclusion
+    predicates ``excluded`` holds (see ``_exclusions``), and the arguments
+    w_j(x) with root y = i sqrt(1 - x^2), each computed once.
+
+    A row's reason is None when the identity holds at x and each argument
+    map of the record is usable there; such a row scores the largest
+    modulus of its arguments (route radius for a routed record), and the
+    other rows score inf.  The region test is left to ``_converges``, so
+    that ``ferrers_q`` runs it only on the candidates it tries."""
     domain_reason = {dom: _check_domain(dom, x) for dom in ("D1", "D1+", "half")}
-    args = _Arguments(x)
+    unusable = unusable_maps(x)
+    values = map_values(x, y, unusable)
     rows = []
     for rep, spec in _REP_TABLE.items():
-        reason = _check_params(spec, excluded) or domain_reason[spec.domain]
-        if reason is None:
-            try:
-                region, pref = spec.convergence(spec.argument_ids, args)
-            except DomainError as exc:
-                reason = str(exc)
-            else:
-                rows.append((rep, spec, None, region, pref))
-                continue
-        rows.append((rep, spec, reason, False, math.inf))
-    return rows
+        reason = domain_reason[spec.domain]
+        if excluded:
+            reason = _check_params(spec, excluded) or reason
+        if reason is None and unusable:
+            reason = _check_maps(spec, unusable)
+        if reason is not None:
+            rows.append((rep, spec, reason, math.inf))
+            continue
+        size = route_radius if spec.routed else abs
+        ids = spec.argument_ids  # one map but for I7 and FourierUV
+        score = size(values[ids[0]]) if len(ids) == 1 else max([size(values[j]) for j in ids])
+        rows.append((rep, spec, None, score))
+    return rows, values
+
+
+def _converges(spec: _RepSpec, x: complex, score: float) -> bool:
+    """Whether every series of ``spec`` converges at x, given the score of
+    its ``_rank`` row: each argument inside the closed-form region of its
+    map, or for a routed record every route radius below ``THETA_CUT``."""
+    if spec.routed:
+        return score < THETA_CUT
+    return all(in_region(j, x) for j in spec.argument_ids)
 
 
 def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
     """Per-representation validity at (p, x), in table order, with the
     reason for each rejection and the argument-modulus preference score.
 
-    This reports the same single scan of the table that ``ferrers_q`` ranks:
-    the exclusion predicates are evaluated once, and each series argument
-    and its region test at most once per x."""
+    These are the rows ``ferrers_q`` ranks: the exclusion predicates are
+    evaluated once and each argument once per call.  The region test runs
+    here on every row that passes, and in ``ferrers_q`` only on the
+    candidates it tries."""
     x = complex(x)
-    return [RepValidity(rep, reason is None, reason, region, pref)
-            for rep, _, reason, region, pref in _scan(_exclusions(p), x)]
+    rows, _ = _rank(_exclusions(p), x, 1j * cmath.sqrt(1.0 - x * x))
+    return [RepValidity(rep, reason is None, reason,
+                        reason is None and _converges(spec, x, score), score)
+            for rep, spec, reason, score in rows]
 
 
 def _interpret(spec: _RepSpec, p: ParamPair, x: complex, s: complex, sign: int,
-               tol: float, side: CutSide | None) -> SeriesResult:
+               tol: float, side: CutSide | None,
+               values: dict[int, complex] | None) -> SeriesResult:
     """The one interpreter of the records: the argument of each 2F1 factor
-    from the record's map with root y = i s, then the evaluator's two terms,
-    then each factor by ``f21`` (``f21_regularized`` for a regularized
-    record), or by its limit ``f21_cut`` on the cut from ``side``."""
-    y = 1j * s
-    ws = [map_value(j, x, y) for j in spec.argument_ids]
+    from the record's map (read from ``values`` when given, else computed
+    with root y = i s), then the evaluator's two terms, then each factor by
+    ``f21`` (``f21_regularized`` for a regularized record), or by its limit
+    ``f21_cut`` on the cut from ``side``."""
+    if values is None:
+        y = 1j * s
+        ws = [map_value(j, x, y) for j in spec.argument_ids]
+    else:
+        ws = [values[j] for j in spec.argument_ids]
     parts = []
     terms = spec.evaluator(p.nu, p.mu, x, s, sign)
     for (coef, a, b, c), w in zip(terms, ws * (2 // len(ws))):  # one map: both factors
@@ -638,10 +650,11 @@ def _interpret(spec: _RepSpec, p: ParamPair, x: complex, s: complex, sign: int,
 
 
 def _run(rep: RepresentationId, p: ParamPair, x: complex, s: complex, sign: int,
-         tol: float, side: CutSide | None = None) -> EvalOutcome:
+         tol: float, side: CutSide | None = None,
+         values: dict[int, complex] | None = None) -> EvalOutcome:
     """``rep`` at x, s = sqrt(1 - x^2), by ``_interpret`` under ``_guarded``."""
     r = _guarded(f"representation {rep.value}", _interpret, _REP_TABLE[rep], p, x, s,
-                 sign, tol, side)
+                 sign, tol, side, values)
     return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
 
 
@@ -652,17 +665,20 @@ def _sqrt_one_minus_sq(x: complex) -> complex:
     return cmath.sqrt(1.0 - x * x)
 
 
-def _evaluate(rep: RepresentationId, p: ParamPair, x: complex, s: complex,
-              tol: float) -> EvalOutcome:
-    """Check ``rep``'s parameter exclusions and domain at x, then evaluate it
-    with s = sqrt(1 - x^2)."""
+def _evaluate(rep: RepresentationId, p: ParamPair, x: complex, tol: float,
+              s: complex | None = None) -> EvalOutcome:
+    """Check ``rep``'s parameter exclusions, domain and argument maps at x,
+    with the reasons ``valid_representations`` gives, then evaluate it with
+    s = sqrt(1 - x^2), computed here unless given."""
     spec = _REP_TABLE[rep]
     bad = _check_params(spec, _exclusions(p, spec.exclusions))
     if bad is not None:
         raise ParameterError(f"{bad} excluded by representation {rep.value}")
-    bad = _check_domain(spec.domain, x)
+    bad = _check_domain(spec.domain, x) or _check_maps(spec, unusable_maps(x))
     if bad is not None:
         raise DomainError(f"{bad} (representation {rep.value})")
+    if s is None:
+        s = _sqrt_one_minus_sq(x)
     return _run(rep, p, x, s, spec.sign.at(x), tol)
 
 
@@ -670,14 +686,15 @@ def ferrers_q_rep(rep: RepresentationId, p: ParamPair, x: complex,
                   tol: float = DEFAULT_TOL) -> EvalOutcome:
     """Ferrers function of the second kind through one chosen representation.
 
-    Raises DomainError when x lies outside the representation's domain, or
+    Raises DomainError when x lies outside the representation's domain, an
+    argument map of the representation is unusable there (the square-root
+    maps lose their digits from |x| = 50 on, see ``regions.argument``), or
     x^2, the value or an intermediate value is beyond double range, and
     ParameterError naming the violated predicate for excluded parameters.
     The convergence region is not enforced here: arguments beyond the unit
     disk are continued internally.
     """
-    x = complex(x)
-    return _evaluate(rep, p, x, _sqrt_one_minus_sq(x), tol)
+    return _evaluate(rep, p, complex(x), tol)
 
 
 def ferrers_q_rep_trig(rep: RepresentationId, p: ParamPair, theta: float,
@@ -692,7 +709,7 @@ def ferrers_q_rep_trig(rep: RepresentationId, p: ParamPair, theta: float,
         raise DomainError(f"theta must lie in (0, pi); got {theta}")
     if _REP_TABLE[rep].sign not in (_Sign.UPPER, _Sign.LOWER):
         raise ValueError(f"{rep.value} has no trigonometric form")
-    return _evaluate(rep, p, complex(math.cos(theta)), complex(math.sin(theta)), tol)
+    return _evaluate(rep, p, complex(math.cos(theta)), tol, complex(math.sin(theta)))
 
 
 def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
@@ -701,15 +718,17 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     and whose series converges at x, the one with the smallest argument
     modulus wins (ties broken by table order).
 
-    One scan of the table per call (the one ``valid_representations``
-    reports) evaluates the exclusion predicates once and each series
-    argument at most once; the winner's evaluator then runs directly with
-    s = sqrt(1 - x^2).  A candidate that raises a ``FerroxError`` (such as
-    a gamma ratio beyond double range, or any ``ArithmeticError`` or
-    non-finite value, which ``_run`` maps to ``DomainError``) is skipped for
-    the next one; when none is left, ``NoRepresentationError`` maps every
-    representation to the reason it was not used (``DomainError`` at once
-    where x^2 is beyond double range)."""
+    The exclusion predicates are evaluated once per call, and every
+    argument once, by ``_rank`` (the rows ``valid_representations``
+    reports); the candidates are taken in order of their score, and the
+    closed-form region test runs only on the candidates tried.  The winner
+    then runs with the arguments already computed and s = sqrt(1 - x^2).
+    A candidate that raises a ``FerroxError`` (such as a gamma ratio beyond
+    double range, or any ``ArithmeticError`` or non-finite value, which
+    ``_run`` maps to ``DomainError``) is skipped for the next one; when none
+    is left, ``NoRepresentationError`` maps every representation to the
+    reason it was not used (``DomainError`` at once where x^2 is beyond
+    double range)."""
     x = complex(x)
     if not in_domain(DomainId.D1, x):
         raise DomainError(f"x not in D1: {x}")
@@ -718,18 +737,22 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     if "numu_neg" in excluded:
         raise ParameterError(
             f"Ferrers Q undefined for nu + mu = {p.nu + p.mu} in -N")
-    rows = _scan(excluded, x)
-    # rows are in table order and sorted() is stable, so ties keep it.
-    ranked = sorted((row for row in rows if row[2] is None and row[3]),
-                    key=lambda row: row[4])
-    failed = {}
-    for rep, spec, _, _, _ in ranked:
+    rows, values = _rank(excluded, x, 1j * s)
+    outside, failed = set(), {}
+    # sorted() is stable, so ties keep table order, and dropping the rows
+    # whose series diverges keeps the order of the rest: testing regions
+    # only as candidates are reached picks the winner and the fallbacks that
+    # testing every row first would.
+    for rep, spec, _, score in sorted([row for row in rows if row[2] is None], key=_SCORE):
+        if not _converges(spec, x, score):
+            outside.add(rep)
+            continue
         try:
-            return _run(rep, p, x, s, spec.sign.at(x), tol)
+            return _run(rep, p, x, s, spec.sign.at(x), tol, values=values)
         except FerroxError as exc:
             failed[rep.value] = str(exc)
-    reasons = {rep.value: "series argument has modulus >= 1 at x" if reason is None else reason
-               for rep, _, reason, region, _ in rows if reason is not None or not region}
+    reasons = {rep.value: reason or "series argument has modulus >= 1 at x"
+               for rep, _, reason, _ in rows if reason is not None or rep in outside}
     reasons.update(failed)
     raise NoRepresentationError(
         f"no valid representation at nu={p.nu}, mu={p.mu}, x={x}", reasons)

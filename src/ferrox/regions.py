@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, Container, NamedTuple
 
 from .complexmath import RootVariant, root_y
 from .errors import DomainError, SingularPointError
@@ -34,6 +34,8 @@ __all__ = [
     "in_domain",
     "in_region",
     "map_value",
+    "map_values",
+    "unusable_maps",
 ]
 
 
@@ -121,6 +123,15 @@ _MAPS: dict[int, _Map] = {
     18: _Map("+-1", lambda x, y: (x + y) / (x - y), lambda x: x.imag < 0.0),
 }
 ARGUMENT_COUNT = len(_MAPS)
+#: The maps singular where each ``_SINGULAR`` predicate holds.
+_SINGULAR_MAPS = {key: tuple(j for j, m in _MAPS.items() if m.singular == key)
+                  for key in _SINGULAR}
+
+
+#: The square-root maps 13..18 are refused from this |x| on (see ``argument``).
+_SQRT_MAPS_FAR = 50.0
+_SINGULAR_MESSAGE = "w_{j} singular at x = {key}"
+_FAR_MESSAGE = "w_{j} at x = {x}: x -+ sqrt(x^2 - 1) loses its digits"
 
 
 def _lookup(j: int, x: complex, root: RootVariant) -> _Map:
@@ -131,14 +142,33 @@ def _lookup(j: int, x: complex, root: RootVariant) -> _Map:
     if root is RootVariant.Y2 and j not in (13, 14):
         raise DomainError(f"root Y2 is only defined for arguments 13 and 14; got {j}")
     if m.singular is not None and _SINGULAR[m.singular](x):
-        raise SingularPointError(f"w_{j} singular at x = {m.singular}")
+        raise SingularPointError(_SINGULAR_MESSAGE.format(j=j, key=m.singular))
     return m
+
+
+def unusable_maps(x: complex) -> dict[int, str]:
+    """The maps that ``argument`` refuses at x with root Y1, each with the
+    message it raises: the maps singular at x and, from |x| = 50 on, the
+    square-root maps 13..18.  (On the real rays |x| > 1, where root Y1 is
+    undefined, ``argument`` refuses the maps 13..18 too.)"""
+    out = {j: _SINGULAR_MESSAGE.format(j=j, key=key)
+           for key, singular in _SINGULAR.items() if singular(x) for j in _SINGULAR_MAPS[key]}
+    if abs(x) >= _SQRT_MAPS_FAR:
+        for j in range(13, ARGUMENT_COUNT + 1):
+            out.setdefault(j, _FAR_MESSAGE.format(j=j, x=x))
+    return out
 
 
 def map_value(j: int, x: complex, y: complex | None) -> complex:
     """w_j(x) with y the chosen root of x^2 - 1 (read by maps 13..18 only),
     without the checks of ``argument``."""
     return _MAPS[j].w(x, y)
+
+
+def map_values(x: complex, y: complex, skip: Container[int]) -> dict[int, complex]:
+    """``map_value`` of every map j not in ``skip``; skipping
+    ``unusable_maps(x)`` leaves no division by zero."""
+    return {j: m.w(x, y) for j, m in _MAPS.items() if j not in skip}
 
 
 def argument(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> complex:
@@ -155,8 +185,8 @@ def argument(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> complex:
     if j <= 12:
         return m.w(x, None)
     y = root_y(root, x)
-    if abs(x) >= 50.0:
-        raise DomainError(f"w_{j} at x = {x}: x -+ sqrt(x^2 - 1) loses its digits")
+    if abs(x) >= _SQRT_MAPS_FAR:
+        raise DomainError(_FAR_MESSAGE.format(j=j, x=x))
     return m.w(x, y)
 
 

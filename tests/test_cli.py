@@ -21,7 +21,10 @@ def check_schema(obj, spec, schema=SCHEMA):
         if spec.startswith("$"):
             name = spec[1:]
             if name == "compare_row":
-                key = "compare_row_valid" if obj.get("valid") else "compare_row_invalid"
+                if "error" in obj:
+                    key = "compare_row_error"
+                else:
+                    key = "compare_row_valid" if obj.get("valid") else "compare_row_invalid"
                 return check_schema(obj, schema[key], schema)
             return check_schema(obj, schema[name], schema)
         if spec == "number":
@@ -171,14 +174,28 @@ class TestCompare:
         assert obj["rel_spread"] < 1e-8
 
     # the I4 row's 2F1 terms overflow at this degree; at x = 0.99 its
-    # prefactor power underflows to 0 and is divided by
+    # prefactor power underflows to 0 and is divided by.  The failing rows
+    # carry their error and the rest of the table still prints.
     @pytest.mark.parametrize("x,error", [("0.3+0.4i", "ConvergenceError"),
                                          ("0.99", "DomainError")])
-    def test_series_overflow_exit_2(self, x, error):
+    def test_failing_row_keeps_table(self, x, error):
         code, obj = run_cli_json("compare", "--nu", "300.3", "--mu", "0.4", "--x", x)
-        assert code == 2
-        check_schema(obj, SCHEMA["error"])
-        assert obj["error"]["type"] == error
+        assert code == 0
+        check_schema(obj, SCHEMA["compare"])
+        rows = {r["rep"]: r for r in obj["rows"]}
+        assert [r["rep"] for r in obj["rows"]] == [rep.value for rep in ferrox.RepresentationId]
+        assert rows["I4"]["valid"] is True
+        assert rows["I4"]["error"]["type"] == error
+        failed = [r for r in obj["rows"] if "error" in r]
+        values = [complex(r["value"]["re"], r["value"]["im"])
+                  for r in obj["rows"] if "value" in r]
+        assert len(values) >= 10
+        assert all(r["valid"] for r in failed)
+        assert sum(r["valid"] for r in obj["rows"]) == len(values) + len(failed)
+        # the spread is taken over the rows with values
+        want = max(2.0 * abs(a - b) / (abs(a) + abs(b))
+                   for i, a in enumerate(values) for b in values[i + 1:])
+        assert obj["rel_spread"] == want
 
     def test_integer_order_reasons(self):
         _, obj = run_cli_json("compare", "--nu", "0.3", "--mu", "1", "--x", "0.2")

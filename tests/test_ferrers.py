@@ -45,11 +45,14 @@ Q1_HALF = -0.7253469278329726    # 0.5 atanh(1/2) - 1
 GRID_NU = (0.3, 1.7, -0.4 + 0.2j)
 GRID_MU = (0.25, -0.6, 0.1 + 0.1j)
 GRID_X = (0.9, -0.9, 0.5, -0.5, 0.1, -0.1, 0.3 + 0.4j, 0.3 - 0.4j)
-# Dispatch points: the acceptance grid, two large degrees, x near +-1 and
-# one more complex x.
+# Dispatch points: the acceptance grid, large degrees, integer mu, nu + 1/2
+# an integer, nu + mu a positive integer, gamma ratios beyond double range;
+# x near +-1 (within 1e-3 on the real axis), one more complex x, |x| >= 50
+# (no square-root maps) and 1e-200i (x * x == 0: no maps 10 and 11).
 DISPATCH_P = ([(nu, mu) for nu in GRID_NU for mu in GRID_MU]
-              + [(40.3, 0.25), (120.7, -0.6)])
-DISPATCH_X = GRID_X + (0.99, -0.99, -0.7 + 0.2j)
+              + [(40.3, 0.25), (120.7, -0.6), (300.3, 0.4), (0.3, 1.0), (1.5, 0.25),
+                 (1.7, 0.3), (0.3, 0.4 + 300j)])
+DISPATCH_X = GRID_X + (0.99, -0.99, 0.9995, -0.9995, -0.7 + 0.2j, 60.0 + 80.0j, 1e-200j)
 THETA_REPS = (R.III1_UPPER, R.III1_LOWER, R.III2_UPPER,
               R.III2_LOWER, R.III3_UPPER, R.III3_LOWER)
 HALFPLANE_REPS = (R.I5, R.I6, R.II2, R.II4)
@@ -340,11 +343,30 @@ class TestDispatch:
     @pytest.mark.parametrize("x", DISPATCH_X)
     @pytest.mark.parametrize("nu,mu", DISPATCH_P)
     def test_winner_follows_valid_representations(self, nu, mu, x):
+        # the winner is the first candidate in that order that evaluates;
+        # when none does, ferrers_q raises NoRepresentationError
         p = ParamPair(nu, mu)
-        first = self._ranked(p, x)[0].rep
+        for v in self._ranked(p, x):
+            try:
+                want = ferrers_q_rep(v.rep, p, x)
+            except FerroxError:
+                continue
+            assert ferrers_q(p, x) == want
+            return
+        with pytest.raises(NoRepresentationError):
+            ferrers_q(p, x)
+
+    def test_raising_first_candidate_falls_to_next(self):
+        # Im mu = 300 puts I1's gamma ratios beyond double range; the next
+        # candidate in valid_representations order wins
+        p, x = ParamPair(0.3, 0.4 + 300j), 0.5
+        first, second = (v.rep for v in self._ranked(p, x)[:2])
+        assert first is R.I1
+        with pytest.raises(DomainError, match="I1: .*beyond double range"):
+            ferrers_q_rep(first, p, x)
         out = ferrers_q(p, x)
-        assert out.rep is first
-        assert out == ferrers_q_rep(first, p, x)
+        assert out.rep is second
+        assert out == ferrers_q_rep(second, p, x)
 
     def test_arithmetic_error_moves_to_next_candidate(self, monkeypatch):
         p, x = ParamPair(0.3, 0.4), 0.3 + 0.4j
@@ -386,6 +408,29 @@ class TestDispatch:
         assert want["III2Upper"] == "series argument has modulus >= 1 at x"
         assert want["I7"] == "forced failure"
 
+    def test_failure_reasons_at_large_x(self):
+        # every candidate overflows at this degree, and the square-root
+        # maps are not used from |x| = 50 on
+        p, x = ParamPair(300.3, 0.4), 60.0 + 80.0j
+        with pytest.raises(NoRepresentationError) as info:
+            ferrers_q(p, x)
+        reasons = info.value.reasons
+        assert len(reasons) == len(R)
+        for v in valid_representations(p, x):
+            if not v.ok:
+                assert reasons[v.rep.value] == v.reason
+            elif not v.region_ok:
+                assert reasons[v.rep.value] == "series argument has modulus >= 1 at x"
+            else:
+                with pytest.raises(FerroxError) as failure:
+                    ferrers_q_rep(v.rep, p, x)
+                assert reasons[v.rep.value] == str(failure.value)
+        for rep, j in [(R.III1_UPPER, 13), (R.III1_LOWER, 17), (R.III2_UPPER, 14),
+                       (R.III2_LOWER, 18), (R.III3_UPPER, 15), (R.III3_LOWER, 16),
+                       (R.FOURIER_UV, 18)]:
+            assert reasons[rep.value] == (
+                f"w_{j} at x = (60+80j): x -+ sqrt(x^2 - 1) loses its digits")
+
     @pytest.mark.parametrize("x", [1e-300j, 1e-170j])
     def test_tiny_imaginary_x_matches_origin(self, x):
         # x * x underflows to 0 here, so maps 10 and 11 are singular as at 0
@@ -416,6 +461,22 @@ class TestBeyondDoubleRange:
             assert rel_diff(got, want) < 1e-10, (x, got, want)
             returned += 1
         assert returned == 8 * 7
+
+    @pytest.mark.parametrize("rep", THETA_REPS + (R.FOURIER_UV,))
+    def test_forced_square_root_maps_refused(self, rep):
+        # forced, these records raise the reason valid_representations
+        # gives: their maps lose digits at every |x| >= 50 in their domain
+        p = ParamPair(-0.4 + 0.2j, 0.1 + 0.1j)
+        lost = 0
+        for x in self.LARGE_X:
+            reason = next(v.reason for v in valid_representations(p, x) if v.rep is rep)
+            with pytest.raises(DomainError) as info:
+                ferrers_q_rep(rep, p, x)
+            assert str(info.value) == f"{reason} (representation {rep.value})"
+            lost += reason.endswith("loses its digits")
+        in_rep_domain = sum(ferrers._check_domain(ferrers._REP_TABLE[rep].domain, x) is None
+                        for x in self.LARGE_X)
+        assert lost == in_rep_domain >= 5 * 11
 
     @pytest.mark.parametrize("call", [ferrers_q, lambda p, x: ferrers_q_rep(R.II3, p, x)],
                              ids=["ferrers_q", "ferrers_q_rep"])

@@ -16,6 +16,8 @@ from ferrox.regions import (
     curve_w13,
     in_domain,
     in_region,
+    map_values,
+    unusable_maps,
 )
 
 
@@ -75,6 +77,22 @@ class TestArgumentMaps:
             for j in range(13, 19):
                 with pytest.raises(DomainError, match=f"w_{j} at x = .* loses its digits"):
                     argument(j, x)
+
+    @pytest.mark.parametrize("x", [1.0, -1.0, 0.0, 1e-300j, 0.3 + 0.4j, -0.5,
+                                   40.0 + 10.0j, 60.0 + 10.0j, -1e3j, 1e200 + 1e200j])
+    def test_unusable_maps_are_those_argument_refuses(self, x):
+        x = complex(x)
+        unusable = unusable_maps(x)
+        values = map_values(x, 1j * cmath.sqrt(1.0 - x * x), unusable)
+        assert set(values) | set(unusable) == set(range(1, ARGUMENT_COUNT + 1))
+        for j in range(1, ARGUMENT_COUNT + 1):
+            if j in unusable:
+                assert j not in values
+                with pytest.raises(DomainError) as info:
+                    argument(j, x)
+                assert str(info.value) == unusable[j]
+            else:  # repr: NaN parts at 1e200(1 + i) compare equal too
+                assert repr(values[j]) == repr(argument(j, x))
 
 
 class TestInRegion:
