@@ -7,18 +7,17 @@ the representation table: seven series in the arguments (1 -+ x)/2 and their
 Moebius images (group I), six in x^2-type arguments (group II), six in
 square-root arguments with the branch i sqrt(1 - x^2) (group III, each with
 an upper-sign and a lower-sign form valid on the whole domain), and one
-two-sided form in u = x + i sqrt(1 - x^2) and v = 1/u.  ``ferrers_q`` picks
-a valid representation automatically, preferring the smallest argument
-modulus: each call computes every argument once, ranks the entries that pass
-their parameter, domain and argument checks, and runs the closed-form region
-test only on the candidates it tries.  ``ferrers_q_rep`` evaluates a chosen
-representation, with the same checks.  Each entry is one record
-of domain, parameter exclusions, the ``regions`` argument map of each 2F1
-factor, whether the factors are regularized, evaluator and sign rule; the
-evaluator returns only the two terms (coefficient, a, b, c), and one
-interpreter evaluates every record.  The theta-forms of group III
-(``ferrers_q_rep_trig``) run the same records at x = cos(theta).  A value
-beyond double range raises ``DomainError`` naming its function.
+two-sided form in u = x + i sqrt(1 - x^2) and v = 1/u.  Each entry is one
+record of domain, parameter exclusions, the ``regions`` argument map of each
+2F1 factor, whether the factors are regularized, evaluator and sign rule;
+the evaluator returns only the two terms (coefficient, a, b, c), and one
+interpreter evaluates every record.  One rule, ``_refusal``, decides whether
+a record may be used at (p, x): ``ferrers_q`` ranks the records it lets
+through by argument modulus and runs the region test only on the candidates
+it tries, ``valid_representations`` reports its reasons, and
+``ferrers_q_rep``, ``ferrers_q_rep_trig`` (the theta-forms of group III, at
+x = cos(theta)) and ``ferrers_q_halfplane_cut`` raise them.  A value beyond
+double range raises ``DomainError`` naming its function.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable
 
 from .complexmath import (
     NEAR_INT_TOL,
@@ -91,10 +89,11 @@ _SQRT_PI = math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class ParamPair:
-    """Degree nu and order mu.  The integer-exclusion predicates of the
-    representation table are the values of ``_EXCL_NAMES``: values within
-    1e-9 of an excluded integer count as excluded, since closer than that,
-    prefactors like 1/sin(pi mu) have no usable precision."""
+    """Degree nu and order mu.  The representation table excludes the
+    parameter sets named in ``_EXCL_NAMES``, which ``_exclusions`` decides
+    by one near-integer test each of mu, 2 mu, 2 nu, nu + 1/2 and nu + mu:
+    values within 1e-9 of an excluded integer count as excluded, since closer
+    than that, prefactors like 1/sin(pi mu) have no usable precision."""
 
     nu: complex
     mu: complex
@@ -209,7 +208,7 @@ def legendre_q(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcom
     z = complex(z)
     if not in_domain(DomainId.D2, z):
         raise DomainError(f"legendre_q requires z off (-inf, 1]; got {z}")
-    if "numu_neg" in _exclusions(p, ("numu_neg",)):
+    if "numu_neg" in _exclusions(p):
         raise ParameterError(f"legendre_q undefined for nu + mu = {p.nu + p.mu} in -N")
     bold = legendre_q_bold(p, z, tol)
     scale = cmath.exp(1j * math.pi * p.mu) * gamma_quotient((p.nu + p.mu + 1.0,), ())
@@ -439,6 +438,10 @@ def _eval_III3(nu, mu, x, s, sgn):
             (c2, 0.5 - mu, -nu - mu, 1.0 - 2.0 * mu)]
 
 
+def _fourier_uv_params(nu, mu):
+    return mu + 0.5, nu + mu + 1.0, nu + 1.5  # (a, b, c) of both factors
+
+
 def _eval_fourier_uv(nu, mu, x, s, sgn):
     u = x + 1j * s
     v = x - 1j * s
@@ -447,30 +450,39 @@ def _eval_fourier_uv(nu, mu, x, s, sgn):
            * gamma_quotient((nu + mu + 1.0,), ()))
     c1 = pre * principal_pow(u, nu + mu + 1.0)
     c2 = pre * principal_pow(v, nu + mu + 1.0)
-    return [(c1, mu + 0.5, nu + mu + 1.0, nu + 1.5),
-            (c2, mu + 0.5, nu + mu + 1.0, nu + 1.5)]
+    abc = _fourier_uv_params(nu, mu)
+    return [(c1, *abc), (c2, *abc)]
 
 
 # ---------------------------------------------------------------------------
 # Representation table: one record per representation
 # ---------------------------------------------------------------------------
 
-def _numu_int_in(p: ParamPair, lo: float, hi: float) -> bool:
-    """Whether nu + mu is (within NEAR_INT_TOL) an integer in [lo, hi]."""
-    s = p.nu + p.mu
-    return near_int(s, NEAR_INT_TOL) and lo <= round(s.real) <= hi
-
-
-_EXCL_NAMES: dict[str, tuple[str, Callable[[ParamPair], bool]]] = {
-    "mu_int": ("mu in Z", lambda p: near_int(p.mu, NEAR_INT_TOL)),
-    "two_mu_int": ("2 mu in Z", lambda p: near_int(2.0 * p.mu, NEAR_INT_TOL)),
-    "two_nu_int": ("2 nu in Z", lambda p: near_int(2.0 * p.nu, NEAR_INT_TOL)),
-    "nu_half_int": ("nu + 1/2 in Z", lambda p: near_int(p.nu + 0.5, NEAR_INT_TOL)),
-    "numu_int": ("nu + mu in Z", lambda p: near_int(p.nu + p.mu, NEAR_INT_TOL)),
-    "numu_neg": ("nu + mu in -N", lambda p: _numu_int_in(p, -math.inf, -1)),
-    "numu_nonpos": ("nu + mu in -N0", lambda p: _numu_int_in(p, -math.inf, 0)),
-    "numu_pos": ("nu + mu in N", lambda p: _numu_int_in(p, 1, math.inf)),
+#: Parameter exclusion key -> the label its refusal gives.
+_EXCL_NAMES = {
+    "mu_int": "mu in Z",
+    "two_mu_int": "2 mu in Z",
+    "two_nu_int": "2 nu in Z",
+    "nu_half_int": "nu + 1/2 in Z",
+    "numu_int": "nu + mu in Z",
+    "numu_neg": "nu + mu in -N",
+    "numu_nonpos": "nu + mu in -N0",
+    "numu_pos": "nu + mu in N",
 }
+
+
+def _exclusions(p: ParamPair) -> set[str]:
+    """The keys of ``_EXCL_NAMES`` that hold for p (see ``ParamPair``)."""
+    nu, mu = p.nu, p.mu
+    out = {key for key, z in (("mu_int", mu), ("two_mu_int", 2.0 * mu), ("two_nu_int", 2.0 * nu),
+                              ("nu_half_int", nu + 0.5), ("numu_int", nu + mu))
+           if near_int(z, NEAR_INT_TOL)}
+    if "numu_int" in out:
+        n = round((nu + mu).real)
+        out.add("numu_pos" if n > 0 else "numu_nonpos")
+        if n < 0:
+            out.add("numu_neg")
+    return out
 
 
 class _Sign(Enum):
@@ -499,9 +511,9 @@ class _RepSpec:
     sign: _Sign = _Sign.NONE
     #: the factors are 2F1(a, b; c; w) / Gamma(c)
     regularized: bool = False
-    #: f21 moves each factor to a smaller argument first, so the route
-    #: radius, not |w|, decides convergence and preference
-    routed: bool = False
+    #: (nu, mu) -> (a, b, c) of factors f21 moves to a smaller argument
+    #: first, so the route radius, not |w|, decides convergence and preference
+    routed: Callable[[complex, complex], tuple[complex, complex, complex]] | None = None
 
 
 _R = RepresentationId
@@ -526,117 +538,111 @@ _REP_TABLE: dict[RepresentationId, _RepSpec] = {
     _R.III3_UPPER: _RepSpec("D1+", ("two_mu_int", "numu_neg"), (15,), _eval_III3, _Sign.UPPER),
     _R.III3_LOWER: _RepSpec("D1+", ("two_mu_int", "numu_neg"), (16,), _eval_III3, _Sign.LOWER),
     _R.FOURIER_UV: _RepSpec("D1", ("numu_neg",), (18, 14), _eval_fourier_uv,
-                            regularized=True, routed=True),
+                            regularized=True, routed=_fourier_uv_params),
 }
 
 
-def _exclusions(p: ParamPair, keys: Iterable[str] = _EXCL_NAMES) -> set[str]:
-    """The exclusion keys among ``keys`` whose predicate holds for p."""
-    return {key for key in keys if _EXCL_NAMES[key][1](p)}
+def _outside(x: complex) -> dict[str, str | None]:
+    """Why x lies outside each record domain ("D1", "D1+", "half"), and
+    under "x^2" that x^2 is beyond double range; None where x passes."""
+    return {
+        "D1": None if in_domain(DomainId.D1, x) else "x not in D1",
+        "D1+": None if in_domain(DomainId.D1_PLUS, x) else "x not in D1 with Re x > 0",
+        "half": "x on the real axis (half-plane representation)" if x.imag == 0.0 else None,
+        "x^2": None if cmath.isfinite(x * x) else f"x^2 is beyond double range at x = {x}",
+    }
 
 
-def _check_params(spec: _RepSpec, excluded: set[str]) -> str | None:
-    """Label of the first of ``spec``'s exclusions that is in ``excluded``."""
+def _refusal(spec: _RepSpec, excluded: set[str], outside: dict[str, str | None],
+             unusable: dict[int, str]) -> tuple[type[FerroxError], str] | None:
+    """The one rule for whether ``spec`` may be used at x, given
+    ``_exclusions``, ``_outside`` and ``regions.unusable_maps`` there: None,
+    or (error type, reason) for its first excluded parameter set
+    (``ParameterError``), else x outside its domain, its first unusable map
+    or x^2 beyond double range (``DomainError``)."""
     for key in spec.exclusions:
         if key in excluded:
-            return _EXCL_NAMES[key][0]
-    return None
+            return ParameterError, _EXCL_NAMES[key]
+    reason = outside[spec.domain]
+    if reason is None:
+        reason = next((unusable[j] for j in spec.argument_ids if j in unusable), outside["x^2"])
+    return None if reason is None else (DomainError, reason)
 
 
-def _check_domain(domain: str, x: complex) -> str | None:
-    if domain == "D1":
-        return None if in_domain(DomainId.D1, x) else "x not in D1"
-    if domain == "D1+":
-        return None if in_domain(DomainId.D1_PLUS, x) else "x not in D1 with Re x > 0"
-    if complex(x).imag == 0.0:
-        return "x on the real axis (half-plane representation)"
-    return None
+def _check(rep: RepresentationId, p: ParamPair, x: complex, unusable: dict[int, str]) -> None:
+    """Raise ``rep``'s ``_refusal`` at (p, x), if it has one, with the reason
+    its ``valid_representations`` row gives; ``unusable`` are the maps taken
+    as unusable at x."""
+    refusal = _refusal(_REP_TABLE[rep], _exclusions(p), _outside(x), unusable)
+    kind, reason = refusal or (None, None)
+    if kind is ParameterError:
+        raise ParameterError(f"{reason} excluded by representation {rep.value}")
+    if kind is DomainError:
+        raise DomainError(f"{reason} (representation {rep.value})")
 
 
-def _check_maps(spec: _RepSpec, unusable: dict[int, str]) -> str | None:
-    """The reason ``unusable`` (``regions.unusable_maps`` at x) gives for the
-    first of ``spec``'s argument maps that it names."""
-    for j in spec.argument_ids:
-        if j in unusable:
-            return unusable[j]
-    return None
-
-
-#: One row of ``_rank``: (rep, spec, reason, score).
-_Row = tuple[RepresentationId, _RepSpec, str | None, float]
-_SCORE = itemgetter(3)
-
-
-def _rank(excluded: set[str], x: complex,
-          y: complex) -> tuple[list[_Row], dict[int, complex]]:
-    """Every record at x, in table order, for parameters whose exclusion
-    predicates ``excluded`` holds (see ``_exclusions``), and the arguments
-    w_j(x) with root y = i sqrt(1 - x^2), each computed once.
-
-    A row's reason is None when the identity holds at x and each argument
-    map of the record is usable there; such a row scores the largest
-    modulus of its arguments (route radius for a routed record), and the
-    other rows score inf.  The region test is left to ``_converges``, so
-    that ``ferrers_q`` runs it only on the candidates it tries."""
-    domain_reason = {dom: _check_domain(dom, x) for dom in ("D1", "D1+", "half")}
+def _rank(p: ParamPair, excluded: set[str], outside: dict[str, str | None], x: complex,
+          y: complex) -> list[tuple[RepresentationId, _RepSpec, str | None, float]]:
+    """Every record at x as (rep, spec, reason, score), in table order, with
+    the reason of its ``_refusal``; each argument w_j(x), root
+    y = i sqrt(1 - x^2), is computed once.  A usable record scores the
+    largest modulus of its arguments (route radius for a routed record), a
+    refused one inf.  The region test is left to ``_converges``, so that
+    ``ferrers_q`` runs it only on the candidates it tries."""
     unusable = unusable_maps(x)
     values = map_values(x, y, unusable)
+    # Nothing excluded, no unusable map and x^2 finite leave each record
+    # only its domain's reason: the common case calls no _refusal.
+    checked = excluded or unusable or outside["x^2"]
     rows = []
     for rep, spec in _REP_TABLE.items():
-        reason = domain_reason[spec.domain]
-        if excluded:
-            reason = _check_params(spec, excluded) or reason
-        if reason is None and unusable:
-            reason = _check_maps(spec, unusable)
+        if checked:
+            refusal = _refusal(spec, excluded, outside, unusable)
+            reason = None if refusal is None else refusal[1]
+        else:
+            reason = outside[spec.domain]
         if reason is not None:
             rows.append((rep, spec, reason, math.inf))
             continue
-        size = route_radius if spec.routed else abs
+        size = abs if spec.routed is None else functools.partial(
+            route_radius, HypParams(*spec.routed(p.nu, p.mu)))
         ids = spec.argument_ids  # one map but for I7 and FourierUV
         score = size(values[ids[0]]) if len(ids) == 1 else max([size(values[j]) for j in ids])
         rows.append((rep, spec, None, score))
-    return rows, values
+    return rows
 
 
 def _converges(spec: _RepSpec, x: complex, score: float) -> bool:
     """Whether every series of ``spec`` converges at x, given the score of
     its ``_rank`` row: each argument inside the closed-form region of its
     map, or for a routed record every route radius below ``THETA_CUT``."""
-    if spec.routed:
+    if spec.routed is not None:
         return score < THETA_CUT
     return all(in_region(j, x) for j in spec.argument_ids)
 
 
 def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
-    """Per-representation validity at (p, x), in table order, with the
-    reason for each rejection and the argument-modulus preference score.
-
-    These are the rows ``ferrers_q`` ranks: the exclusion predicates are
-    evaluated once and each argument once per call.  The region test runs
-    here on every row that passes, and in ``ferrers_q`` only on the
-    candidates it tries."""
+    """Per-representation validity at (p, x), in table order: the rows
+    ``ferrers_q`` ranks, each with the reason ``ferrers_q_rep`` refuses it
+    for and its argument-modulus preference score.  The region test runs on
+    every usable row."""
     x = complex(x)
-    rows, _ = _rank(_exclusions(p), x, 1j * cmath.sqrt(1.0 - x * x))
+    rows = _rank(p, _exclusions(p), _outside(x), x, 1j * cmath.sqrt(1.0 - x * x))
     return [RepValidity(rep, reason is None, reason,
                         reason is None and _converges(spec, x, score), score)
             for rep, spec, reason, score in rows]
 
 
-def _interpret(spec: _RepSpec, p: ParamPair, x: complex, s: complex, sign: int,
-               tol: float, side: CutSide | None,
-               values: dict[int, complex] | None) -> SeriesResult:
+def _interpret(spec: _RepSpec, p: ParamPair, x: complex, s: complex, tol: float,
+               side: CutSide | None) -> SeriesResult:
     """The one interpreter of the records: the argument of each 2F1 factor
-    from the record's map (read from ``values`` when given, else computed
-    with root y = i s), then the evaluator's two terms, then each factor by
-    ``f21`` (``f21_regularized`` for a regularized record), or by its limit
+    from the record's map with root y = i s, then the evaluator's two terms
+    with the record's sign at x, then each factor by ``f21``
+    (``f21_regularized`` for a regularized record), or by its limit
     ``f21_cut`` on the cut from ``side``."""
-    if values is None:
-        y = 1j * s
-        ws = [map_value(j, x, y) for j in spec.argument_ids]
-    else:
-        ws = [values[j] for j in spec.argument_ids]
+    ws = [map_value(j, x, 1j * s) for j in spec.argument_ids]
     parts = []
-    terms = spec.evaluator(p.nu, p.mu, x, s, sign)
+    terms = spec.evaluator(p.nu, p.mu, x, s, spec.sign.at(x))
     for (coef, a, b, c), w in zip(terms, ws * (2 // len(ws))):  # one map: both factors
         hp = HypParams(a, b, c)
         if side is not None:
@@ -649,52 +655,29 @@ def _interpret(spec: _RepSpec, p: ParamPair, x: complex, s: complex, sign: int,
     return combine(parts)
 
 
-def _run(rep: RepresentationId, p: ParamPair, x: complex, s: complex, sign: int,
-         tol: float, side: CutSide | None = None,
-         values: dict[int, complex] | None = None) -> EvalOutcome:
+def _run(rep: RepresentationId, p: ParamPair, x: complex, s: complex, tol: float,
+         side: CutSide | None = None) -> EvalOutcome:
     """``rep`` at x, s = sqrt(1 - x^2), by ``_interpret`` under ``_guarded``."""
     r = _guarded(f"representation {rep.value}", _interpret, _REP_TABLE[rep], p, x, s,
-                 sign, tol, side, values)
+                 tol, side)
     return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
-
-
-def _sqrt_one_minus_sq(x: complex) -> complex:
-    """sqrt(1 - x^2); ``DomainError`` where x^2 is beyond double range."""
-    if not cmath.isfinite(x * x):
-        raise DomainError(f"x^2 is beyond double range at x = {x}")
-    return cmath.sqrt(1.0 - x * x)
-
-
-def _evaluate(rep: RepresentationId, p: ParamPair, x: complex, tol: float,
-              s: complex | None = None) -> EvalOutcome:
-    """Check ``rep``'s parameter exclusions, domain and argument maps at x,
-    with the reasons ``valid_representations`` gives, then evaluate it with
-    s = sqrt(1 - x^2), computed here unless given."""
-    spec = _REP_TABLE[rep]
-    bad = _check_params(spec, _exclusions(p, spec.exclusions))
-    if bad is not None:
-        raise ParameterError(f"{bad} excluded by representation {rep.value}")
-    bad = _check_domain(spec.domain, x) or _check_maps(spec, unusable_maps(x))
-    if bad is not None:
-        raise DomainError(f"{bad} (representation {rep.value})")
-    if s is None:
-        s = _sqrt_one_minus_sq(x)
-    return _run(rep, p, x, s, spec.sign.at(x), tol)
 
 
 def ferrers_q_rep(rep: RepresentationId, p: ParamPair, x: complex,
                   tol: float = DEFAULT_TOL) -> EvalOutcome:
     """Ferrers function of the second kind through one chosen representation.
 
-    Raises DomainError when x lies outside the representation's domain, an
-    argument map of the representation is unusable there (the square-root
-    maps lose their digits from |x| = 50 on, see ``regions.argument``), or
-    x^2, the value or an intermediate value is beyond double range, and
-    ParameterError naming the violated predicate for excluded parameters.
-    The convergence region is not enforced here: arguments beyond the unit
-    disk are continued internally.
+    Raises, with the reason ``valid_representations`` gives, ParameterError
+    for excluded parameters and DomainError where x lies outside the
+    representation's domain, one of its argument maps is unusable (the
+    square-root maps lose their digits from |x| = 50 on, see
+    ``regions.argument``) or x^2 is beyond double range; DomainError too
+    where the value or an intermediate value is.  The convergence region is
+    not enforced: arguments beyond the unit disk are continued internally.
     """
-    return _evaluate(rep, p, complex(x), tol)
+    x = complex(x)
+    _check(rep, p, x, unusable_maps(x))
+    return _run(rep, p, x, cmath.sqrt(1.0 - x * x), tol)
 
 
 def ferrers_q_rep_trig(rep: RepresentationId, p: ParamPair, theta: float,
@@ -709,50 +692,50 @@ def ferrers_q_rep_trig(rep: RepresentationId, p: ParamPair, theta: float,
         raise DomainError(f"theta must lie in (0, pi); got {theta}")
     if _REP_TABLE[rep].sign not in (_Sign.UPPER, _Sign.LOWER):
         raise ValueError(f"{rep.value} has no trigonometric form")
-    return _evaluate(rep, p, complex(math.cos(theta)), tol, complex(math.sin(theta)))
+    x = complex(math.cos(theta))
+    _check(rep, p, x, unusable_maps(x))
+    return _run(rep, p, x, complex(math.sin(theta)), tol)
 
 
 def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
     """Ferrers function of the second kind, representation chosen
-    automatically: among the representations whose parameter predicates pass
-    and whose series converges at x, the one with the smallest argument
-    modulus wins (ties broken by table order).
-
-    The exclusion predicates are evaluated once per call, and every
-    argument once, by ``_rank`` (the rows ``valid_representations``
-    reports); the candidates are taken in order of their score, and the
-    closed-form region test runs only on the candidates tried.  The winner
-    then runs with the arguments already computed and s = sqrt(1 - x^2).
-    A candidate that raises a ``FerroxError`` (such as a gamma ratio beyond
-    double range, or any ``ArithmeticError`` or non-finite value, which
-    ``_run`` maps to ``DomainError``) is skipped for the next one; when none
-    is left, ``NoRepresentationError`` maps every representation to the
-    reason it was not used (``DomainError`` at once where x^2 is beyond
-    double range)."""
+    automatically: among the representations ``_refusal`` lets through whose
+    series converges at x, the one with the smallest argument modulus wins
+    (ties broken by table order).  ``_rank`` gives the rows
+    ``valid_representations`` reports, and the region test runs only on the
+    candidates tried.  A candidate that raises a ``FerroxError`` (such as a
+    gamma ratio beyond double range, or any ``ArithmeticError`` or non-finite
+    value, which ``_run`` maps to ``DomainError``) is skipped for the next
+    one; when none is left, ``NoRepresentationError`` maps every
+    representation to the reason it was not used (``DomainError`` at once
+    where x^2 is beyond double range)."""
     x = complex(x)
-    if not in_domain(DomainId.D1, x):
+    outside = _outside(x)
+    if outside["D1"] is not None:
         raise DomainError(f"x not in D1: {x}")
-    s = _sqrt_one_minus_sq(x)
+    if outside["x^2"] is not None:
+        raise DomainError(outside["x^2"])
+    s = cmath.sqrt(1.0 - x * x)
     excluded = _exclusions(p)
     if "numu_neg" in excluded:
         raise ParameterError(
             f"Ferrers Q undefined for nu + mu = {p.nu + p.mu} in -N")
-    rows, values = _rank(excluded, x, 1j * s)
-    outside, failed = set(), {}
+    rows = _rank(p, excluded, outside, x, 1j * s)
+    diverging, failed = set(), {}
     # sorted() is stable, so ties keep table order, and dropping the rows
     # whose series diverges keeps the order of the rest: testing regions
     # only as candidates are reached picks the winner and the fallbacks that
     # testing every row first would.
-    for rep, spec, _, score in sorted([row for row in rows if row[2] is None], key=_SCORE):
+    for rep, spec, _, score in sorted([r for r in rows if r[2] is None], key=lambda r: r[3]):
         if not _converges(spec, x, score):
-            outside.add(rep)
+            diverging.add(rep)
             continue
         try:
-            return _run(rep, p, x, s, spec.sign.at(x), tol, values=values)
+            return _run(rep, p, x, s, tol)
         except FerroxError as exc:
             failed[rep.value] = str(exc)
     reasons = {rep.value: reason or "series argument has modulus >= 1 at x"
-               for rep, _, reason, _ in rows if reason is not None or rep in outside}
+               for rep, _, reason, _ in rows if reason is not None or rep in diverging}
     reasons.update(failed)
     raise NoRepresentationError(
         f"no valid representation at nu={p.nu}, mu={p.mu}, x={x}", reasons)
@@ -794,10 +777,13 @@ def ferrers_q_halfplane_cut(rep: RepresentationId, p: ParamPair, x: float,
         raise DomainError(f"cut evaluation requires real x in (-1, 1); got {x}")
     if approach not in (+1, -1):
         raise ValueError("approach must be +1 or -1")
-    bad = _check_params(spec, _exclusions(p, spec.exclusions))
-    if bad is not None:
-        raise ParameterError(f"{bad} excluded by representation {rep.value}")
     x = float(x)
+    # A subnormal imaginary part steers every prefactor power onto the branch
+    # continued from the requested half-plane without perturbing its value;
+    # there only excluded parameters refuse the record (its map is checked
+    # on the axis).
+    x_eval = complex(x, approach * 5e-324)
+    _check(rep, p, x_eval, {})
     j = spec.argument_ids[0]
     w_on_axis = argument(j, x)
     if not (w_on_axis.imag == 0.0 and w_on_axis.real > 1.0):
@@ -805,10 +791,7 @@ def ferrers_q_halfplane_cut(rep: RepresentationId, p: ParamPair, x: float,
             f"argument w_{j}({x}) = {w_on_axis} is not on the cut (1, inf)")
     w_probe = argument(j, complex(x, approach * 1e-8))
     side = CutSide.ABOVE if w_probe.imag > 0 else CutSide.BELOW
-    # A subnormal imaginary part steers every prefactor power onto the branch
-    # continued from the requested half-plane without perturbing its value.
-    x_eval = complex(x, approach * 5e-324)
-    return _run(rep, p, x_eval, cmath.sqrt(1.0 - x_eval * x_eval), approach, tol, side)
+    return _run(rep, p, x_eval, cmath.sqrt(1.0 - x_eval * x_eval), tol, side)
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +852,7 @@ def connection_residuals(p: ParamPair, x: complex,
     if (q_val is not None and "nu_half_int" not in excluded
             and not near_int(mu - nu, NEAR_INT_TOL)):
         refl = ParamPair(-nu - 1.0, mu)
-        if not _exclusions(refl, ("numu_neg",)):
+        if "numu_neg" not in _exclusions(refl):
             q2_val = legendre_q(refl, x, tol).value
             t = _sinpi(mu - nu) / (2.0 * _cospi(nu))
             if upper:

@@ -307,12 +307,21 @@ def _connect(k: _Connection, p: HypParams, w: complex, tol: float,
     return combine(parts)
 
 
-def route_radius(w: complex) -> float:
-    """Series-argument modulus of f21's first choice at w when a - b is off
-    the integers: the least of |w|, |w/(w-1)| and 1/|w|."""
+def _first_route(p: HypParams, w: complex) -> tuple[float, str | _Connection]:
+    """f21's first choice at w off the cut, with the modulus of its series
+    argument: the least of w, w/(w-1) (Pfaff) and, when a - b is off the
+    integers, 1/w."""
     r = abs(w)
-    out = min(r, abs(w / (w - 1.0))) if w != 1.0 else r
-    return min(out, 1.0 / r) if r > 0 else out
+    pfaff = abs(w / (w - 1.0))
+    radius, route = (pfaff, "pfaff") if pfaff < r else (r, "direct")
+    if r > 1.0 and 1.0 / r < radius and _CONNECTIONS[1].usable(p):
+        return 1.0 / r, _CONNECTIONS[1]
+    return radius, route
+
+
+def route_radius(p: HypParams, w: complex) -> float:
+    """Series-argument modulus of f21's first choice at w off the cut."""
+    return _first_route(p, w)[0]
 
 
 def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
@@ -329,11 +338,7 @@ def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
     if _nonpos_index(p.c) is not None:
         raise ParameterError(f"2F1 undefined for c = {p.c} in 0, -1, -2, ...")
 
-    r_direct = abs(w)
-    routes = [(r_direct, "direct"), (abs(w / (w - 1.0)), "pfaff")]
-    if r_direct > 1.0 and _CONNECTIONS[1].usable(p):
-        routes.append((1.0 / r_direct, _CONNECTIONS[1]))
-    radius, route = min(routes, key=lambda t: t[0])
+    radius, route = _first_route(p, w)
     if radius > THETA_CUT:
         routes = [(abs(k.arg(w)), k) for k in map(_CONNECTIONS.get, (2, 3, 4)) if k.usable(p)]
         radius, route = min(routes, key=lambda t: t[0], default=(radius, route))

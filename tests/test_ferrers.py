@@ -9,7 +9,7 @@ import mpmath as mp
 import pytest
 
 from conftest import kronecker_points, rel_diff
-from ferrox import ferrers
+from ferrox import ferrers, hyp2f1
 from ferrox.complexmath import ln_gamma
 from ferrox.errors import (
     ConvergenceError,
@@ -35,7 +35,7 @@ from ferrox.ferrers import (
     valid_representations,
 )
 from ferrox.hyp2f1 import HypParams, f21
-from ferrox.regions import argument
+from ferrox.regions import DomainId, argument, in_domain
 
 mp.mp.dps = 30
 
@@ -276,14 +276,15 @@ class TestSecondKindRepresentations:
 
         monkeypatch.setattr(ferrers, "f21", recording(ferrers.f21))
         monkeypatch.setattr(ferrers, "f21_regularized", recording(ferrers.f21_regularized))
+        p = ParamPair(0.3, 0.4)
         points = [x for x in (0.3, -0.45, 0.62, 0.85, 0.3 + 0.4j, -0.5 - 0.2j,
                               0.7 - 0.3j, 1.2 + 0.5j)
-                  if ferrers._check_domain(spec.domain, x) is None]
+                  if next(v.ok for v in valid_representations(p, x) if v.rep is rep)]
         assert points
         ids = spec.argument_ids * (2 // len(spec.argument_ids))
         for x in points:
             seen.clear()
-            ferrers_q_rep(rep, ParamPair(0.3, 0.4), x)
+            ferrers_q_rep(rep, p, x)
             want = [argument(j, x) for j in ids]
             assert Counter(seen) == Counter(want), (x, seen, want)
 
@@ -431,6 +432,29 @@ class TestDispatch:
             assert reasons[rep.value] == (
                 f"w_{j} at x = (60+80j): x -+ sqrt(x^2 - 1) loses its digits")
 
+    @pytest.mark.parametrize("nu", [-0.5, 0.5, 2.5])
+    def test_fourier_uv_ranked_by_route_taken(self, nu, monkeypatch):
+        # a - b = -(nu + 1/2) is an integer, so f21 does not take the 1/w
+        # route for FourierUV's factors; ranked as if it did, FourierUV would
+        # win most of this grid and reach its value by ODE continuation
+        continued, continue_along = [], hyp2f1._continue_along
+
+        def recording(*args):
+            continued.append(args)
+            return continue_along(*args)
+
+        monkeypatch.setattr(hyp2f1, "_continue_along", recording)
+        p = ParamPair(nu, 0.25)
+        grid = [k / 10 for k in range(-12, 13)]
+        points = [complex(re, im) for re in grid for im in grid if im or abs(re) < 1.0]
+        assert len(points) == 619
+        with mp.workdps(20):
+            for x in points:
+                got = ferrers_q(p, x).value
+                want = complex(mp.legenq(nu, 0.25, x, type=2))
+                assert rel_diff(got, want) < 2e-12, (x, got, want)
+        assert not continued
+
     @pytest.mark.parametrize("x", [1e-300j, 1e-170j])
     def test_tiny_imaginary_x_matches_origin(self, x):
         # x * x underflows to 0 here, so maps 10 and 11 are singular as at 0
@@ -474,8 +498,8 @@ class TestBeyondDoubleRange:
                 ferrers_q_rep(rep, p, x)
             assert str(info.value) == f"{reason} (representation {rep.value})"
             lost += reason.endswith("loses its digits")
-        in_rep_domain = sum(ferrers._check_domain(ferrers._REP_TABLE[rep].domain, x) is None
-                        for x in self.LARGE_X)
+        domain = DomainId.D1_PLUS if rep in (R.III3_UPPER, R.III3_LOWER) else DomainId.D1
+        in_rep_domain = sum(in_domain(domain, x) for x in self.LARGE_X)
         assert lost == in_rep_domain >= 5 * 11
 
     @pytest.mark.parametrize("call", [ferrers_q, lambda p, x: ferrers_q_rep(R.II3, p, x)],
@@ -483,6 +507,23 @@ class TestBeyondDoubleRange:
     def test_x_squared_beyond_double_range(self, call):
         with pytest.raises(DomainError, match="x\\^2 is beyond double range"):
             call(ParamPair(0.3, 0.4 + 300j), 1e155j)
+
+    @pytest.mark.parametrize("x", [1e200j, 3e160 + 1e160j])
+    def test_rows_invalid_where_x_squared_is_beyond_double_range(self, x):
+        # each row gives the reason ferrers_q_rep refuses it for; the records
+        # whose maps are usable give the x^2 reason
+        p = ParamPair(0.3, 0.4)
+        rows = valid_representations(p, x)
+        assert not any(v.ok or v.region_ok for v in rows)
+        assert all(v.preference == math.inf for v in rows)
+        beyond = [v for v in rows if v.reason == f"x^2 is beyond double range at x = {x}"]
+        assert {v.rep for v in beyond} >= {R.I1, R.I7, R.II3, R.II6}
+        for v in rows:
+            with pytest.raises(DomainError) as info:
+                ferrers_q_rep(v.rep, p, x)
+            assert str(info.value) == f"{v.reason} (representation {v.rep.value})"
+        with pytest.raises(DomainError, match="x\\^2 is beyond double range"):
+            ferrers_q(p, x)
 
     # each call used to raise a bare ZeroDivisionError or return NaN or inf
     @pytest.mark.parametrize("call,label", [
@@ -503,6 +544,63 @@ class TestBeyondDoubleRange:
         with pytest.raises(NoRepresentationError) as info:
             ferrers_q(ParamPair(0.3, 0.4 + 300j), 3 + 4j)
         assert "II6: intermediate value beyond double range" in info.value.reasons["II6"]
+
+
+class TestRefusal:
+    # Excluded parameter sets: integer mu, 2 mu, 2 nu and nu + 1/2, and
+    # nu + mu in -N, in N and 0; then a pair with nothing excluded.
+    PARAMS = [(0.3, 1.0), (0.3, 0.5), (1.0, 0.3), (0.5, 0.25), (-2.3, 0.3), (1.7, 0.3),
+              (-0.3, 0.3), (0.3, 0.4)]
+    # The real axis inside and outside [-1, 1], Re x <= 0, |x| >= 50, x * x
+    # underflowing or beyond double range, and x within 1e-3 of +-1.
+    POINTS = [0.3, -0.6, 0.0, 1.5, -3.0, -0.5 + 0.3j, -0.2 - 0.4j, 0.3j, 60.0 + 80.0j,
+              -40.0 + 40.0j, 1e-170j, 1e200j, 1 + 5e-4j, -1 - 8e-4j, 0.9995, -0.9995]
+
+    #: The row reasons that name an excluded parameter set.
+    PARAMETER_REASONS = {"mu in Z", "2 mu in Z", "2 nu in Z", "nu + 1/2 in Z", "nu + mu in Z",
+                         "nu + mu in -N", "nu + mu in -N0", "nu + mu in N"}
+
+    @pytest.mark.parametrize("nu,mu", PARAMS)
+    def test_rows_and_forced_calls_agree(self, nu, mu, monkeypatch):
+        # a row's reason is what ferrers_q_rep raises; an ok row is never
+        # refused: its call reaches the evaluator, which here raises Reached
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        for rep, spec in ferrers._REP_TABLE.items():
+            monkeypatch.setitem(ferrers._REP_TABLE, rep,
+                                dataclasses.replace(spec, evaluator=reached))
+        p = ParamPair(nu, mu)
+        for x in self.POINTS:
+            for v in valid_representations(p, x):
+                if v.reason in self.PARAMETER_REASONS:
+                    with pytest.raises(ParameterError) as info:
+                        ferrers_q_rep(v.rep, p, x)
+                    assert str(info.value) == (
+                        f"{v.reason} excluded by representation {v.rep.value}")
+                elif v.reason is not None:
+                    with pytest.raises(DomainError) as info:
+                        ferrers_q_rep(v.rep, p, x)
+                    assert str(info.value) == f"{v.reason} (representation {v.rep.value})"
+                else:
+                    with pytest.raises(Reached):
+                        ferrers_q_rep(v.rep, p, x)
+
+    @pytest.mark.parametrize("nu,mu", PARAMS)
+    @pytest.mark.parametrize("rep", HALFPLANE_REPS)
+    def test_halfplane_cut_refuses_as_rows_do(self, rep, nu, mu):
+        # on the cut the record's parameter refusal is that of its rows
+        p = ParamPair(nu, mu)
+        reason = next(v.reason for v in valid_representations(p, 0.3 + 0.2j) if v.rep is rep)
+        if reason is None:
+            assert cmath.isfinite(ferrers_q_halfplane_cut(rep, p, 0.3).value)
+        else:
+            with pytest.raises(ParameterError) as info:
+                ferrers_q_halfplane_cut(rep, p, 0.3)
+            assert str(info.value) == f"{reason} excluded by representation {rep.value}"
 
 
 class TestLimitOracle:

@@ -22,6 +22,7 @@ from ferrox.hyp2f1 import (
     f21_cut_via,
     f21_regularized,
     f21_series,
+    route_radius,
 )
 
 
@@ -180,6 +181,12 @@ class TestConnectionRoutes:
         for p in ROUTE_PARAMS:
             assert mp_rel_err(f21(p, w).value, p, w) <= 1e-12
         assert ode_targets == [w] * len(ROUTE_PARAMS)
+
+    @pytest.mark.parametrize("a,radius", [(1.1, 1.0 / 3.0), (1.25, 0.75), (1.255, 0.75)])
+    def test_route_radius_is_first_choice(self, a, radius):
+        # at w = -3 the first choice is 1/w when a - b is CONNECTION_GAP off
+        # the integers, else Pfaff's w/(w-1)
+        assert route_radius(HypParams(a, 0.25, 1.4), -3.0) == pytest.approx(radius)
 
 
 EULER_SAMPLES = [
