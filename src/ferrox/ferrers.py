@@ -9,15 +9,21 @@ square-root arguments with the branch i sqrt(1 - x^2) (group III, each with
 an upper-sign and a lower-sign form valid on the whole domain), and one
 two-sided form in u = x + i sqrt(1 - x^2) and v = 1/u.  Each entry is one
 record of domain, parameter exclusions, the ``regions`` argument map of each
-2F1 factor, whether the factors are regularized, evaluator and sign rule;
-the evaluator returns only the two terms (coefficient, a, b, c), and one
-interpreter evaluates every record.  One rule, ``_refusal``, decides whether
-a record may be used at (p, x): ``ferrers_q`` ranks the records it lets
-through by argument modulus and runs the region test only on the candidates
-it tries, ``valid_representations`` reports its reasons, and
-``ferrers_q_rep``, ``ferrers_q_rep_trig`` (the theta-forms of group III, at
-x = cos(theta)) and ``ferrers_q_halfplane_cut`` raise them.  A value beyond
-double range raises ``DomainError`` naming its function.
+2F1 factor, whether the factors are regularized, sign rule and its two
+terms as data: (a, b, c) and a ``Coefficient`` record (constant, gamma
+numerators and denominators, powers of named x-bases, phase, cos/sin
+factors), all affine in (nu, mu).  One interpreter evaluates every record,
+and one, ``_coefficient``, every coefficient, here and in the catalogue of
+``olbricht``: it sums the log-gammas, powers and phase and exponentiates
+once.  One rule, ``_refusal``, decides whether a record may be used at
+(p, x): ``ferrers_q`` ranks the records it lets through by argument modulus
+and runs the region test only on the candidates it tries,
+``valid_representations`` reports its reasons, and ``ferrers_q_rep``,
+``ferrers_q_rep_trig`` (the theta-forms of group III, at x = cos(theta))
+and ``ferrers_q_halfplane_cut`` raise them.  A value beyond double range
+raises ``DomainError`` naming its function.  A NaN argument lies in no
+domain, so it raises ``DomainError`` before any series is summed; a
+non-finite nu or mu raises ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -25,16 +31,17 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .complexmath import (
     NEAR_INT_TOL,
     gamma_quotient,
+    is_nonpos_int,
+    ln_gamma,
     near_int,
     principal_pow,
-    rgamma,
     z2m1_pow,
 )
 from .errors import (
@@ -85,6 +92,7 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_LN_PI = math.log(math.pi)
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,8 @@ class ParamPair:
     parameter sets named in ``_EXCL_NAMES``, which ``_exclusions`` decides
     by one near-integer test each of mu, 2 mu, 2 nu, nu + 1/2 and nu + mu:
     values within 1e-9 of an excluded integer count as excluded, since closer
-    than that, prefactors like 1/sin(pi mu) have no usable precision."""
+    than that, prefactors like 1/sin(pi mu) have no usable precision.  A
+    non-finite nu or mu raises ``ParameterError``."""
 
     nu: complex
     mu: complex
@@ -101,6 +110,8 @@ class ParamPair:
     def __post_init__(self):
         object.__setattr__(self, "nu", complex(self.nu))
         object.__setattr__(self, "mu", complex(self.mu))
+        if not (cmath.isfinite(self.nu) and cmath.isfinite(self.mu)):
+            raise ParameterError(f"nu and mu must be finite; got nu={self.nu}, mu={self.mu}")
 
 
 class RepresentationId(Enum):
@@ -245,213 +256,106 @@ def ferrers_p(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
 
 
 # ---------------------------------------------------------------------------
-# The individual second-kind representations.  Every evaluator takes
-# (nu, mu, x, s, sgn), s = sqrt(1 - x^2) and sgn the representation's sign
-# (see _Sign), and returns its two terms as (coefficient, a, b, c); the
-# record names the argument map of each 2F1 factor and whether it is
-# regularized, and ``_interpret`` evaluates the factors.
+# Coefficients as data, affine in (nu, mu); ``_coefficient`` interprets them
+# here and for the catalogue of ``olbricht``.
 # ---------------------------------------------------------------------------
 
-def _eval_I1(nu, mu, x, s, sgn):
-    k = math.pi / (2.0 * _sinpi(mu))
-    pw = principal_pow((1.0 + x) / (1.0 - x), 0.5 * mu)
-    c1 = k * _cospi(mu) * rgamma(1.0 - mu) * pw
-    c2 = -k * gamma_quotient((nu + mu + 1.0,), (mu + 1.0, nu - mu + 1.0)) / pw
-    return [(c1, -nu, nu + 1.0, 1.0 - mu),
-            (c2, -nu, nu + 1.0, 1.0 + mu)]
+Affine = tuple[float, float, float]   # value = a0 + a_nu * nu + a_mu * mu
 
 
-def _eval_I2(nu, mu, x, s, sgn):
-    pw = principal_pow((1.0 - x) / (1.0 + x), 0.5 * mu)
-    c1 = -0.5 * _cospi(nu) * gamma_quotient((mu,), ()) * pw
-    c2 = (-0.5 * _cospi(nu + mu)
-          * gamma_quotient((-mu, nu + mu + 1.0), (nu - mu + 1.0,)) / pw)
-    return [(c1, -nu, nu + 1.0, 1.0 - mu),
-            (c2, -nu, nu + 1.0, 1.0 + mu)]
+def _aff(t: Affine, nu: complex, mu: complex) -> complex:
+    return t[0] + t[1] * nu + t[2] * mu
 
 
-def _eval_I3(nu, mu, x, s, sgn):
-    lead = principal_pow(1.0 + x, nu) / principal_pow(2.0, nu + 1.0)
-    pw = principal_pow((1.0 + x) / (1.0 - x), 0.5 * mu)
-    c1 = lead * _cospi(mu) * gamma_quotient((mu,), ()) * pw
-    c2 = lead * gamma_quotient((-mu, nu + mu + 1.0), (nu - mu + 1.0,)) / pw
-    return [(c1, -nu, -nu - mu, 1.0 - mu),
-            (c2, -nu, mu - nu, 1.0 + mu)]
+class Coefficient(NamedTuple):
+    """const (times the record's sign g when ``signed``) * prod Gamma(gammas)
+    / prod Gamma(rgammas) * prod base^exponent * e^{i pi g phase} * prod f(pi t)
+    over ``trig`` (f cos, sin, 1/cos or 1/sin) * the named ``extra`` factor.
+    Bases are named; their values come from the caller's vocabulary."""
+
+    const: complex = 1.0
+    signed: bool = False
+    gammas: tuple[Affine, ...] = ()
+    rgammas: tuple[Affine, ...] = ()
+    powers: tuple[tuple[str, Affine], ...] = ()
+    phase: Affine | None = None
+    trig: tuple[tuple[str, Affine], ...] = ()
+    extra: str | None = None
 
 
-def _eval_I4(nu, mu, x, s, sgn):
-    lead = -principal_pow(2.0, nu) / principal_pow(1.0 - x, nu + 1.0)
-    pw = principal_pow((1.0 + x) / (1.0 - x), 0.5 * mu)
-    c1 = lead * gamma_quotient((mu,), ()) * _cospi(nu) / pw
-    c2 = lead * _cospi(nu + mu) * gamma_quotient((-mu, nu + mu + 1.0), (nu - mu + 1.0,)) * pw
-    return [(c1, nu + 1.0, nu - mu + 1.0, 1.0 - mu),
-            (c2, nu + 1.0, nu + mu + 1.0, 1.0 + mu)]
+#: trig name -> (function, divide by it)
+_TRIG = {"cos": (cmath.cos, False), "sin": (cmath.sin, False), "1/cos": (cmath.cos, True),
+         "1/sin": (cmath.sin, True)}
+
+#: The two factors that are not products, of (nu, mu, g): the half-plane mix
+#: of I5, I6, II2 and II4 and the factor of the second term of III1 and III2.
+_EXTRAS = {
+    "mix": lambda nu, mu, g: _cospi(mu) - g * 1j * _sinpi(mu - nu) / (2.0 * _cospi(nu)),
+    "fac": lambda nu, mu, g: (1.0 + cmath.exp(g * 1j * math.pi * (nu + mu))
+                              * _cospi(mu) / _cospi(nu)),
+}
 
 
-def _halfplane_mix(nu, mu, sgn):
-    # cos(pi mu) -+ i sin(pi(mu - nu)) / (2 cos(pi nu)), sign tied to the
-    # half-plane of x.
-    return _cospi(mu) - sgn * 1j * _sinpi(mu - nu) / (2.0 * _cospi(nu))
+def _log_bases(vocabulary: dict[str, Callable[..., complex]], tags, *args):
+    """(logs, odd): the log of each named base ``vocabulary[tag](*args)``,
+    taken once for every term that uses it, and the zero or negative real
+    bases, kept as values for ``principal_pow`` and its branch rules."""
+    logs, odd = {}, {}
+    for tag in tags:
+        v = vocabulary[tag](*args)
+        if v.imag == 0.0 and v.real <= 0.0:
+            odd[tag] = v
+        else:
+            logs[tag] = cmath.log(v)
+    return logs, odd
 
 
-def _eval_I5(nu, mu, x, s, sgn):
-    c1 = (principal_pow(2.0, nu) * _halfplane_mix(nu, mu, sgn)
-          * gamma_quotient((nu + 1.0, nu + mu + 1.0), (2.0 * nu + 2.0,))
-          * principal_pow(1.0 + x, 0.5 * mu - nu - 1.0)
-          * principal_pow(1.0 - x, -0.5 * mu))
-    c2 = (sgn * 1j * math.pi * principal_pow(2.0, -nu - 2.0) / _cospi(nu)
-          * gamma_quotient((-nu,), (-2.0 * nu, nu - mu + 1.0))
-          * principal_pow(1.0 + x, nu + 0.5 * mu)
-          * principal_pow(1.0 - x, -0.5 * mu))
-    return [(c1, nu - mu + 1.0, nu + 1.0, 2.0 * nu + 2.0),
-            (c2, -nu, -nu - mu, -2.0 * nu)]
-
-
-def _eval_I6(nu, mu, x, s, sgn):
-    c1 = (principal_pow(2.0, nu) * cmath.exp(-sgn * 1j * math.pi * (nu + 1.0))
-          * _halfplane_mix(nu, mu, sgn)
-          * gamma_quotient((nu + 1.0, nu + mu + 1.0), (2.0 * nu + 2.0,))
-          * principal_pow(1.0 + x, 0.5 * mu)
-          * principal_pow(1.0 - x, -nu - 0.5 * mu - 1.0))
-    c2 = (sgn * 1j * math.pi * principal_pow(2.0, -nu - 2.0)
-          * cmath.exp(sgn * 1j * math.pi * nu) / _cospi(nu)
-          * gamma_quotient((-nu,), (-2.0 * nu, nu - mu + 1.0))
-          * principal_pow(1.0 + x, 0.5 * mu)
-          * principal_pow(1.0 - x, nu - 0.5 * mu))
-    return [(c1, nu + mu + 1.0, nu + 1.0, 2.0 * nu + 2.0),
-            (c2, -nu, mu - nu, -2.0 * nu)]
-
-
-def _eval_I7(nu, mu, x, s, sgn):
-    # Both terms share the parameter set; the regularized series removes the
-    # Gamma(1 - mu) pole, so integer mu is allowed here.
-    pw = principal_pow((1.0 + x) / (1.0 - x), 0.5 * mu)
-    sn = _sinpi(nu + mu)
-    c1 = 0.5 * math.pi * _cospi(nu + mu) / sn * pw
-    c2 = -0.5 * math.pi / sn / pw
-    return [(c1, -nu, nu + 1.0, 1.0 - mu),
-            (c2, -nu, nu + 1.0, 1.0 - mu)]
-
-
-def _eval_II1(nu, mu, x, s, sgn):
-    pw = principal_pow(1.0 - x * x, 0.5 * mu)
-    c1 = principal_pow(2.0, mu - 1.0) * gamma_quotient((mu,), ()) * _cospi(mu) / pw
-    c2 = (gamma_quotient((-mu, nu + mu + 1.0), (nu - mu + 1.0,))
-          * pw / principal_pow(2.0, 1.0 + mu))
-    return [(c1, (nu - mu + 1.0) / 2.0, (-nu - mu) / 2.0, 1.0 - mu),
-            (c2, (nu + mu + 1.0) / 2.0, (mu - nu) / 2.0, 1.0 + mu)]
-
-
-def _eval_II2(nu, mu, x, s, sgn):
-    c1 = (_SQRT_PI * principal_pow(2.0, -nu - 1.0)
-          * cmath.exp(sgn * 0.5j * math.pi * (-nu + mu - 1.0))
-          * _halfplane_mix(nu, mu, sgn)
-          * gamma_quotient((nu + mu + 1.0,), (nu + 1.5,))
-          * principal_pow(1.0 - x * x, -0.5 * nu - 0.5))
-    c2 = (math.pi ** 1.5 * principal_pow(2.0, nu - 1.0)
-          * cmath.exp(sgn * 0.5j * math.pi * (nu + mu + 1.0)) / _cospi(nu)
-          * gamma_quotient((), (nu - mu + 1.0, 0.5 - nu))
-          * principal_pow(1.0 - x * x, 0.5 * nu))
-    return [(c1, (nu - mu + 1.0) / 2.0, (nu + mu + 1.0) / 2.0, nu + 1.5),
-            (c2, (-nu - mu) / 2.0, (mu - nu) / 2.0, 0.5 - nu)]
-
-
-def _eval_II3(nu, mu, x, s, sgn):
-    lead = _SQRT_PI * principal_pow(2.0, mu - 1.0) / principal_pow(1.0 - x * x, 0.5 * mu)
-    c1 = (-lead * _sinpi((nu + mu) / 2.0)
-          * gamma_quotient(((nu + mu + 1.0) / 2.0,), ((nu - mu + 2.0) / 2.0,)))
-    c2 = (lead * 2.0 * _cospi((nu + mu) / 2.0) * x
-          * gamma_quotient(((nu + mu + 2.0) / 2.0,), ((nu - mu + 1.0) / 2.0,)))
-    return [(c1, -(nu + mu) / 2.0, (nu - mu + 1.0) / 2.0, 0.5),
-            (c2, (-nu - mu + 1.0) / 2.0, (nu - mu + 2.0) / 2.0, 1.5)]
-
-
-def _eval_II4(nu, mu, x, s, sgn):
-    pw = principal_pow(1.0 - x * x, 0.5 * mu)
-    c1 = (_SQRT_PI * principal_pow(2.0, -nu - 1.0)
-          * cmath.exp(sgn * 1j * math.pi * mu) * _halfplane_mix(nu, mu, sgn)
-          * gamma_quotient((nu + mu + 1.0,), (nu + 1.5,))
-          * principal_pow(x, -nu - mu - 1.0) * pw)
-    c2 = (math.pi ** 1.5 * principal_pow(2.0, nu - 1.0)
-          * cmath.exp(sgn * 1j * math.pi * (0.5 + mu)) / _cospi(nu)
-          * gamma_quotient((), (nu - mu + 1.0, 0.5 - nu))
-          * principal_pow(x, nu - mu) * pw)
-    return [(c1, (nu + mu + 1.0) / 2.0, (nu + mu + 2.0) / 2.0, nu + 1.5),
-            (c2, (mu - nu) / 2.0, (mu - nu + 1.0) / 2.0, 0.5 - nu)]
-
-
-def _eval_II5(nu, mu, x, s, sgn):
-    pw = principal_pow(1.0 - x * x, 0.5 * mu)
-    c1 = (principal_pow(2.0, mu - 1.0) * _cospi(mu) * gamma_quotient((mu,), ())
-          * principal_pow(x, nu + mu) / pw)
-    c2 = (gamma_quotient((nu + mu + 1.0, -mu), (nu - mu + 1.0,))
-          / principal_pow(2.0, mu + 1.0) * pw * principal_pow(x, nu - mu))
-    return [(c1, -(nu + mu) / 2.0, (-nu - mu + 1.0) / 2.0, 1.0 - mu),
-            (c2, (mu - nu) / 2.0, (mu - nu + 1.0) / 2.0, 1.0 + mu)]
-
-
-def _eval_II6(nu, mu, x, s, sgn):
-    lead = _SQRT_PI * principal_pow(2.0, mu)
-    c1 = (-lead * gamma_quotient(((nu + mu + 1.0) / 2.0,), ((nu - mu + 2.0) / 2.0,))
-          * _sinpi((nu + mu) / 2.0)
-          / (2.0 * principal_pow(1.0 - x * x, 0.5 * (nu + 1.0))))
-    c2 = (lead * gamma_quotient(((nu + mu + 2.0) / 2.0,), ((nu - mu + 1.0) / 2.0,))
-          * _cospi((nu + mu) / 2.0) * x
-          * principal_pow(1.0 - x * x, 0.5 * (nu - 1.0)))
-    return [(c1, (nu - mu + 1.0) / 2.0, (nu + mu + 1.0) / 2.0, 0.5),
-            (c2, (mu - nu + 1.0) / 2.0, (-nu - mu + 1.0) / 2.0, 1.5)]
-
-
-def _eval_III1(nu, mu, x, s, sgn):
-    pre = _SQRT_PI / (2.0 ** 1.5 * principal_pow(s, 0.5))
-    c1 = (pre * cmath.exp(sgn * 0.5j * math.pi * (mu + 0.5))
-          * gamma_quotient((nu + 0.5,), (nu - mu + 1.0,))
-          * principal_pow(x + sgn * 1j * s, nu + 0.5))
-    fac = 1.0 + cmath.exp(sgn * 1j * math.pi * (nu + mu)) * _cospi(mu) / _cospi(nu)
-    c2 = (pre * cmath.exp(-sgn * 0.5j * math.pi * (mu + 0.5))
-          * gamma_quotient((nu + mu + 1.0,), (nu + 1.5,)) * fac
-          * principal_pow(x - sgn * 1j * s, nu + 0.5))
-    return [(c1, 0.5 + mu, 0.5 - mu, 0.5 - nu),
-            (c2, 0.5 + mu, 0.5 - mu, nu + 1.5)]
-
-
-def _eval_III2(nu, mu, x, s, sgn):
-    pre = _SQRT_PI * principal_pow(2.0, mu - 1.0) * principal_pow(s, mu)
-    c1 = (pre * cmath.exp(sgn * 1j * math.pi * (mu + 0.5))
-          * gamma_quotient((nu + 0.5,), (nu - mu + 1.0,))
-          * principal_pow(x + sgn * 1j * s, nu - mu))
-    fac = 1.0 + cmath.exp(sgn * 1j * math.pi * (nu + mu)) * _cospi(mu) / _cospi(nu)
-    c2 = (pre * gamma_quotient((nu + mu + 1.0,), (nu + 1.5,)) * fac
-          * principal_pow(x - sgn * 1j * s, nu + mu + 1.0))
-    return [(c1, 0.5 + mu, mu - nu, 0.5 - nu),
-            (c2, 0.5 + mu, nu + mu + 1.0, nu + 1.5)]
-
-
-def _eval_III3(nu, mu, x, s, sgn):
-    pw = principal_pow(s, mu)
-    c1 = (gamma_quotient((-mu, nu + mu + 1.0), (nu - mu + 1.0,))
-          / principal_pow(2.0, mu + 1.0) * pw
-          * principal_pow(x + sgn * 1j * s, nu - mu))
-    c2 = (principal_pow(2.0, mu - 1.0) * gamma_quotient((mu,), ()) * _cospi(mu)
-          * principal_pow(x + sgn * 1j * s, nu + mu) / pw)
-    return [(c1, 0.5 + mu, mu - nu, 1.0 + 2.0 * mu),
-            (c2, 0.5 - mu, -nu - mu, 1.0 - 2.0 * mu)]
-
-
-def _fourier_uv_params(nu, mu):
-    return mu + 0.5, nu + mu + 1.0, nu + 1.5  # (a, b, c) of both factors
-
-
-def _eval_fourier_uv(nu, mu, x, s, sgn):
-    u = x + 1j * s
-    v = x - 1j * s
-    pre = (_SQRT_PI * principal_pow(2.0, mu - 1.0)
-           * principal_pow(1.0 - x * x, 0.5 * mu)
-           * gamma_quotient((nu + mu + 1.0,), ()))
-    c1 = pre * principal_pow(u, nu + mu + 1.0)
-    c2 = pre * principal_pow(v, nu + mu + 1.0)
-    abc = _fourier_uv_params(nu, mu)
-    return [(c1, *abc), (c2, *abc)]
+def _coefficient(coef: Coefficient, nu: complex, mu: complex, bases, g: int) -> complex:
+    """The value of ``coef`` at (nu, mu) with sign g, ``bases`` from
+    ``_log_bases``: the log-gammas, powers and phase are summed and
+    exponentiated once.  As in ``gamma_quotient``, a denominator within 1e-12
+    of a pole gives 0 and a gamma part beyond double range raises
+    ``ParameterError``; as in ``rgamma``, a denominator within 1e-8 of a
+    pole is taken by reflection.  Any other overflow is an
+    ``OverflowError``.  Affine values are spelled out here, for speed."""
+    acc = 0j
+    for a0, a1, a2 in coef.rgammas:
+        z = a0 + a1 * nu + a2 * mu
+        if z.real < 0.5 and is_nonpos_int(z, 1e-8):
+            if is_nonpos_int(z, 1e-12):
+                return 0j
+            # Near the pole -n, -ln_gamma(z) loses digits; the reflection
+            # 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi, with sin(pi z) taken
+            # at the exact distance z + n, keeps them.
+            n = round(z.real)
+            acc += (cmath.log((-1) ** n * cmath.sin(math.pi * (z - n))) + ln_gamma(1.0 - z)
+                    - _LN_PI)
+        else:
+            acc -= ln_gamma(z)
+    for a0, a1, a2 in coef.gammas:
+        acc += ln_gamma(a0 + a1 * nu + a2 * mu)
+    if acc.real > 709.0:  # cmath.exp(acc) may overflow
+        try:
+            cmath.exp(acc)
+        except OverflowError:
+            raise ParameterError(
+                f"gamma quotient beyond double range: log modulus {acc.real:.6g}") from None
+    value = coef.const * g if coef.signed else coef.const
+    logs, odd = bases
+    for tag, (a0, a1, a2) in coef.powers:
+        if tag in odd:
+            value *= principal_pow(odd[tag], a0 + a1 * nu + a2 * mu)
+        else:
+            acc += (a0 + a1 * nu + a2 * mu) * logs[tag]
+    if coef.phase is not None:
+        acc += 1j * math.pi * g * _aff(coef.phase, nu, mu)
+    for name, (a0, a1, a2) in coef.trig:
+        f, divide = _TRIG[name]
+        v = f(math.pi * (a0 + a1 * nu + a2 * mu))
+        value = value / v if divide else value * v
+    if coef.extra is not None:
+        value *= _EXTRAS[coef.extra](nu, mu, g)
+    return value * cmath.exp(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -500,51 +404,163 @@ class _Sign(Enum):
         return self.value
 
 
+class _Term(NamedTuple):
+    hyp: tuple[Affine, Affine, Affine]   # (a, b, c) of the term's 2F1 factor
+    coef: Coefficient
+
+
+#: The power bases of the coefficients, of (x, s = sqrt(1 - x^2), sign g).
+_X_BASES: dict[str, Callable[[complex, complex, int], complex]] = {
+    "2": lambda x, s, g: 2.0,
+    "1+x": lambda x, s, g: 1.0 + x,
+    "1-x": lambda x, s, g: 1.0 - x,
+    "(1+x)/(1-x)": lambda x, s, g: (1.0 + x) / (1.0 - x),
+    "1-x^2": lambda x, s, g: 1.0 - x * x,
+    "x": lambda x, s, g: x,
+    "s": lambda x, s, g: s,
+    "x+igs": lambda x, s, g: x + g * 1j * s,
+    "x-igs": lambda x, s, g: x - g * 1j * s,
+    "x+is": lambda x, s, g: x + 1j * s,
+    "x-is": lambda x, s, g: x - 1j * s,
+}
+
+
 @dataclass(frozen=True)
 class _RepSpec:
     domain: str                       # "D1" | "D1+" | "half"
     exclusions: tuple[str, ...]
     #: the argument map of both 2F1 factors, or of each factor in turn
     argument_ids: tuple[int, ...]
-    #: (nu, mu, x, s = sqrt(1 - x^2), sign) -> two terms (coefficient, a, b, c)
-    evaluator: Callable[..., list[tuple[complex, complex, complex, complex]]]
+    terms: tuple[_Term, _Term]
     sign: _Sign = _Sign.NONE
     #: the factors are 2F1(a, b; c; w) / Gamma(c)
     regularized: bool = False
-    #: (nu, mu) -> (a, b, c) of factors f21 moves to a smaller argument
+    #: f21 moves the factors, which share (a, b, c), to a smaller argument
     #: first, so the route radius, not |w|, decides convergence and preference
-    routed: Callable[[complex, complex], tuple[complex, complex, complex]] | None = None
+    routed: bool = False
+    #: the distinct power bases of the two terms
+    bases: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        tags = dict.fromkeys(tag for t in self.terms for tag, _ in t.coef.powers)
+        object.__setattr__(self, "bases", tuple(tags))
 
 
-_R = RepresentationId
-_REP_TABLE: dict[RepresentationId, _RepSpec] = {
-    _R.I1: _RepSpec("D1", ("mu_int", "numu_neg"), (1,), _eval_I1),
-    _R.I2: _RepSpec("D1", ("mu_int", "numu_neg"), (2,), _eval_I2),
-    _R.I3: _RepSpec("D1", ("mu_int", "numu_neg"), (3,), _eval_I3),
-    _R.I4: _RepSpec("D1", ("mu_int", "numu_neg"), (4,), _eval_I4),
-    _R.I5: _RepSpec("half", ("two_nu_int", "numu_nonpos"), (5,), _eval_I5, _Sign.HALFPLANE),
-    _R.I6: _RepSpec("half", ("two_nu_int", "numu_nonpos"), (6,), _eval_I6, _Sign.HALFPLANE),
-    _R.I7: _RepSpec("D1", ("numu_int",), (1, 2), _eval_I7, regularized=True),
-    _R.II1: _RepSpec("D1+", ("mu_int", "numu_neg"), (7,), _eval_II1),
-    _R.II2: _RepSpec("half", ("nu_half_int", "numu_neg"), (8,), _eval_II2, _Sign.HALFPLANE),
-    _R.II3: _RepSpec("D1", ("numu_neg",), (9,), _eval_II3),
-    _R.II4: _RepSpec("half", ("nu_half_int", "numu_neg"), (10,), _eval_II4, _Sign.HALFPLANE),
-    _R.II5: _RepSpec("D1+", ("mu_int", "numu_neg"), (11,), _eval_II5),
-    _R.II6: _RepSpec("D1", ("numu_pos", "numu_neg"), (12,), _eval_II6),
-    _R.III1_UPPER: _RepSpec("D1", ("nu_half_int", "numu_neg"), (13,), _eval_III1, _Sign.UPPER),
-    _R.III1_LOWER: _RepSpec("D1", ("nu_half_int", "numu_neg"), (17,), _eval_III1, _Sign.LOWER),
-    _R.III2_UPPER: _RepSpec("D1", ("nu_half_int", "numu_neg"), (14,), _eval_III2, _Sign.UPPER),
-    _R.III2_LOWER: _RepSpec("D1", ("nu_half_int", "numu_neg"), (18,), _eval_III2, _Sign.LOWER),
-    _R.III3_UPPER: _RepSpec("D1+", ("two_mu_int", "numu_neg"), (15,), _eval_III3, _Sign.UPPER),
-    _R.III3_LOWER: _RepSpec("D1+", ("two_mu_int", "numu_neg"), (16,), _eval_III3, _Sign.LOWER),
-    _R.FOURIER_UV: _RepSpec("D1", ("numu_neg",), (18, 14), _eval_fourier_uv,
-                            regularized=True, routed=_fourier_uv_params),
-}
+def _rep_table() -> dict[RepresentationId, _RepSpec]:
+    """The 20 records.  t((a, b, c), const, gamma numerators, gamma
+    denominators, powers, *trig, **rest) is one term (see ``Coefficient``)."""
+    def t(hyp, const, gammas, rgammas, powers, *trig, **rest):
+        return _Term(hyp, Coefficient(const, gammas=gammas, rgammas=rgammas, powers=powers,
+                                      trig=trig, **rest))
+
+    R, pi, rpi = RepresentationId, math.pi, _SQRT_PI
+    nu, mu, nu_mu, neg_nu, neg_mu = (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, -1, 0), (0, 0, -1)
+    n1, d1, nu1 = (1, 1, 1), (1, 1, -1), (1, 1, 0)      # nu + mu + 1, nu - mu + 1, nu + 1
+    c_lo, c_hi = (1, 0, -1), (1, 0, 1)                   # 1 - mu, 1 + mu
+    p1, q1, h = (1.5, 1, 0), (.5, -1, 0), (0, .5, .5)    # nu + 3/2, 1/2 - nu, (nu + mu) / 2
+    x2 = "1-x^2"
+    up, down = (("(1+x)/(1-x)", (0, 0, .5)),), (("(1+x)/(1-x)", (0, 0, -.5)),)
+    i3, i4 = (("1+x", nu), ("2", (-1, -1, 0))), (("2", nu), ("1-x", (-1, -1, 0)))
+    ii3 = (("2", (-1, 0, 1)), (x2, (0, 0, -.5)))
+    excl, half = ("mu_int", "numu_neg"), dict(sign=_Sign.HALFPLANE)
+    rows = {
+        R.I1: _RepSpec("D1", excl, (1,), (
+            t((neg_nu, nu1, c_lo), pi / 2, (), (c_lo,), up, ("cos", mu), ("1/sin", mu)),
+            t((neg_nu, nu1, c_hi), -pi / 2, (n1,), (c_hi, d1), down, ("1/sin", mu)))),
+        R.I2: _RepSpec("D1", excl, (2,), (
+            t((neg_nu, nu1, c_lo), -.5, (mu,), (), down, ("cos", nu)),
+            t((neg_nu, nu1, c_hi), -.5, (neg_mu, n1), (d1,), up, ("cos", nu_mu)))),
+        R.I3: _RepSpec("D1", excl, (3,), (
+            t((neg_nu, (0, -1, -1), c_lo), 1.0, (mu,), (), i3 + up, ("cos", mu)),
+            t((neg_nu, (0, -1, 1), c_hi), 1.0, (neg_mu, n1), (d1,), i3 + down))),
+        R.I4: _RepSpec("D1", excl, (4,), (
+            t((nu1, d1, c_lo), -1.0, (mu,), (), i4 + down, ("cos", nu)),
+            t((nu1, n1, c_hi), -1.0, (neg_mu, n1), (d1,), i4 + up, ("cos", nu_mu)))),
+        R.I5: _RepSpec("half", ("two_nu_int", "numu_nonpos"), (5,), (
+            t((d1, nu1, (2, 2, 0)), 1.0, (nu1, n1), ((2, 2, 0),),
+              (("2", nu), ("1+x", (-1, -1, .5)), ("1-x", (0, 0, -.5))), extra="mix"),
+            t((neg_nu, (0, -1, -1), (0, -2, 0)), 1j * pi, (neg_nu,), ((0, -2, 0), d1),
+              (("2", (-2, -1, 0)), ("1+x", (0, 1, .5)), ("1-x", (0, 0, -.5))), ("1/cos", nu),
+              signed=True)), **half),
+        R.I6: _RepSpec("half", ("two_nu_int", "numu_nonpos"), (6,), (
+            t((n1, nu1, (2, 2, 0)), 1.0, (nu1, n1), ((2, 2, 0),),
+              (("2", nu), ("1+x", (0, 0, .5)), ("1-x", (-1, -1, -.5))), phase=(-1, -1, 0),
+              extra="mix"),
+            t((neg_nu, (0, -1, 1), (0, -2, 0)), 1j * pi, (neg_nu,), ((0, -2, 0), d1),
+              (("2", (-2, -1, 0)), ("1+x", (0, 0, .5)), ("1-x", (0, 1, -.5))), ("1/cos", nu),
+              phase=nu, signed=True)), **half),
+        # Both terms share the parameter set; the regularized series removes
+        # the Gamma(1 - mu) pole, so integer mu is allowed here.
+        R.I7: _RepSpec("D1", ("numu_int",), (1, 2), (
+            t((neg_nu, nu1, c_lo), pi / 2, (), (), up, ("cos", nu_mu), ("1/sin", nu_mu)),
+            t((neg_nu, nu1, c_lo), -pi / 2, (), (), down, ("1/sin", nu_mu))), regularized=True),
+        R.II1: _RepSpec("D1+", excl, (7,), (
+            t(((.5, .5, -.5), (0, -.5, -.5), c_lo), 1.0, (mu,), (), ii3, ("cos", mu)),
+            t(((.5, .5, .5), (0, -.5, .5), c_hi), 1.0, (neg_mu, n1), (d1,),
+              (("2", (-1, 0, -1)), (x2, (0, 0, .5)))))),
+        R.II2: _RepSpec("half", ("nu_half_int", "numu_neg"), (8,), (
+            t(((.5, .5, -.5), (.5, .5, .5), p1), rpi, (n1,), (p1,),
+              (("2", (-1, -1, 0)), (x2, (-.5, -.5, 0))), phase=(-.5, -.5, .5), extra="mix"),
+            t(((0, -.5, -.5), (0, -.5, .5), q1), pi ** 1.5, (), (d1, q1),
+              (("2", (-1, 1, 0)), (x2, (0, .5, 0))), ("1/cos", nu), phase=(.5, .5, .5))), **half),
+        R.II3: _RepSpec("D1", ("numu_neg",), (9,), (
+            t(((0, -.5, -.5), (.5, .5, -.5), (.5, 0, 0)), -rpi, ((.5, .5, .5),), ((1, .5, -.5),),
+              ii3, ("sin", h)),
+            t(((.5, -.5, -.5), (1, .5, -.5), (1.5, 0, 0)), 2.0 * rpi, ((1, .5, .5),),
+              ((.5, .5, -.5),), ii3 + (("x", (1, 0, 0)),), ("cos", h)))),
+        R.II4: _RepSpec("half", ("nu_half_int", "numu_neg"), (10,), (
+            t(((.5, .5, .5), (1, .5, .5), p1), rpi, (n1,), (p1,),
+              (("2", (-1, -1, 0)), ("x", (-1, -1, -1)), (x2, (0, 0, .5))), phase=mu, extra="mix"),
+            t(((0, -.5, .5), (.5, -.5, .5), q1), pi ** 1.5, (), (d1, q1),
+              (("2", (-1, 1, 0)), ("x", (0, 1, -1)), (x2, (0, 0, .5))), ("1/cos", nu),
+              phase=(.5, 0, 1))), **half),
+        R.II5: _RepSpec("D1+", excl, (11,), (
+            t(((0, -.5, -.5), (.5, -.5, -.5), c_lo), 1.0, (mu,), (), ii3 + (("x", nu_mu),),
+              ("cos", mu)),
+            t(((0, -.5, .5), (.5, -.5, .5), c_hi), 1.0, (n1, neg_mu), (d1,),
+              (("2", (-1, 0, -1)), (x2, (0, 0, .5)), ("x", (0, 1, -1)))))),
+        R.II6: _RepSpec("D1", ("numu_pos", "numu_neg"), (12,), (
+            t(((.5, .5, -.5), (.5, .5, .5), (.5, 0, 0)), -rpi / 2, ((.5, .5, .5),),
+              ((1, .5, -.5),), (("2", mu), (x2, (-.5, -.5, 0))), ("sin", h)),
+            t(((.5, -.5, .5), (.5, -.5, -.5), (1.5, 0, 0)), rpi, ((1, .5, .5),), ((.5, .5, -.5),),
+              (("2", mu), ("x", (1, 0, 0)), (x2, (-.5, .5, 0))), ("cos", h)))),
+    }
+    groups = {
+        (R.III1_UPPER, R.III1_LOWER, "D1", "nu_half_int", 13, 17): (
+            t(((.5, 0, 1), (.5, 0, -1), q1), rpi / 2.0 ** 1.5, ((.5, 1, 0),), (d1,),
+              (("s", (-.5, 0, 0)), ("x+igs", (.5, 1, 0))), phase=(.25, 0, .5)),
+            t(((.5, 0, 1), (.5, 0, -1), p1), rpi / 2.0 ** 1.5, (n1,), (p1,),
+              (("s", (-.5, 0, 0)), ("x-igs", (.5, 1, 0))), phase=(-.25, 0, -.5), extra="fac")),
+        (R.III2_UPPER, R.III2_LOWER, "D1", "nu_half_int", 14, 18): (
+            t(((.5, 0, 1), (0, -1, 1), q1), rpi, ((.5, 1, 0),), (d1,),
+              (("2", (-1, 0, 1)), ("s", mu), ("x+igs", (0, 1, -1))), phase=(.5, 0, 1)),
+            t(((.5, 0, 1), n1, p1), rpi, (n1,), (p1,),
+              (("2", (-1, 0, 1)), ("s", mu), ("x-igs", n1)), extra="fac")),
+        (R.III3_UPPER, R.III3_LOWER, "D1+", "two_mu_int", 15, 16): (
+            t(((.5, 0, 1), (0, -1, 1), (1, 0, 2)), 1.0, (neg_mu, n1), (d1,),
+              (("2", (-1, 0, -1)), ("s", mu), ("x+igs", (0, 1, -1)))),
+            t(((.5, 0, -1), (0, -1, -1), (1, 0, -2)), 1.0, (mu,), (),
+              (("2", (-1, 0, 1)), ("x+igs", nu_mu), ("s", neg_mu)), ("cos", mu))),
+    }
+    for (upper, lower, domain, excluded, j_up, j_low), terms in groups.items():
+        rows[upper] = _RepSpec(domain, (excluded, "numu_neg"), (j_up,), terms, _Sign.UPPER)
+        rows[lower] = _RepSpec(domain, (excluded, "numu_neg"), (j_low,), terms, _Sign.LOWER)
+    uv, pre = ((.5, 0, 1), n1, p1), (("2", (-1, 0, 1)), (x2, (0, 0, .5)))
+    rows[R.FOURIER_UV] = _RepSpec("D1", ("numu_neg",), (18, 14), (
+        t(uv, rpi, (n1,), (), pre + (("x+is", n1),)),
+        t(uv, rpi, (n1,), (), pre + (("x-is", n1),))), regularized=True, routed=True)
+    return {rep: rows[rep] for rep in R}
+
+
+_REP_TABLE = _rep_table()
 
 
 def _outside(x: complex) -> dict[str, str | None]:
     """Why x lies outside each record domain ("D1", "D1+", "half"), and
-    under "x^2" that x^2 is beyond double range; None where x passes."""
+    under "x^2" that x^2 is beyond double range; None where x passes.  A
+    NaN x is outside every domain."""
+    if cmath.isnan(x):
+        return dict.fromkeys(("D1", "D1+", "half", "x^2"), f"x = {x} is not a number")
     return {
         "D1": None if in_domain(DomainId.D1, x) else "x not in D1",
         "D1+": None if in_domain(DomainId.D1_PLUS, x) else "x not in D1 with Re x > 0",
@@ -604,8 +620,8 @@ def _rank(p: ParamPair, excluded: set[str], outside: dict[str, str | None], x: c
         if reason is not None:
             rows.append((rep, spec, reason, math.inf))
             continue
-        size = abs if spec.routed is None else functools.partial(
-            route_radius, HypParams(*spec.routed(p.nu, p.mu)))
+        size = abs if not spec.routed else functools.partial(
+            route_radius, HypParams(*[_aff(t, p.nu, p.mu) for t in spec.terms[0].hyp]))
         ids = spec.argument_ids  # one map but for I7 and FourierUV
         score = size(values[ids[0]]) if len(ids) == 1 else max([size(values[j]) for j in ids])
         rows.append((rep, spec, None, score))
@@ -616,7 +632,7 @@ def _converges(spec: _RepSpec, x: complex, score: float) -> bool:
     """Whether every series of ``spec`` converges at x, given the score of
     its ``_rank`` row: each argument inside the closed-form region of its
     map, or for a routed record every route radius below ``THETA_CUT``."""
-    if spec.routed is not None:
+    if spec.routed:
         return score < THETA_CUT
     return all(in_region(j, x) for j in spec.argument_ids)
 
@@ -636,15 +652,18 @@ def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
 def _interpret(spec: _RepSpec, p: ParamPair, x: complex, s: complex, tol: float,
                side: CutSide | None) -> SeriesResult:
     """The one interpreter of the records: the argument of each 2F1 factor
-    from the record's map with root y = i s, then the evaluator's two terms
-    with the record's sign at x, then each factor by ``f21``
+    from the record's map with root y = i s, then the two coefficients with
+    the record's sign at x, then each factor by ``f21``
     (``f21_regularized`` for a regularized record), or by its limit
     ``f21_cut`` on the cut from ``side``."""
+    nu, mu, g = p.nu, p.mu, spec.sign.at(x)
     ws = [map_value(j, x, 1j * s) for j in spec.argument_ids]
+    bases = _log_bases(_X_BASES, spec.bases, x, s, g)
+    coefs = [_coefficient(t.coef, nu, mu, bases, g) for t in spec.terms]
     parts = []
-    terms = spec.evaluator(p.nu, p.mu, x, s, spec.sign.at(x))
-    for (coef, a, b, c), w in zip(terms, ws * (2 // len(ws))):  # one map: both factors
-        hp = HypParams(a, b, c)
+    for coef, t, w in zip(coefs, spec.terms, ws * (2 // len(ws))):  # one map: both factors
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = t.hyp
+        hp = HypParams(a0 + a1 * nu + a2 * mu, b0 + b1 * nu + b2 * mu, c0 + c1 * nu + c2 * mu)
         if side is not None:
             r = f21_cut(hp, w.real, side, tol)
         elif spec.regularized:
@@ -685,7 +704,7 @@ def ferrers_q_rep_trig(rep: RepresentationId, p: ParamPair, theta: float,
     """The theta-forms of the square-root-family representations, with
     x = cos(theta) and theta in (0, pi); equal to the x-forms there.
 
-    The same evaluator runs with s = sin(theta) in place of sqrt(1 - x^2),
+    The same record runs with s = sin(theta) in place of sqrt(1 - x^2),
     which keeps full relative accuracy of s as theta -> 0.  Parameter and
     domain checks are those of ``ferrers_q_rep`` at x = cos(theta)."""
     if not 0.0 < theta < math.pi:

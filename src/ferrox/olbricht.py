@@ -5,12 +5,15 @@ reduces to.
 The catalogue is data-driven: every entry is a record holding its prefactor
 powers (exponents affine in nu and mu), its hypergeometric parameter triple
 (also affine), its argument map, and its domain.  One evaluator interprets
-the records.  Entries given classically as x -> -x reflections of earlier
-ones are stored that way.  Each entry also carries exactly one identity
-record: either a closed-form reduction to a Legendre or Ferrers function, or
-equality with another entry (Euler/Pfaff transformations, parity).  The
-reductions are records too (target function, affine degree and order, gamma,
-power and phase factors, reflected terms), read by one interpreter.
+the records; the prefactor powers are a ``ferrers.Coefficient`` record,
+read by ``ferrers._coefficient``, the interpreter of the second-kind
+representations' coefficients.  Entries given classically as x -> -x
+reflections of earlier ones are stored that way.  Each entry also carries
+exactly one identity record: either a closed-form reduction to a Legendre or
+Ferrers function, or equality with another entry (Euler/Pfaff
+transformations, parity).  The reductions are records too (target function,
+affine degree and order, a coefficient record for the gamma, power and phase
+factors, reflected terms), read by one interpreter.
 
 Square-root entries come in two branch variants (Y1 and Y2); the variants
 with arguments (y+x)/(2y) and (x+y)/(x-y) admit only Y1, since with Y2 those
@@ -24,12 +27,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .complexmath import RootVariant, gamma_quotient, principal_pow, rgamma, root_y
+from .complexmath import RootVariant, rgamma, root_y
 from .errors import DomainError, FerroxError, ParameterError
 from .ferrers import (
     DEFAULT_TOL,
+    Affine,
+    Coefficient,
     EvalOutcome,
     ParamPair,
+    _aff,
+    _coefficient,
+    _log_bases,
     ferrers_p,
     legendre_ode_residual,
     legendre_p,
@@ -56,12 +64,6 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-
-Affine = tuple[float, float, float]   # value = a0 + a_nu * nu + a_mu * mu
-
-
-def _aff(t: Affine, nu: complex, mu: complex) -> complex:
-    return t[0] + t[1] * nu + t[2] * mu
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,9 @@ class CatalogueEntry:
 # -- prefactor base vocabulary (functions of x and the chosen root y) -------
 
 _BASES: dict[str, Callable[[complex, complex | None], complex]] = {
+    "2": lambda x, y: 2.0,
+    "x+1": lambda x, y: x + 1.0,
+    "x-1": lambda x, y: x - 1.0,
     "half_one_minus_x": lambda x, y: (1.0 - x) / 2.0,
     "half_one_plus_x": lambda x, y: (1.0 + x) / 2.0,
     "ratio_p": lambda x, y: (x + 1.0) / (x - 1.0),
@@ -110,6 +115,20 @@ _BASES: dict[str, Callable[[complex, complex | None], complex]] = {
     "x_minus_y": lambda x, y: x - y,
     "y_minus_x": lambda x, y: y - x,
 }
+#: The tags that stand for a product of powers with one exponent:
+#: (x^2 - 1)^a is (x + 1)^a (x - 1)^a.
+_PRODUCTS = {"x2m1": ("x+1", "x-1")}
+
+
+def _scale(coef: Coefficient, p: ParamPair, x: complex, y: complex | None, what: str) -> complex:
+    """``ferrers._coefficient`` of ``coef`` on this vocabulary (sign +1); a
+    value beyond double range raises ``DomainError`` naming ``what``."""
+    bases = _log_bases(_BASES, [tag for tag, _ in coef.powers], x, y)
+    try:
+        return _coefficient(coef, p.nu, p.mu, bases, 1)
+    except ArithmeticError as exc:
+        raise DomainError(f"{what}: beyond double range ({exc})") from None
+
 
 def _domain_ok(tag: str, x: complex) -> bool:
     if tag == "D1-offaxis":
@@ -300,6 +319,10 @@ def _build_catalogue() -> dict[tuple[str, int], CatalogueEntry]:
 
 
 _CATALOGUE = _build_catalogue()
+#: Each entry's prefactor powers as one coefficient record.
+_PREFACTORS = {key: Coefficient(powers=tuple((b, a) for tag, a in e.prefactors
+                                             for b in _PRODUCTS.get(tag, (tag,))))
+               for key, e in _CATALOGUE.items()}
 
 
 def catalogue() -> tuple[CatalogueEntry, ...]:
@@ -349,21 +372,12 @@ def eval_olbricht(oid: OlbrichtId, p: ParamPair, x: complex,
         return eval_olbricht(base, p, -x, tol)
     nu, mu = p.nu, p.mu
     y = root_y(oid.root, x) if e.roots else None
-    pref = 1.0 + 0.0j
-    for tag, expo in e.prefactors:
-        alpha = _aff(expo, nu, mu)
-        if tag == "x2m1":
-            pref *= principal_pow(x + 1.0, alpha) * principal_pow(x - 1.0, alpha)
-        else:
-            pref *= principal_pow(_BASES[tag](x, y), alpha)
+    pref = _scale(_PREFACTORS[(e.group, e.index)], p, x, y, f"prefactor of entry {oid.label()}")
     if isinstance(e.argument, str):
         w = map_value(int(e.argument[1:]), x, y)
     else:
         w = argument(e.argument, x)
-    a = _aff(e.hyp[0], nu, mu)
-    b = _aff(e.hyp[1], nu, mu)
-    c = _aff(e.hyp[2], nu, mu)
-    return pref * f21(HypParams(a, b, c), w, tol).value
+    return pref * f21(HypParams(*[_aff(t, nu, mu) for t in e.hyp]), w, tol).value
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +390,9 @@ class Reduction:
 
         scale * sum_k sign_k * target(degree, order; +-x)
 
-    where scale is the product of the gamma numerators, an optional power
-    base^a, an optional 1/sqrt(pi) and an optional phase e^(i pi a), every
-    exponent and parameter affine in (nu, mu).
+    where scale is a coefficient record (gamma numerators, a power of 2, a
+    constant and a phase e^(i pi a)), every exponent and parameter affine in
+    (nu, mu).
 
     ``monodromy`` holds the rgamma argument c of the root-Y1 forms whose
     equality with the Y2 form holds only in the upper half-plane: crossing to
@@ -390,12 +404,7 @@ class Reduction:
     target: Callable[[ParamPair, complex, float], EvalOutcome]
     degree: Affine
     order: Affine
-    gammas: tuple[Affine, ...]
-    #: (base, exponent) of a power factor
-    power: tuple[float, Affine] | None = None
-    inv_sqrt_pi: bool = False
-    #: a of a phase factor e^(i pi a)
-    phase: Affine | None = None
+    scale: Coefficient
     #: (sign, evaluate at -x) per summand
     terms: tuple[tuple[int, bool], ...] = ((1, False),)
     monodromy: Affine | None = None
@@ -409,15 +418,7 @@ class Reduction:
             pv = legendre_p(ParamPair(nu, -mu), x, tol).value
             value = (cmath.exp(-1j * math.pi * mu) * value
                      - 1j * math.pi * rgamma(_aff(self.monodromy, nu, mu)) * pv)
-        scale = gamma_quotient(tuple(_aff(g, nu, mu) for g in self.gammas), ())
-        if self.inv_sqrt_pi:
-            scale /= _SQRT_PI
-        if self.power is not None:
-            base, a = self.power
-            scale *= principal_pow(base, _aff(a, nu, mu))
-        if self.phase is not None:
-            scale *= cmath.exp(1j * math.pi * _aff(self.phase, nu, mu))
-        return scale * value
+        return _scale(self.scale, p, x, None, "reduction scale") * value
 
 
 @dataclass(frozen=True)
@@ -435,8 +436,14 @@ class IdentityRecord:
 def _identity_table() -> dict[tuple[str, int, str | None], IdentityRecord]:
     t: dict[tuple[str, int, str | None], IdentityRecord] = {}
 
-    def named(g, i, root, desc, target, **fields):
-        t[(g, i, root)] = IdentityRecord(desc, reduction=Reduction(target, **fields))
+    def named(g, i, root, desc, target, degree, order, gammas, two=None, const=1.0,
+              phase=None, **fields):
+        # scale = const * prod Gamma(gammas) * 2^two * e^(i pi phase); a
+        # power 4^a of a description is given as two = 2a
+        scale = Coefficient(const, gammas=gammas, powers=(("2", two),) if two else (),
+                            phase=phase)
+        t[(g, i, root)] = IdentityRecord(
+            desc, reduction=Reduction(target, degree, order, scale, **fields))
 
     def dup(g, i, root, j, desc, reflect=False):
         t[(g, i, root)] = IdentityRecord(desc, equals=(g, j, reflect))
@@ -448,8 +455,8 @@ def _identity_table() -> dict[tuple[str, int, str | None], IdentityRecord]:
     up = dict(degree=nu, order=neg_mu, gammas=((1, 0, 1),))
     down = dict(degree=nu, order=mu, gammas=((1, 0, -1),))
     # Gamma(1/2-nu) QBold(-nu-1, mu) / sqrt(pi) and Gamma(nu+3/2) QBold(nu, mu) / sqrt(pi)
-    q_low = dict(degree=(-1, -1, 0), order=mu, gammas=((.5, -1, 0),), inv_sqrt_pi=True)
-    q_high = dict(degree=nu, order=mu, gammas=((1.5, 1, 0),), inv_sqrt_pi=True)
+    q_low = dict(degree=(-1, -1, 0), order=mu, gammas=((.5, -1, 0),), const=1.0 / _SQRT_PI)
+    q_high = dict(degree=nu, order=mu, gammas=((1.5, 1, 0),), const=1.0 / _SQRT_PI)
 
     named("I", 1, None, "Gamma(1+mu) * FerrersP(nu, -mu; x)", fp, **up)
     named("I", 2, None, "Gamma(1-mu) * FerrersP(nu, mu; x)", fp, **down)
@@ -460,15 +467,15 @@ def _identity_table() -> dict[tuple[str, int, str | None], IdentityRecord]:
     dup("I", 7, None, 5, "equal to I.5 (Euler transformation)")
     dup("I", 8, None, 6, "equal to I.6 (Euler transformation)")
     named("I", 9, None, "4^-nu Gamma(1/2-nu) QBold(-nu-1, mu; -x) / sqrt(pi)", qb, **q_low,
-          power=(4.0, (0, -1, 0)), terms=at_minus_x)
+          two=(0, -2, 0), terms=at_minus_x)
     named("I", 10, None, "4^(nu+1) Gamma(nu+3/2) QBold(nu, mu; -x) / sqrt(pi)", qb, **q_high,
-          power=(4.0, (1, 1, 0)), terms=at_minus_x)
+          two=(2, 2, 0), terms=at_minus_x)
     dup("I", 11, None, 9, "equal to I.9 (mu -> -mu symmetry)")
     dup("I", 12, None, 10, "equal to I.10 (mu -> -mu symmetry)")
     named("I", 13, None, "4^-nu Gamma(1/2-nu) QBold(-nu-1, mu; x) / sqrt(pi)", qb, **q_low,
-          power=(4.0, (0, -1, 0)))
+          two=(0, -2, 0))
     named("I", 14, None, "4^(nu+1) Gamma(nu+3/2) QBold(nu, mu; x) / sqrt(pi)", qb, **q_high,
-          power=(4.0, (1, 1, 0)))
+          two=(2, 2, 0))
     dup("I", 15, None, 13, "equal to I.13 (mu -> -mu symmetry)")
     dup("I", 16, None, 14, "equal to I.14 (mu -> -mu symmetry)")
     named("I", 17, None, "Gamma(1+mu) * LegendreP(nu, -mu; x)", lp, **up)
@@ -483,23 +490,23 @@ def _identity_table() -> dict[tuple[str, int, str | None], IdentityRecord]:
     named("II", 1, None,
           "even solution: c * (FerrersP(x) + FerrersP(-x)), y(0)=1, y'(0)=0", fp,
           degree=nu, order=mu, gammas=((1, .5, -.5), (.5, -.5, -.5)),
-          power=(2.0, (-1, 0, -1)), inv_sqrt_pi=True, terms=((1, False), (1, True)))
+          two=(-1, 0, -1), const=1.0 / _SQRT_PI, terms=((1, False), (1, True)))
     named("II", 2, None,
           "odd solution: c * (FerrersP(-x) - FerrersP(x)), y(0)=0, y'(0)=1", fp,
           degree=nu, order=mu, gammas=((.5, .5, -.5), (0, -.5, -.5)),
-          power=(2.0, (-2, 0, -1)), inv_sqrt_pi=True, terms=((1, True), (-1, False)))
+          two=(-2, 0, -1), const=1.0 / _SQRT_PI, terms=((1, True), (-1, False)))
     dup("II", 3, None, 1, "equal to II.1 (Euler transformation)")
     dup("II", 4, None, 2, "equal to II.2 (Euler transformation)")
     named("II", 5, None, "2^mu Gamma(1+mu) FerrersP(nu, -mu; x) on Re x > 0", fp, **up,
-          power=(2.0, mu))
+          two=mu)
     dup("II", 6, None, 5, "equal to II.5 on Re x > 0 (Euler transformation)")
     named("II", 7, None, "2^-mu Gamma(1-mu) FerrersP(nu, mu; x) on Re x > 0", fp, **down,
-          power=(2.0, neg_mu))
+          two=neg_mu)
     dup("II", 8, None, 7, "equal to II.7 on Re x > 0 (Euler transformation)")
     named("II", 9, None, "2^-nu Gamma(1/2-nu) QBold(-nu-1, mu; x) / sqrt(pi)", qb, **q_low,
-          power=(2.0, (0, -1, 0)))
+          two=(0, -1, 0))
     named("II", 10, None, "2^(nu+1) Gamma(nu+3/2) QBold(nu, mu; x) / sqrt(pi)", qb, **q_high,
-          power=(2.0, (1, 1, 0)))
+          two=(1, 1, 0))
     dup("II", 11, None, 10, "equal to II.10 (mu -> -mu symmetry)")
     dup("II", 12, None, 9, "equal to II.9 (mu -> -mu symmetry)")
     dup("II", 13, None, 9, "equal to II.9 (Pfaff transformation)")
@@ -535,14 +542,14 @@ def _identity_table() -> dict[tuple[str, int, str | None], IdentityRecord]:
     dup("III", 8, "Y2", 7, "equal to III.7 (Euler transformation)")
     named("III", 9, "Y1",
           "e^(i pi mu/2) 4^mu Gamma(1+mu) FerrersP(nu, -mu; x) on D1+", fp, **up,
-          power=(4.0, mu), phase=(0, 0, .5))
+          two=(0, 0, 2), phase=(0, 0, .5))
     named("III", 9, "Y2", "4^mu Gamma(1+mu) LegendreP(nu, -mu; x) on D2+", lp, **up,
-          power=(4.0, mu))
+          two=(0, 0, 2))
     named("III", 10, "Y1",
           "e^(-i pi mu/2) 4^-mu Gamma(1-mu) FerrersP(nu, mu; x) on D1+", fp, **down,
-          power=(4.0, neg_mu), phase=(0, 0, -.5))
+          two=(0, 0, -2), phase=(0, 0, -.5))
     named("III", 10, "Y2", "4^-mu Gamma(1-mu) LegendreP(nu, mu; x) on D2+", lp, **down,
-          power=(4.0, neg_mu))
+          two=(0, 0, -2))
     for root in ("Y1", "Y2"):
         dup("III", 11, root, 10, "equal to III.10 (Euler transformation)")
         dup("III", 12, root, 9, "equal to III.9 (Euler transformation)")

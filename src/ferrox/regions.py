@@ -48,7 +48,10 @@ class DomainId(Enum):
 
 
 def in_domain(dom: DomainId, x: complex) -> bool:
+    """Whether x lies in ``dom``; a NaN x lies in none."""
     x = complex(x)
+    if cmath.isnan(x):
+        return False
     real = x.imag == 0.0
     if dom is DomainId.D1:
         return not (real and abs(x.real) >= 1.0)

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import sys
 import threading
@@ -9,9 +8,10 @@ import mpmath as mp
 import pytest
 
 from conftest import kronecker_points, rel_diff
-from ferrox import ferrers, hyp2f1
-from ferrox.complexmath import ln_gamma
+from ferrox import ferrers, hyp2f1, olbricht
+from ferrox.complexmath import gamma_quotient, ln_gamma, principal_pow
 from ferrox.errors import (
+    BranchCutError,
     ConvergenceError,
     DomainError,
     FerroxError,
@@ -253,7 +253,9 @@ class TestSecondKindRepresentations:
         with pytest.raises(FerroxError):
             ferrers_q_rep(R.I4, ParamPair(300.3, 0.4), 0.3 + 0.4j)
 
-    # a prefactor power underflows to 0 and is then divided by
+    # a coefficient beyond double range: a prefactor power that alone
+    # underflows to 0 is divided by, so the coefficient's one exponential
+    # overflows
     @pytest.mark.parametrize("rep,p,x", [
         (R.I4, ParamPair(300.3, 0.4), 0.99), (R.I4, ParamPair(300.3, 0.4), 0.999),
         (R.II6, ParamPair(300.3, 0.4), 0.999), (R.I4, ParamPair(150.2, 60.3), 0.999)])
@@ -373,11 +375,15 @@ class TestDispatch:
         p, x = ParamPair(0.3, 0.4), 0.3 + 0.4j
         winner, runner_up = (v.rep for v in self._ranked(p, x)[:2])
 
-        def overflow(*args):
-            raise OverflowError("math range error")
+        winner_terms = [t.coef for t in ferrers._REP_TABLE[winner].terms]
+        coefficient = ferrers._coefficient
 
-        monkeypatch.setitem(ferrers._REP_TABLE, winner, dataclasses.replace(
-            ferrers._REP_TABLE[winner], evaluator=overflow))
+        def overflow(coef, *args):
+            if any(coef is c for c in winner_terms):
+                raise OverflowError("math range error")
+            return coefficient(coef, *args)
+
+        monkeypatch.setattr(ferrers, "_coefficient", overflow)
         out = ferrers_q(p, x)
         assert out.rep is runner_up
         assert out == ferrers_q_rep(runner_up, p, x)
@@ -386,9 +392,7 @@ class TestDispatch:
         def fail(*args):
             raise ConvergenceError("forced failure")
 
-        for rep, spec in ferrers._REP_TABLE.items():
-            monkeypatch.setitem(ferrers._REP_TABLE, rep,
-                                dataclasses.replace(spec, evaluator=fail))
+        monkeypatch.setattr(ferrers, "_coefficient", fail)
         p, x = ParamPair(0.3, 1.0), 0.5
         with pytest.raises(NoRepresentationError) as info:
             ferrers_q(p, x)
@@ -563,16 +567,15 @@ class TestRefusal:
     @pytest.mark.parametrize("nu,mu", PARAMS)
     def test_rows_and_forced_calls_agree(self, nu, mu, monkeypatch):
         # a row's reason is what ferrers_q_rep raises; an ok row is never
-        # refused: its call reaches the evaluator, which here raises Reached
+        # refused: its call reaches the coefficient interpreter, which here
+        # raises Reached
         class Reached(Exception):
             pass
 
         def reached(*args):
             raise Reached
 
-        for rep, spec in ferrers._REP_TABLE.items():
-            monkeypatch.setitem(ferrers._REP_TABLE, rep,
-                                dataclasses.replace(spec, evaluator=reached))
+        monkeypatch.setattr(ferrers, "_coefficient", reached)
         p = ParamPair(nu, mu)
         for x in self.POINTS:
             for v in valid_representations(p, x):
@@ -718,3 +721,168 @@ class TestThreadSafety:
         assert not any(t.is_alive() for t in threads)
         for got in results:
             assert got == [[w] * 3 for w in want]
+
+
+# Records checked one by one against mpmath: real and complex degree and
+# order, |mu| up to 2.3, none of them excluded by any record.
+ORACLE_P = [(0.3, 0.4), (1.7, -0.6), (-0.4 + 0.2j, 0.1 + 0.1j), (0.6, -2.3),
+            (1.3 + 0.5j, -1.7 - 0.3j), (2.2 - 0.3j, 2.3 + 0.2j)]
+# The real axis inside (-1, 1) and both half-planes, with points in the
+# regions of I5, I6 (|1 -+ x| > 2) and III3 (near x = 1, and Re x > 1).
+ORACLE_X = [0.3, -0.45, 0.62, 0.85, 0.93, -0.8, 0.3 + 0.4j, -0.5 + 0.2j, 0.7 + 0.3j,
+            1.1 + 0.2j, 1.6 + 0.5j, -1.6 + 0.5j, 0.3 - 0.4j, -0.5 - 0.2j, 0.7 - 0.3j,
+            1.1 - 0.2j, 1.4 - 0.8j, -1.4 - 0.8j, 1.2 + 0.5j, -0.9 - 0.6j]
+
+
+def _legenq(p, x):
+    return complex(mp.legenq(p.nu, p.mu, x, type=2))
+
+
+class TestRecordOracle:
+    """Each of the 20 records against mpmath.legenq (type 2) to 1e-10,
+    wherever its series converge (``region_ok``)."""
+
+    @pytest.mark.parametrize("rep", list(R))
+    def test_x_forms(self, rep):
+        checked = 0
+        for nu, mu in ORACLE_P:
+            p = ParamPair(nu, mu)
+            for x in ORACLE_X:
+                v = next(v for v in valid_representations(p, x) if v.rep is rep)
+                if not v.region_ok:
+                    continue
+                got = ferrers_q_rep(rep, p, x).value
+                assert rel_diff(got, _legenq(p, x)) < 1e-10, (nu, mu, x)
+                checked += 1
+        assert checked >= 10
+
+    # the maps 14 and 18 of III2 converge only off the real axis
+    @pytest.mark.parametrize("rep", [R.III1_UPPER, R.III1_LOWER, R.III3_UPPER, R.III3_LOWER])
+    def test_theta_forms(self, rep):
+        checked = 0
+        for nu, mu in ORACLE_P:
+            p = ParamPair(nu, mu)
+            for theta in (0.2, 0.3, 0.5, 0.7, 1.1, 1.5, 1.9, 2.4, 2.8):
+                x = math.cos(theta)
+                v = next(v for v in valid_representations(p, x) if v.rep is rep)
+                if not v.region_ok:
+                    continue
+                got = ferrers_q_rep_trig(rep, p, theta).value
+                assert rel_diff(got, _legenq(p, x)) < 1e-10, (nu, mu, theta)
+                checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("approach", [+1, -1])
+    @pytest.mark.parametrize("rep", HALFPLANE_REPS)
+    def test_halfplane_cut_forms(self, rep, approach):
+        # the argument lies on its cut (1, inf) at every real x in (-1, 1),
+        # where each factor is its one-sided limit
+        for nu, mu in ORACLE_P:
+            p = ParamPair(nu, mu)
+            for x in (-0.8, -0.45, -0.1, 0.3, 0.62, 0.85):
+                got = ferrers_q_halfplane_cut(rep, p, x, approach).value
+                assert rel_diff(got, _legenq(p, x)) < 1e-10, (nu, mu, x)
+
+
+NAN_X = [complex(math.nan, 0.0), complex(0.3, math.nan), complex(math.nan, 0.2)]
+
+
+class TestNonFiniteArguments:
+    @pytest.fixture(autouse=True)
+    def no_series(self, monkeypatch):
+        # a NaN argument must be refused before any 2F1 factor is summed
+        def summed(*args):
+            raise AssertionError("a series was summed")
+
+        for name in ("f21", "f21_regularized", "f21_cut"):
+            monkeypatch.setattr(ferrers, name, summed)
+        monkeypatch.setattr(olbricht, "f21", summed)
+        monkeypatch.setattr(hyp2f1, "f21_series", summed)
+
+    @pytest.mark.parametrize("x", NAN_X, ids=["nan", "0.3+nan_i", "nan+0.2i"])
+    def test_nan_x_is_domain_error(self, x):
+        p = ParamPair(0.3, 0.4)
+        calls = ([ferrers_p, legendre_p, legendre_q, legendre_q_bold, ferrers_q,
+                  connection_residuals]
+                 + [lambda p, x, rep=rep: ferrers_q_rep(rep, p, x) for rep in R]
+                 + [lambda p, x, oid=oid: olbricht.eval_olbricht(oid, p, x)
+                    for oid in olbricht.ALL_IDS])
+        for call in calls:
+            with pytest.raises(DomainError):
+                call(p, x)
+
+    @pytest.mark.parametrize("call", [
+        ferrers_q_via_limit, lambda p, x: ferrers_q_rep_trig(R.III1_UPPER, p, x),
+    ] + [lambda p, x, rep=rep: ferrers_q_halfplane_cut(rep, p, x) for rep in HALFPLANE_REPS])
+    def test_nan_real_argument_is_domain_error(self, call):
+        # x, or theta for the theta-forms
+        with pytest.raises(DomainError):
+            call(ParamPair(0.3, 0.4), math.nan)
+
+    @pytest.mark.parametrize("x", NAN_X, ids=["nan", "0.3+nan_i", "nan+0.2i"])
+    def test_nan_x_rows_are_invalid(self, x):
+        rows = valid_representations(ParamPair(0.3, 0.4), x)
+        assert len(rows) == len(R)
+        for v in rows:
+            assert not v.ok and not v.region_ok
+            assert v.reason == f"x = {x} is not a number"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf),
+                                     complex(0.3, math.nan)],
+                             ids=["nan", "inf", "-inf", "i_inf", "0.3+nan_i"])
+    @pytest.mark.parametrize("slot", ["nu", "mu"])
+    def test_non_finite_parameters(self, bad, slot):
+        args = {"nu": 0.3, "mu": 0.4, slot: bad}
+        with pytest.raises(ParameterError, match="must be finite"):
+            ParamPair(**args)
+
+
+class TestCoefficient:
+    """The rules of ``_coefficient``, the one interpreter of coefficient
+    records: those of ``gamma_quotient`` for its gammas and those of
+    ``principal_pow`` for its powers."""
+
+    @staticmethod
+    def value(coef, x=0.3 + 0.2j, nu=0.3, mu=0.4):
+        tags = [tag for tag, _ in coef.powers]
+        bases = ferrers._log_bases(ferrers._X_BASES, tags, complex(x), 0.5 + 0j, 1)
+        return ferrers._coefficient(coef, complex(nu), complex(mu), bases, 1)
+
+    def test_matches_gamma_quotient_and_powers(self):
+        coef = ferrers.Coefficient(0.5, gammas=((1, 1, 1),), rgammas=((1, 1, -1),),
+                                   powers=(("1+x", (0, 1, 0)), ("2", (0, 0, -1))),
+                                   phase=(0, 0, 1), trig=(("1/cos", (0, 1, 0)),))
+        nu, mu, x = 0.3, 0.4, 0.3 + 0.2j
+        want = (0.5 * gamma_quotient((nu + mu + 1,), (nu - mu + 1,))
+                * principal_pow(1 + x, nu) * principal_pow(2.0, -mu)
+                * cmath.exp(1j * math.pi * mu) / cmath.cos(math.pi * nu))
+        assert rel_diff(self.value(coef), want) < 1e-14
+
+    def test_denominator_pole_gives_zero(self):
+        assert self.value(ferrers.Coefficient(rgammas=((-2, 0, 0),))) == 0
+
+    @pytest.mark.parametrize("z", [3e-9, -1.0 - 2e-9, -3.0 + 5e-9 + 4e-10j])
+    def test_denominator_near_pole(self, z):
+        # by reflection: -ln_gamma(z) alone is off by about pi |z + n| here
+        got = self.value(ferrers.Coefficient(rgammas=((0, 0, 1),)), mu=z)
+        want = complex(mp.rgamma(mp.mpc(z)))
+        assert rel_diff(got, want) < 1e-13
+
+    def test_gamma_part_beyond_double_range(self):
+        with pytest.raises(ParameterError, match="gamma quotient beyond double range"):
+            self.value(ferrers.Coefficient(gammas=((300, 0, 0),)))
+
+    def test_other_overflow_is_arithmetic_error(self):
+        # a power beyond double range; _guarded makes it a DomainError
+        with pytest.raises(OverflowError):
+            self.value(ferrers.Coefficient(powers=(("2", (2000, 0, 0)),)))
+
+    @pytest.mark.parametrize("x,expo,want", [(0.0, (2, 0, 0), 0.0), (-0.5, (3, 0, 0), -0.125)])
+    def test_zero_and_negative_bases(self, x, expo, want):
+        assert self.value(ferrers.Coefficient(powers=(("x", expo),)), x=x) == want
+
+    @pytest.mark.parametrize("x,expo,exc", [(0.0, (-1, 0, 0), DomainError),
+                                            (-0.5, (0.5, 0, 0), BranchCutError)])
+    def test_branch_rules(self, x, expo, exc):
+        with pytest.raises(exc):
+            self.value(ferrers.Coefficient(powers=(("x", expo),)), x=x)
