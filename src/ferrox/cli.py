@@ -13,8 +13,8 @@ Subcommands:
 Exit codes: 0 success, 1 usage or parse error, 2 mathematical domain,
 parameter or arithmetic (overflow) error, 3 verification failure.  All
 numeric JSON fields are printed with 17 significant digits so outputs diff
-cleanly.  The default tolerance 1e-12 can be overridden with the FERROX_TOL
-environment variable.
+cleanly.  The default tolerance 1e-12 can be overridden with ``--tol`` or
+the FERROX_TOL environment variable, by a finite number in [0, 1).
 """
 
 from __future__ import annotations
@@ -143,14 +143,21 @@ def _error_json(exc: Exception) -> dict:
     return {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("FERROX_TOL")
+def _tol(option: float | None = None) -> float:
+    """``--tol`` when given, else FERROX_TOL when set, else the default; it
+    must be a finite number in [0, 1)."""
+    source, raw = "--tol", option
+    if option is None:
+        source, raw = "FERROX_TOL", os.environ.get("FERROX_TOL")
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise _CliError(f"FERROX_TOL is not a number: {raw!r}", EXIT_USAGE)
+        raise _CliError(f"{source} is not a number: {raw!r}", EXIT_USAGE)
+    if not 0.0 <= value < 1.0:  # also refuses nan
+        raise _CliError(f"{source} must be a finite number in [0, 1); got {raw!r}", EXIT_USAGE)
+    return value
 
 
 def _rep_from_name(name: str) -> RepresentationId:
@@ -166,7 +173,7 @@ def _rep_from_name(name: str) -> RepresentationId:
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _tol(args.tol)
     p = ParamPair(parse_complex(args.nu), parse_complex(args.mu))
     x = parse_complex(args.x)
     if args.rep is not None:
@@ -183,7 +190,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _tol(args.tol)
     p = ParamPair(parse_complex(args.nu), parse_complex(args.mu))
     x = parse_complex(args.x)
     rows = []
@@ -272,7 +279,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_fourier(args) -> int:
-    tol = _default_tol()
+    tol = _tol()
     nu = parse_complex(args.nu)
     mu = parse_complex(args.mu)
     stream = FourierTermStream(nu, mu, args.theta)
@@ -300,7 +307,7 @@ def _cmd_fourier(args) -> int:
 
 
 def _cmd_olbricht(args) -> int:
-    tol = _default_tol()
+    tol = _tol()
     p = ParamPair(parse_complex(args.nu), parse_complex(args.mu))
     ids = [oid for oid in ALL_IDS
            if (args.group is None or oid.group == args.group)
@@ -347,7 +354,7 @@ def _cmd_olbricht(args) -> int:
 
 
 def _cmd_cut(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _tol(args.tol)
     params = HypParams(parse_complex(args.a), parse_complex(args.b),
                        parse_complex(args.c))
     side = CutSide.ABOVE if args.side == "above" else CutSide.BELOW
@@ -423,6 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse takes a literal such as -0.5-0.2i, not a plain negative number,
+    # for an option: join it to its complex-valued option as --x=-0.5-0.2i.
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if (argv[i - 1] in ("--nu", "--mu", "--x", "--a", "--b", "--c")
+                and _COMPLEX_RE.match(argv[i])):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -1,10 +1,15 @@
-"""Complex gamma-family functions, principal powers, and the two square-root
-conventions used by the Legendre/Ferrers machinery.
+"""Complex gamma-family functions, sin and cos of pi z, principal powers,
+and the two square-root conventions used by the Legendre/Ferrers machinery.
 
 Everything here is a pure function of scalars.  The principal branch
 (argument in (-pi, pi]) is used throughout; ``ln_gamma`` is the analytic
 continuation from the positive real axis, continuous on the plane cut along
 (-inf, 0].
+
+Every near-integer rule lives here: ``ln_gamma`` and ``sinpi``/``cospi``
+work at the exact distance to the nearest integer (or half-integer), so
+Gamma, 1/Gamma and sin/cos(pi z) stay accurate right up to their poles and
+zeros, and ``log_gamma_quotient`` holds the 1e-12 denominator-pole rule.
 
 The one shared state is the ``ln_gamma`` memo: a bounded, thread-safe
 ``functools.lru_cache`` of the 256 most recent arguments.  The
@@ -25,15 +30,18 @@ from .errors import BranchCutError, DomainError, ParameterError, PoleError, Sing
 
 __all__ = [
     "RootVariant",
+    "cospi",
     "gamma",
     "gamma_quotient",
-    "is_nonpos_int",
     "ln_gamma",
+    "log_gamma_quotient",
     "near_int",
+    "nonpos_index",
     "pochhammer",
     "principal_pow",
     "rgamma",
     "root_y",
+    "sinpi",
     "z2m1_pow",
 ]
 
@@ -63,14 +71,15 @@ _LANCZOS_TERMS = tuple((c, float(k - 1)) for k, c in enumerate(_LANCZOS_C) if k)
 
 _LN_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LN_PI = math.log(math.pi)
+_LN_HALF_I = complex(math.log(0.5), 0.5 * math.pi)
 
 #: Entries kept by the ``ln_gamma`` memo.  One evaluation point of every
 #: valid representation uses about 30 distinct gamma arguments, a sweep of
 #: ``ferrers_q`` over x at fixed (nu, mu) a handful per parameter pair.
 _LN_GAMMA_MEMO_SIZE = 256
 
-#: Default tolerance for "is effectively an integer" predicates.  Prefactors
-#: like 1/sin(pi*mu) lose all precision closer to a pole than this.
+#: Default tolerance for "is effectively an integer" predicates, such as the
+#: parameter exclusions of the representations (see ``ferrers.ParamPair``).
 NEAR_INT_TOL = 1e-9
 
 
@@ -80,14 +89,35 @@ def near_int(z: complex, tol: float = NEAR_INT_TOL) -> bool:
     return abs(z.imag) <= tol and abs(z.real - round(z.real)) <= tol
 
 
-def is_nonpos_int(z: complex, tol: float = NEAR_INT_TOL) -> bool:
-    """True when ``z`` lies within ``tol`` of 0, -1, -2, ..."""
-    return near_int(z, tol) and round(complex(z).real) <= 0
+def nonpos_index(z: complex, tol: float = 0.0) -> int | None:
+    """m when ``z`` lies within ``tol`` of -m, m = 0, 1, 2, ... (exactly -m
+    for the default tol 0); else None."""
+    if abs(z.imag) <= tol:
+        n = round(z.real)
+        if n <= 0 and abs(z.real - n) <= tol:
+            return -n
+    return None
 
 
-def _exact_nonpos_int(z: complex) -> bool:
-    z = complex(z)
-    return z.imag == 0.0 and z.real == round(z.real) and z.real <= 0.0
+#: sin(pi (k/2 + d)) for k mod 4 = 0, 1, 2, 3: (function of pi d, sign).
+#: ``sinpi`` and ``cospi`` take d = z - k/2 exactly, k/2 the half-integer
+#: nearest z, so they keep their relative accuracy next to their zeros.
+_QUADRANTS = ((cmath.sin, 1.0), (cmath.cos, 1.0), (cmath.sin, -1.0), (cmath.cos, -1.0))
+
+
+def sinpi(z: complex) -> complex:
+    """sin(pi z), exactly 0 at the integers and accurate next to them."""
+    k = round(2.0 * z.real)
+    f, sign = _QUADRANTS[k & 3]
+    return sign * f(math.pi * (z - 0.5 * k))
+
+
+def cospi(z: complex) -> complex:
+    """cos(pi z) = sin(pi (z + 1/2)), exactly 0 at the half-integers and
+    accurate next to them."""
+    k = round(2.0 * z.real)
+    f, sign = _QUADRANTS[(k + 1) & 3]
+    return sign * f(math.pi * (z - 0.5 * k))
 
 
 class RootVariant(Enum):
@@ -111,18 +141,19 @@ def _lanczos_sum(z: complex) -> complex:
 
 def _log_sin_pi_upper(z: complex) -> complex:
     # log(sin(pi z)) unwound so the reflection formula stays on the principal
-    # branch of ln_gamma; valid for Im z >= 0.
-    return (
-        math.log(0.5)
-        + 0.5j * math.pi
-        - 1j * math.pi * z
-        + cmath.log(1.0 - cmath.exp(2j * math.pi * z))
-    )
+    # branch of ln_gamma; valid for Im z >= 0.  With d = pi (Re z - round(Re z)),
+    # the difference exact, and x = -2 pi Im z <= 0, 1 - e^{2 pi i z} is
+    # (2 e^x sin^2 d - expm1(x)) - 2i e^x sin d cos d: no digits cancel at a pole.
+    d = math.pi * (z.real - round(z.real))
+    em1 = math.expm1(-2.0 * math.pi * z.imag)
+    s, two_ex = math.sin(d), 2.0 * (1.0 + em1)
+    one_minus = complex(two_ex * s * s - em1, -two_ex * s * math.cos(d))
+    return _LN_HALF_I - 1j * math.pi * z + cmath.log(one_minus)
 
 
 def _ln_gamma(z: complex) -> complex:
-    # No pole has Re z > 0, so most arguments skip the two predicates.
-    if z.real <= 0.0 and (_exact_nonpos_int(z) or near_int(z, 1e-300)):
+    # No pole has Re z > 0, so most arguments skip the predicate.
+    if z.real <= 0.0 and nonpos_index(z, 1e-300) is not None:
         raise PoleError(f"ln_gamma pole at z = {z}")
     if z.imag < 0.0:
         return _ln_gamma(z.conjugate()).conjugate()
@@ -160,45 +191,43 @@ def gamma(z: complex) -> complex:
 
 
 def rgamma(z: complex) -> complex:
-    """Entire reciprocal gamma, exactly 0 at 0, -1, -2, ...; raises
-    ParameterError where the value is beyond double range."""
-    z = complex(z)
-    if _exact_nonpos_int(z):
-        return 0.0 + 0.0j
+    """Entire reciprocal gamma, exactly 0 at the poles of ``ln_gamma`` and
+    accurate right up to them; raises ParameterError where the value is
+    beyond double range."""
     try:
-        if is_nonpos_int(z, 1e-8):
-            # Near a pole of gamma the direct exponential cancels badly; the
-            # reflection product stays well conditioned.
-            return cmath.sin(math.pi * z) * cmath.exp(ln_gamma(1.0 - z)) / math.pi
         return cmath.exp(-ln_gamma(z))
+    except PoleError:
+        return 0.0 + 0.0j
     except OverflowError:
         raise ParameterError(f"1/gamma({z}) is beyond double range") from None
 
 
-def gamma_quotient(numerators=(), denominators=()) -> complex:
-    """prod Gamma(numerators) / prod Gamma(denominators), overflow-safe.
-
-    A gamma pole in a denominator sends the quotient to exactly 0.  A pole in
-    a numerator raises PoleError; callers are expected to have excluded those
-    parameter sets already.
-    """
-    zeros = 0
+def log_gamma_quotient(numerators=(), denominators=()) -> complex | None:
+    """log prod Gamma(numerators) / prod Gamma(denominators), a sum of
+    ``ln_gamma`` values; None (the quotient is 0) when a denominator lies
+    within 1e-12 of a pole.  ParameterError beyond double range; PoleError
+    at a numerator pole (callers exclude those parameter sets)."""
     acc = 0.0 + 0.0j
     for d in denominators:
-        d = complex(d)
-        if is_nonpos_int(d, 1e-12):
-            zeros += 1
-        else:
-            acc -= ln_gamma(d)
-    if zeros:
-        return 0.0 + 0.0j
+        if d.real < 0.5 and nonpos_index(d, 1e-12) is not None:
+            return None
+        acc -= ln_gamma(d)
     for n in numerators:
-        acc += ln_gamma(complex(n))
-    try:
-        return cmath.exp(acc)
-    except OverflowError:
-        raise ParameterError(
-            f"gamma quotient beyond double range: log modulus {acc.real:.6g}") from None
+        acc += ln_gamma(n)
+    if acc.real > 709.0:  # cmath.exp(acc) may overflow
+        try:
+            cmath.exp(acc)
+        except OverflowError:
+            raise ParameterError(
+                f"gamma quotient beyond double range: log modulus {acc.real:.6g}") from None
+    return acc
+
+
+def gamma_quotient(numerators=(), denominators=()) -> complex:
+    """prod Gamma(numerators) / prod Gamma(denominators), overflow-safe (see
+    ``log_gamma_quotient``)."""
+    acc = log_gamma_quotient(numerators, denominators)
+    return 0.0 + 0.0j if acc is None else cmath.exp(acc)
 
 
 def pochhammer(a: complex, n: int) -> complex:

@@ -36,12 +36,12 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from .complexmath import (
-    NEAR_INT_TOL,
+    cospi,
     gamma_quotient,
-    is_nonpos_int,
-    ln_gamma,
+    log_gamma_quotient,
     near_int,
     principal_pow,
+    sinpi,
     z2m1_pow,
 )
 from .errors import (
@@ -92,7 +92,6 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-_LN_PI = math.log(math.pi)
 
 
 @dataclass(frozen=True)
@@ -101,8 +100,8 @@ class ParamPair:
     parameter sets named in ``_EXCL_NAMES``, which ``_exclusions`` decides
     by one near-integer test each of mu, 2 mu, 2 nu, nu + 1/2 and nu + mu:
     values within 1e-9 of an excluded integer count as excluded, since closer
-    than that, prefactors like 1/sin(pi mu) have no usable precision.  A
-    non-finite nu or mu raises ``ParameterError``."""
+    than that the two terms of a representation cancel (its gamma and
+    sin/cos factors stay accurate).  Non-finite nu or mu: ``ParameterError``."""
 
     nu: complex
     mu: complex
@@ -160,14 +159,6 @@ class RepValidity:
     reason: str | None
     region_ok: bool
     preference: float
-
-
-def _sinpi(z: complex) -> complex:
-    return cmath.sin(math.pi * z)
-
-
-def _cospi(z: complex) -> complex:
-    return cmath.cos(math.pi * z)
 
 
 def _guarded(label: str, evaluate: Callable, *args):
@@ -283,16 +274,16 @@ class Coefficient(NamedTuple):
     extra: str | None = None
 
 
-#: trig name -> (function, divide by it)
-_TRIG = {"cos": (cmath.cos, False), "sin": (cmath.sin, False), "1/cos": (cmath.cos, True),
-         "1/sin": (cmath.sin, True)}
+#: trig name -> (function of t giving f(pi t), divide by it)
+_TRIG = {"cos": (cospi, False), "sin": (sinpi, False), "1/cos": (cospi, True),
+         "1/sin": (sinpi, True)}
 
 #: The two factors that are not products, of (nu, mu, g): the half-plane mix
 #: of I5, I6, II2 and II4 and the factor of the second term of III1 and III2.
 _EXTRAS = {
-    "mix": lambda nu, mu, g: _cospi(mu) - g * 1j * _sinpi(mu - nu) / (2.0 * _cospi(nu)),
+    "mix": lambda nu, mu, g: cospi(mu) - g * 1j * sinpi(mu - nu) / (2.0 * cospi(nu)),
     "fac": lambda nu, mu, g: (1.0 + cmath.exp(g * 1j * math.pi * (nu + mu))
-                              * _cospi(mu) / _cospi(nu)),
+                              * cospi(mu) / cospi(nu)),
 }
 
 
@@ -313,33 +304,14 @@ def _log_bases(vocabulary: dict[str, Callable[..., complex]], tags, *args):
 def _coefficient(coef: Coefficient, nu: complex, mu: complex, bases, g: int) -> complex:
     """The value of ``coef`` at (nu, mu) with sign g, ``bases`` from
     ``_log_bases``: the log-gammas, powers and phase are summed and
-    exponentiated once.  As in ``gamma_quotient``, a denominator within 1e-12
-    of a pole gives 0 and a gamma part beyond double range raises
-    ``ParameterError``; as in ``rgamma``, a denominator within 1e-8 of a
-    pole is taken by reflection.  Any other overflow is an
-    ``OverflowError``.  Affine values are spelled out here, for speed."""
-    acc = 0j
-    for a0, a1, a2 in coef.rgammas:
-        z = a0 + a1 * nu + a2 * mu
-        if z.real < 0.5 and is_nonpos_int(z, 1e-8):
-            if is_nonpos_int(z, 1e-12):
-                return 0j
-            # Near the pole -n, -ln_gamma(z) loses digits; the reflection
-            # 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi, with sin(pi z) taken
-            # at the exact distance z + n, keeps them.
-            n = round(z.real)
-            acc += (cmath.log((-1) ** n * cmath.sin(math.pi * (z - n))) + ln_gamma(1.0 - z)
-                    - _LN_PI)
-        else:
-            acc -= ln_gamma(z)
-    for a0, a1, a2 in coef.gammas:
-        acc += ln_gamma(a0 + a1 * nu + a2 * mu)
-    if acc.real > 709.0:  # cmath.exp(acc) may overflow
-        try:
-            cmath.exp(acc)
-        except OverflowError:
-            raise ParameterError(
-                f"gamma quotient beyond double range: log modulus {acc.real:.6g}") from None
+    exponentiated once.  The gamma part is ``log_gamma_quotient``'s: 0 next
+    to a denominator pole, ``ParameterError`` beyond double range.  Any
+    other overflow is an ``OverflowError``.  Affine values are spelled out
+    here, for speed."""
+    acc = log_gamma_quotient([a0 + a1 * nu + a2 * mu for a0, a1, a2 in coef.gammas],
+                             [a0 + a1 * nu + a2 * mu for a0, a1, a2 in coef.rgammas])
+    if acc is None:
+        return 0j
     value = coef.const * g if coef.signed else coef.const
     logs, odd = bases
     for tag, (a0, a1, a2) in coef.powers:
@@ -351,7 +323,7 @@ def _coefficient(coef: Coefficient, nu: complex, mu: complex, bases, g: int) -> 
         acc += 1j * math.pi * g * _aff(coef.phase, nu, mu)
     for name, (a0, a1, a2) in coef.trig:
         f, divide = _TRIG[name]
-        v = f(math.pi * (a0 + a1 * nu + a2 * mu))
+        v = f(a0 + a1 * nu + a2 * mu)
         value = value / v if divide else value * v
     if coef.extra is not None:
         value *= _EXTRAS[coef.extra](nu, mu, g)
@@ -380,7 +352,7 @@ def _exclusions(p: ParamPair) -> set[str]:
     nu, mu = p.nu, p.mu
     out = {key for key, z in (("mu_int", mu), ("two_mu_int", 2.0 * mu), ("two_nu_int", 2.0 * nu),
                               ("nu_half_int", nu + 0.5), ("numu_int", nu + mu))
-           if near_int(z, NEAR_INT_TOL)}
+           if near_int(z)}
     if "numu_int" in out:
         n = round((nu + mu).real)
         out.add("numu_pos" if n > 0 else "numu_nonpos")
@@ -837,11 +809,10 @@ def connection_residuals(p: ParamPair, x: complex,
 
     # On-axis relation: (2/pi) sin(pi mu) Q = cos(pi mu) P(mu) - ratio P(-mu)
     if "mu_int" not in excluded:
-        pm = ferrers_p(p, x, tol).value
+        csc = math.pi / (2.0 * sinpi(mu))
+        ratio = gamma_quotient((nu + mu + 1.0,), (nu - mu + 1.0,))
         pmm = ferrers_p(ParamPair(nu, -mu), x, tol).value
-        rhs = (math.pi / (2.0 * _sinpi(mu))
-               * (_cospi(mu) * pm
-                  - gamma_quotient((nu + mu + 1.0,), (nu - mu + 1.0,)) * pmm))
+        rhs = csc * (cospi(mu) * ferrers_p(p, x, tol).value - ratio * pmm)
         out.append(("ferrers_first_kind_pair", resid(rhs)))
 
     if x.imag == 0.0:
@@ -862,23 +833,20 @@ def connection_residuals(p: ParamPair, x: complex,
 
     if "mu_int" not in excluded:
         pmm_val = legendre_p(ParamPair(nu, -mu), x, tol).value
-        phase = cmath.exp(0.5j * math.pi * mu) if upper else cmath.exp(-0.5j * math.pi * mu)
-        rhs = (0.5 * math.pi * _cospi(mu) / _sinpi(mu) * phase * p_val
-               - math.pi / (2.0 * _sinpi(mu)) / phase
-               * gamma_quotient((nu + mu + 1.0,), (nu - mu + 1.0,)) * pmm_val)
+        phase = cmath.exp((0.5j if upper else -0.5j) * math.pi * mu)
+        rhs = csc * (cospi(mu) * phase * p_val - ratio / phase * pmm_val)
         out.append((f"legendre_pp_{tag}", resid(rhs)))
 
-    if (q_val is not None and "nu_half_int" not in excluded
-            and not near_int(mu - nu, NEAR_INT_TOL)):
+    if q_val is not None and "nu_half_int" not in excluded and not near_int(mu - nu):
         refl = ParamPair(-nu - 1.0, mu)
         if "numu_neg" not in _exclusions(refl):
             q2_val = legendre_q(refl, x, tol).value
-            t = _sinpi(mu - nu) / (2.0 * _cospi(nu))
+            t = sinpi(mu - nu) / (2.0 * cospi(nu))
             if upper:
-                rhs = (cmath.exp(-0.5j * math.pi * mu) * ((_cospi(mu) - 1j * t) * q_val
+                rhs = (cmath.exp(-0.5j * math.pi * mu) * ((cospi(mu) - 1j * t) * q_val
                        + 1j * t * q2_val))
             else:
-                rhs = (cmath.exp(-1.5j * math.pi * mu) * ((_cospi(mu) + 1j * t) * q_val
+                rhs = (cmath.exp(-1.5j * math.pi * mu) * ((cospi(mu) + 1j * t) * q_val
                        - 1j * t * q2_val))
             out.append((f"legendre_qq_{tag}", resid(rhs)))
     return out

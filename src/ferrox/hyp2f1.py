@@ -23,9 +23,10 @@ from enum import Enum
 from typing import Callable
 
 from .complexmath import (
+    NEAR_INT_TOL,
     gamma_quotient,
-    is_nonpos_int,
     near_int,
+    nonpos_index,
     pochhammer,
     principal_pow,
     rgamma,
@@ -68,10 +69,6 @@ DEGENERACY_TOL = 1e-8
 #: formula divides by; closer in, its terms cancel (error about eps/delta^2).
 CONNECTION_GAP = 1e-2
 
-#: Window around a nonpositive integer c routed through the limit form of the
-#: regularized function.
-NEAR_POLE_TOL = 1e-9
-
 
 class CutSide(Enum):
     ABOVE = "above"
@@ -108,20 +105,13 @@ def combine(parts: list[tuple[complex, SeriesResult]]) -> SeriesResult:
     return SeriesResult(value, terms, abs_tail / mag if mag else abs_tail)
 
 
-def _nonpos_index(z: complex) -> int | None:
-    """m when z is exactly -m, m = 0, 1, 2, ...; else None."""
-    if z.imag == 0.0 and z.real == round(z.real) and z.real <= 0.0:
-        return int(-z.real)
-    return None
-
-
 def _polynomial(p: HypParams, w: complex) -> SeriesResult | None:
     """The sum when a or b is a nonpositive integer (no cut), else None."""
-    ma, mb = _nonpos_index(p.a), _nonpos_index(p.b)
+    ma, mb = nonpos_index(p.a), nonpos_index(p.b)
     if ma is None and mb is None:
         return None
     m = mb if ma is None else ma if mb is None else min(ma, mb)
-    cp = _nonpos_index(p.c)
+    cp = nonpos_index(p.c)
     if cp is not None and cp < m:
         raise ParameterError(f"2F1 undefined: c = {p.c} pole precedes termination")
     total = term = 1.0 + 0.0j
@@ -142,7 +132,7 @@ def f21_series(p: HypParams, w: complex, tol: float = DEFAULT_TOL,
     w = complex(w)
     if (poly := _polynomial(p, w)) is not None:
         return poly
-    if _nonpos_index(p.c) is not None:
+    if nonpos_index(p.c) is not None:
         raise ParameterError(f"2F1 series undefined: c = {p.c} is a nonpositive integer")
     aw = abs(w)
     if aw >= 1.0:
@@ -335,7 +325,7 @@ def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
         return poly
     if w.imag == 0.0 and w.real >= 1.0:
         raise BranchCutError(f"2F1 argument {w} lies on the branch cut [1, inf)")
-    if _nonpos_index(p.c) is not None:
+    if nonpos_index(p.c) is not None:
         raise ParameterError(f"2F1 undefined for c = {p.c} in 0, -1, -2, ...")
 
     radius, route = _first_route(p, w)
@@ -363,9 +353,7 @@ def f21_regularized(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> Serie
     At c = -m the standard limit is returned: the series starts at the term
     of order m + 1.
     """
-    c = complex(p.c)
-    if is_nonpos_int(c, NEAR_POLE_TOL):
-        mm = int(-round(c.real))
+    if (mm := nonpos_index(p.c, NEAR_INT_TOL)) is not None:
         pref = (pochhammer(p.a, mm + 1) * pochhammer(p.b, mm + 1)
                 / math.factorial(mm + 1)) * principal_pow(complex(w), mm + 1)
         if pref == 0:
@@ -373,7 +361,7 @@ def f21_regularized(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> Serie
         inner = f21(HypParams(p.a + mm + 1, p.b + mm + 1, mm + 2), w, tol)
         return SeriesResult(pref * inner.value, inner.terms_used, inner.tail_estimate)
     inner = f21(p, w, tol)
-    return SeriesResult(rgamma(c) * inner.value, inner.terms_used, inner.tail_estimate)
+    return SeriesResult(rgamma(p.c) * inner.value, inner.terms_used, inner.tail_estimate)
 
 
 def f21_cut_via(theorem: int, p: HypParams, x: float, side: CutSide,
@@ -384,7 +372,7 @@ def f21_cut_via(theorem: int, p: HypParams, x: float, side: CutSide,
     c - a - b off the integers."""
     if not (isinstance(x, (int, float)) and x > 1.0):
         raise DomainError(f"cut evaluation requires real x > 1; got {x}")
-    if _nonpos_index(p.c) is not None:
+    if nonpos_index(p.c) is not None:
         raise ParameterError(f"2F1 undefined for c = {p.c} in 0, -1, -2, ...")
     if theorem not in _CONNECTIONS:
         raise ValueError(f"theorem index must be 1..4; got {theorem}")

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -99,6 +100,26 @@ class TestComplexLiterals:
         from ferrox.cli import _CliError
         with pytest.raises(_CliError):
             parse_complex(text)
+
+
+class TestNegativeRealLiterals:
+    """A complex literal with a negative real part may follow its option as
+    a separate argument; it gives what the joined ``--opt=value`` gives."""
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--nu", "0.3", "--mu", "0.4", "--x", "-0.5-0.2i"),
+        ("compare", "--nu", "-0.3-0.1i", "--mu", "0.4", "--x", "-0.5-0.2i"),
+        ("fourier", "--nu", "-0.3+0.1i", "--mu", "-0.2-0.1i", "--theta", "1.0",
+         "--n-terms", "50"),
+        ("cut", "--a", "-0.3-0.1i", "--b", "1.1", "--c", "2.2", "--x", "3",
+         "--side", "above"),
+    ])
+    def test_space_separated(self, argv):
+        code, out = run_cli(*argv)
+        assert code == 0
+        joined = re.sub(r"(--(?:nu|mu|x|a)) (-)", r"\1=\2", " ".join(argv)).split()
+        assert joined != list(argv)
+        assert run_cli(*joined) == (0, out)
 
 
 class TestJsonEmission:
@@ -377,3 +398,28 @@ class TestTolEnvVar:
         monkeypatch.setenv("FERROX_TOL", "soup")
         code, _ = run_cli("eval", "--nu", "0.3", "--mu", "0.4", "--x", "0.2")
         assert code == 1
+
+    @pytest.mark.parametrize("raw", ["inf", "-1", "nan", "1", "-inf"])
+    def test_out_of_range_value(self, monkeypatch, raw):
+        monkeypatch.setenv("FERROX_TOL", raw)
+        for argv in (("eval", "--nu", "0.3", "--mu", "0.4", "--x", "0.2"),
+                     ("fourier", "--nu", "1", "--mu", "0", "--theta", "1.0")):
+            code, out = run_cli(*argv)
+            assert (code, out) == (1, "")
+
+
+class TestTolOption:
+    @pytest.mark.parametrize("raw", ["inf", "-1", "nan", "1", "1e300"])
+    @pytest.mark.parametrize("command", [
+        ("eval", "--nu", "0.3", "--mu", "0.4", "--x", "0.2"),
+        ("compare", "--nu", "0.3", "--mu", "0.4", "--x", "0.2"),
+        ("cut", "--a", "0.3", "--b", "1.1", "--c", "2.2", "--x", "3", "--side", "above"),
+    ])
+    def test_out_of_range_value(self, capsys, command, raw):
+        code, out = run_cli(*command, "--tol", raw)
+        assert (code, out) == (1, "")
+        assert "--tol must be a finite number in [0, 1)" in capsys.readouterr().err
+
+    def test_zero_is_accepted(self):
+        code, _ = run_cli("eval", "--nu", "0.3", "--mu", "0.4", "--x", "0.2", "--tol", "0")
+        assert code == 0

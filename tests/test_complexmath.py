@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,13 +9,16 @@ from hypothesis import strategies as st
 from conftest import kronecker_points
 from ferrox.complexmath import (
     RootVariant,
+    cospi,
     gamma,
     gamma_quotient,
     ln_gamma,
+    nonpos_index,
     pochhammer,
     principal_pow,
     rgamma,
     root_y,
+    sinpi,
     z2m1_pow,
 )
 from ferrox.errors import (
@@ -154,6 +158,74 @@ class TestRgamma:
 
     def test_quotient_zero_on_denominator_pole(self):
         assert gamma_quotient((1.3,), (-2.0,)) == 0.0
+
+
+def _near_poles():
+    """Points 1e-14 to 1e-3 from each pole 0, -1, ..., -60, on both sides of
+    it along the real axis and off it in four complex directions."""
+    dirs = (1.0, -1.0, 1j, -1j, cmath.exp(1j * math.pi / 3), cmath.exp(-2j * math.pi / 3))
+    return [-n + e * u for n in range(61) for e in (1e-14, 1e-11, 1e-8, 1e-5, 1e-3)
+            for u in dirs]
+
+
+class TestNearPoles:
+    """Gamma from each of its functions keeps its relative accuracy right up
+    to the poles.  Values of Gamma, not of its log, are compared, so that no
+    multiple of 2 pi i enters."""
+
+    @pytest.mark.parametrize("func", [
+        lambda z: cmath.exp(ln_gamma(z)),
+        lambda z: 1.0 / rgamma(z),
+        lambda z: gamma_quotient((z, 2.5), (1.5,)) / 1.5,
+    ], ids=["ln_gamma", "rgamma", "gamma_quotient"])
+    def test_gamma_matches_mpmath(self, func):
+        worst = (0.0, None)
+        with mp.workdps(30):
+            for z in _near_poles():
+                want = complex(mp.gamma(mp.mpc(z)))
+                err = abs(func(z) - want) / abs(want)
+                worst = max(worst, (err, z), key=lambda t: t[0])
+        assert worst[0] < 1e-13, worst
+
+    def test_quotient_denominator(self):
+        # exactly 0 within 1e-12 of the pole, the reciprocal beyond
+        with mp.workdps(30):
+            for z in _near_poles():
+                inside = abs(z + round(-z.real)) <= 1e-12
+                want = 0.0 if inside else complex(mp.rgamma(mp.mpc(z)))
+                assert abs(gamma_quotient((), (z,)) - want) <= 1e-13 * abs(want), z
+
+
+class TestSinCosPi:
+    @staticmethod
+    def points():
+        offsets = [e * u for e in (1e-14, 1e-10, 1e-6, 1e-3, 0.1)
+                   for u in (1.0, -1.0, 1j, 0.6 + 0.8j)]
+        return [k + h + off for k in range(-40, 41) for h in (0.0, 0.5) for off in offsets]
+
+    @pytest.mark.parametrize("func,ref", [(sinpi, mp.sinpi), (cospi, mp.cospi)])
+    def test_matches_mpmath(self, func, ref):
+        with mp.workdps(30):
+            for z in self.points():
+                want = complex(ref(mp.mpc(z)))
+                assert abs(func(z) - want) <= 1e-15 * abs(want), z
+
+    def test_exact_zeros_and_signs(self):
+        assert sinpi(-3.0) == 0.0 and cospi(2.5) == 0.0
+        assert sinpi(2.5) == 1.0 and sinpi(-0.5) == -1.0
+        assert cospi(3.0) == -1.0 and cospi(-4.0) == 1.0
+
+
+class TestNonposIndex:
+    def test_exact(self):
+        assert nonpos_index(0.0) == 0 and nonpos_index(-3.0 + 0j) == 3
+        assert nonpos_index(1.0) is None and nonpos_index(-3.0 + 1e-300j) is None
+        assert nonpos_index(-2.5) is None
+
+    def test_window(self):
+        assert nonpos_index(-4.0 + 1e-10 - 1e-10j, 1e-9) == 4
+        assert nonpos_index(-4.0 + 2e-9, 1e-9) is None
+        assert nonpos_index(1e-10, 1e-9) == 0
 
 
 class TestPochhammer:

@@ -165,6 +165,15 @@ class TestSecondKindRepresentations:
         b = ferrers_q_rep(R.FOURIER_UV, p, 0.2).value
         assert rel_diff(a, b) < 1e-10
 
+    @pytest.mark.parametrize("rep", [R.I2, R.II1])
+    @pytest.mark.parametrize("mu", [1.0 + 2e-9, 2.0 - 3e-9, 1.0 - 5e-9 + 1e-10j])
+    def test_just_outside_integer_order_window(self, rep, mu):
+        # their 1/Gamma and 1/sin(pi mu) factors sit next to poles here
+        p = ParamPair(0.3, mu)
+        for x in (0.5, 0.9, 0.3 + 0.2j):
+            want = complex(mp.legenq(0.3, mp.mpc(mu), mp.mpc(x), type=2))
+            assert rel_diff(ferrers_q_rep(rep, p, x).value, want) < 1e-3, x
+
     def test_tail_estimate_flags_cancellation(self):
         # just outside the 1e-9 exclusion window the two series terms nearly
         # cancel; the diagnostics must carry the precision loss
@@ -863,7 +872,7 @@ class TestCoefficient:
 
     @pytest.mark.parametrize("z", [3e-9, -1.0 - 2e-9, -3.0 + 5e-9 + 4e-10j])
     def test_denominator_near_pole(self, z):
-        # by reflection: -ln_gamma(z) alone is off by about pi |z + n| here
+        # ln_gamma takes its reflection at the exact distance to the pole
         got = self.value(ferrers.Coefficient(rgammas=((0, 0, 1),)), mu=z)
         want = complex(mp.rgamma(mp.mpc(z)))
         assert rel_diff(got, want) < 1e-13
