@@ -13,17 +13,21 @@ record of domain, parameter exclusions, the ``regions`` argument map of each
 terms as data: (a, b, c) and a ``Coefficient`` record (constant, gamma
 numerators and denominators, powers of named x-bases, phase, cos/sin
 factors), all affine in (nu, mu).  One interpreter evaluates every record,
-and one, ``_coefficient``, every coefficient, here and in the catalogue of
-``olbricht``: it sums the log-gammas, powers and phase and exponentiates
-once.  One rule, ``_refusal``, decides whether a record may be used at
-(p, x): ``ferrers_q`` ranks the records it lets through by argument modulus
-and runs the region test only on the candidates it tries,
-``valid_representations`` reports its reasons, and ``ferrers_q_rep``,
-``ferrers_q_rep_trig`` (the theta-forms of group III, at x = cos(theta))
-and ``ferrers_q_halfplane_cut`` raise them.  A value beyond double range
-raises ``DomainError`` naming its function.  A NaN argument lies in no
-domain, so it raises ``DomainError`` before any series is summed; a
-non-finite nu or mu raises ``ParameterError``.
+and one every coefficient, here and in the catalogue of ``olbricht``:
+``_coefficient`` takes its parameter part (the log-gamma sum, exponents,
+phase and cos/sin factors), and ``_coefficients_at`` adds the power logs at
+x and exponentiates once.  What depends on (nu, mu) alone is worked out once
+per ``ParamPair``: the pair keeps a plan (``_plan``) of its exclusions and,
+for each record tried, its 2F1 parameters and coefficient parts, so a sweep
+over x at one pair repeats none of it.  One rule, ``_refusal``, decides
+whether a record may be used at (p, x): ``ferrers_q`` ranks the records it
+lets through by argument modulus and runs the region test only on the
+candidates it tries, ``valid_representations`` reports its reasons, and
+``ferrers_q_rep``, ``ferrers_q_rep_trig`` (the theta-forms of group III, at
+x = cos(theta)) and ``ferrers_q_halfplane_cut`` raise them.  A value
+beyond double range raises ``DomainError`` naming its function.  A NaN
+argument lies in no domain, so it raises ``DomainError`` before any series
+is summed; a non-finite nu or mu raises ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -101,7 +106,13 @@ class ParamPair:
     by one near-integer test each of mu, 2 mu, 2 nu, nu + 1/2 and nu + mu:
     values within 1e-9 of an excluded integer count as excluded, since closer
     than that the two terms of a representation cancel (its gamma and
-    sin/cos factors stay accurate).  Non-finite nu or mu: ``ParameterError``."""
+    sin/cos factors stay accurate).  Non-finite nu or mu: ``ParameterError``.
+
+    On first use the pair keeps its plan (``_plan``): the exclusions and, for
+    each record tried, its 2F1 parameters and the parameter part of its
+    coefficients.  The plan is not a field, so ``==``, ``hash``, ``repr`` and
+    pickles are those of (nu, mu); it holds only values computed from them,
+    so no result depends on it."""
 
     nu: complex
     mu: complex
@@ -111,6 +122,10 @@ class ParamPair:
         object.__setattr__(self, "mu", complex(self.mu))
         if not (cmath.isfinite(self.nu) and cmath.isfinite(self.mu)):
             raise ParameterError(f"nu and mu must be finite; got nu={self.nu}, mu={self.mu}")
+
+    def __getstate__(self):
+        # the plan (see ``_plan``) is rebuilt on first use, not pickled
+        return {"nu": self.nu, "mu": self.mu}
 
 
 class RepresentationId(Enum):
@@ -210,7 +225,7 @@ def legendre_q(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcom
     z = complex(z)
     if not in_domain(DomainId.D2, z):
         raise DomainError(f"legendre_q requires z off (-inf, 1]; got {z}")
-    if "numu_neg" in _exclusions(p):
+    if "numu_neg" in _plan(p).excluded:
         raise ParameterError(f"legendre_q undefined for nu + mu = {p.nu + p.mu} in -N")
     bold = legendre_q_bold(p, z, tol)
     scale = cmath.exp(1j * math.pi * p.mu) * gamma_quotient((p.nu + p.mu + 1.0,), ())
@@ -247,8 +262,9 @@ def ferrers_p(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
 
 
 # ---------------------------------------------------------------------------
-# Coefficients as data, affine in (nu, mu); ``_coefficient`` interprets them
-# here and for the catalogue of ``olbricht``.
+# Coefficients as data, affine in (nu, mu); ``_coefficient`` (the parameter
+# part) and ``_coefficients_at`` (the x-part) interpret them here and for the
+# catalogue of ``olbricht``.
 # ---------------------------------------------------------------------------
 
 Affine = tuple[float, float, float]   # value = a0 + a_nu * nu + a_mu * mu
@@ -301,33 +317,56 @@ def _log_bases(vocabulary: dict[str, Callable[..., complex]], tags, *args):
     return logs, odd
 
 
-def _coefficient(coef: Coefficient, nu: complex, mu: complex, bases, g: int) -> complex:
-    """The value of ``coef`` at (nu, mu) with sign g, ``bases`` from
-    ``_log_bases``: the log-gammas, powers and phase are summed and
-    exponentiated once.  The gamma part is ``log_gamma_quotient``'s: 0 next
-    to a denominator pole, ``ParameterError`` beyond double range.  Any
-    other overflow is an ``OverflowError``.  Affine values are spelled out
-    here, for speed."""
+def _coefficient(coef: Coefficient, nu: complex, mu: complex, g: int):
+    """The parameter part of ``coef`` at (nu, mu) with sign g, which
+    ``_coefficients_at`` completes at x: None where the gamma part is 0
+    (``log_gamma_quotient`` next to a denominator pole), else (log, const,
+    exponents, phase, factors): the log of the gamma part, the constant, the
+    (base tag, exponent) of each power, the phase term of the log or None,
+    and the (value, divide) of each cos/sin and extra factor in record order.
+    ``ParameterError`` where the gamma part is beyond double range, an
+    ``OverflowError`` where a factor is.  Affine values are spelled out here,
+    for speed."""
     acc = log_gamma_quotient([a0 + a1 * nu + a2 * mu for a0, a1, a2 in coef.gammas],
                              [a0 + a1 * nu + a2 * mu for a0, a1, a2 in coef.rgammas])
     if acc is None:
-        return 0j
-    value = coef.const * g if coef.signed else coef.const
-    logs, odd = bases
+        return None
+    exponents, factors = [], []
     for tag, (a0, a1, a2) in coef.powers:
-        if tag in odd:
-            value *= principal_pow(odd[tag], a0 + a1 * nu + a2 * mu)
-        else:
-            acc += (a0 + a1 * nu + a2 * mu) * logs[tag]
-    if coef.phase is not None:
-        acc += 1j * math.pi * g * _aff(coef.phase, nu, mu)
+        exponents.append((tag, a0 + a1 * nu + a2 * mu))
     for name, (a0, a1, a2) in coef.trig:
         f, divide = _TRIG[name]
-        v = f(a0 + a1 * nu + a2 * mu)
-        value = value / v if divide else value * v
+        factors.append((f(a0 + a1 * nu + a2 * mu), divide))
     if coef.extra is not None:
-        value *= _EXTRAS[coef.extra](nu, mu, g)
-    return value * cmath.exp(acc)
+        factors.append((_EXTRAS[coef.extra](nu, mu, g), False))
+    return (acc, coef.const * g if coef.signed else coef.const, exponents,
+            None if coef.phase is None else 1j * math.pi * g * _aff(coef.phase, nu, mu),
+            factors)
+
+
+def _coefficients_at(parts, bases) -> list[complex]:
+    """The value of each ``_coefficient`` part in ``parts`` at the point of
+    ``bases`` (from ``_log_bases``): the power logs are added to the gamma
+    log and phase and exponentiated once.  Any overflow is an
+    ``OverflowError``."""
+    logs, odd = bases
+    out = []
+    for part in parts:
+        if part is None:
+            out.append(0j)
+            continue
+        acc, value, exponents, phase, factors = part
+        for tag, e in exponents:
+            if tag in odd:
+                value *= principal_pow(odd[tag], e)
+            else:
+                acc += e * logs[tag]
+        if phase is not None:
+            acc += phase
+        for v, divide in factors:
+            value = value / v if divide else value * v
+        out.append(value * cmath.exp(acc))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +436,7 @@ _X_BASES: dict[str, Callable[[complex, complex, int], complex]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # by identity: a plan keys its entries by record
 class _RepSpec:
     domain: str                       # "D1" | "D1+" | "half"
     exclusions: tuple[str, ...]
@@ -412,10 +451,13 @@ class _RepSpec:
     routed: bool = False
     #: the distinct power bases of the two terms
     bases: tuple[str, ...] = field(init=False)
+    #: the distinct (a, b, c) of the two factors: one when they share it
+    hyps: tuple[tuple[Affine, Affine, Affine], ...] = field(init=False)
 
     def __post_init__(self):
         tags = dict.fromkeys(tag for t in self.terms for tag, _ in t.coef.powers)
         object.__setattr__(self, "bases", tuple(tags))
+        object.__setattr__(self, "hyps", tuple(dict.fromkeys(t.hyp for t in self.terms)))
 
 
 def _rep_table() -> dict[RepresentationId, _RepSpec]:
@@ -527,6 +569,44 @@ def _rep_table() -> dict[RepresentationId, _RepSpec]:
 _REP_TABLE = _rep_table()
 
 
+class _Plan:
+    """The parameter-only work of the records at one (nu, mu): ``excluded``
+    (``_exclusions``) and, filled as records are tried, ``hyps`` (record ->
+    the ``HypParams`` of its two factors, one object when they share
+    (a, b, c)) and ``parts`` ((record, sign g) -> the ``_coefficient`` of each
+    term).  A part that raises is not stored, so it raises again."""
+
+    __slots__ = ("nu", "mu", "excluded", "hyps", "parts")
+
+    def __init__(self, p: ParamPair):
+        self.nu, self.mu = p.nu, p.mu
+        self.excluded = _exclusions(p)
+        self.hyps = {}
+        self.parts = {}
+
+
+def _plan(p: ParamPair) -> _Plan:
+    """The plan kept on p, built on first use.  Threads that build one at
+    once each build the same values, and the last one set stays."""
+    plan = getattr(p, "_plan", None)
+    if plan is None:
+        plan = _Plan(p)
+        object.__setattr__(p, "_plan", plan)
+    return plan
+
+
+def _hyps(plan: _Plan, spec: _RepSpec) -> list[HypParams]:
+    """The ``HypParams`` of ``spec``'s two factors at the plan's (nu, mu),
+    stored in the plan: one object twice when they share (a, b, c)."""
+    nu, mu = plan.nu, plan.mu
+    hyps = []
+    for (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) in spec.hyps:
+        hyps.append(HypParams(a0 + a1 * nu + a2 * mu, b0 + b1 * nu + b2 * mu,
+                              c0 + c1 * nu + c2 * mu))
+    hyps = plan.hyps[spec] = hyps * (2 // len(hyps))
+    return hyps
+
+
 def _outside(x: complex) -> dict[str, str | None]:
     """Why x lies outside each record domain ("D1", "D1+", "half"), and
     under "x^2" that x^2 is beyond double range; None where x passes.  A
@@ -557,11 +637,11 @@ def _refusal(spec: _RepSpec, excluded: set[str], outside: dict[str, str | None],
     return None if reason is None else (DomainError, reason)
 
 
-def _check(rep: RepresentationId, p: ParamPair, x: complex, unusable: dict[int, str]) -> None:
-    """Raise ``rep``'s ``_refusal`` at (p, x), if it has one, with the reason
-    its ``valid_representations`` row gives; ``unusable`` are the maps taken
-    as unusable at x."""
-    refusal = _refusal(_REP_TABLE[rep], _exclusions(p), _outside(x), unusable)
+def _check(rep: RepresentationId, plan: _Plan, x: complex, unusable: dict[int, str]) -> None:
+    """Raise ``rep``'s ``_refusal`` at (plan, x), if it has one, with the
+    reason its ``valid_representations`` row gives; ``unusable`` are the maps
+    taken as unusable at x."""
+    refusal = _refusal(_REP_TABLE[rep], plan.excluded, _outside(x), unusable)
     kind, reason = refusal or (None, None)
     if kind is ParameterError:
         raise ParameterError(f"{reason} excluded by representation {rep.value}")
@@ -569,7 +649,7 @@ def _check(rep: RepresentationId, p: ParamPair, x: complex, unusable: dict[int, 
         raise DomainError(f"{reason} (representation {rep.value})")
 
 
-def _rank(p: ParamPair, excluded: set[str], outside: dict[str, str | None], x: complex,
+def _rank(plan: _Plan, outside: dict[str, str | None], x: complex,
           y: complex) -> list[tuple[RepresentationId, _RepSpec, str | None, float]]:
     """Every record at x as (rep, spec, reason, score), in table order, with
     the reason of its ``_refusal``; each argument w_j(x), root
@@ -577,6 +657,7 @@ def _rank(p: ParamPair, excluded: set[str], outside: dict[str, str | None], x: c
     largest modulus of its arguments (route radius for a routed record), a
     refused one inf.  The region test is left to ``_converges``, so that
     ``ferrers_q`` runs it only on the candidates it tries."""
+    excluded = plan.excluded
     unusable = unusable_maps(x)
     values = map_values(x, y, unusable)
     # Nothing excluded, no unusable map and x^2 finite leave each record
@@ -593,7 +674,7 @@ def _rank(p: ParamPair, excluded: set[str], outside: dict[str, str | None], x: c
             rows.append((rep, spec, reason, math.inf))
             continue
         size = abs if not spec.routed else functools.partial(
-            route_radius, HypParams(*[_aff(t, p.nu, p.mu) for t in spec.terms[0].hyp]))
+            route_radius, (plan.hyps.get(spec) or _hyps(plan, spec))[0])
         ids = spec.argument_ids  # one map but for I7 and FourierUV
         score = size(values[ids[0]]) if len(ids) == 1 else max([size(values[j]) for j in ids])
         rows.append((rep, spec, None, score))
@@ -615,41 +696,45 @@ def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
     for and its argument-modulus preference score.  The region test runs on
     every usable row."""
     x = complex(x)
-    rows = _rank(p, _exclusions(p), _outside(x), x, 1j * cmath.sqrt(1.0 - x * x))
+    rows = _rank(_plan(p), _outside(x), x, 1j * cmath.sqrt(1.0 - x * x))
     return [RepValidity(rep, reason is None, reason,
                         reason is None and _converges(spec, x, score), score)
             for rep, spec, reason, score in rows]
 
 
-def _interpret(spec: _RepSpec, p: ParamPair, x: complex, s: complex, tol: float,
+def _interpret(spec: _RepSpec, plan: _Plan, x: complex, s: complex, tol: float,
                side: CutSide | None) -> SeriesResult:
     """The one interpreter of the records: the argument of each 2F1 factor
     from the record's map with root y = i s, then the two coefficients with
-    the record's sign at x, then each factor by ``f21``
-    (``f21_regularized`` for a regularized record), or by its limit
-    ``f21_cut`` on the cut from ``side``."""
-    nu, mu, g = p.nu, p.mu, spec.sign.at(x)
+    the record's sign at x (their parameter parts from the plan), then each
+    factor by ``f21`` (``f21_regularized`` for a regularized record), or by
+    its limit ``f21_cut`` on the cut from ``side``."""
+    g = spec.sign.at(x)
     ws = [map_value(j, x, 1j * s) for j in spec.argument_ids]
     bases = _log_bases(_X_BASES, spec.bases, x, s, g)
-    coefs = [_coefficient(t.coef, nu, mu, bases, g) for t in spec.terms]
-    parts = []
-    for coef, t, w in zip(coefs, spec.terms, ws * (2 // len(ws))):  # one map: both factors
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = t.hyp
-        hp = HypParams(a0 + a1 * nu + a2 * mu, b0 + b1 * nu + b2 * mu, c0 + c1 * nu + c2 * mu)
+    parts = plan.parts.get((spec, g))
+    if parts is None:
+        first, second = spec.terms
+        parts = plan.parts[spec, g] = (_coefficient(first.coef, plan.nu, plan.mu, g),
+                                       _coefficient(second.coef, plan.nu, plan.mu, g))
+    coefs = _coefficients_at(parts, bases)
+    out = []
+    hyps = plan.hyps.get(spec) or _hyps(plan, spec)
+    for coef, hp, w in zip(coefs, hyps, ws * (2 // len(ws))):  # one map: both factors
         if side is not None:
             r = f21_cut(hp, w.real, side, tol)
         elif spec.regularized:
             r = f21_regularized(hp, w, tol)
         else:
             r = f21(hp, w, tol)
-        parts.append((coef, r))
-    return combine(parts)
+        out.append((coef, r))
+    return combine(out)
 
 
-def _run(rep: RepresentationId, p: ParamPair, x: complex, s: complex, tol: float,
+def _run(rep: RepresentationId, plan: _Plan, x: complex, s: complex, tol: float,
          side: CutSide | None = None) -> EvalOutcome:
     """``rep`` at x, s = sqrt(1 - x^2), by ``_interpret`` under ``_guarded``."""
-    r = _guarded(f"representation {rep.value}", _interpret, _REP_TABLE[rep], p, x, s,
+    r = _guarded(f"representation {rep.value}", _interpret, _REP_TABLE[rep], plan, x, s,
                  tol, side)
     return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
 
@@ -667,8 +752,9 @@ def ferrers_q_rep(rep: RepresentationId, p: ParamPair, x: complex,
     not enforced: arguments beyond the unit disk are continued internally.
     """
     x = complex(x)
-    _check(rep, p, x, unusable_maps(x))
-    return _run(rep, p, x, cmath.sqrt(1.0 - x * x), tol)
+    plan = _plan(p)
+    _check(rep, plan, x, unusable_maps(x))
+    return _run(rep, plan, x, cmath.sqrt(1.0 - x * x), tol)
 
 
 def ferrers_q_rep_trig(rep: RepresentationId, p: ParamPair, theta: float,
@@ -684,8 +770,12 @@ def ferrers_q_rep_trig(rep: RepresentationId, p: ParamPair, theta: float,
     if _REP_TABLE[rep].sign not in (_Sign.UPPER, _Sign.LOWER):
         raise ValueError(f"{rep.value} has no trigonometric form")
     x = complex(math.cos(theta))
-    _check(rep, p, x, unusable_maps(x))
-    return _run(rep, p, x, complex(math.sin(theta)), tol)
+    plan = _plan(p)
+    _check(rep, plan, x, unusable_maps(x))
+    return _run(rep, plan, x, complex(math.sin(theta)), tol)
+
+
+_SCORE = operator.itemgetter(3)   # of a ``_rank`` row
 
 
 def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
@@ -707,22 +797,22 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     if outside["x^2"] is not None:
         raise DomainError(outside["x^2"])
     s = cmath.sqrt(1.0 - x * x)
-    excluded = _exclusions(p)
-    if "numu_neg" in excluded:
+    plan = _plan(p)
+    if "numu_neg" in plan.excluded:
         raise ParameterError(
             f"Ferrers Q undefined for nu + mu = {p.nu + p.mu} in -N")
-    rows = _rank(p, excluded, outside, x, 1j * s)
+    rows = _rank(plan, outside, x, 1j * s)
     diverging, failed = set(), {}
     # sorted() is stable, so ties keep table order, and dropping the rows
     # whose series diverges keeps the order of the rest: testing regions
     # only as candidates are reached picks the winner and the fallbacks that
     # testing every row first would.
-    for rep, spec, _, score in sorted([r for r in rows if r[2] is None], key=lambda r: r[3]):
+    for rep, spec, _, score in sorted([r for r in rows if r[2] is None], key=_SCORE):
         if not _converges(spec, x, score):
             diverging.add(rep)
             continue
         try:
-            return _run(rep, p, x, s, tol)
+            return _run(rep, plan, x, s, tol)
         except FerroxError as exc:
             failed[rep.value] = str(exc)
     reasons = {rep.value: reason or "series argument has modulus >= 1 at x"
@@ -774,7 +864,8 @@ def ferrers_q_halfplane_cut(rep: RepresentationId, p: ParamPair, x: float,
     # there only excluded parameters refuse the record (its map is checked
     # on the axis).
     x_eval = complex(x, approach * 5e-324)
-    _check(rep, p, x_eval, {})
+    plan = _plan(p)
+    _check(rep, plan, x_eval, {})
     j = spec.argument_ids[0]
     w_on_axis = argument(j, x)
     if not (w_on_axis.imag == 0.0 and w_on_axis.real > 1.0):
@@ -782,7 +873,7 @@ def ferrers_q_halfplane_cut(rep: RepresentationId, p: ParamPair, x: float,
             f"argument w_{j}({x}) = {w_on_axis} is not on the cut (1, inf)")
     w_probe = argument(j, complex(x, approach * 1e-8))
     side = CutSide.ABOVE if w_probe.imag > 0 else CutSide.BELOW
-    return _run(rep, p, x_eval, cmath.sqrt(1.0 - x_eval * x_eval), tol, side)
+    return _run(rep, plan, x_eval, cmath.sqrt(1.0 - x_eval * x_eval), tol, side)
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +891,7 @@ def connection_residuals(p: ParamPair, x: complex,
     if not in_domain(DomainId.D1, x):
         raise DomainError(f"x not in D1: {x}")
     nu, mu = p.nu, p.mu
-    excluded = _exclusions(p)
+    excluded = _plan(p).excluded
     out: list[tuple[str, float]] = []
     lhs = ferrers_q(p, x, tol).value
 
@@ -839,7 +930,7 @@ def connection_residuals(p: ParamPair, x: complex,
 
     if q_val is not None and "nu_half_int" not in excluded and not near_int(mu - nu):
         refl = ParamPair(-nu - 1.0, mu)
-        if "numu_neg" not in _exclusions(refl):
+        if "numu_neg" not in _plan(refl).excluded:
             q2_val = legendre_q(refl, x, tol).value
             t = sinpi(mu - nu) / (2.0 * cospi(nu))
             if upper:

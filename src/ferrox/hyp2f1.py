@@ -75,16 +75,23 @@ class CutSide(Enum):
     BELOW = "below"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HypParams:
+    """The parameters (a, b, c) of 2F1, as complex numbers; a non-finite one
+    raises ``ParameterError`` here, so no route sees it.  Each field is set
+    once, in ``__init__``."""
+
     a: complex
     b: complex
     c: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "c", complex(self.c))
+    def __init__(self, a: complex, b: complex, c: complex):
+        a, b, c = complex(a), complex(b), complex(c)
+        if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
+            raise ParameterError(f"2F1 parameters must be finite; got a={a}, b={b}, c={c}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
 
 @dataclass(frozen=True)
@@ -127,9 +134,12 @@ def f21_series(p: HypParams, w: complex, tol: float = DEFAULT_TOL,
     series terminates (a or b a nonpositive integer).
 
     Stops once two consecutive terms both fall below tol relative to the
-    partial sum, which guards against alternating near-cancellation.
+    partial sum, which guards against alternating near-cancellation.  A NaN
+    w raises ``DomainError``.
     """
     w = complex(w)
+    if cmath.isnan(w):
+        raise DomainError(f"2F1 argument {w} is not a number")
     if (poly := _polynomial(p, w)) is not None:
         return poly
     if nonpos_index(p.c) is not None:
@@ -318,9 +328,11 @@ def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
     """Principal value of 2F1(a, b; c; w) for w off the cut [1, inf).
 
     Terminating cases (a or b a nonpositive integer) are polynomials with no
-    cut and are accepted at any w.
+    cut and are accepted at any w; a NaN w raises ``DomainError``.
     """
     w = complex(w)
+    if cmath.isnan(w):
+        raise DomainError(f"2F1 argument {w} is not a number")
     if (poly := _polynomial(p, w)) is not None:
         return poly
     if w.imag == 0.0 and w.real >= 1.0:

@@ -6,8 +6,8 @@ The catalogue is data-driven: every entry is a record holding its prefactor
 powers (exponents affine in nu and mu), its hypergeometric parameter triple
 (also affine), its argument map, and its domain.  One evaluator interprets
 the records; the prefactor powers are a ``ferrers.Coefficient`` record,
-read by ``ferrers._coefficient``, the interpreter of the second-kind
-representations' coefficients.  Entries given classically as x -> -x
+read by ``ferrers._coefficient`` and ``ferrers._coefficients_at``, the
+interpreter of the second-kind representations' coefficients.  Entries given classically as x -> -x
 reflections of earlier ones are stored that way.  Each entry also carries
 exactly one identity record: either a closed-form reduction to a Legendre or
 Ferrers function, or equality with another entry (Euler/Pfaff
@@ -37,6 +37,7 @@ from .ferrers import (
     ParamPair,
     _aff,
     _coefficient,
+    _coefficients_at,
     _log_bases,
     ferrers_p,
     legendre_ode_residual,
@@ -121,11 +122,12 @@ _PRODUCTS = {"x2m1": ("x+1", "x-1")}
 
 
 def _scale(coef: Coefficient, p: ParamPair, x: complex, y: complex | None, what: str) -> complex:
-    """``ferrers._coefficient`` of ``coef`` on this vocabulary (sign +1); a
-    value beyond double range raises ``DomainError`` naming ``what``."""
+    """``coef`` on this vocabulary (sign +1), its ``ferrers._coefficient``
+    part completed by ``ferrers._coefficients_at``; a value beyond double
+    range raises ``DomainError`` naming ``what``."""
     bases = _log_bases(_BASES, [tag for tag, _ in coef.powers], x, y)
     try:
-        return _coefficient(coef, p.nu, p.mu, bases, 1)
+        return _coefficients_at([_coefficient(coef, p.nu, p.mu, 1)], bases)[0]
     except ArithmeticError as exc:
         raise DomainError(f"{what}: beyond double range ({exc})") from None
 

@@ -383,6 +383,17 @@ class TestCutCommand:
         check_schema(obj, SCHEMA["error"])
         assert obj["error"]["type"] == "DomainError"
 
+    # 1e400 reads as inf, which no 2F1 parameter may be
+    @pytest.mark.parametrize("slot", ["--a", "--b", "--c"])
+    def test_non_finite_parameter_exit_2(self, slot):
+        args = {"--a": "0.3", "--b": "0.4", "--c": "1.2", slot: "1e400"}
+        code, obj = run_cli_json("cut", *[f"{k}={v}" for k, v in args.items()],
+                                 "--x=2", "--side=above")
+        assert code == 2
+        check_schema(obj, SCHEMA["error"])
+        assert obj["error"]["type"] == "ParameterError"
+        assert "must be finite" in obj["error"]["message"]
+
 
 class TestTolEnvVar:
     def test_override(self, monkeypatch):

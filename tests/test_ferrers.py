@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import sys
 import threading
 from collections import Counter
@@ -731,6 +732,167 @@ class TestThreadSafety:
         for got in results:
             assert got == [[w] * 3 for w in want]
 
+    def test_shared_unplanned_pairs(self):
+        # Four threads share pairs that no call has planned yet and sweep x
+        # over the real axis and both half-planes in different orders, so
+        # they build and fill the same plans at once; each must see exactly
+        # the single-threaded results of a fresh pair per call.
+        pairs = [(0.3, 0.4), (1.7 - 0.2j, -0.6), (2.5, 1.0), (0.6 + 0.1j, -2.3)]
+        xs = [complex(re, im) for re in (-0.7, -0.2, 0.4, 0.8) for im in (-0.5, 0.0, 0.3)]
+        jobs = [(k, x) for k in range(len(pairs)) for x in xs]
+
+        def evaluate(p, x):
+            return ([_outcome(ferrers_q, p, x)]
+                    + [_outcome(ferrers_q_rep, rep, p, x) for rep in PLAN_REPS])
+
+        want = [evaluate(ParamPair(*pairs[k]), x) for k, x in jobs]
+        shared = [ParamPair(*pq) for pq in pairs]
+        results = [None] * 4
+        barrier = threading.Barrier(4)
+
+        def work(t):
+            order = list(range(len(jobs)))
+            order = order[12 * t:] + order[:12 * t]
+            barrier.wait()
+            got = {}
+            for i in order[::1 if t % 2 else -1]:
+                k, x = jobs[i]
+                got[i] = evaluate(shared[k], x)
+            results[t] = [got[i] for i in range(len(jobs))]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert got == want
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the ``FerroxError`` it
+    raises."""
+    try:
+        return fn(*args)
+    except FerroxError as exc:
+        return type(exc), str(exc)
+
+
+# The plan tests: a real pair, a complex one and one with excluded parameter
+# sets (mu an integer); x on the real axis and in both half-planes (both
+# signs of the half-plane records), and beyond Re x = 1.
+PLAN_P = [(0.3, 0.4), (1.3 + 0.5j, -1.7 - 0.3j), (2.5, 1.0)]
+PLAN_X = [0.3, -0.6, 0.0, 0.3 + 0.4j, -0.5 + 0.2j, 0.3 - 0.4j, -0.7 - 0.3j, 1.2 + 0.5j]
+# One record of each kind: plain, half-plane, regularized with a shared
+# factor, fixed sign, and routed.
+PLAN_REPS = (R.I1, R.I5, R.II2, R.I7, R.III1_UPPER, R.FOURIER_UV)
+
+
+class TestPlan:
+    """The plan a ``ParamPair`` keeps (``ferrers._plan``) changes no result:
+    one pair reused for every call gives what a fresh pair per call gives."""
+
+    @staticmethod
+    def calls():
+        """Every call of the plan tests, as functions of the pair: for each
+        x the automatic choice, all 20 records forced and the validity
+        rows, then the theta-forms and both approaches of the cut values."""
+        out = []
+        for x in PLAN_X:
+            out.append(lambda p, x=x: ferrers_q(p, x))
+            out += [lambda p, x=x, rep=rep: ferrers_q_rep(rep, p, x) for rep in R]
+            out.append(lambda p, x=x: valid_representations(p, x))
+        for theta in (0.3, 1.2, 2.5):
+            out += [lambda p, t=theta, rep=rep: ferrers_q_rep_trig(rep, p, t) for rep in THETA_REPS]
+        for x in (0.3, -0.4):
+            for approach in (+1, -1):
+                out += [lambda p, x=x, a=approach, rep=rep: ferrers_q_halfplane_cut(rep, p, x, a)
+                        for rep in HALFPLANE_REPS]
+        return out
+
+    @pytest.mark.parametrize("nu,mu", PLAN_P)
+    def test_warm_equals_cold(self, nu, mu):
+        calls = self.calls()
+        cold = [_outcome(call, ParamPair(nu, mu)) for call in calls]
+        p = ParamPair(nu, mu)
+        # the first pass fills the plan as x moves; the second is all warm
+        warm = [_outcome(call, p) for call in calls]
+        again = [_outcome(call, p) for call in reversed(calls)][::-1]
+        assert warm == cold
+        assert again == cold
+        assert ferrers._plan(p).parts and ferrers._plan(p).hyps
+
+    def test_shared_factor_is_one_object(self):
+        p, x = ParamPair(0.3, 0.4), 0.2 + 0.3j
+        rows = {v.rep: v for v in valid_representations(p, x)}
+        plan = ferrers._plan(p)
+        fourier = plan.hyps[ferrers._REP_TABLE[R.FOURIER_UV]]
+        # FourierUV was scored with its factor's route radius
+        assert rows[R.FOURIER_UV].preference == hyp2f1.route_radius(
+            fourier[0], argument(18, x))
+        ferrers_q_rep(R.FOURIER_UV, p, x)
+        ferrers_q_rep(R.I7, p, x)
+        ferrers_q_rep(R.I1, p, x)
+        assert plan.hyps[ferrers._REP_TABLE[R.FOURIER_UV]] is fourier
+        assert fourier[0] is fourier[1]
+        i7 = plan.hyps[ferrers._REP_TABLE[R.I7]]
+        assert i7[0] is i7[1]
+        i1 = plan.hyps[ferrers._REP_TABLE[R.I1]]
+        assert i1[0] != i1[1]
+
+    def test_errors_are_not_stored(self):
+        # Gamma(nu + mu + 1) is beyond double range at this degree
+        p = ParamPair(300.3, 0.4)
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="gamma quotient beyond double range"):
+                ferrers_q_rep(R.FOURIER_UV, p, 0.3)
+        assert ferrers._REP_TABLE[R.FOURIER_UV] not in {
+            spec for spec, _ in ferrers._plan(p).parts}
+        assert ferrers_q_rep(R.I1, p, 0.3) == ferrers_q_rep(R.I1, ParamPair(300.3, 0.4), 0.3)
+
+    def test_pair_keeps_equality_hash_repr_and_pickle(self):
+        p, fresh = ParamPair(0.3 + 0.1j, 0.4), ParamPair(0.3 + 0.1j, 0.4)
+        before = hash(p), repr(p)
+        ferrers_q(p, 0.5)
+        valid_representations(p, 0.3j)
+        assert ferrers._plan(p) is ferrers._plan(p)
+        assert p == fresh
+        assert (hash(p), repr(p)) == before == (hash(fresh), repr(fresh))
+        # the plan is not pickled: the bytes are those of an unused pair
+        assert pickle.dumps(p) == pickle.dumps(fresh)
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+        assert ferrers_q(q, 0.5) == ferrers_q(p, 0.5)
+
+    def test_second_pass_does_no_parameter_work(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
+            return counted
+
+        for name in ("log_gamma_quotient", "sinpi", "cospi", "_exclusions"):
+            monkeypatch.setattr(ferrers, name, counting(name, getattr(ferrers, name)))
+        monkeypatch.setattr(ferrers, "_TRIG", {
+            key: (counting(f.__name__, f), divide) for key, (f, divide) in ferrers._TRIG.items()})
+        p = ParamPair(2.3 + 0.1j, 0.6)
+        xs = ([complex(k / 10, 0.0) for k in range(-9, 10)]
+              + [complex(re / 5, im / 5) for re in range(-5, 6) for im in (-3, -1, 1, 3)])
+        first = [ferrers_q(p, x) for x in xs]
+        assert counts["_exclusions"] == 1
+        assert counts["log_gamma_quotient"] and counts["sinpi"] + counts["cospi"]
+        counts.clear()
+        assert [ferrers_q(p, x) for x in xs] == first
+        assert not counts
+
 
 # Records checked one by one against mpmath: real and complex degree and
 # order, |mu| up to 2.3, none of them excluded by any record.
@@ -847,15 +1009,17 @@ class TestNonFiniteArguments:
 
 
 class TestCoefficient:
-    """The rules of ``_coefficient``, the one interpreter of coefficient
-    records: those of ``gamma_quotient`` for its gammas and those of
-    ``principal_pow`` for its powers."""
+    """The rules of ``_coefficient`` and ``_coefficients_at``, the one
+    interpreter of coefficient records (parameter part, then x-part): those
+    of ``gamma_quotient`` for its gammas and those of ``principal_pow`` for
+    its powers."""
 
     @staticmethod
     def value(coef, x=0.3 + 0.2j, nu=0.3, mu=0.4):
         tags = [tag for tag, _ in coef.powers]
         bases = ferrers._log_bases(ferrers._X_BASES, tags, complex(x), 0.5 + 0j, 1)
-        return ferrers._coefficient(coef, complex(nu), complex(mu), bases, 1)
+        part = ferrers._coefficient(coef, complex(nu), complex(mu), 1)
+        return ferrers._coefficients_at([part], bases)[0]
 
     def test_matches_gamma_quotient_and_powers(self):
         coef = ferrers.Coefficient(0.5, gammas=((1, 1, 1),), rgammas=((1, 1, -1),),

@@ -12,6 +12,7 @@ from ferrox.errors import (
     BranchCutError,
     ConvergenceError,
     DegenerateParameterError,
+    DomainError,
     ParameterError,
 )
 from ferrox.hyp2f1 import (
@@ -305,6 +306,45 @@ class TestCutValues:
         from ferrox.errors import DomainError
         with pytest.raises(DomainError):
             f21_cut(HypParams(0.5, 0.5, 1.5), 0.5, CutSide.ABOVE)
+
+
+class TestNonFinite:
+    """A non-finite parameter raises ``ParameterError`` where ``HypParams``
+    is built, so no entry point sees one; a NaN argument raises
+    ``DomainError`` before any term is summed."""
+
+    BAD = [math.nan, math.inf, complex(0.3, -math.inf)]
+    ENTRY_POINTS = {
+        "f21": lambda p: f21(p, 0.5),
+        "f21_series": lambda p: f21_series(p, 0.5),
+        "f21_regularized": lambda p: f21_regularized(p, 0.5),
+        "f21_cut": lambda p: f21_cut(p, 2.0, CutSide.ABOVE),
+        "f21_cut_via": lambda p: f21_cut_via(3, p, 2.0, CutSide.BELOW),
+        "route_radius": lambda p: route_radius(p, 2.0 + 1.0j),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("bad", BAD, ids=["nan", "inf", "0.3-inf_i"])
+    def test_non_finite_parameter(self, entry, slot, bad):
+        args = [0.3, 0.4, 1.2]
+        args[slot] = bad
+        with pytest.raises(ParameterError, match="must be finite"):
+            self.ENTRY_POINTS[entry](HypParams(*args))
+
+    def test_keywords_and_values(self):
+        p = HypParams(a=1, b=0.5, c=2 + 1j)
+        assert (p.a, p.b, p.c) == (1 + 0j, 0.5 + 0j, 2 + 1j)
+        assert all(isinstance(v, complex) for v in (p.a, p.b, p.c))
+        assert p == HypParams(1.0, 0.5, 2 + 1j) and hash(p) == hash(HypParams(1.0, 0.5, 2 + 1j))
+
+    # general and terminating parameter sets, and c = -2 (the regularized limit)
+    @pytest.mark.parametrize("fn,params", [
+        (fn, params) for fn in (f21, f21_regularized, f21_series)
+        for params in ((0.3, 0.4, 1.2), (-2, 0.4, 1.2))] + [(f21_regularized, (0.3, 0.4, -2.0))])
+    def test_nan_argument(self, fn, params):
+        with pytest.raises(DomainError, match="not a number"):
+            fn(HypParams(*params), complex(math.nan, 0.0))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
