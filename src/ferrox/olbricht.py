@@ -7,11 +7,11 @@ powers (exponents affine in nu and mu), its hypergeometric parameter triple
 (also affine), its argument map, and its domain.  One evaluator interprets
 the records; the prefactor powers are a ``ferrers.Coefficient`` record,
 read by ``ferrers._coefficient`` and ``ferrers._coefficients_at``, the
-interpreter of the second-kind representations' coefficients.  Entries given classically as x -> -x
-reflections of earlier ones are stored that way.  Each entry also carries
-exactly one identity record: either a closed-form reduction to a Legendre or
-Ferrers function, or equality with another entry (Euler/Pfaff
-transformations, parity).  The reductions are records too (target function,
+interpreter of the second-kind representations' coefficients.  Entries
+given classically as x -> -x reflections of earlier ones are stored that
+way.  Each entry also carries exactly one identity record: either a
+closed-form reduction to a Legendre or Ferrers function, or equality with
+another entry (Euler/Pfaff transformations, parity).  The reductions are records too (target function,
 affine degree and order, a coefficient record for the gamma, power and phase
 factors, reflected terms), read by one interpreter.
 
