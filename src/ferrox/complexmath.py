@@ -84,9 +84,11 @@ NEAR_INT_TOL = 1e-9
 
 
 def near_int(z: complex, tol: float = NEAR_INT_TOL) -> bool:
-    """True when ``z`` lies within ``tol`` of a (real) integer."""
+    """True when ``z`` lies within ``tol`` of a (real) integer; False for a
+    non-finite ``z``, which no integer is near."""
     z = complex(z)
-    return abs(z.imag) <= tol and abs(z.real - round(z.real)) <= tol
+    return (abs(z.imag) <= tol and math.isfinite(z.real)
+            and abs(z.real - round(z.real)) <= tol)
 
 
 def nonpos_index(z: complex, tol: float = 0.0) -> int | None:

@@ -17,17 +17,21 @@ and one every coefficient, here and in the catalogue of ``olbricht``:
 ``_coefficient`` takes its parameter part (the log-gamma sum, exponents,
 phase and cos/sin factors), and ``_coefficients_at`` adds the power logs at
 x and exponentiates once.  What depends on (nu, mu) alone is worked out once
-per ``ParamPair``: the pair keeps a plan (``_plan``) of its exclusions and,
-for each record tried, its 2F1 parameters and coefficient parts, so a sweep
-over x at one pair repeats none of it.  One rule, ``_refusal``, decides
-whether a record may be used at (p, x): ``ferrers_q`` ranks the records it
-lets through by argument modulus and runs the region test only on the
-candidates it tries, ``valid_representations`` reports its reasons, and
-``ferrers_q_rep``, ``ferrers_q_rep_trig`` (the theta-forms of group III, at
-x = cos(theta)) and ``ferrers_q_halfplane_cut`` raise them.  A value
-beyond double range raises ``DomainError`` naming its function.  A NaN
-argument lies in no domain, so it raises ``DomainError`` before any series
-is summed; a non-finite nu or mu raises ``ParameterError``.
+per ``ParamPair``: the pair keeps a plan (``_plan``) of its exclusions, the
+records they leave by domain and, for each record tried, its 2F1
+parameters and coefficient parts, so a sweep over x at one pair repeats
+none of it.  One rule, ``_refusal``, decides whether a record may be used
+at (p, x): ``ferrers_q`` scores only the records it lets through, by
+argument modulus, runs the region test only on the candidates it tries and
+hands the winner the arguments the ranking computed.  The reasons of
+refused records are built only where they are reported:
+``valid_representations`` and a ``NoRepresentationError`` of ``ferrers_q``
+give them, and ``ferrers_q_rep``, ``ferrers_q_rep_trig`` (the theta-forms
+of group III, at x = cos(theta)) and ``ferrers_q_halfplane_cut`` raise
+them.
+A value beyond double range raises ``DomainError`` naming its function.  A
+NaN argument lies in no domain, so it raises ``DomainError`` before any
+series is summed; a non-finite nu or mu raises ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -35,10 +39,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, Container, NamedTuple
 
 from .complexmath import (
     cospi,
@@ -71,9 +74,9 @@ from .regions import (
     DomainId,
     argument,
     in_domain,
-    in_region,
     map_value,
     map_values,
+    region_test,
     unusable_maps,
 )
 
@@ -176,10 +179,14 @@ class RepValidity:
     preference: float
 
 
+def _beyond(label: str, reason: str) -> DomainError:
+    """The error of ``label`` when a value on the way is beyond double range."""
+    return DomainError(f"{label}: intermediate value beyond double range ({reason})")
+
+
 def _guarded(label: str, evaluate: Callable, *args):
     """``evaluate(*args)``; a non-finite value, an ``ArithmeticError`` or a
-    ``ValueError`` (a cmath domain error) becomes a ``DomainError`` naming
-    ``label``: some value on the way is beyond double range."""
+    ``ValueError`` (a cmath domain error) becomes ``_beyond(label, ...)``."""
     try:
         out = evaluate(*args)
         if cmath.isfinite(out.value):
@@ -187,7 +194,7 @@ def _guarded(label: str, evaluate: Callable, *args):
         reason = f"value {out.value}"
     except (ArithmeticError, ValueError) as exc:
         reason = str(exc)
-    raise DomainError(f"{label}: intermediate value beyond double range ({reason})")
+    raise _beyond(label, reason)
 
 
 def _guard(fn: Callable[[ParamPair, complex, float], EvalOutcome]):
@@ -453,11 +460,14 @@ class _RepSpec:
     bases: tuple[str, ...] = field(init=False)
     #: the distinct (a, b, c) of the two factors: one when they share it
     hyps: tuple[tuple[Affine, Affine, Affine], ...] = field(init=False)
+    #: the closed-form test of |w_j| < 1 of each argument map
+    region_tests: tuple[Callable[[complex], bool], ...] = field(init=False)
 
     def __post_init__(self):
         tags = dict.fromkeys(tag for t in self.terms for tag, _ in t.coef.powers)
         object.__setattr__(self, "bases", tuple(tags))
         object.__setattr__(self, "hyps", tuple(dict.fromkeys(t.hyp for t in self.terms)))
+        object.__setattr__(self, "region_tests", tuple(map(region_test, self.argument_ids)))
 
 
 def _rep_table() -> dict[RepresentationId, _RepSpec]:
@@ -569,18 +579,43 @@ def _rep_table() -> dict[RepresentationId, _RepSpec]:
 _REP_TABLE = _rep_table()
 
 
+def _by_domain() -> dict[str, tuple[list, list]]:
+    """The records by domain, as ``_rank`` scores them: (singles, others),
+    in table order, (table index, rep, spec, map) of each record that the
+    modulus of one map scores, and (table index, rep, spec, set of its maps)
+    of the rest."""
+    out: dict[str, tuple[list, list]] = {}
+    for i, (rep, spec) in enumerate(_REP_TABLE.items()):
+        singles, others = out.setdefault(spec.domain, ([], []))
+        ids = spec.argument_ids
+        if spec.routed or len(ids) > 1:
+            others.append((i, rep, spec, frozenset(ids)))
+        else:
+            singles.append((i, rep, spec, ids[0]))
+    return out
+
+
+_BY_DOMAIN = _by_domain()
+
+
 class _Plan:
     """The parameter-only work of the records at one (nu, mu): ``excluded``
-    (``_exclusions``) and, filled as records are tried, ``hyps`` (record ->
-    the ``HypParams`` of its two factors, one object when they share
-    (a, b, c)) and ``parts`` ((record, sign g) -> the ``_coefficient`` of each
-    term).  A part that raises is not stored, so it raises again."""
+    (``_exclusions``), ``admitted`` (the rows of ``_BY_DOMAIN`` whose record
+    no excluded parameter set refuses) and, filled as records are tried,
+    ``hyps`` (record -> the ``HypParams`` of its two factors, one object
+    when they share (a, b, c)) and ``parts`` ((record, sign g) -> the
+    ``_coefficient`` of each term).  A part that raises is not stored, so it
+    raises again."""
 
-    __slots__ = ("nu", "mu", "excluded", "hyps", "parts")
+    __slots__ = ("nu", "mu", "excluded", "admitted", "hyps", "parts")
 
     def __init__(self, p: ParamPair):
         self.nu, self.mu = p.nu, p.mu
-        self.excluded = _exclusions(p)
+        self.excluded = excluded = _exclusions(p)
+        self.admitted = _BY_DOMAIN if not excluded else {
+            domain: tuple([row for row in rows if excluded.isdisjoint(row[2].exclusions)]
+                          for rows in group)
+            for domain, group in _BY_DOMAIN.items()}
         self.hyps = {}
         self.parts = {}
 
@@ -650,35 +685,43 @@ def _check(rep: RepresentationId, plan: _Plan, x: complex, unusable: dict[int, s
 
 
 def _rank(plan: _Plan, outside: dict[str, str | None], x: complex,
-          y: complex) -> list[tuple[RepresentationId, _RepSpec, str | None, float]]:
-    """Every record at x as (rep, spec, reason, score), in table order, with
-    the reason of its ``_refusal``; each argument w_j(x), root
-    y = i sqrt(1 - x^2), is computed once.  A usable record scores the
-    largest modulus of its arguments (route radius for a routed record), a
-    refused one inf.  The region test is left to ``_converges``, so that
-    ``ferrers_q`` runs it only on the candidates it tries."""
-    excluded = plan.excluded
-    unusable = unusable_maps(x)
-    values = map_values(x, y, unusable)
-    # Nothing excluded, no unusable map and x^2 finite leave each record
-    # only its domain's reason: the common case calls no _refusal.
-    checked = excluded or unusable or outside["x^2"]
+          y: complex) -> tuple[dict[int, complex], list[tuple]]:
+    """(values, rows): the arguments w_j(x) of the maps usable at x, root
+    y = i sqrt(1 - x^2), each computed once, and as (score, table index, rep,
+    spec) every record that ``_refusal`` lets through, so that sorting the
+    rows ranks them, ties in table order.  A record scores the largest
+    modulus of its arguments (route radius for a routed record); no two
+    one-map records share a map, so each of their moduli is taken once.
+    Refused records are left to ``_refusals``, and the region test to
+    ``_converges``, so that ``ferrers_q`` runs it only on the candidates it
+    tries."""
+    if outside["x^2"] is not None:
+        return {}, []
+    values = map_values(x, y, unusable_maps(x))  # a map unusable at x is left out
     rows = []
-    for rep, spec in _REP_TABLE.items():
-        if checked:
-            refusal = _refusal(spec, excluded, outside, unusable)
-            reason = None if refusal is None else refusal[1]
-        else:
-            reason = outside[spec.domain]
-        if reason is not None:
-            rows.append((rep, spec, reason, math.inf))
+    for domain, (singles, others) in plan.admitted.items():
+        if outside[domain] is not None:
             continue
-        size = abs if not spec.routed else functools.partial(
-            route_radius, (plan.hyps.get(spec) or _hyps(plan, spec))[0])
-        ids = spec.argument_ids  # one map but for I7 and FourierUV
-        score = size(values[ids[0]]) if len(ids) == 1 else max([size(values[j]) for j in ids])
-        rows.append((rep, spec, None, score))
-    return rows
+        rows += [(abs(values[j]), i, rep, spec) for i, rep, spec, j in singles if j in values]
+        for i, rep, spec, ids in others:  # I7 and FourierUV
+            if not values.keys() >= ids:
+                continue
+            if spec.routed:
+                hp = (plan.hyps.get(spec) or _hyps(plan, spec))[0]
+                score = max([route_radius(hp, values[j]) for j in ids])
+            else:
+                score = max([abs(values[j]) for j in ids])
+            rows.append((score, i, rep, spec))
+    return values, rows
+
+
+def _refusals(plan: _Plan, outside: dict[str, str | None], x: complex,
+              ranked: Container[int]) -> list[str | None]:
+    """Per record, in table order, the reason of its ``_refusal`` at x, or
+    None for the table indices in ``ranked``, the records ``_rank`` scored."""
+    unusable = unusable_maps(x)
+    return [None if i in ranked else _refusal(spec, plan.excluded, outside, unusable)[1]
+            for i, spec in enumerate(_REP_TABLE.values())]
 
 
 def _converges(spec: _RepSpec, x: complex, score: float) -> bool:
@@ -687,30 +730,38 @@ def _converges(spec: _RepSpec, x: complex, score: float) -> bool:
     map, or for a routed record every route radius below ``THETA_CUT``."""
     if spec.routed:
         return score < THETA_CUT
-    return all(in_region(j, x) for j in spec.argument_ids)
+    for test in spec.region_tests:
+        if not test(x):
+            return False
+    return True
 
 
 def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
     """Per-representation validity at (p, x), in table order: the rows
     ``ferrers_q`` ranks, each with the reason ``ferrers_q_rep`` refuses it
-    for and its argument-modulus preference score.  The region test runs on
-    every usable row."""
+    for and its argument-modulus preference score (inf when refused).  The
+    region test runs on every usable row."""
     x = complex(x)
-    rows = _rank(_plan(p), _outside(x), x, 1j * cmath.sqrt(1.0 - x * x))
-    return [RepValidity(rep, reason is None, reason,
-                        reason is None and _converges(spec, x, score), score)
-            for rep, spec, reason, score in rows]
+    plan, outside = _plan(p), _outside(x)
+    _, rows = _rank(plan, outside, x, 1j * cmath.sqrt(1.0 - x * x))
+    usable = {i: RepValidity(rep, True, None, _converges(spec, x, score), score)
+              for score, i, rep, spec in rows}
+    reasons = _refusals(plan, outside, x, usable)
+    return [usable[i] if reason is None else RepValidity(rep, False, reason, False, math.inf)
+            for i, (rep, reason) in enumerate(zip(_REP_TABLE, reasons))]
 
 
 def _interpret(spec: _RepSpec, plan: _Plan, x: complex, s: complex, tol: float,
-               side: CutSide | None) -> SeriesResult:
+               side: CutSide | None, ws: list[complex] | None = None) -> SeriesResult:
     """The one interpreter of the records: the argument of each 2F1 factor
-    from the record's map with root y = i s, then the two coefficients with
-    the record's sign at x (their parameter parts from the plan), then each
-    factor by ``f21`` (``f21_regularized`` for a regularized record), or by
-    its limit ``f21_cut`` on the cut from ``side``."""
+    (``ws``, or from the record's maps with root y = i s), then the two
+    coefficients with the record's sign at x (their parameter parts from the
+    plan), then each factor by ``f21`` (``f21_regularized`` for a
+    regularized record), or by its limit ``f21_cut`` on the cut from
+    ``side``."""
     g = spec.sign.at(x)
-    ws = [map_value(j, x, 1j * s) for j in spec.argument_ids]
+    if ws is None:
+        ws = [map_value(j, x, 1j * s) for j in spec.argument_ids]
     bases = _log_bases(_X_BASES, spec.bases, x, s, g)
     parts = plan.parts.get((spec, g))
     if parts is None:
@@ -775,21 +826,18 @@ def ferrers_q_rep_trig(rep: RepresentationId, p: ParamPair, theta: float,
     return _run(rep, plan, x, complex(math.sin(theta)), tol)
 
 
-_SCORE = operator.itemgetter(3)   # of a ``_rank`` row
-
-
 def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
     """Ferrers function of the second kind, representation chosen
     automatically: among the representations ``_refusal`` lets through whose
     series converges at x, the one with the smallest argument modulus wins
-    (ties broken by table order).  ``_rank`` gives the rows
+    (ties broken by table order).  ``_rank`` gives the usable rows
     ``valid_representations`` reports, and the region test runs only on the
     candidates tried.  A candidate that raises a ``FerroxError`` (such as a
     gamma ratio beyond double range, or any ``ArithmeticError`` or non-finite
-    value, which ``_run`` maps to ``DomainError``) is skipped for the next
-    one; when none is left, ``NoRepresentationError`` maps every
-    representation to the reason it was not used (``DomainError`` at once
-    where x^2 is beyond double range)."""
+    value, which becomes the ``DomainError`` that ``_run`` would raise) is
+    skipped for the next one; when none is left, ``NoRepresentationError``
+    maps every representation to the reason it was not used (``DomainError``
+    at once where x^2 is beyond double range)."""
     x = complex(x)
     outside = _outside(x)
     if outside["D1"] is not None:
@@ -801,22 +849,32 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     if "numu_neg" in plan.excluded:
         raise ParameterError(
             f"Ferrers Q undefined for nu + mu = {p.nu + p.mu} in -N")
-    rows = _rank(plan, outside, x, 1j * s)
+    values, rows = _rank(plan, outside, x, 1j * s)
     diverging, failed = set(), {}
-    # sorted() is stable, so ties keep table order, and dropping the rows
-    # whose series diverges keeps the order of the rest: testing regions
-    # only as candidates are reached picks the winner and the fallbacks that
-    # testing every row first would.
-    for rep, spec, _, score in sorted([r for r in rows if r[2] is None], key=_SCORE):
+    # Rows sort by (score, table index), so ties keep table order, and
+    # dropping the rows whose series diverges keeps the order of the rest:
+    # testing regions only as candidates are reached picks the winner and
+    # the fallbacks that testing every row first would.  The winner is
+    # evaluated as ``_run`` would, without its call layers.
+    for score, _, rep, spec in sorted(rows):
         if not _converges(spec, x, score):
             diverging.add(rep)
             continue
         try:
-            return _run(rep, plan, x, s, tol)
+            r = _interpret(spec, plan, x, s, tol, None, [values[j] for j in spec.argument_ids])
+            if cmath.isfinite(r.value):
+                return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
+            reason = f"value {r.value}"
+        except (ArithmeticError, ValueError) as exc:
+            reason = str(exc)
         except FerroxError as exc:
             failed[rep.value] = str(exc)
+            continue
+        failed[rep.value] = str(_beyond(f"representation {rep.value}", reason))
+    refused = _refusals(plan, outside, x, {i for _, i, _, _ in rows})
     reasons = {rep.value: reason or "series argument has modulus >= 1 at x"
-               for rep, _, reason, _ in rows if reason is not None or rep in diverging}
+               for rep, reason in zip(_REP_TABLE, refused)
+               if reason is not None or rep in diverging}
     reasons.update(failed)
     raise NoRepresentationError(
         f"no valid representation at nu={p.nu}, mu={p.mu}, x={x}", reasons)

@@ -12,6 +12,13 @@ integers.  Elsewhere (degenerate parameters, and near e^(+-i pi/3), where
 every map has modulus about 1) Taylor steps on the hypergeometric equation
 continue the function along a cut-avoiding path; that fallback has no
 parameter restrictions, so no logarithmic connection formula is needed.
+
+What depends on (a, b, c) alone is worked out once per ``HypParams``: where
+the series terminates, the pole of c, which differences are
+``CONNECTION_GAP`` off the integers and the Pfaff parameters.  The routes
+read these facts instead of testing the parameters at each call, and a
+terminating series longer than ``MAX_TERMS`` raises ``ConvergenceError``
+before any term is summed.
 """
 
 from __future__ import annotations
@@ -75,11 +82,37 @@ class CutSide(Enum):
     BELOW = "below"
 
 
+class _OnFirstUse:
+    """A fact of the instance, computed on first use and then kept in its
+    ``__dict__``, where later lookups find it before this descriptor.  This
+    is ``functools.cached_property`` without the lock it takes on first use
+    before Python 3.12, which cost about 1 us per ``HypParams`` used once.
+    Two threads may both compute a fact; they compute the same value."""
+
+    def __init__(self, compute: Callable):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True, init=False)
 class HypParams:
     """The parameters (a, b, c) of 2F1, as complex numbers; a non-finite one
     raises ``ParameterError`` here, so no route sees it.  Each field is set
-    once, in ``__init__``."""
+    once, in ``__init__``.
+
+    The parameter-only facts that every evaluation reads are worked out once
+    here and kept outside the fields (so ``==``, ``hash`` and ``repr`` are
+    those of (a, b, c)): ``degree``, the m at which the series
+    terminates (a or b = -m, the least such m) or None, and ``c_pole``, the
+    m with c = -m or None; and, on first use by a route, ``gapped``, the
+    connection differences ("a-b", "c-a-b") at least ``CONNECTION_GAP`` from
+    every integer, and ``pfaff``, the parameters (a, c - b, c) of the Pfaff
+    transform."""
 
     a: complex
     b: complex
@@ -89,9 +122,23 @@ class HypParams:
         a, b, c = complex(a), complex(b), complex(c)
         if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
             raise ParameterError(f"2F1 parameters must be finite; got a={a}, b={b}, c={c}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        ma, mb = nonpos_index(a), nonpos_index(b)
+        # one write to the instance dict, not five object.__setattr__ calls
+        vars(self).update(a=a, b=b, c=c, c_pole=nonpos_index(c),
+                          degree=mb if ma is None else ma if mb is None else min(ma, mb))
+
+    def difference(self, name: str) -> complex:
+        """The difference a connection formula divides by: "a-b" or "c-a-b"."""
+        return self.a - self.b if name == "a-b" else self.c - self.a - self.b
+
+    @_OnFirstUse
+    def gapped(self) -> tuple[str, ...]:
+        return tuple(name for name in ("a-b", "c-a-b")
+                     if not near_int(self.difference(name), CONNECTION_GAP))
+
+    @_OnFirstUse
+    def pfaff(self) -> HypParams:
+        return HypParams(self.a, self.c - self.b, self.c)
 
 
 @dataclass(frozen=True)
@@ -105,22 +152,27 @@ def combine(parts: list[tuple[complex, SeriesResult]]) -> SeriesResult:
     """The linear combination sum c_i F_i of (coefficient, series) pairs, with
     the term counts summed and the tail estimate taken relative to the
     combined value, so cancellation between the terms shows in it."""
-    value = sum(c * r.value for c, r in parts)
-    terms = sum(r.terms_used for _, r in parts)
-    abs_tail = sum(abs(c * r.value) * r.tail_estimate for c, r in parts)
+    # 0j + the first product, as sum() would: a -0.0 part becomes +0.0
+    value, terms, abs_tail = 0j, 0, 0.0
+    for c, r in parts:
+        v = c * r.value
+        value += v
+        terms += r.terms_used
+        abs_tail += abs(v) * r.tail_estimate
     mag = abs(value)
     return SeriesResult(value, terms, abs_tail / mag if mag else abs_tail)
 
 
-def _polynomial(p: HypParams, w: complex) -> SeriesResult | None:
-    """The sum when a or b is a nonpositive integer (no cut), else None."""
-    ma, mb = nonpos_index(p.a), nonpos_index(p.b)
-    if ma is None and mb is None:
-        return None
-    m = mb if ma is None else ma if mb is None else min(ma, mb)
-    cp = nonpos_index(p.c)
-    if cp is not None and cp < m:
+def _polynomial(p: HypParams, w: complex) -> SeriesResult:
+    """The sum of the terminating series (a or b a nonpositive integer, so
+    ``p.degree`` is set; no cut); a degree above ``MAX_TERMS`` raises
+    ``ConvergenceError``."""
+    m = p.degree
+    if p.c_pole is not None and p.c_pole < m:
         raise ParameterError(f"2F1 undefined: c = {p.c} pole precedes termination")
+    if m > MAX_TERMS:
+        raise ConvergenceError(
+            f"2F1 polynomial of degree {m:.6g} exceeds the {MAX_TERMS}-term budget")
     total = term = 1.0 + 0.0j
     for n in range(m):
         term *= (p.a + n) * (p.b + n) / ((p.c + n) * (n + 1)) * w
@@ -140,13 +192,19 @@ def f21_series(p: HypParams, w: complex, tol: float = DEFAULT_TOL,
     w = complex(w)
     if cmath.isnan(w):
         raise DomainError(f"2F1 argument {w} is not a number")
-    if (poly := _polynomial(p, w)) is not None:
-        return poly
-    if nonpos_index(p.c) is not None:
+    if p.degree is not None:
+        return _polynomial(p, w)
+    if p.c_pole is not None:
         raise ParameterError(f"2F1 series undefined: c = {p.c} is a nonpositive integer")
     aw = abs(w)
     if aw >= 1.0:
         raise ConvergenceError(f"2F1 series diverges for |w| = {aw:.6g} >= 1")
+    return _series(p, w, aw, tol, max_terms)
+
+
+def _series(p: HypParams, w: complex, aw: float, tol: float,
+            max_terms: int = MAX_TERMS) -> SeriesResult:
+    """The loop of ``f21_series``, once its checks have passed; aw = |w|."""
     a, b, c = p.a, p.b, p.c
     total = term = 1.0 + 0.0j
     prev_small = False
@@ -256,9 +314,8 @@ class _Connection:
     bases: tuple[tuple[str, ...], tuple[str, ...]]  # keys of _BASES
     terms: Callable[[complex, complex, complex], tuple]
 
-    def usable(self, p: HypParams, gap: float = CONNECTION_GAP) -> bool:
-        d = p.a - p.b if self.difference == "a-b" else p.c - p.a - p.b
-        return not near_int(d, gap)
+    def usable(self, p: HypParams) -> bool:
+        return self.difference in p.gapped
 
 
 _BASES = {"w": lambda w: w, "-w": lambda w: -w, "1-w": lambda w: 1.0 - w}
@@ -333,11 +390,11 @@ def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
     w = complex(w)
     if cmath.isnan(w):
         raise DomainError(f"2F1 argument {w} is not a number")
-    if (poly := _polynomial(p, w)) is not None:
-        return poly
+    if p.degree is not None:
+        return _polynomial(p, w)
     if w.imag == 0.0 and w.real >= 1.0:
         raise BranchCutError(f"2F1 argument {w} lies on the branch cut [1, inf)")
-    if nonpos_index(p.c) is not None:
+    if p.c_pole is not None:
         raise ParameterError(f"2F1 undefined for c = {p.c} in 0, -1, -2, ...")
 
     radius, route = _first_route(p, w)
@@ -350,10 +407,10 @@ def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
         if out.tail_estimate > tol:  # terms cancel near |w| = 1: sum tighter
             out = _connect(route, p, w, tol * tol / out.tail_estimate)
         return out
-    if route == "direct":
-        return f21_series(p, w, tol)
+    if route == "direct":  # f21's checks are those of f21_series
+        return _series(p, w, radius, tol)
     if route == "pfaff":
-        inner = f21_series(HypParams(p.a, p.c - p.b, p.c), w / (w - 1.0), tol / 2)
+        inner = f21_series(p.pfaff, w / (w - 1.0), tol / 2)
         pref = principal_pow(1.0 - w, -p.a)
         return SeriesResult(pref * inner.value, inner.terms_used, inner.tail_estimate)
     return _connect(route, p, w, tol)
@@ -384,12 +441,12 @@ def f21_cut_via(theorem: int, p: HypParams, x: float, side: CutSide,
     c - a - b off the integers."""
     if not (isinstance(x, (int, float)) and x > 1.0):
         raise DomainError(f"cut evaluation requires real x > 1; got {x}")
-    if nonpos_index(p.c) is not None:
+    if p.c_pole is not None:
         raise ParameterError(f"2F1 undefined for c = {p.c} in 0, -1, -2, ...")
     if theorem not in _CONNECTIONS:
         raise ValueError(f"theorem index must be 1..4; got {theorem}")
     k = _CONNECTIONS[theorem]
-    if not k.usable(p, DEGENERACY_TOL):
+    if near_int(p.difference(k.difference), DEGENERACY_TOL):
         raise DegenerateParameterError(
             f"cut formula {theorem} needs {k.difference} off the integers")
     return _connect(k, p, float(x), tol, side)
@@ -407,8 +464,8 @@ def f21_cut(p: HypParams, x: float, side: CutSide,
     if not (isinstance(x, (int, float)) and x > 1.0):
         raise DomainError(f"cut evaluation requires real x > 1; got {x}")
     x = float(x)
-    if (poly := _polynomial(p, x)) is not None:
-        return poly
+    if p.degree is not None:
+        return _polynomial(p, x)
     candidates = [(abs(_CONNECTIONS[n].arg(x)), n) for n in (3, 2, 1, 4)
                   if _CONNECTIONS[n].usable(p)]
     if candidates:

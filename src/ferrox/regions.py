@@ -6,10 +6,13 @@ involve a square root of x^2 - 1 (branch Y1 by default; the starred variants
 of 13 and 14 use branch Y2 and live on the plane cut along [-1, 1]).
 
 Each map is one record of the table ``_MAPS``: its singular points, its
-formula and a closed-form test of |w_j| < 1: disks, half-planes, the
+formula as data and a closed-form test of |w_j| < 1: disks, half-planes, the
 lemniscate |1-x||1+x| = 1, the circles |x| = 1, the hyperbola Re(x^2) = 1/2,
 and for the square-root family the criterion e^{2 beta} cos(2 alpha) vs 1/2
-with x = cos(alpha + i beta).  Boundary points classify as outside.
+with x = cos(alpha + i beta).  Boundary points classify as outside.  A
+formula names its numerator and denominator from one vocabulary of shared
+terms (``_terms``: 1 -+ x, x - 1, x^2, 1 - x^2, x^2 - 1, 2y, x +- y, y - x),
+so ``map_values`` forms each term once per point for all eighteen maps.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "in_region",
     "map_value",
     "map_values",
+    "region_test",
     "unusable_maps",
 ]
 
@@ -96,36 +100,48 @@ def _criterion(x: complex, k: float) -> float:
     return math.exp(min(k * th.imag, 709.0)) * math.cos(2.0 * th.real)
 
 
+def _terms(x: complex, y: complex | None) -> dict[str, complex]:
+    """The shared terms of the maps at x, by name; those of y, a root of
+    x^2 - 1, only when y is given.  Each map is the ratio of two of them, or
+    one alone."""
+    x2 = x * x
+    t = {"1": 1.0, "2": 2.0, "1-x": 1.0 - x, "1+x": 1.0 + x, "x-1": x - 1.0, "x^2": x2,
+         "1-x^2": 1.0 - x2, "x^2-1": x2 - 1.0}
+    if y is not None:
+        t.update({"2y": 2.0 * y, "x+y": x + y, "x-y": x - y, "y-x": y - x})
+    return t
+
+
 class _Map(NamedTuple):
-    singular: str | None                       # x where w_j is singular: a _SINGULAR key
-    w: Callable[[complex, complex], complex]   # (x, y) -> w_j, y a root of x^2 - 1
-    inside: Callable[[complex], bool]          # |w_j(x)| < 1 on root Y1
+    singular: str | None               # x where w_j is singular: a _SINGULAR key
+    num: str                           # w_j = num / den: names of _terms
+    den: str | None                    # None: w_j is num itself
+    inside: Callable[[complex], bool]  # |w_j(x)| < 1 on root Y1
 
 
 _MAPS: dict[int, _Map] = {
-    1: _Map(None, lambda x, y: (1.0 - x) / 2.0, lambda x: abs(1.0 - x) < 2.0),
-    2: _Map(None, lambda x, y: (1.0 + x) / 2.0, lambda x: abs(1.0 + x) < 2.0),
-    3: _Map("-1", lambda x, y: (x - 1.0) / (x + 1.0), lambda x: x.real > 0.0),
-    4: _Map("1", lambda x, y: (x + 1.0) / (x - 1.0), lambda x: x.real < 0.0),
-    5: _Map("-1", lambda x, y: 2.0 / (1.0 + x), lambda x: abs(1.0 + x) > 2.0),
-    6: _Map("1", lambda x, y: 2.0 / (1.0 - x), lambda x: abs(1.0 - x) > 2.0),
-    7: _Map(None, lambda x, y: 1.0 - x * x, lambda x: abs(1.0 - x) * abs(1.0 + x) < 1.0),
-    8: _Map("+-1", lambda x, y: 1.0 / (1.0 - x * x),
-            lambda x: abs(1.0 - x) * abs(1.0 + x) > 1.0),
-    9: _Map(None, lambda x, y: x * x, lambda x: abs(x) < 1.0),
-    10: _Map("0", lambda x, y: 1.0 / (x * x), lambda x: abs(x) > 1.0),
-    11: _Map("0", lambda x, y: (x * x - 1.0) / (x * x),
-             lambda x: x.real * x.real - x.imag * x.imag > 0.5),
-    12: _Map("+-1", lambda x, y: x * x / (x * x - 1.0),
-             lambda x: x.real * x.real - x.imag * x.imag < 0.5),
-    13: _Map("+-1", lambda x, y: (-x + y) / (2.0 * y), lambda x: _criterion(x, 2.0) < 0.5),
-    14: _Map("+-1", lambda x, y: (x - y) / (x + y), lambda x: x.imag > 0.0),
-    15: _Map("+-1", lambda x, y: 2.0 * y / (x + y), lambda x: _criterion(x, -2.0) > 0.5),
-    16: _Map("+-1", lambda x, y: 2.0 * y / (-x + y), lambda x: _criterion(x, 2.0) > 0.5),
-    17: _Map("+-1", lambda x, y: (x + y) / (2.0 * y), lambda x: _criterion(x, -2.0) < 0.5),
-    18: _Map("+-1", lambda x, y: (x + y) / (x - y), lambda x: x.imag < 0.0),
+    1: _Map(None, "1-x", "2", lambda x: abs(1.0 - x) < 2.0),
+    2: _Map(None, "1+x", "2", lambda x: abs(1.0 + x) < 2.0),
+    3: _Map("-1", "x-1", "1+x", lambda x: x.real > 0.0),
+    4: _Map("1", "1+x", "x-1", lambda x: x.real < 0.0),
+    5: _Map("-1", "2", "1+x", lambda x: abs(1.0 + x) > 2.0),
+    6: _Map("1", "2", "1-x", lambda x: abs(1.0 - x) > 2.0),
+    7: _Map(None, "1-x^2", None, lambda x: abs(1.0 - x) * abs(1.0 + x) < 1.0),
+    8: _Map("+-1", "1", "1-x^2", lambda x: abs(1.0 - x) * abs(1.0 + x) > 1.0),
+    9: _Map(None, "x^2", None, lambda x: abs(x) < 1.0),
+    10: _Map("0", "1", "x^2", lambda x: abs(x) > 1.0),
+    11: _Map("0", "x^2-1", "x^2", lambda x: x.real * x.real - x.imag * x.imag > 0.5),
+    12: _Map("+-1", "x^2", "x^2-1", lambda x: x.real * x.real - x.imag * x.imag < 0.5),
+    13: _Map("+-1", "y-x", "2y", lambda x: _criterion(x, 2.0) < 0.5),
+    14: _Map("+-1", "x-y", "x+y", lambda x: x.imag > 0.0),
+    15: _Map("+-1", "2y", "x+y", lambda x: _criterion(x, -2.0) > 0.5),
+    16: _Map("+-1", "2y", "y-x", lambda x: _criterion(x, 2.0) > 0.5),
+    17: _Map("+-1", "x+y", "2y", lambda x: _criterion(x, -2.0) < 0.5),
+    18: _Map("+-1", "x+y", "x-y", lambda x: x.imag < 0.0),
 }
 ARGUMENT_COUNT = len(_MAPS)
+#: (j, numerator, denominator) of every map, as ``map_values`` reads them.
+_RATIOS = tuple((j, m.num, m.den) for j, m in _MAPS.items())
 #: The maps singular where each ``_SINGULAR`` predicate holds.
 _SINGULAR_MAPS = {key: tuple(j for j, m in _MAPS.items() if m.singular == key)
                   for key in _SINGULAR}
@@ -165,13 +181,25 @@ def unusable_maps(x: complex) -> dict[int, str]:
 def map_value(j: int, x: complex, y: complex | None) -> complex:
     """w_j(x) with y the chosen root of x^2 - 1 (read by maps 13..18 only),
     without the checks of ``argument``."""
-    return _MAPS[j].w(x, y)
+    m = _MAPS[j]
+    t = _terms(x, y if j > 12 else None)
+    return t[m.num] if m.den is None else t[m.num] / t[m.den]
 
 
 def map_values(x: complex, y: complex, skip: Container[int]) -> dict[int, complex]:
-    """``map_value`` of every map j not in ``skip``; skipping
-    ``unusable_maps(x)`` leaves no division by zero."""
-    return {j: m.w(x, y) for j, m in _MAPS.items() if j not in skip}
+    """``map_value`` of every map j not in ``skip``, from one evaluation of
+    each term at x; skipping ``unusable_maps(x)`` leaves no division by
+    zero."""
+    t = _terms(x, y)
+    return {j: t[num] if den is None else t[num] / t[den]
+            for j, num, den in _RATIOS if j not in skip}
+
+
+def region_test(j: int) -> Callable[[complex], bool]:
+    """The closed-form test of |w_j(x)| < 1 (root Y1) that ``in_region``
+    applies, without its checks: for a caller that has already refused the
+    maps singular at x."""
+    return _MAPS[j].inside
 
 
 def argument(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> complex:
@@ -184,13 +212,13 @@ def argument(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> complex:
     lost four of its sixteen digits, they raise ``DomainError``.
     """
     x = complex(x)
-    m = _lookup(j, x, root)
+    _lookup(j, x, root)
     if j <= 12:
-        return m.w(x, None)
+        return map_value(j, x, None)
     y = root_y(root, x)
     if abs(x) >= _SQRT_MAPS_FAR:
         raise DomainError(_FAR_MESSAGE.format(j=j, x=x))
-    return m.w(x, y)
+    return map_value(j, x, y)
 
 
 def in_region(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> bool:

@@ -13,6 +13,7 @@ from ferrox.complexmath import (
     gamma,
     gamma_quotient,
     ln_gamma,
+    near_int,
     nonpos_index,
     pochhammer,
     principal_pow,
@@ -226,6 +227,19 @@ class TestNonposIndex:
         assert nonpos_index(-4.0 + 1e-10 - 1e-10j, 1e-9) == 4
         assert nonpos_index(-4.0 + 2e-9, 1e-9) is None
         assert nonpos_index(1e-10, 1e-9) == 0
+
+
+class TestNearInt:
+    def test_window(self):
+        assert near_int(3.0) and near_int(-2.0 + 1e-10 + 1e-10j)
+        assert not near_int(2.5) and not near_int(3.0 + 2e-9j)
+
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(math.inf, 0.0),
+                                   complex(math.nan, 0.0), complex(3.0, math.inf)])
+    def test_non_finite_is_near_no_integer(self, z):
+        # 2 nu of a finite nu can overflow; no integer is near inf
+        assert near_int(z) is False
+        assert near_int(z, 1.0) is False
 
 
 class TestPochhammer:

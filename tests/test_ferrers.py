@@ -36,7 +36,7 @@ from ferrox.ferrers import (
     valid_representations,
 )
 from ferrox.hyp2f1 import HypParams, f21
-from ferrox.regions import DomainId, argument, in_domain
+from ferrox.regions import DomainId, argument, in_domain, unusable_maps
 
 mp.mp.dps = 30
 
@@ -552,6 +552,21 @@ class TestBeyondDoubleRange:
         with pytest.raises(DomainError, match=f"{label}: .*beyond double range"):
             call()
 
+    # 2 nu or nu + mu overflows, or a 2F1 terminates only after 2e307 terms:
+    # each used to raise a bare OverflowError or never return
+    @pytest.mark.parametrize("nu,mu", [(1e308, 0.3), (0.3, 1e308), (2e307, 0.3)])
+    @pytest.mark.parametrize("call,x", [(ferrers_q, 0.3), (ferrers_p, 0.3), (legendre_p, 2.0),
+                                        (legendre_q, 2.0)],
+                             ids=["ferrers_q", "ferrers_p", "legendre_p", "legendre_q"])
+    def test_huge_parameters_raise_ferrox_error(self, nu, mu, call, x):
+        with pytest.raises(FerroxError):
+            call(ParamPair(nu, mu), x)
+
+    def test_huge_terminating_degree(self):
+        with pytest.raises(NoRepresentationError) as info:
+            ferrers_q(ParamPair(2e307, 0.3), 0.3)
+        assert any("exceeds the 50000-term budget" in r for r in info.value.reasons.values())
+
     def test_dispatch_skips_non_finite_candidate(self):
         # II6 wins the scan and returns NaN there; every other candidate
         # overflows too, although the value (about 3e20) is a double
@@ -601,6 +616,20 @@ class TestRefusal:
                 else:
                     with pytest.raises(Reached):
                         ferrers_q_rep(v.rep, p, x)
+
+    @pytest.mark.parametrize("nu,mu", PARAMS)
+    def test_ranked_rows_are_those_not_refused(self, nu, mu):
+        # _rank scores exactly the records _refusal lets through
+        plan = ferrers._plan(ParamPair(nu, mu))
+        for x in self.POINTS:
+            x = complex(x)
+            outside = ferrers._outside(x)
+            _, rows = ferrers._rank(plan, outside, x, 1j * cmath.sqrt(1.0 - x * x))
+            ranked = {rep for _, _, rep, _ in rows}
+            unusable = unusable_maps(x)
+            for rep, spec in ferrers._REP_TABLE.items():
+                refusal = ferrers._refusal(spec, plan.excluded, outside, unusable)
+                assert (refusal is None) == (rep in ranked), (x, rep)
 
     @pytest.mark.parametrize("nu,mu", PARAMS)
     @pytest.mark.parametrize("rep", HALFPLANE_REPS)
@@ -969,6 +998,7 @@ class TestNonFiniteArguments:
             monkeypatch.setattr(ferrers, name, summed)
         monkeypatch.setattr(olbricht, "f21", summed)
         monkeypatch.setattr(hyp2f1, "f21_series", summed)
+        monkeypatch.setattr(hyp2f1, "_series", summed)
 
     @pytest.mark.parametrize("x", NAN_X, ids=["nan", "0.3+nan_i", "nan+0.2i"])
     def test_nan_x_is_domain_error(self, x):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import mpmath as mp
@@ -73,6 +74,13 @@ class TestSeries:
     def test_tail_estimate_below_tol(self):
         r = f21_series(HypParams(0.3, 1.7, 2.9), 0.6, tol=1e-10)
         assert r.tail_estimate <= 1e-10
+
+    @pytest.mark.parametrize("fn", [f21, f21_series, f21_regularized])
+    def test_polynomial_beyond_term_budget(self, fn):
+        # -2e307 is an exact integer as a double: the series terminates, but
+        # only after far more than MAX_TERMS terms
+        with pytest.raises(ConvergenceError, match="exceeds the 50000-term budget"):
+            fn(HypParams(-2e307, 1.0, 1.5), 0.3)
 
 
 class TestF21:
@@ -306,6 +314,56 @@ class TestCutValues:
         from ferrox.errors import DomainError
         with pytest.raises(DomainError):
             f21_cut(HypParams(0.5, 0.5, 1.5), 0.5, CutSide.ABOVE)
+
+
+class TestParameterFacts:
+    """``HypParams`` works out its parameter-only facts once: they are not
+    fields, so ``==``, ``hash`` and ``repr`` are those of (a, b, c), and a
+    second ``f21`` on the same parameters tests none of them again."""
+
+    @pytest.mark.parametrize("params,degree,c_pole,gapped", [
+        ((0.3, 0.7, 1.9), None, None, ("a-b", "c-a-b")),
+        ((-3, 2.2, 0.7), 3, None, ("a-b", "c-a-b")),
+        ((2.2, -4, -6.0), 4, 6, ("a-b", "c-a-b")),
+        ((0.3, 1.3, 0.9), None, None, ("c-a-b",)),
+        ((0.3, 0.45, 1.75), None, None, ("a-b",)),
+        ((1, 1, 0), None, 0, ()),
+    ])
+    def test_facts(self, params, degree, c_pole, gapped):
+        p = HypParams(*params)
+        assert (p.degree, p.c_pole, p.gapped) == (degree, c_pole, gapped)
+        a, b, c = params
+        assert p.pfaff == HypParams(a, c - b, c) and p.pfaff is p.pfaff
+
+    @pytest.mark.parametrize("params", [(0.3, 0.7, 1.9), (-3, 2.2, 0.7), (0.3 + 0.2j, -1.7, 0.55)])
+    def test_facts_are_not_fields(self, params):
+        used, fresh = HypParams(*params), HypParams(*params)
+        for w in (0.3, -0.95 + 0.1j, -3.0, 0.5 + 0.8j, 1.5 + 1e-3j):
+            f21(used, w)
+        used.pfaff, used.gapped  # each kept on first use
+        assert {"degree", "c_pole", "pfaff", "gapped"} <= set(vars(used))
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(used)] == ["a", "b", "c"]
+
+    # a direct, a Pfaff and a terminating point
+    @pytest.mark.parametrize("params,w", [((0.3, 0.7, 1.9), 0.3 + 0.2j),
+                                          ((0.3, 0.7, 1.9), -0.95 + 0.1j),
+                                          ((-3, 2.2, 0.7), 5.5)])
+    def test_second_call_tests_no_parameter(self, monkeypatch, params, w):
+        p = HypParams(*params)
+        first = f21(p, w)
+        calls = []
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("nonpos_index", "near_int"):
+            monkeypatch.setattr(hyp2f1, name, counted(getattr(hyp2f1, name)))
+        assert f21(p, w) == first
+        assert calls == []
 
 
 class TestNonFinite:

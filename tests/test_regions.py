@@ -78,8 +78,11 @@ class TestArgumentMaps:
                 with pytest.raises(DomainError, match=f"w_{j} at x = .* loses its digits"):
                     argument(j, x)
 
+    # signed zeros, next to +-1 and to |x| = 50, and x * x underflowing
     @pytest.mark.parametrize("x", [1.0, -1.0, 0.0, 1e-300j, 0.3 + 0.4j, -0.5,
-                                   40.0 + 10.0j, 60.0 + 10.0j, -1e3j, 1e200 + 1e200j])
+                                   40.0 + 10.0j, 60.0 + 10.0j, -1e3j, 1e200 + 1e200j,
+                                   -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), 0.999999,
+                                   -1 + 1e-12j, 49.9 + 1j, 1e-170j])
     def test_unusable_maps_are_those_argument_refuses(self, x):
         x = complex(x)
         unusable = unusable_maps(x)
