@@ -85,9 +85,10 @@ class CutSide(Enum):
 class _OnFirstUse:
     """A fact of the instance, computed on first use and then kept in its
     ``__dict__``, where later lookups find it before this descriptor.  This
-    is ``functools.cached_property`` without the lock it takes on first use
-    before Python 3.12, which cost about 1 us per ``HypParams`` used once.
-    Two threads may both compute a fact; they compute the same value."""
+    is ``functools.cached_property`` without the lock that it takes on first
+    use before Python 3.12, which costs more than most facts of a
+    ``HypParams`` evaluated once.  Two threads may both compute a fact; they
+    compute the same value."""
 
     def __init__(self, compute: Callable):
         self.compute, self.name = compute, compute.__name__
