@@ -17,21 +17,20 @@ and one every coefficient, here and in the catalogue of ``olbricht``:
 ``_coefficient`` takes its parameter part (the log-gamma sum, exponents,
 phase and cos/sin factors), and ``_coefficients_at`` adds the power logs at
 x and exponentiates once.  What depends on (nu, mu) alone is worked out once
-per ``ParamPair``: the pair keeps a plan (``_plan``) of its exclusions, the
-records they leave by domain and, for each record tried, its 2F1
-parameters and coefficient parts, so a sweep over x at one pair repeats
-none of it.  One rule, ``_refusal``, decides whether a record may be used
-at (p, x): ``ferrers_q`` scores only the records it lets through, by
-argument modulus, runs the region test only on the candidates it tries and
-hands the winner the arguments the ranking computed.  The reasons of
-refused records are built only where they are reported:
-``valid_representations`` and a ``NoRepresentationError`` of ``ferrers_q``
-give them, and ``ferrers_q_rep``, ``ferrers_q_rep_trig`` (the theta-forms
-of group III, at x = cos(theta)) and ``ferrers_q_halfplane_cut`` raise
-them.
-A value beyond double range raises ``DomainError`` naming its function.  A
-NaN argument lies in no domain, so it raises ``DomainError`` before any
-series is summed; a non-finite nu or mu raises ``ParameterError``.
+per ``ParamPair``: the pair keeps a plan (``_plan``) of its exclusions and,
+for each record tried, its 2F1 parameters and coefficient parts, so a sweep
+over x at one pair repeats none of it.  One rule, ``_refusal``, decides
+whether a record may be used at (p, x): ``ferrers_q`` scores only the
+records it lets through, by argument modulus, runs the region test only on
+the candidates it tries and hands the winner the arguments the ranking
+computed.  The reasons of refused records are built only where they are
+reported: ``valid_representations`` and a ``NoRepresentationError`` of
+``ferrers_q`` give them, and ``ferrers_q_rep``, ``ferrers_q_rep_trig`` (the
+theta-forms of group III, at x = cos(theta)) and ``ferrers_q_halfplane_cut``
+raise them.  A value beyond double range raises ``DomainError`` naming its
+function.  A NaN argument lies in no domain, so it raises ``DomainError``
+before any series is summed; a non-finite nu or mu raises
+``ParameterError``.
 """
 
 from __future__ import annotations
@@ -179,14 +178,10 @@ class RepValidity:
     preference: float
 
 
-def _beyond(label: str, reason: str) -> DomainError:
-    """The error of ``label`` when a value on the way is beyond double range."""
-    return DomainError(f"{label}: intermediate value beyond double range ({reason})")
-
-
 def _guarded(label: str, evaluate: Callable, *args):
     """``evaluate(*args)``; a non-finite value, an ``ArithmeticError`` or a
-    ``ValueError`` (a cmath domain error) becomes ``_beyond(label, ...)``."""
+    ``ValueError`` (a cmath domain error) becomes a ``DomainError`` naming
+    ``label``: some value on the way is beyond double range."""
     try:
         out = evaluate(*args)
         if cmath.isfinite(out.value):
@@ -194,7 +189,7 @@ def _guarded(label: str, evaluate: Callable, *args):
         reason = f"value {out.value}"
     except (ArithmeticError, ValueError) as exc:
         reason = str(exc)
-    raise _beyond(label, reason)
+    raise DomainError(f"{label}: intermediate value beyond double range ({reason})")
 
 
 def _guard(fn: Callable[[ParamPair, complex, float], EvalOutcome]):
@@ -579,43 +574,18 @@ def _rep_table() -> dict[RepresentationId, _RepSpec]:
 _REP_TABLE = _rep_table()
 
 
-def _by_domain() -> dict[str, tuple[list, list]]:
-    """The records by domain, as ``_rank`` scores them: (singles, others),
-    in table order, (table index, rep, spec, map) of each record that the
-    modulus of one map scores, and (table index, rep, spec, set of its maps)
-    of the rest."""
-    out: dict[str, tuple[list, list]] = {}
-    for i, (rep, spec) in enumerate(_REP_TABLE.items()):
-        singles, others = out.setdefault(spec.domain, ([], []))
-        ids = spec.argument_ids
-        if spec.routed or len(ids) > 1:
-            others.append((i, rep, spec, frozenset(ids)))
-        else:
-            singles.append((i, rep, spec, ids[0]))
-    return out
-
-
-_BY_DOMAIN = _by_domain()
-
-
 class _Plan:
     """The parameter-only work of the records at one (nu, mu): ``excluded``
-    (``_exclusions``), ``admitted`` (the rows of ``_BY_DOMAIN`` whose record
-    no excluded parameter set refuses) and, filled as records are tried,
-    ``hyps`` (record -> the ``HypParams`` of its two factors, one object
-    when they share (a, b, c)) and ``parts`` ((record, sign g) -> the
-    ``_coefficient`` of each term).  A part that raises is not stored, so it
-    raises again."""
+    (``_exclusions``) and, filled as records are tried, ``hyps`` (record ->
+    the ``HypParams`` of its two factors, one object when they share
+    (a, b, c)) and ``parts`` ((record, sign g) -> the ``_coefficient`` of each
+    term).  A part that raises is not stored, so it raises again."""
 
-    __slots__ = ("nu", "mu", "excluded", "admitted", "hyps", "parts")
+    __slots__ = ("nu", "mu", "excluded", "hyps", "parts")
 
     def __init__(self, p: ParamPair):
         self.nu, self.mu = p.nu, p.mu
-        self.excluded = excluded = _exclusions(p)
-        self.admitted = _BY_DOMAIN if not excluded else {
-            domain: tuple([row for row in rows if excluded.isdisjoint(row[2].exclusions)]
-                          for rows in group)
-            for domain, group in _BY_DOMAIN.items()}
+        self.excluded = _exclusions(p)
         self.hyps = {}
         self.parts = {}
 
@@ -690,28 +660,32 @@ def _rank(plan: _Plan, outside: dict[str, str | None], x: complex,
     y = i sqrt(1 - x^2), each computed once, and as (score, table index, rep,
     spec) every record that ``_refusal`` lets through, so that sorting the
     rows ranks them, ties in table order.  A record scores the largest
-    modulus of its arguments (route radius for a routed record); no two
-    one-map records share a map, so each of their moduli is taken once.
-    Refused records are left to ``_refusals``, and the region test to
+    modulus of its arguments (route radius for a routed record).  Refused
+    records are left to ``_refusals``, and the region test to
     ``_converges``, so that ``ferrers_q`` runs it only on the candidates it
     tries."""
-    if outside["x^2"] is not None:
-        return {}, []
-    values = map_values(x, y, unusable_maps(x))  # a map unusable at x is left out
+    excluded = plan.excluded
+    unusable = unusable_maps(x)
+    values = map_values(x, y, unusable)  # a map unusable at x is left out
+    # Nothing excluded, no unusable map and x^2 finite leave each record
+    # only its domain's reason: the common case calls no _refusal.
+    checked = excluded or unusable or outside["x^2"]
     rows = []
-    for domain, (singles, others) in plan.admitted.items():
-        if outside[domain] is not None:
-            continue
-        rows += [(abs(values[j]), i, rep, spec) for i, rep, spec, j in singles if j in values]
-        for i, rep, spec, ids in others:  # I7 and FourierUV
-            if not values.keys() >= ids:
+    for i, (rep, spec) in enumerate(_REP_TABLE.items()):
+        if checked:
+            if _refusal(spec, excluded, outside, unusable) is not None:
                 continue
-            if spec.routed:
-                hp = (plan.hyps.get(spec) or _hyps(plan, spec))[0]
-                score = max([route_radius(hp, values[j]) for j in ids])
-            else:
-                score = max([abs(values[j]) for j in ids])
-            rows.append((score, i, rep, spec))
+        elif outside[spec.domain] is not None:
+            continue
+        ids = spec.argument_ids  # one map but for I7 and FourierUV
+        if spec.routed:
+            hp = (plan.hyps.get(spec) or _hyps(plan, spec))[0]
+            score = max([route_radius(hp, values[j]) for j in ids])
+        elif len(ids) == 1:
+            score = abs(values[ids[0]])
+        else:
+            score = max([abs(values[j]) for j in ids])
+        rows.append((score, i, rep, spec))
     return values, rows
 
 
@@ -783,10 +757,11 @@ def _interpret(spec: _RepSpec, plan: _Plan, x: complex, s: complex, tol: float,
 
 
 def _run(rep: RepresentationId, plan: _Plan, x: complex, s: complex, tol: float,
-         side: CutSide | None = None) -> EvalOutcome:
-    """``rep`` at x, s = sqrt(1 - x^2), by ``_interpret`` under ``_guarded``."""
+         side: CutSide | None = None, ws: list[complex] | None = None) -> EvalOutcome:
+    """``rep`` at x, s = sqrt(1 - x^2), by ``_interpret`` under ``_guarded``;
+    ``ws`` are the arguments of its factors, if already computed."""
     r = _guarded(f"representation {rep.value}", _interpret, _REP_TABLE[rep], plan, x, s,
-                 tol, side)
+                 tol, side, ws)
     return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
 
 
@@ -832,12 +807,13 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     series converges at x, the one with the smallest argument modulus wins
     (ties broken by table order).  ``_rank`` gives the usable rows
     ``valid_representations`` reports, and the region test runs only on the
-    candidates tried.  A candidate that raises a ``FerroxError`` (such as a
-    gamma ratio beyond double range, or any ``ArithmeticError`` or non-finite
-    value, which becomes the ``DomainError`` that ``_run`` would raise) is
-    skipped for the next one; when none is left, ``NoRepresentationError``
-    maps every representation to the reason it was not used (``DomainError``
-    at once where x^2 is beyond double range)."""
+    candidates tried, each with the arguments ``_rank`` computed.  A
+    candidate that raises a ``FerroxError`` (such as a gamma ratio beyond
+    double range, or any ``ArithmeticError`` or non-finite value, which
+    ``_run`` maps to ``DomainError``) is skipped for the next one; when none
+    is left, ``NoRepresentationError`` maps every representation to the
+    reason it was not used (``DomainError`` at once where x^2 is beyond
+    double range)."""
     x = complex(x)
     outside = _outside(x)
     if outside["D1"] is not None:
@@ -854,23 +830,15 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     # Rows sort by (score, table index), so ties keep table order, and
     # dropping the rows whose series diverges keeps the order of the rest:
     # testing regions only as candidates are reached picks the winner and
-    # the fallbacks that testing every row first would.  The winner is
-    # evaluated as ``_run`` would, without its call layers.
+    # the fallbacks that testing every row first would.
     for score, _, rep, spec in sorted(rows):
         if not _converges(spec, x, score):
             diverging.add(rep)
             continue
         try:
-            r = _interpret(spec, plan, x, s, tol, None, [values[j] for j in spec.argument_ids])
-            if cmath.isfinite(r.value):
-                return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
-            reason = f"value {r.value}"
-        except (ArithmeticError, ValueError) as exc:
-            reason = str(exc)
+            return _run(rep, plan, x, s, tol, ws=[values[j] for j in spec.argument_ids])
         except FerroxError as exc:
             failed[rep.value] = str(exc)
-            continue
-        failed[rep.value] = str(_beyond(f"representation {rep.value}", reason))
     refused = _refusals(plan, outside, x, {i for _, i, _, _ in rows})
     reasons = {rep.value: reason or "series argument has modulus >= 1 at x"
                for rep, reason in zip(_REP_TABLE, refused)

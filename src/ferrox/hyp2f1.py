@@ -24,6 +24,7 @@ before any term is summed.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -82,24 +83,6 @@ class CutSide(Enum):
     BELOW = "below"
 
 
-class _OnFirstUse:
-    """A fact of the instance, computed on first use and then kept in its
-    ``__dict__``, where later lookups find it before this descriptor.  This
-    is ``functools.cached_property`` without the lock that it takes on first
-    use before Python 3.12, which costs more than most facts of a
-    ``HypParams`` evaluated once.  Two threads may both compute a fact; they
-    compute the same value."""
-
-    def __init__(self, compute: Callable):
-        self.compute, self.name = compute, compute.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = vars(obj)[self.name] = self.compute(obj)
-        return value
-
-
 @dataclass(frozen=True, init=False)
 class HypParams:
     """The parameters (a, b, c) of 2F1, as complex numbers; a non-finite one
@@ -132,12 +115,12 @@ class HypParams:
         """The difference a connection formula divides by: "a-b" or "c-a-b"."""
         return self.a - self.b if name == "a-b" else self.c - self.a - self.b
 
-    @_OnFirstUse
+    @functools.cached_property
     def gapped(self) -> tuple[str, ...]:
         return tuple(name for name in ("a-b", "c-a-b")
                      if not near_int(self.difference(name), CONNECTION_GAP))
 
-    @_OnFirstUse
+    @functools.cached_property
     def pfaff(self) -> HypParams:
         return HypParams(self.a, self.c - self.b, self.c)
 

@@ -11,8 +11,9 @@ lemniscate |1-x||1+x| = 1, the circles |x| = 1, the hyperbola Re(x^2) = 1/2,
 and for the square-root family the criterion e^{2 beta} cos(2 alpha) vs 1/2
 with x = cos(alpha + i beta).  Boundary points classify as outside.  A
 formula names its numerator and denominator from one vocabulary of shared
-terms (``_terms``: 1 -+ x, x - 1, x^2, 1 - x^2, x^2 - 1, 2y, x +- y, y - x),
-so ``map_values`` forms each term once per point for all eighteen maps.
+terms (``_x_terms``: 1 -+ x, x - 1, x^2, 1 - x^2, x^2 - 1, and ``_y_terms``:
+2y, x +- y, y - x), so ``map_values`` forms each term once per point for all
+eighteen maps, and ``map_value`` only the terms of its own kind.
 """
 
 from __future__ import annotations
@@ -100,21 +101,24 @@ def _criterion(x: complex, k: float) -> float:
     return math.exp(min(k * th.imag, 709.0)) * math.cos(2.0 * th.real)
 
 
-def _terms(x: complex, y: complex | None) -> dict[str, complex]:
-    """The shared terms of the maps at x, by name; those of y, a root of
-    x^2 - 1, only when y is given.  Each map is the ratio of two of them, or
-    one alone."""
+def _x_terms(x: complex) -> dict[str, complex]:
+    """The shared terms of the maps 1..12 at x, by name.  Each map is the
+    ratio of two terms, or one alone, all of them x-terms or all y-terms."""
     x2 = x * x
-    t = {"1": 1.0, "2": 2.0, "1-x": 1.0 - x, "1+x": 1.0 + x, "x-1": x - 1.0, "x^2": x2,
-         "1-x^2": 1.0 - x2, "x^2-1": x2 - 1.0}
-    if y is not None:
-        t.update({"2y": 2.0 * y, "x+y": x + y, "x-y": x - y, "y-x": y - x})
-    return t
+    return {"1": 1.0, "2": 2.0, "1-x": 1.0 - x, "1+x": 1.0 + x, "x-1": x - 1.0, "x^2": x2,
+            "1-x^2": 1.0 - x2, "x^2-1": x2 - 1.0}
+
+
+def _y_terms(x: complex, y: complex) -> dict[str, complex]:
+    """The shared terms of the maps 13..18 at x, by name, with y the chosen
+    root of x^2 - 1."""
+    return {"2y": 2.0 * y, "x+y": x + y, "x-y": x - y, "y-x": y - x}
 
 
 class _Map(NamedTuple):
     singular: str | None               # x where w_j is singular: a _SINGULAR key
-    num: str                           # w_j = num / den: names of _terms
+    num: str                           # w_j = num / den: names of _x_terms
+                                       # (j <= 12) or of _y_terms (j > 12)
     den: str | None                    # None: w_j is num itself
     inside: Callable[[complex], bool]  # |w_j(x)| < 1 on root Y1
 
@@ -180,9 +184,10 @@ def unusable_maps(x: complex) -> dict[int, str]:
 
 def map_value(j: int, x: complex, y: complex | None) -> complex:
     """w_j(x) with y the chosen root of x^2 - 1 (read by maps 13..18 only),
-    without the checks of ``argument``."""
+    without the checks of ``argument``; only the terms of j's kind are
+    formed."""
     m = _MAPS[j]
-    t = _terms(x, y if j > 12 else None)
+    t = _x_terms(x) if j <= 12 else _y_terms(x, y)
     return t[m.num] if m.den is None else t[m.num] / t[m.den]
 
 
@@ -190,7 +195,8 @@ def map_values(x: complex, y: complex, skip: Container[int]) -> dict[int, comple
     """``map_value`` of every map j not in ``skip``, from one evaluation of
     each term at x; skipping ``unusable_maps(x)`` leaves no division by
     zero."""
-    t = _terms(x, y)
+    t = _x_terms(x)
+    t.update(_y_terms(x, y))
     return {j: t[num] if den is None else t[num] / t[den]
             for j, num, den in _RATIOS if j not in skip}
 
