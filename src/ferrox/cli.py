@@ -20,6 +20,7 @@ the FERROX_TOL environment variable, by a finite number in [0, 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -44,7 +45,7 @@ from .olbricht import (
     ode_samples,
     verify_identity,
 )
-from .regions import ARGUMENT_COUNT, classify, in_region
+from .regions import ARGUMENT_COUNT, region_flags, region_test
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -233,48 +234,54 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise _CliError("grid needs nx, ny >= 2", EXIT_USAGE)
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(map(math.isfinite, bounds)):
+            raise _CliError("grid bounds must be finite numbers", EXIT_USAGE)
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise _CliError("grid needs re_min < re_max and im_min < im_max",
                             EXIT_USAGE)
+        # The nodes run monotonically from the bounds, so the last ones are
+        # the largest; they overflow when a span or a rounded step does.
+        res, ims = self.axes()
+        if not (math.isfinite(res[-1]) and math.isfinite(ims[-1])):
+            raise _CliError("grid nodes beyond double range: re_max - re_min or "
+                            "im_max - im_min is too large", EXIT_USAGE)
 
-    def points(self):
-        """Row-major traversal, top row (largest imaginary part) first."""
+    def axes(self) -> tuple[list[float], list[float]]:
+        """The real parts of the grid's columns, left to right, and the
+        imaginary parts of its rows, top (largest) first."""
         dre = (self.re_max - self.re_min) / (self.nx - 1)
         dim = (self.im_max - self.im_min) / (self.ny - 1)
-        for iy in range(self.ny):
-            im = self.im_max - iy * dim
-            for ix in range(self.nx):
-                yield complex(self.re_min + ix * dre, im)
-
-
-def _grid_points(args):
-    grid = GridSpec(args.re_min, args.re_max, args.im_min, args.im_max,
-                    args.nx, args.ny)
-    yield from grid.points()
+        return ([self.re_min + ix * dre for ix in range(self.nx)],
+                [self.im_max - iy * dim for iy in range(self.ny)])
 
 
 def _cmd_region(args) -> int:
-    js = [args.j] if args.j is not None else list(range(1, ARGUMENT_COUNT + 1))
+    if args.format == "pgm" and args.j is None:
+        raise _CliError("PGM output needs a single --j", EXIT_USAGE)
+    # Output is written row by row: memory holds one row, not the grid.
+    res, ims = GridSpec(args.re_min, args.re_max, args.im_min, args.im_max,
+                        args.nx, args.ny).axes()
     if args.format == "pgm":
-        if args.j is None:
-            raise _CliError("PGM output needs a single --j", EXIT_USAGE)
-        data = bytearray()
-        for x in _grid_points(args):
-            try:
-                inside = in_region(args.j, x)
-            except FerroxError:
-                inside = False
-            data.append(255 if inside else 0)
-        header = f"P5\n{args.nx} {args.ny}\n255\n".encode("ascii")
-        sys.stdout.buffer.write(header + bytes(data))
-        sys.stdout.buffer.flush()
+        inside = region_test(args.j)
+        out = sys.stdout.buffer
+        out.write(f"P5\n{args.nx} {args.ny}\n255\n".encode("ascii"))
+        for im in ims:
+            out.write(bytes([255 if inside(complex(re, im)) else 0 for re in res]))
+        out.flush()
         return EXIT_OK
-    cols = ",".join(f"inside_{j}" for j in js)
-    sys.stdout.write(f"re,im,{cols}\r\n")
-    for x in _grid_points(args):
-        rep = classify(x)
-        flags = ",".join("1" if rep.inside[j] else "0" for j in js)
-        sys.stdout.write(f"{x.real:.17g},{x.imag:.17g},{flags}\r\n")
+    js = [args.j] if args.j is not None else list(range(1, ARGUMENT_COUNT + 1))
+    write = sys.stdout.write
+    write("re,im," + ",".join(f"inside_{j}" for j in js) + "\r\n")
+    re_texts = [f"{re:.17g}" for re in res]
+    for im in ims:
+        im_text = f"{im:.17g}"
+        row = []
+        for re, re_text in zip(res, re_texts):
+            flags = region_flags(complex(re, im))
+            row.append(f"{re_text},{im_text},"
+                       + ",".join(["1" if flags[j - 1] else "0" for j in js]) + "\r\n")
+        write("".join(row))
     return EXIT_OK
 
 
@@ -429,6 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call: building it costs
+    more than a short run, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     # argparse takes a literal such as -0.5-0.2i, not a plain negative number,
     # for an option: join it to its complex-valued option as --x=-0.5-0.2i.
@@ -437,8 +451,7 @@ def main(argv=None) -> int:
         if (argv[i - 1] in ("--nu", "--mu", "--x", "--a", "--b", "--c")
                 and _COMPLEX_RE.match(argv[i])):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

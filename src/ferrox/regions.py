@@ -6,20 +6,27 @@ involve a square root of x^2 - 1 (branch Y1 by default; the starred variants
 of 13 and 14 use branch Y2 and live on the plane cut along [-1, 1]).
 
 Each map is one record of the table ``_MAPS``: its singular points, its
-formula as data and a closed-form test of |w_j| < 1: disks, half-planes, the
-lemniscate |1-x||1+x| = 1, the circles |x| = 1, the hyperbola Re(x^2) = 1/2,
-and for the square-root family the criterion e^{2 beta} cos(2 alpha) vs 1/2
-with x = cos(alpha + i beta).  Boundary points classify as outside.  A
-formula names its numerator and denominator from one vocabulary of shared
-terms (``_x_terms``: 1 -+ x, x - 1, x^2, 1 - x^2, x^2 - 1, and ``_y_terms``:
-2y, x +- y, y - x), so ``map_values`` forms each term once per point for all
-eighteen maps, and ``map_value`` only the terms of its own kind.
+formula and its test of |w_j| < 1, all as data.  A formula names its
+numerator and denominator from one vocabulary of terms (1 -+ x, x - 1, x^2,
+1 - x^2, x^2 - 1 for the maps 1..12, 2y, x +- y, y - x for 13..18):
+``map_values`` forms every term once per point for all eighteen maps
+(``_terms``), and ``map_value`` only the two of its map (``_TERM``).  A
+test is a closed form (quantity, side, bound): one per-point quantity of
+the vocabulary ``_QUANTITIES`` (|1 -+ x|, Re x, Im x, |x|, |1-x||1+x|,
+Re(x^2), and for the square-root family the criteria
+e^{+-2 beta} cos(2 alpha) with x = cos(alpha + i beta)) compared with a
+constant: disks, half-planes, the lemniscate |1-x||1+x| = 1, the circles
+|x| = 1, the hyperbola Re(x^2) = 1/2.  Boundary points classify as outside.
+``in_region`` and ``region_test`` apply the test of one map;
+``region_flags`` and ``classify`` form every quantity once per point, with
+one acos for both criteria, and read all eighteen tests from it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Container, NamedTuple
@@ -39,6 +46,7 @@ __all__ = [
     "in_region",
     "map_value",
     "map_values",
+    "region_flags",
     "region_test",
     "unusable_maps",
 ]
@@ -93,59 +101,126 @@ _SINGULAR = {
 }
 
 
-def _criterion(x: complex, k: float) -> float:
-    """e^{k beta} cos(2 alpha) for x = cos(alpha + i beta), alpha in [0, pi].
-    e^{k beta} is capped at e^709, below the double maximum, which leaves
-    its comparison with 1/2 unchanged: |cos(2 alpha)| is never below 1e-17."""
-    th = cmath.acos(x)
+def _terms(x: complex, y: complex) -> dict[str, complex]:
+    """The terms that the maps divide, by name, at x and y, the chosen root
+    of x^2 - 1: the x-terms of the maps 1..12 and the y-terms of the maps
+    13..18.  Each map is the ratio of two terms, or one alone."""
+    x2 = x * x
+    return {"1": 1.0, "2": 2.0, "1-x": 1.0 - x, "1+x": 1.0 + x, "x-1": x - 1.0, "x^2": x2,
+            "1-x^2": 1.0 - x2, "x^2-1": x2 - 1.0,
+            "2y": 2.0 * y, "x+y": x + y, "x-y": x - y, "y-x": y - x}
+
+
+#: Each term of ``_terms`` alone, so that ``map_value`` forms only the two
+#: of its map; ``_terms`` forms all of them with one call, for
+#: ``map_values``.  The tests hold the two to the same values.
+_TERM: dict[str, Callable[[complex, complex], complex]] = {
+    "1": lambda x, y: 1.0,
+    "2": lambda x, y: 2.0,
+    "1-x": lambda x, y: 1.0 - x,
+    "1+x": lambda x, y: 1.0 + x,
+    "x-1": lambda x, y: x - 1.0,
+    "x^2": lambda x, y: x * x,
+    "1-x^2": lambda x, y: 1.0 - x * x,
+    "x^2-1": lambda x, y: x * x - 1.0,
+    "2y": lambda x, y: 2.0 * y,
+    "x+y": lambda x, y: x + y,
+    "x-y": lambda x, y: x - y,
+    "y-x": lambda x, y: y - x,
+}
+
+
+def _criterion(th: complex, k: float) -> float:
+    """e^{k beta} cos(2 alpha) for x = cos(alpha + i beta), alpha in [0, pi],
+    from th = acos(x) = alpha + i beta.  e^{k beta} is capped at e^709,
+    below the double maximum, which leaves its comparison with 1/2
+    unchanged: |cos(2 alpha)| is never below 1e-17."""
     return math.exp(min(k * th.imag, 709.0)) * math.cos(2.0 * th.real)
 
 
-def _x_terms(x: complex) -> dict[str, complex]:
-    """The shared terms of the maps 1..12 at x, by name.  Each map is the
-    ratio of two terms, or one alone, all of them x-terms or all y-terms."""
-    x2 = x * x
-    return {"1": 1.0, "2": 2.0, "1-x": 1.0 - x, "1+x": 1.0 + x, "x-1": x - 1.0, "x^2": x2,
-            "1-x^2": 1.0 - x2, "x^2-1": x2 - 1.0}
+#: The per-point quantities that the region tests compare with a bound, by
+#: name, as functions of x.  ``_quantities`` forms them all at once, the
+#: two criteria (the last two) from one acos.
+_QUANTITIES: dict[str, Callable[[complex], float]] = {
+    "Re x": lambda x: x.real,
+    "Im x": lambda x: x.imag,
+    "|x|": abs,
+    "|1-x|": lambda x: abs(1.0 - x),
+    "|1+x|": lambda x: abs(1.0 + x),
+    "|1-x||1+x|": lambda x: abs(1.0 - x) * abs(1.0 + x),
+    "Re x^2": lambda x: x.real * x.real - x.imag * x.imag,
+    "e^2b cos 2a": lambda x: _criterion(cmath.acos(x), 2.0),
+    "e^-2b cos 2a": lambda x: _criterion(cmath.acos(x), -2.0),
+}
+_PLAIN_QUANTITIES = tuple(_QUANTITIES.values())[:-2]
 
 
-def _y_terms(x: complex, y: complex) -> dict[str, complex]:
-    """The shared terms of the maps 13..18 at x, by name, with y the chosen
-    root of x^2 - 1."""
-    return {"2y": 2.0 * y, "x+y": x + y, "x-y": x - y, "y-x": y - x}
+def _quantities(x: complex) -> list[float]:
+    """Every quantity of ``_QUANTITIES`` at x, in its order."""
+    q = [f(x) for f in _PLAIN_QUANTITIES]
+    th = cmath.acos(x)
+    q += _criterion(th, 2.0), _criterion(th, -2.0)
+    return q
+
+
+_SIDES = {"<": operator.lt, ">": operator.gt}
 
 
 class _Map(NamedTuple):
-    singular: str | None               # x where w_j is singular: a _SINGULAR key
-    num: str                           # w_j = num / den: names of _x_terms
-                                       # (j <= 12) or of _y_terms (j > 12)
-    den: str | None                    # None: w_j is num itself
-    inside: Callable[[complex], bool]  # |w_j(x)| < 1 on root Y1
+    singular: str | None  # x where w_j is singular: a _SINGULAR key
+    num: str              # w_j = num / den: names of _terms
+    den: str | None       # None: w_j is num itself
+    quantity: str         # |w_j| < 1 (root Y1) iff quantity side bound,
+    side: str             # with quantity a name of _QUANTITIES
+    bound: float          # and side "<" or ">"
 
 
 _MAPS: dict[int, _Map] = {
-    1: _Map(None, "1-x", "2", lambda x: abs(1.0 - x) < 2.0),
-    2: _Map(None, "1+x", "2", lambda x: abs(1.0 + x) < 2.0),
-    3: _Map("-1", "x-1", "1+x", lambda x: x.real > 0.0),
-    4: _Map("1", "1+x", "x-1", lambda x: x.real < 0.0),
-    5: _Map("-1", "2", "1+x", lambda x: abs(1.0 + x) > 2.0),
-    6: _Map("1", "2", "1-x", lambda x: abs(1.0 - x) > 2.0),
-    7: _Map(None, "1-x^2", None, lambda x: abs(1.0 - x) * abs(1.0 + x) < 1.0),
-    8: _Map("+-1", "1", "1-x^2", lambda x: abs(1.0 - x) * abs(1.0 + x) > 1.0),
-    9: _Map(None, "x^2", None, lambda x: abs(x) < 1.0),
-    10: _Map("0", "1", "x^2", lambda x: abs(x) > 1.0),
-    11: _Map("0", "x^2-1", "x^2", lambda x: x.real * x.real - x.imag * x.imag > 0.5),
-    12: _Map("+-1", "x^2", "x^2-1", lambda x: x.real * x.real - x.imag * x.imag < 0.5),
-    13: _Map("+-1", "y-x", "2y", lambda x: _criterion(x, 2.0) < 0.5),
-    14: _Map("+-1", "x-y", "x+y", lambda x: x.imag > 0.0),
-    15: _Map("+-1", "2y", "x+y", lambda x: _criterion(x, -2.0) > 0.5),
-    16: _Map("+-1", "2y", "y-x", lambda x: _criterion(x, 2.0) > 0.5),
-    17: _Map("+-1", "x+y", "2y", lambda x: _criterion(x, -2.0) < 0.5),
-    18: _Map("+-1", "x+y", "x-y", lambda x: x.imag < 0.0),
+    1: _Map(None, "1-x", "2", "|1-x|", "<", 2.0),
+    2: _Map(None, "1+x", "2", "|1+x|", "<", 2.0),
+    3: _Map("-1", "x-1", "1+x", "Re x", ">", 0.0),
+    4: _Map("1", "1+x", "x-1", "Re x", "<", 0.0),
+    5: _Map("-1", "2", "1+x", "|1+x|", ">", 2.0),
+    6: _Map("1", "2", "1-x", "|1-x|", ">", 2.0),
+    7: _Map(None, "1-x^2", None, "|1-x||1+x|", "<", 1.0),
+    8: _Map("+-1", "1", "1-x^2", "|1-x||1+x|", ">", 1.0),
+    9: _Map(None, "x^2", None, "|x|", "<", 1.0),
+    10: _Map("0", "1", "x^2", "|x|", ">", 1.0),
+    11: _Map("0", "x^2-1", "x^2", "Re x^2", ">", 0.5),
+    12: _Map("+-1", "x^2", "x^2-1", "Re x^2", "<", 0.5),
+    13: _Map("+-1", "y-x", "2y", "e^2b cos 2a", "<", 0.5),
+    14: _Map("+-1", "x-y", "x+y", "Im x", ">", 0.0),
+    15: _Map("+-1", "2y", "x+y", "e^-2b cos 2a", ">", 0.5),
+    16: _Map("+-1", "2y", "y-x", "e^2b cos 2a", ">", 0.5),
+    17: _Map("+-1", "x+y", "2y", "e^-2b cos 2a", "<", 0.5),
+    18: _Map("+-1", "x+y", "x-y", "Im x", "<", 0.0),
 }
 ARGUMENT_COUNT = len(_MAPS)
-#: (j, numerator, denominator) of every map, as ``map_values`` reads them.
+
+
+def _ratio(m: _Map) -> Callable[[complex, complex], complex]:
+    num, den = _TERM[m.num], _TERM.get(m.den)
+    return num if den is None else lambda x, y: num(x, y) / den(x, y)
+
+
+def _test(m: _Map) -> Callable[[complex], bool]:
+    f, compare, bound = _QUANTITIES[m.quantity], _SIDES[m.side], m.bound
+    if m.singular is None:
+        return lambda x: compare(f(x), bound)
+    singular = _SINGULAR[m.singular]
+    return lambda x: not singular(x) and compare(f(x), bound)
+
+
+#: w_j(x, y) and the test of |w_j| < 1 (False where w_j is singular) of
+#: every map, formed from its record.
+_RATIO = {j: _ratio(m) for j, m in _MAPS.items()}
+_TEST = {j: _test(m) for j, m in _MAPS.items()}
+#: For the one-pass forms ``map_values`` and ``region_flags``: of every map,
+#: (j, numerator, denominator), and its test as (index into
+#: ``_quantities``, comparison, bound).
 _RATIOS = tuple((j, m.num, m.den) for j, m in _MAPS.items())
+_QUANTITY_INDEX = {name: i for i, name in enumerate(_QUANTITIES)}
+_TESTS = tuple((_QUANTITY_INDEX[m.quantity], _SIDES[m.side], m.bound) for m in _MAPS.values())
 #: The maps singular where each ``_SINGULAR`` predicate holds.
 _SINGULAR_MAPS = {key: tuple(j for j, m in _MAPS.items() if m.singular == key)
                   for key in _SINGULAR}
@@ -184,28 +259,38 @@ def unusable_maps(x: complex) -> dict[int, str]:
 
 def map_value(j: int, x: complex, y: complex | None) -> complex:
     """w_j(x) with y the chosen root of x^2 - 1 (read by maps 13..18 only),
-    without the checks of ``argument``; only the terms of j's kind are
+    without the checks of ``argument``; only the map's own terms are
     formed."""
-    m = _MAPS[j]
-    t = _x_terms(x) if j <= 12 else _y_terms(x, y)
-    return t[m.num] if m.den is None else t[m.num] / t[m.den]
+    return _RATIO[j](x, y)
 
 
 def map_values(x: complex, y: complex, skip: Container[int]) -> dict[int, complex]:
     """``map_value`` of every map j not in ``skip``, from one evaluation of
     each term at x; skipping ``unusable_maps(x)`` leaves no division by
     zero."""
-    t = _x_terms(x)
-    t.update(_y_terms(x, y))
+    t = _terms(x, y)
     return {j: t[num] if den is None else t[num] / t[den]
             for j, num, den in _RATIOS if j not in skip}
 
 
 def region_test(j: int) -> Callable[[complex], bool]:
     """The closed-form test of |w_j(x)| < 1 (root Y1) that ``in_region``
-    applies, without its checks: for a caller that has already refused the
-    maps singular at x."""
-    return _MAPS[j].inside
+    applies, False where w_j is singular: the flag of map j that
+    ``region_flags`` gives, for a caller that tests one map at many points."""
+    return _TEST[j]
+
+
+def region_flags(x: complex) -> list[bool]:
+    """The flags |w_j(x)| < 1 (root Y1) of the maps j = 1..18, at index
+    j - 1, each False where w_j is singular, from one evaluation of each
+    quantity at x."""
+    q = _quantities(x)
+    flags = [compare(q[i], bound) for i, compare, bound in _TESTS]
+    for key, singular in _SINGULAR.items():
+        if singular(x):
+            for j in _SINGULAR_MAPS[key]:
+                flags[j - 1] = False
+    return flags
 
 
 def argument(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> complex:
@@ -230,7 +315,7 @@ def argument(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> complex:
 def in_region(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> bool:
     """Closed-form test of |w_j(x)| < 1 (strict; boundary counts as outside)."""
     x = complex(x)
-    m = _lookup(j, x, root)
+    _lookup(j, x, root)
     if root is RootVariant.Y2:
         y = root_y(RootVariant.Y2, x)
         if j == 13:
@@ -238,7 +323,7 @@ def in_region(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> bool:
             return ((x - y) / (x + y)).real < 0.5
         # |w14*| < 1  iff  |x - y| < |x + y|  iff  Re(x conj(y)) > 0
         return (x * y.conjugate()).real > 0.0
-    return m.inside(x)
+    return _TEST[j](x)
 
 
 def classify(x: complex) -> RegionReport:
@@ -246,12 +331,7 @@ def classify(x: complex) -> RegionReport:
     square-root family) plus domain flags.  Points where a map is undefined
     yield inside = False rather than an error."""
     x = complex(x)
-    inside: dict[int, bool] = {}
-    for j in _MAPS:
-        try:
-            inside[j] = in_region(j, x)
-        except DomainError:
-            inside[j] = False
+    inside = dict(zip(_MAPS, region_flags(x)))
     domains = {dom: in_domain(dom, x) for dom in DomainId}
     return RegionReport(x=x, inside=inside, domains=domains)
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -11,9 +12,13 @@ from pathlib import Path
 import pytest
 
 import ferrox
+from ferrox import cli
 from ferrox.cli import emit_json, main, parse_complex
+from ferrox.errors import SingularPointError
+from ferrox.regions import ARGUMENT_COUNT, in_region
 
-SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "cli_schema.json").read_text())
+ROOT = Path(__file__).parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "cli_schema.json").read_text())
 
 
 def check_schema(obj, spec, schema=SCHEMA):
@@ -64,6 +69,21 @@ def run_cli(*argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(list(argv))
+    return code, buf.getvalue()
+
+
+def run_cli_bytes(*argv):
+    """Run ``main`` with stdout captured as bytes, through a text layer with
+    a binary ``.buffer`` as the PGM writer needs."""
+    buf = io.BytesIO()
+    out = io.TextIOWrapper(buf, encoding="utf-8", newline="")
+    old = sys.stdout
+    sys.stdout = out
+    try:
+        code = main(list(argv))
+        out.flush()
+    finally:
+        sys.stdout = old
     return code, buf.getvalue()
 
 
@@ -297,6 +317,55 @@ class TestRegion:
         code, _ = run_cli("region", "--j", "1", "--nx", "1")
         assert code == 1
 
+    # an infinite or NaN bound, a span beyond double range, and a last node
+    # that the rounded step carries past the largest double
+    @pytest.mark.parametrize("bounds", [
+        ("--re-min=-inf",), ("--re-max=inf",), ("--im-min=nan",), ("--im-max=-inf",),
+        ("--re-min=-1e308", "--re-max=1.7e308"), ("--im-min=-1e308", "--im-max=1.7e308"),
+        ("--re-min=0", "--re-max=1.7976931348623157e308", "--nx=4"),
+    ])
+    @pytest.mark.parametrize("form", [("--format=csv",), ("--format=pgm", "--j=1")])
+    def test_non_finite_grid_exit_1(self, capsys, bounds, form):
+        code, out = run_cli_bytes("region", "--nx=3", "--ny=3", *form, *bounds)
+        assert (code, out) == (1, b"")
+        assert "grid" in capsys.readouterr().err
+
+    def test_recorded_outputs(self):
+        # the runs of the benchmark's region check, against its SHA-256 record
+        recorded = json.loads((ROOT / "perfbench" / "region_sha256.json").read_text())
+        assert len(recorded) == 40
+        for argv, want in recorded.items():
+            code, data = run_cli_bytes(*argv.split())
+            assert code == 0 and hashlib.sha256(data).hexdigest() == want, argv
+
+    def test_nodes_on_singular_points(self):
+        # nodes fall exactly on -1, 0, 1 and +-i: each flag is in_region's
+        # at that node, False where the map is singular
+        grid = ("--re-min=-2", "--re-max=2", "--im-min=-1", "--im-max=1", "--nx=5", "--ny=3")
+
+        def want(j, x):
+            try:
+                return in_region(j, x)
+            except SingularPointError:
+                return False
+
+        code, out = run_cli_bytes("region", *grid)
+        assert code == 0
+        rows = out.decode().split("\r\n")[1:-1]
+        assert len(rows) == 15
+        xs = []
+        for row in rows:
+            fields = row.split(",")
+            x = complex(float(fields[0]), float(fields[1]))
+            xs.append(x)
+            assert fields[2:] == ["1" if want(j, x) else "0"
+                                  for j in range(1, ARGUMENT_COUNT + 1)], x
+        assert {-1.0, 0.0, 1.0, 1j, -1j} <= set(xs)
+        for j in range(1, ARGUMENT_COUNT + 1):
+            code, data = run_cli_bytes("region", *grid, "--format=pgm", f"--j={j}")
+            assert code == 0
+            assert data == b"P5\n5 3\n255\n" + bytes(255 if want(j, x) else 0 for x in xs)
+
 
 class TestFourierCommand:
     def test_conditional_series(self):
@@ -434,3 +503,53 @@ class TestTolOption:
     def test_zero_is_accepted(self):
         code, _ = run_cli("eval", "--nu", "0.3", "--mu", "0.4", "--x", "0.2", "--tol", "0")
         assert code == 0
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser per process; no option of
+    one call may leak into the next."""
+
+    CUT = ("cut", "--a", "0.3", "--b", "1.1", "--c", "2.2", "--x", "3", "--side", "above")
+
+    def test_built_once(self):
+        run_cli(*self.CUT)
+        run_cli(*self.CUT)
+        assert cli._parser.cache_info().misses == 1
+
+    def test_region_columns_after_single_j(self):
+        code, _ = run_cli_bytes("region", "--j=5", "--format=pgm", "--nx=3", "--ny=3")
+        assert code == 0
+        code, out = run_cli("region", "--format=csv", "--nx=3", "--ny=3")
+        assert code == 0
+        rows = out.split("\r\n")[:-1]
+        assert rows[0] == "re,im," + ",".join(f"inside_{j}" for j in range(1, 19))
+        assert len(rows) == 10 and all(len(r.split(",")) == 20 for r in rows)
+
+    def test_tol_after_explicit_tol(self, monkeypatch):
+        monkeypatch.delenv("FERROX_TOL", raising=False)
+        _, default = run_cli_json(*self.CUT)
+        _, loose = run_cli_json(*self.CUT, "--tol=1e-6")
+        assert loose["terms_used"] < default["terms_used"]
+        assert run_cli_json(*self.CUT) == (0, default)
+        run_cli_json(*self.CUT, "--tol=1e-15")
+        monkeypatch.setenv("FERROX_TOL", "1e-6")
+        assert run_cli_json(*self.CUT) == (0, loose)
+
+    def test_rep_after_forced_rep(self):
+        argv = ("eval", "--nu", "0.3", "--mu", "0.4", "--x", "0.2+0.3i")
+        _, forced = run_cli_json(*argv, "--rep=I1")
+        assert forced["rep"] == "I1"
+        _, auto = run_cli_json(*argv)
+        want = ferrox.ferrers_q(ferrox.ParamPair(0.3, 0.4), 0.2 + 0.3j)
+        assert auto["rep"] == want.rep.value != "I1"
+
+    def test_usage_error_then_next_call(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["region", "--format=bmp"])
+        assert info.value.code == 1
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "--nu", "0.3"])
+        assert info.value.code == 1
+        capsys.readouterr()
+        code, obj = run_cli_json(*self.CUT)
+        assert code == 0 and obj["side"] == "above"

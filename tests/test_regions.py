@@ -16,7 +16,10 @@ from ferrox.regions import (
     curve_w13,
     in_domain,
     in_region,
+    map_value,
     map_values,
+    region_flags,
+    region_test,
     unusable_maps,
 )
 
@@ -97,6 +100,14 @@ class TestArgumentMaps:
             else:  # repr: NaN parts at 1e200(1 + i) compare equal too
                 assert repr(values[j]) == repr(argument(j, x))
 
+    def test_map_value_forms_the_terms_of_map_values(self):
+        # map_value forms its two terms alone, map_values every term at
+        # once: the same values, bit for bit
+        for x in _edge_points() + kronecker_points(500, -3.0, 3.0):
+            y = 1j * cmath.sqrt(1.0 - x * x)
+            for j, w in map_values(x, y, unusable_maps(x)).items():
+                assert repr(map_value(j, x, y)) == repr(w), (j, x)
+
 
 class TestInRegion:
     def test_disk(self):
@@ -168,6 +179,95 @@ class TestInRegion:
                     for j, wj in w.items():
                         assert in_region(j, x) == (abs(wj) < 1), (j, x)
                 assert classify(x).inside[13] == in_region(13, x)
+
+
+def _reference_criterion(x: complex, k: float) -> float:
+    th = cmath.acos(x)
+    return math.exp(min(k * th.imag, 709.0)) * math.cos(2.0 * th.real)
+
+
+#: The closed forms of |w_j| < 1 (root Y1) written out one by one, as the
+#: reference for the tests that ``regions`` reads from its table.
+REFERENCE_TESTS = {
+    1: lambda x: abs(1.0 - x) < 2.0,
+    2: lambda x: abs(1.0 + x) < 2.0,
+    3: lambda x: x.real > 0.0,
+    4: lambda x: x.real < 0.0,
+    5: lambda x: abs(1.0 + x) > 2.0,
+    6: lambda x: abs(1.0 - x) > 2.0,
+    7: lambda x: abs(1.0 - x) * abs(1.0 + x) < 1.0,
+    8: lambda x: abs(1.0 - x) * abs(1.0 + x) > 1.0,
+    9: lambda x: abs(x) < 1.0,
+    10: lambda x: abs(x) > 1.0,
+    11: lambda x: x.real * x.real - x.imag * x.imag > 0.5,
+    12: lambda x: x.real * x.real - x.imag * x.imag < 0.5,
+    13: lambda x: _reference_criterion(x, 2.0) < 0.5,
+    14: lambda x: x.imag > 0.0,
+    15: lambda x: _reference_criterion(x, -2.0) > 0.5,
+    16: lambda x: _reference_criterion(x, 2.0) > 0.5,
+    17: lambda x: _reference_criterion(x, -2.0) < 0.5,
+    18: lambda x: x.imag < 0.0,
+}
+#: The real poles of each map; maps 10 and 11 are singular where x * x is 0.
+REFERENCE_POLES = {3: (-1.0,), 4: (1.0,), 5: (-1.0,), 6: (1.0,),
+                   **{j: (1.0, -1.0) for j in (8, 12, 13, 14, 15, 16, 17, 18)}}
+
+
+def _reference_flag(j: int, x: complex) -> bool:
+    singular = x * x == 0.0 if j in (10, 11) else x in REFERENCE_POLES.get(j, ())
+    return not singular and REFERENCE_TESTS[j](x)
+
+
+def _mirrored(points):
+    return [complex(sr * x.real, si * x.imag) for x in points for sr in (1, -1) for si in (1, -1)]
+
+
+def _edge_points() -> list[complex]:
+    ts = [k * math.pi / 12.0 for k in range(24)]
+    pts = [1.0, -1.0, 0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), 1e-170, 1e-170j,
+           -1e-170 + 1e-170j, 1e-300j, 1e-320, 1j, -1j]
+    # the real rays |x| > 1 (Im x = +-0), |x| from 50 on, and beyond the range of x^2
+    for r in (1.0000000000000002, 1.5, 3.0, 49.99, 50.0, 1e3, 1e8, 1e154, 1e300):
+        pts += [complex(r, 0.0), complex(-r, 0.0), complex(r, -0.0), complex(-r, -0.0)]
+    pts += [50j, 60 + 10j, -1e3j, 1e8j, 1e300j, 1e300 + 1e300j, 1e200 - 1e200j]
+    # on the boundary curves: |w13| = 1 and |w13*| = 1, |1 -+ x| = 2, |x| = 1,
+    # Re x^2 = 1/2, and points of the lemniscate |1 - x||1 + x| = 1
+    pts += _mirrored([curve_w13(a, CurveBranch.PLAIN) for a in (0.05, 0.2, 0.4, 0.7, 0.78)])
+    pts += _mirrored([curve_w13(a, CurveBranch.STARRED) for a in (0.05, 0.3, 0.5)])
+    pts += [3.0, -3.0, 1 + 2j, 1 - 2j, -1 + 2j, -1 - 2j]
+    pts += [c + 2.0 * cmath.exp(1j * t) for c in (1.0, -1.0) for t in ts]
+    pts += [cmath.exp(1j * t) for t in ts]
+    pts += _mirrored([complex(math.sqrt(0.5 + t * t), t) for t in (0.0, 0.25, 0.5, 1.0, 2.0)])
+    pts += [cmath.sqrt(1.0 + cmath.exp(1j * t)) for t in ts[1:]]
+    return [complex(x) for x in pts]
+
+
+class TestRegionTable:
+    """The region tests as data (quantity, side, bound) against the closed
+    forms written out by hand, at grid points and edge points."""
+
+    POINTS = (kronecker_points(4000, -3.0, 3.0)
+              + [complex(-3.0 + 0.05 * i, -3.0 + 0.05 * k) for i in range(121) for k in range(121)]
+              + _edge_points())
+
+    def test_flags_match_reference(self):
+        for x in self.POINTS:
+            want = [_reference_flag(j, x) for j in range(1, ARGUMENT_COUNT + 1)]
+            assert region_flags(x) == want, x
+            assert list(classify(x).inside.values()) == want, x
+
+    def test_single_map_forms_match_reference(self):
+        tests = {j: region_test(j) for j in range(1, ARGUMENT_COUNT + 1)}
+        for x in self.POINTS:
+            for j in range(1, ARGUMENT_COUNT + 1):
+                want = _reference_flag(j, x)
+                assert tests[j](x) is want, (j, x)
+                try:
+                    got = in_region(j, x)
+                except SingularPointError:
+                    assert not want and j in unusable_maps(x), (j, x)
+                    continue
+                assert got is want, (j, x)
 
 
 class TestConformalRanges:
