@@ -61,6 +61,7 @@ from .hyp2f1 import (
     DEFAULT_TOL,
     CutSide,
     HypParams,
+    TAIL_FACTOR,
     THETA_CUT,
     SeriesResult,
     combine,
@@ -714,7 +715,9 @@ def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
     """Per-representation validity at (p, x), in table order: the rows
     ``ferrers_q`` ranks, each with the reason ``ferrers_q_rep`` refuses it
     for and its argument-modulus preference score (inf when refused).  The
-    region test runs on every usable row."""
+    region test runs on every usable row.  ``ferrers_q`` takes the first
+    row by preference that is ok, converges at x and evaluates with a
+    ``tail_estimate`` of at most ``TAIL_FACTOR * tol``."""
     x = complex(x)
     plan, outside = _plan(p), _outside(x)
     _, rows = _rank(plan, outside, x, 1j * cmath.sqrt(1.0 - x * x))
@@ -810,10 +813,11 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     candidates tried, each with the arguments ``_rank`` computed.  A
     candidate that raises a ``FerroxError`` (such as a gamma ratio beyond
     double range, or any ``ArithmeticError`` or non-finite value, which
-    ``_run`` maps to ``DomainError``) is skipped for the next one; when none
-    is left, ``NoRepresentationError`` maps every representation to the
-    reason it was not used (``DomainError`` at once where x^2 is beyond
-    double range)."""
+    ``_run`` maps to ``DomainError``), or whose ``tail_estimate`` exceeds
+    ``TAIL_FACTOR * tol``, is skipped for the next one; when none is left,
+    ``NoRepresentationError`` maps every representation to the reason it
+    was not used (``DomainError`` at once where x^2 is beyond double
+    range)."""
     x = complex(x)
     outside = _outside(x)
     if outside["D1"] is not None:
@@ -836,9 +840,13 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
             diverging.add(rep)
             continue
         try:
-            return _run(rep, plan, x, s, tol, ws=[values[j] for j in spec.argument_ids])
+            out = _run(rep, plan, x, s, tol, ws=[values[j] for j in spec.argument_ids])
         except FerroxError as exc:
             failed[rep.value] = str(exc)
+            continue
+        if out.tail_estimate <= TAIL_FACTOR * tol:
+            return out
+        failed[rep.value] = f"tail estimate {out.tail_estimate:.3g} exceeds {TAIL_FACTOR:g} * tol"
     refused = _refusals(plan, outside, x, {i for _, i, _, _ in rows})
     reasons = {rep.value: reason or "series argument has modulus >= 1 at x"
                for rep, reason in zip(_REP_TABLE, refused)

@@ -6,20 +6,20 @@ involve a square root of x^2 - 1 (branch Y1 by default; the starred variants
 of 13 and 14 use branch Y2 and live on the plane cut along [-1, 1]).
 
 Each map is one record of the table ``_MAPS``: its singular points, its
-formula and its test of |w_j| < 1, all as data.  A formula names its
-numerator and denominator from one vocabulary of terms (1 -+ x, x - 1, x^2,
-1 - x^2, x^2 - 1 for the maps 1..12, 2y, x +- y, y - x for 13..18):
-``map_values`` forms every term once per point for all eighteen maps
-(``_terms``), and ``map_value`` only the two of its map (``_TERM``).  A
-test is a closed form (quantity, side, bound): one per-point quantity of
-the vocabulary ``_QUANTITIES`` (|1 -+ x|, Re x, Im x, |x|, |1-x||1+x|,
-Re(x^2), and for the square-root family the criteria
-e^{+-2 beta} cos(2 alpha) with x = cos(alpha + i beta)) compared with a
-constant: disks, half-planes, the lemniscate |1-x||1+x| = 1, the circles
-|x| = 1, the hyperbola Re(x^2) = 1/2.  Boundary points classify as outside.
-``in_region`` and ``region_test`` apply the test of one map;
-``region_flags`` and ``classify`` form every quantity once per point, with
-one acos for both criteria, and read all eighteen tests from it.
+formula and its test of |w_j| < 1, all as data, resolved once at import.  A
+formula is the ratio of two terms, or one alone, of one vocabulary
+``_TERM_NAMES`` (1 -+ x, x - 1, x^2, 1 - x^2, x^2 - 1 for the maps 1..12,
+2y, x +- y, y - x for 13..18), by index into the tuple that ``_terms``
+forms at a point: ``map_value`` and ``map_values`` both read ``_RATIOS``
+over it.  A test is a closed form (quantity, side, bound): one per-point
+quantity of ``_QUANTITIES`` (|1 -+ x|, Re x, Im x, |x|, |1-x||1+x|,
+Re(x^2), and for the square-root family the criteria e^{+-2 beta}
+cos(2 alpha) with x = cos(alpha + i beta)) compared with a constant: disks,
+half-planes, the lemniscate |1-x||1+x| = 1, the circles |x| = 1, the
+hyperbola Re(x^2) = 1/2.  Boundary points classify as outside.
+``region_test`` and ``in_region`` build the test of one map from its record
+(``_test``); ``region_flags`` and ``classify`` form every quantity once per
+point, with one acos for both criteria, and read all eighteen tests.
 """
 
 from __future__ import annotations
@@ -101,33 +101,17 @@ _SINGULAR = {
 }
 
 
-def _terms(x: complex, y: complex) -> dict[str, complex]:
-    """The terms that the maps divide, by name, at x and y, the chosen root
-    of x^2 - 1: the x-terms of the maps 1..12 and the y-terms of the maps
-    13..18.  Each map is the ratio of two terms, or one alone."""
+#: The terms that the maps divide, in the order of ``_terms``: the x-terms
+#: of the maps 1..12, then the y-terms of the maps 13..18.
+_TERM_NAMES = ("1", "2", "1-x", "1+x", "x-1", "x^2", "1-x^2", "x^2-1", "2y", "x+y", "x-y", "y-x")
+
+
+def _terms(x: complex, y: complex | None) -> tuple[complex, ...]:
+    """The terms of ``_TERM_NAMES`` at x and y, the chosen root of x^2 - 1,
+    in that order; only the eight x-terms when y is None."""
     x2 = x * x
-    return {"1": 1.0, "2": 2.0, "1-x": 1.0 - x, "1+x": 1.0 + x, "x-1": x - 1.0, "x^2": x2,
-            "1-x^2": 1.0 - x2, "x^2-1": x2 - 1.0,
-            "2y": 2.0 * y, "x+y": x + y, "x-y": x - y, "y-x": y - x}
-
-
-#: Each term of ``_terms`` alone, so that ``map_value`` forms only the two
-#: of its map; ``_terms`` forms all of them with one call, for
-#: ``map_values``.  The tests hold the two to the same values.
-_TERM: dict[str, Callable[[complex, complex], complex]] = {
-    "1": lambda x, y: 1.0,
-    "2": lambda x, y: 2.0,
-    "1-x": lambda x, y: 1.0 - x,
-    "1+x": lambda x, y: 1.0 + x,
-    "x-1": lambda x, y: x - 1.0,
-    "x^2": lambda x, y: x * x,
-    "1-x^2": lambda x, y: 1.0 - x * x,
-    "x^2-1": lambda x, y: x * x - 1.0,
-    "2y": lambda x, y: 2.0 * y,
-    "x+y": lambda x, y: x + y,
-    "x-y": lambda x, y: x - y,
-    "y-x": lambda x, y: y - x,
-}
+    t = (1.0, 2.0, 1.0 - x, 1.0 + x, x - 1.0, x2, 1.0 - x2, x2 - 1.0)
+    return t if y is None else t + (2.0 * y, x + y, x - y, y - x)
 
 
 def _criterion(th: complex, k: float) -> float:
@@ -168,7 +152,7 @@ _SIDES = {"<": operator.lt, ">": operator.gt}
 
 class _Map(NamedTuple):
     singular: str | None  # x where w_j is singular: a _SINGULAR key
-    num: str              # w_j = num / den: names of _terms
+    num: str              # w_j = num / den: names of _TERM_NAMES
     den: str | None       # None: w_j is num itself
     quantity: str         # |w_j| < 1 (root Y1) iff quantity side bound,
     side: str             # with quantity a name of _QUANTITIES
@@ -198,12 +182,8 @@ _MAPS: dict[int, _Map] = {
 ARGUMENT_COUNT = len(_MAPS)
 
 
-def _ratio(m: _Map) -> Callable[[complex, complex], complex]:
-    num, den = _TERM[m.num], _TERM.get(m.den)
-    return num if den is None else lambda x, y: num(x, y) / den(x, y)
-
-
 def _test(m: _Map) -> Callable[[complex], bool]:
+    """The test of |w_j| < 1 of record m, False where w_j is singular."""
     f, compare, bound = _QUANTITIES[m.quantity], _SIDES[m.side], m.bound
     if m.singular is None:
         return lambda x: compare(f(x), bound)
@@ -211,14 +191,12 @@ def _test(m: _Map) -> Callable[[complex], bool]:
     return lambda x: not singular(x) and compare(f(x), bound)
 
 
-#: w_j(x, y) and the test of |w_j| < 1 (False where w_j is singular) of
-#: every map, formed from its record.
-_RATIO = {j: _ratio(m) for j, m in _MAPS.items()}
-_TEST = {j: _test(m) for j, m in _MAPS.items()}
-#: For the one-pass forms ``map_values`` and ``region_flags``: of every map,
-#: (j, numerator, denominator), and its test as (index into
-#: ``_quantities``, comparison, bound).
-_RATIOS = tuple((j, m.num, m.den) for j, m in _MAPS.items())
+#: Of every map, resolved once from its record: its numerator and
+#: denominator as indices into ``_terms`` (denominator None: w_j is the
+#: numerator), and its test as (index into ``_quantities``, comparison,
+#: bound).
+_RATIOS = {j: (_TERM_NAMES.index(m.num), None if m.den is None else _TERM_NAMES.index(m.den))
+           for j, m in _MAPS.items()}
 _QUANTITY_INDEX = {name: i for i, name in enumerate(_QUANTITIES)}
 _TESTS = tuple((_QUANTITY_INDEX[m.quantity], _SIDES[m.side], m.bound) for m in _MAPS.values())
 #: The maps singular where each ``_SINGULAR`` predicate holds.
@@ -259,9 +237,10 @@ def unusable_maps(x: complex) -> dict[int, str]:
 
 def map_value(j: int, x: complex, y: complex | None) -> complex:
     """w_j(x) with y the chosen root of x^2 - 1 (read by maps 13..18 only),
-    without the checks of ``argument``; only the map's own terms are
-    formed."""
-    return _RATIO[j](x, y)
+    without the checks of ``argument``."""
+    num, den = _RATIOS[j]
+    t = _terms(x, y)
+    return t[num] if den is None else t[num] / t[den]
 
 
 def map_values(x: complex, y: complex, skip: Container[int]) -> dict[int, complex]:
@@ -270,14 +249,14 @@ def map_values(x: complex, y: complex, skip: Container[int]) -> dict[int, comple
     zero."""
     t = _terms(x, y)
     return {j: t[num] if den is None else t[num] / t[den]
-            for j, num, den in _RATIOS if j not in skip}
+            for j, (num, den) in _RATIOS.items() if j not in skip}
 
 
 def region_test(j: int) -> Callable[[complex], bool]:
     """The closed-form test of |w_j(x)| < 1 (root Y1) that ``in_region``
     applies, False where w_j is singular: the flag of map j that
     ``region_flags`` gives, for a caller that tests one map at many points."""
-    return _TEST[j]
+    return _test(_MAPS[j])
 
 
 def region_flags(x: complex) -> list[bool]:
@@ -315,7 +294,7 @@ def argument(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> complex:
 def in_region(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> bool:
     """Closed-form test of |w_j(x)| < 1 (strict; boundary counts as outside)."""
     x = complex(x)
-    _lookup(j, x, root)
+    m = _lookup(j, x, root)
     if root is RootVariant.Y2:
         y = root_y(RootVariant.Y2, x)
         if j == 13:
@@ -323,7 +302,7 @@ def in_region(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> bool:
             return ((x - y) / (x + y)).real < 0.5
         # |w14*| < 1  iff  |x - y| < |x + y|  iff  Re(x conj(y)) > 0
         return (x * y.conjugate()).real > 0.0
-    return _TEST[j](x)
+    return _test(m)(x)
 
 
 def classify(x: complex) -> RegionReport:

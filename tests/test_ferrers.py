@@ -35,7 +35,7 @@ from ferrox.ferrers import (
     legendre_q_bold,
     valid_representations,
 )
-from ferrox.hyp2f1 import HypParams, f21
+from ferrox.hyp2f1 import DEFAULT_TOL, TAIL_FACTOR, HypParams, f21
 from ferrox.regions import DomainId, argument, in_domain, unusable_maps
 
 mp.mp.dps = 30
@@ -346,6 +346,40 @@ class TestDispatch:
         assert out.tail_estimate <= 1e-12
         assert out.terms_used > 0
 
+    # Conical points nu = -1/2 + i tau, where II3 ranks first but returns
+    # tails of 0.2-2 and errors up to 1.8e66, and mu just outside the 1e-9
+    # integer window, where I1's two terms cancel (errors 1e-8 to 1e-6 with
+    # tails of the same size): the candidates beyond TAIL_FACTOR * tol are
+    # passed over for one within 1e-12 (3e-12 near integer mu).
+    @pytest.mark.parametrize("nu,mu,x,want_rep,bound", [
+        (-0.5 + 50j, 0.4, 0.3, R.I1, 1e-12),
+        (-0.5 + 100j, 0.4, 0.3, R.I1, 1e-12),
+        (-0.5 + 300j, 0.4, 0.3, R.I1, 1e-12),
+        (0.3, 1 + 2e-9, 0.5, R.II3, 3e-12),
+        (0.3, 1 + 2e-9, 0.9, R.II3, 3e-12),
+        (0.3, 1 + 1e-7, 0.5, R.II3, 3e-12),
+        (0.3, 2 - 3e-9, 0.5, R.II3, 3e-12),
+    ])
+    def test_candidate_beyond_its_tail_bound_is_passed_over(self, nu, mu, x, want_rep, bound):
+        p = ParamPair(nu, mu)
+        first = self._ranked(p, x)[0].rep
+        assert first is not want_rep
+        assert ferrers_q_rep(first, p, x).tail_estimate > TAIL_FACTOR * DEFAULT_TOL
+        out = ferrers_q(p, x)
+        assert out.rep is want_rep
+        assert out.tail_estimate <= TAIL_FACTOR * DEFAULT_TOL
+        with mp.workdps(40):
+            want = complex(mp.legenq(nu, mu, x, type=2))
+        assert abs(out.value - want) / abs(want) < bound
+
+    def test_no_candidate_within_its_tail_bound_raises(self):
+        # II6 ranks first with a tail of 4.9e-8 and a value off by 2.9e100;
+        # every other candidate raises
+        p, x = ParamPair(0.3, 0.4 + 300j), 0.3 + 0.4j
+        with pytest.raises(NoRepresentationError) as info:
+            ferrers_q(p, x)
+        assert "tail estimate" in info.value.reasons[R.II6.value]
+
     @staticmethod
     def _ranked(p, x):
         # The documented rule: valid and convergent entries, stable-sorted
@@ -356,13 +390,16 @@ class TestDispatch:
     @pytest.mark.parametrize("x", DISPATCH_X)
     @pytest.mark.parametrize("nu,mu", DISPATCH_P)
     def test_winner_follows_valid_representations(self, nu, mu, x):
-        # the winner is the first candidate in that order that evaluates;
-        # when none does, ferrers_q raises NoRepresentationError
+        # the winner is the first candidate in that order that evaluates
+        # within its tail bound, TAIL_FACTOR * tol; when none does,
+        # ferrers_q raises NoRepresentationError
         p = ParamPair(nu, mu)
         for v in self._ranked(p, x):
             try:
                 want = ferrers_q_rep(v.rep, p, x)
             except FerroxError:
+                continue
+            if want.tail_estimate > TAIL_FACTOR * DEFAULT_TOL:
                 continue
             assert ferrers_q(p, x) == want
             return

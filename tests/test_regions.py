@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from conftest import kronecker_points
-from ferrox.complexmath import RootVariant
+from ferrox.complexmath import RootVariant, root_y
 from ferrox.errors import DomainError, SingularPointError
 from ferrox.regions import (
     ARGUMENT_COUNT,
@@ -22,6 +22,31 @@ from ferrox.regions import (
     region_test,
     unusable_maps,
 )
+
+
+#: The eighteen maps written out one by one, in the operation order of the
+#: terms that ``regions`` divides, as the reference for ``map_value`` and
+#: ``argument``; y is the chosen root of x^2 - 1.
+REFERENCE_MAPS = {
+    1: lambda x, y: (1.0 - x) / 2.0,
+    2: lambda x, y: (1.0 + x) / 2.0,
+    3: lambda x, y: (x - 1.0) / (1.0 + x),
+    4: lambda x, y: (1.0 + x) / (x - 1.0),
+    5: lambda x, y: 2.0 / (1.0 + x),
+    6: lambda x, y: 2.0 / (1.0 - x),
+    7: lambda x, y: 1.0 - x * x,
+    8: lambda x, y: 1.0 / (1.0 - x * x),
+    9: lambda x, y: x * x,
+    10: lambda x, y: 1.0 / (x * x),
+    11: lambda x, y: (x * x - 1.0) / (x * x),
+    12: lambda x, y: (x * x) / (x * x - 1.0),
+    13: lambda x, y: (y - x) / (2.0 * y),
+    14: lambda x, y: (x - y) / (x + y),
+    15: lambda x, y: (2.0 * y) / (x + y),
+    16: lambda x, y: (2.0 * y) / (y - x),
+    17: lambda x, y: (x + y) / (2.0 * y),
+    18: lambda x, y: (x + y) / (x - y),
+}
 
 
 class TestArgumentMaps:
@@ -100,9 +125,36 @@ class TestArgumentMaps:
             else:  # repr: NaN parts at 1e200(1 + i) compare equal too
                 assert repr(values[j]) == repr(argument(j, x))
 
+    def test_maps_match_reference(self):
+        # map_value and argument against the formulas written out by hand,
+        # bit for bit (repr: NaN parts compare equal too), for every map
+        # usable at x; the square-root maps with root Y1 off the real rays
+        # |x| >= 1, and the starred 13 and 14 with root Y2 off [-1, 1]
+        points = _edge_points() + kronecker_points(2000, -3.0, 3.0)
+        for x in points + kronecker_points(300, -80.0, 80.0):
+            unusable = unusable_maps(x)
+            y = 1j * cmath.sqrt(1.0 - x * x)
+            for j, ref in REFERENCE_MAPS.items():
+                if j in unusable:
+                    continue
+                want = repr(ref(x, y))
+                assert repr(map_value(j, x, y)) == want, (j, x)
+                if j <= 12:
+                    assert repr(map_value(j, x, None)) == want, (j, x)
+                    assert repr(argument(j, x)) == want, (j, x)
+                elif x.imag != 0.0 or abs(x.real) < 1.0:
+                    assert repr(argument(j, x)) == want, (j, x)
+            if (x.imag != 0.0 or abs(x.real) > 1.0) and x * x != 0.0 and 13 not in unusable:
+                y2 = root_y(RootVariant.Y2, x)
+                for j in (13, 14):
+                    want = repr(REFERENCE_MAPS[j](x, y2))
+                    assert repr(argument(j, x, RootVariant.Y2)) == want, (j, x)
+                    assert repr(map_value(j, x, y2)) == want, (j, x)
+
     def test_map_value_forms_the_terms_of_map_values(self):
-        # map_value forms its two terms alone, map_values every term at
-        # once: the same values, bit for bit
+        # map_value and map_values read the same (numerator, denominator)
+        # of each map over the same terms; test_maps_match_reference holds
+        # map_value to formulas written out independently
         for x in _edge_points() + kronecker_points(500, -3.0, 3.0):
             y = 1j * cmath.sqrt(1.0 - x * x)
             for j, w in map_values(x, y, unusable_maps(x)).items():
