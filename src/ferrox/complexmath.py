@@ -42,7 +42,6 @@ __all__ = [
     "rgamma",
     "root_y",
     "sinpi",
-    "z2m1_pow",
 ]
 
 # Rational-approximation weights for the shifted gamma sum, g = 607/128.
@@ -271,14 +270,6 @@ def principal_pow(base: complex, exponent: complex) -> complex:
         return cmath.exp(exponent * cmath.log(base))
     except ArithmeticError:
         raise DomainError(f"{base} ** {exponent} is beyond double range") from None
-
-
-def z2m1_pow(z: complex, alpha: complex) -> complex:
-    """(z^2 - 1)^alpha read as (z+1)^alpha (z-1)^alpha, analytic off (-inf, 1]."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 1.0:
-        raise DomainError(f"(z^2-1)^alpha requires z off (-inf, 1]; got {z}")
-    return principal_pow(z + 1.0, alpha) * principal_pow(z - 1.0, alpha)
 
 
 def root_y(variant: RootVariant, x: complex) -> complex:

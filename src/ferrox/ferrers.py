@@ -2,41 +2,40 @@
 Ferrers functions (Legendre on the cut) on the plane cut outside [-1, 1],
 for complex degree nu and order mu.
 
-The Ferrers function of the second kind is computable through every entry of
-the representation table: seven series in the arguments (1 -+ x)/2 and their
-Moebius images (group I), six in x^2-type arguments (group II), six in
-square-root arguments with the branch i sqrt(1 - x^2) (group III, each with
-an upper-sign and a lower-sign form valid on the whole domain), and one
-two-sided form in u = x + i sqrt(1 - x^2) and v = 1/u.  Each entry is one
-record of domain, parameter exclusions, the ``regions`` argument map of each
-2F1 factor, whether the factors are regularized, sign rule and its two
-terms as data: (a, b, c) and a ``Coefficient`` record (constant, gamma
-numerators and denominators, powers of named x-bases, phase, cos/sin
-factors), all affine in (nu, mu).  One interpreter evaluates every record,
-and one every coefficient, here and in the catalogue of ``olbricht``:
-``_coefficient`` takes its parameter part (the log-gamma sum, exponents,
-phase and cos/sin factors), and ``_coefficients_at`` adds the power logs at
-x and exponentiates once.  What depends on (nu, mu) alone is worked out once
-per ``ParamPair``: the pair keeps a plan (``_plan``) of its exclusions and,
-for each record tried, its 2F1 parameters and coefficient parts, so a sweep
-over x at one pair repeats none of it.  One rule, ``_refusal``, decides
-whether a record may be used at (p, x): ``ferrers_q`` scores only the
-records it lets through, by argument modulus, runs the region test only on
-the candidates it tries and hands the winner the arguments the ranking
-computed.  The reasons of refused records are built only where they are
-reported: ``valid_representations`` and a ``NoRepresentationError`` of
-``ferrers_q`` give them, and ``ferrers_q_rep``, ``ferrers_q_rep_trig`` (the
-theta-forms of group III, at x = cos(theta)) and ``ferrers_q_halfplane_cut``
-raise them.  A value beyond double range raises ``DomainError`` naming its
-function.  A NaN argument lies in no domain, so it raises ``DomainError``
-before any series is summed; a non-finite nu or mu raises
+One interpreter, ``_interpret``, evaluates every function here from data: 20
+two-term records of the Ferrers function of the second kind, one per entry
+of its representation table (seven series in the arguments (1 -+ x)/2 and
+their Moebius images, group I; six in x^2-type arguments, group II; six in
+square-root arguments with the branch i sqrt(1 - x^2), group III, each in an
+upper-sign and a lower-sign form; one two-sided form in u = x + i sqrt(1 -
+x^2) and v = 1/u), and 3 one-term records outside that table: ``ferrers_p``,
+``legendre_p`` and ``legendre_q_bold`` (DLMF 14.3.1, 14.3.6, 14.3.7), which
+``legendre_q`` scales.  A record holds its domain, parameter exclusions, the
+``regions`` argument map of each 2F1 factor, whether the factors are
+regularized, sign rule and its terms: (a, b, c) and a ``Coefficient``
+(constant, gamma numerators and denominators, powers of named x-bases,
+phase, cos/sin factors), all affine in (nu, mu).  ``_coefficient`` takes the
+parameter part of a coefficient, here and in the catalogue of ``olbricht``,
+and ``_coefficients_at`` adds the power logs at x and exponentiates once.
+Each ``ParamPair`` keeps a plan (``_plan``) of its exclusions and, per record
+tried, its 2F1 parameters and coefficient parts.  One rule, ``_refusal``,
+decides whether a table record may be used at (p, x): ``ferrers_q`` ranks
+the records it lets through by argument modulus and tests regions only on
+the candidates it tries; ``valid_representations`` and
+``NoRepresentationError`` report the reasons, and ``ferrers_q_rep``,
+``ferrers_q_rep_trig`` (group III at x = cos(theta)) and
+``ferrers_q_halfplane_cut`` raise them.  A value whose ``tail_estimate``
+exceeds ``TAIL_FACTOR * tol`` is never returned by ``ferrers_q`` (it tries
+its next candidate) or by the one-term functions (``ConvergenceError``); a
+forced representation returns it (see ``ferrers_q_rep``).  A value beyond
+double range raises ``DomainError`` naming its function, a NaN argument
+``DomainError`` before any series is summed, and a non-finite nu or mu
 ``ParameterError``.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -49,9 +48,9 @@ from .complexmath import (
     near_int,
     principal_pow,
     sinpi,
-    z2m1_pow,
 )
 from .errors import (
+    ConvergenceError,
     DomainError,
     FerroxError,
     NoRepresentationError,
@@ -191,77 +190,6 @@ def _guarded(label: str, evaluate: Callable, *args):
     except (ArithmeticError, ValueError) as exc:
         reason = str(exc)
     raise DomainError(f"{label}: intermediate value beyond double range ({reason})")
-
-
-def _guard(fn: Callable[[ParamPair, complex, float], EvalOutcome]):
-    """The first-kind or cut-plane function ``fn`` under ``_guarded``; z is
-    converted first, so that a malformed z still raises its own error."""
-    @functools.wraps(fn)
-    def guarded(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
-        return _guarded(fn.__name__, fn, p, complex(z), tol)
-    return guarded
-
-
-# ---------------------------------------------------------------------------
-# Legendre functions on the cut plane D2 and Ferrers P on D1
-# ---------------------------------------------------------------------------
-
-@_guard
-def legendre_p(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
-    """First-kind associated Legendre function on the plane cut along
-    (-inf, 1].  Valid for all nu, mu (the regularized series removes the
-    1 - mu pole)."""
-    z = complex(z)
-    if not in_domain(DomainId.D2, z):
-        raise DomainError(f"legendre_p requires z off (-inf, 1]; got {z}")
-    nu, mu = p.nu, p.mu
-    pref = principal_pow((z + 1.0) / (z - 1.0), 0.5 * mu)
-    r = f21_regularized(HypParams(-nu, nu + 1.0, 1.0 - mu), (1.0 - z) / 2.0, tol)
-    return EvalOutcome(pref * r.value, None, r.terms_used, r.tail_estimate)
-
-
-@_guard
-def legendre_q(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
-    """Second-kind associated Legendre function on the plane cut along
-    (-inf, 1], e^{i pi mu} Gamma(nu + mu + 1) times ``legendre_q_bold``;
-    undefined when nu + mu is a negative integer."""
-    z = complex(z)
-    if not in_domain(DomainId.D2, z):
-        raise DomainError(f"legendre_q requires z off (-inf, 1]; got {z}")
-    if "numu_neg" in _plan(p).excluded:
-        raise ParameterError(f"legendre_q undefined for nu + mu = {p.nu + p.mu} in -N")
-    bold = legendre_q_bold(p, z, tol)
-    scale = cmath.exp(1j * math.pi * p.mu) * gamma_quotient((p.nu + p.mu + 1.0,), ())
-    return EvalOutcome(scale * bold.value, None, bold.terms_used, bold.tail_estimate)
-
-
-@_guard
-def legendre_q_bold(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
-    """Normalized second-kind function e^{-i pi mu} Q / Gamma(nu + mu + 1);
-    entire in both parameters and even in mu."""
-    z = complex(z)
-    if not in_domain(DomainId.D2, z):
-        raise DomainError(f"legendre_q_bold requires z off (-inf, 1]; got {z}")
-    nu, mu = p.nu, p.mu
-    pref = (_SQRT_PI * z2m1_pow(z, 0.5 * mu)
-            / (principal_pow(2.0, nu + 1.0) * principal_pow(z, nu + mu + 1.0)))
-    r = f21_regularized(
-        HypParams((nu + mu + 2.0) / 2.0, (nu + mu + 1.0) / 2.0, nu + 1.5),
-        1.0 / (z * z), tol)
-    return EvalOutcome(pref * r.value, None, r.terms_used, r.tail_estimate)
-
-
-@_guard
-def ferrers_p(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
-    """Ferrers function of the first kind on the plane cut outside [-1, 1];
-    valid for all nu, mu."""
-    x = complex(x)
-    if not in_domain(DomainId.D1, x):
-        raise DomainError(f"ferrers_p requires x off the real rays |x| >= 1; got {x}")
-    nu, mu = p.nu, p.mu
-    pref = principal_pow((1.0 + x) / (1.0 - x), 0.5 * mu)
-    r = f21_regularized(HypParams(-nu, nu + 1.0, 1.0 - mu), (1.0 - x) / 2.0, tol)
-    return EvalOutcome(pref * r.value, None, r.terms_used, r.tail_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +357,10 @@ _X_BASES: dict[str, Callable[[complex, complex, int], complex]] = {
     "1+x": lambda x, s, g: 1.0 + x,
     "1-x": lambda x, s, g: 1.0 - x,
     "(1+x)/(1-x)": lambda x, s, g: (1.0 + x) / (1.0 - x),
+    "(x+1)/(x-1)": lambda x, s, g: (x + 1.0) / (x - 1.0),
     "1-x^2": lambda x, s, g: 1.0 - x * x,
     "x": lambda x, s, g: x,
+    "x-1": lambda x, s, g: x - 1.0,
     "s": lambda x, s, g: s,
     "x+igs": lambda x, s, g: x + g * 1j * s,
     "x-igs": lambda x, s, g: x - g * 1j * s,
@@ -441,20 +371,21 @@ _X_BASES: dict[str, Callable[[complex, complex, int], complex]] = {
 
 @dataclass(frozen=True, eq=False)   # by identity: a plan keys its entries by record
 class _RepSpec:
-    domain: str                       # "D1" | "D1+" | "half"
+    domain: str                       # "D1" | "D1+" | "half", or "D2" (one term)
     exclusions: tuple[str, ...]
-    #: the argument map of both 2F1 factors, or of each factor in turn
+    #: the argument map of every 2F1 factor, or of each factor in turn
     argument_ids: tuple[int, ...]
-    terms: tuple[_Term, _Term]
+    #: two terms (Ferrers Q), or one (the first-kind and cut-plane functions)
+    terms: tuple[_Term, ...]
     sign: _Sign = _Sign.NONE
     #: the factors are 2F1(a, b; c; w) / Gamma(c)
     regularized: bool = False
     #: f21 moves the factors, which share (a, b, c), to a smaller argument
     #: first, so the route radius, not |w|, decides convergence and preference
     routed: bool = False
-    #: the distinct power bases of the two terms
+    #: the distinct power bases of the terms
     bases: tuple[str, ...] = field(init=False)
-    #: the distinct (a, b, c) of the two factors: one when they share it
+    #: the distinct (a, b, c) of the factors: one when they share it
     hyps: tuple[tuple[Affine, Affine, Affine], ...] = field(init=False)
     #: the closed-form test of |w_j| < 1 of each argument map
     region_tests: tuple[Callable[[complex], bool], ...] = field(init=False)
@@ -466,9 +397,11 @@ class _RepSpec:
         object.__setattr__(self, "region_tests", tuple(map(region_test, self.argument_ids)))
 
 
-def _rep_table() -> dict[RepresentationId, _RepSpec]:
-    """The 20 records.  t((a, b, c), const, gamma numerators, gamma
-    denominators, powers, *trig, **rest) is one term (see ``Coefficient``)."""
+def _rep_table() -> tuple[dict[RepresentationId, _RepSpec], dict[str, _RepSpec]]:
+    """The 20 records of Ferrers Q, and the one-term records of the
+    functions ``ferrers_p``, ``legendre_p`` and ``legendre_q_bold`` by name.
+    t((a, b, c), const, gamma numerators, gamma denominators, powers, *trig,
+    **rest) is one term (see ``Coefficient``)."""
     def t(hyp, const, gammas, rgammas, powers, *trig, **rest):
         return _Term(hyp, Coefficient(const, gammas=gammas, rgammas=rgammas, powers=powers,
                                       trig=trig, **rest))
@@ -478,8 +411,8 @@ def _rep_table() -> dict[RepresentationId, _RepSpec]:
     n1, d1, nu1 = (1, 1, 1), (1, 1, -1), (1, 1, 0)      # nu + mu + 1, nu - mu + 1, nu + 1
     c_lo, c_hi = (1, 0, -1), (1, 0, 1)                   # 1 - mu, 1 + mu
     p1, q1, h = (1.5, 1, 0), (.5, -1, 0), (0, .5, .5)    # nu + 3/2, 1/2 - nu, (nu + mu) / 2
-    x2 = "1-x^2"
-    up, down = (("(1+x)/(1-x)", (0, 0, .5)),), (("(1+x)/(1-x)", (0, 0, -.5)),)
+    x2, mu2 = "1-x^2", (0, 0, .5)                       # mu / 2
+    up, down = (("(1+x)/(1-x)", mu2),), (("(1+x)/(1-x)", (0, 0, -.5)),)
     i3, i4 = (("1+x", nu), ("2", (-1, -1, 0))), (("2", nu), ("1-x", (-1, -1, 0)))
     ii3 = (("2", (-1, 0, 1)), (x2, (0, 0, -.5)))
     excl, half = ("mu_int", "numu_neg"), dict(sign=_Sign.HALFPLANE)
@@ -569,10 +502,22 @@ def _rep_table() -> dict[RepresentationId, _RepSpec]:
     rows[R.FOURIER_UV] = _RepSpec("D1", ("numu_neg",), (18, 14), (
         t(uv, rpi, (n1,), (), pre + (("x+is", n1),)),
         t(uv, rpi, (n1,), (), pre + (("x-is", n1),))), regularized=True, routed=True)
-    return {rep: rows[rep] for rep in R}
+    # DLMF 14.3.1, 14.3.6 and 14.3.7, on D1 for Ferrers P and on D2 (z for x)
+    # for the others; the regularized series removes the Gamma(1 - mu) pole.
+    p_hyp = (neg_nu, nu1, c_lo)
+    one_term = {
+        "ferrers_p": _RepSpec("D1", (), (1,), (t(p_hyp, 1.0, (), (), up),), regularized=True),
+        "legendre_p": _RepSpec("D2", (), (1,), (
+            t(p_hyp, 1.0, (), (), (("(x+1)/(x-1)", mu2),)),), regularized=True),
+        "legendre_q_bold": _RepSpec("D2", (), (10,), (
+            t(((1, .5, .5), (.5, .5, .5), p1), rpi, (), (),
+              (("1+x", mu2), ("x-1", mu2), ("2", (-1, -1, 0)), ("x", (-1, -1, -1)))),),
+            regularized=True),
+    }
+    return {rep: rows[rep] for rep in R}, one_term
 
 
-_REP_TABLE = _rep_table()
+_REP_TABLE, _ONE_TERM = _rep_table()
 
 
 class _Plan:
@@ -602,14 +547,14 @@ def _plan(p: ParamPair) -> _Plan:
 
 
 def _hyps(plan: _Plan, spec: _RepSpec) -> list[HypParams]:
-    """The ``HypParams`` of ``spec``'s two factors at the plan's (nu, mu),
-    stored in the plan: one object twice when they share (a, b, c)."""
+    """The ``HypParams`` of ``spec``'s factors at the plan's (nu, mu),
+    stored in the plan: one object, repeated, when they share (a, b, c)."""
     nu, mu = plan.nu, plan.mu
     hyps = []
     for (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) in spec.hyps:
         hyps.append(HypParams(a0 + a1 * nu + a2 * mu, b0 + b1 * nu + b2 * mu,
                               c0 + c1 * nu + c2 * mu))
-    hyps = plan.hyps[spec] = hyps * (2 // len(hyps))
+    hyps = plan.hyps[spec] = hyps * (len(spec.terms) // len(hyps))
     return hyps
 
 
@@ -731,10 +676,10 @@ def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
 def _interpret(spec: _RepSpec, plan: _Plan, x: complex, s: complex, tol: float,
                side: CutSide | None, ws: list[complex] | None = None) -> SeriesResult:
     """The one interpreter of the records: the argument of each 2F1 factor
-    (``ws``, or from the record's maps with root y = i s), then the two
-    coefficients with the record's sign at x (their parameter parts from the
-    plan), then each factor by ``f21`` (``f21_regularized`` for a
-    regularized record), or by its limit ``f21_cut`` on the cut from
+    (``ws``, or from the record's maps with root y = i s), then the
+    coefficient of each term with the record's sign at x (their parameter
+    parts from the plan), then each factor by ``f21`` (``f21_regularized``
+    for a regularized record), or by its limit ``f21_cut`` on the cut from
     ``side``."""
     g = spec.sign.at(x)
     if ws is None:
@@ -742,13 +687,12 @@ def _interpret(spec: _RepSpec, plan: _Plan, x: complex, s: complex, tol: float,
     bases = _log_bases(_X_BASES, spec.bases, x, s, g)
     parts = plan.parts.get((spec, g))
     if parts is None:
-        first, second = spec.terms
-        parts = plan.parts[spec, g] = (_coefficient(first.coef, plan.nu, plan.mu, g),
-                                       _coefficient(second.coef, plan.nu, plan.mu, g))
+        parts = plan.parts[spec, g] = [_coefficient(term.coef, plan.nu, plan.mu, g)
+                                       for term in spec.terms]
     coefs = _coefficients_at(parts, bases)
     out = []
     hyps = plan.hyps.get(spec) or _hyps(plan, spec)
-    for coef, hp, w in zip(coefs, hyps, ws * (2 // len(ws))):  # one map: both factors
+    for coef, hp, w in zip(coefs, hyps, ws * (len(coefs) // len(ws))):  # one map: every factor
         if side is not None:
             r = f21_cut(hp, w.real, side, tol)
         elif spec.regularized:
@@ -779,6 +723,10 @@ def ferrers_q_rep(rep: RepresentationId, p: ParamPair, x: complex,
     ``regions.argument``) or x^2 is beyond double range; DomainError too
     where the value or an intermediate value is.  The convergence region is
     not enforced: arguments beyond the unit disk are continued internally.
+    The tail rule of ``ferrers_q`` does not apply either: the value is
+    returned whatever its ``tail_estimate``.  Forced records within 1e-8
+    carry tails up to about 1.5e-9, above ``TAIL_FACTOR * tol``, so a
+    ``compare`` table keeps them; the caller weighs the tail.
     """
     x = complex(x)
     plan = _plan(p)
@@ -908,6 +856,61 @@ def ferrers_q_halfplane_cut(rep: RepresentationId, p: ParamPair, x: float,
     w_probe = argument(j, complex(x, approach * 1e-8))
     side = CutSide.ABOVE if w_probe.imag > 0 else CutSide.BELOW
     return _run(rep, plan, x_eval, cmath.sqrt(1.0 - x_eval * x_eval), tol, side)
+
+
+# ---------------------------------------------------------------------------
+# Ferrers P on D1 and the Legendre functions on the cut plane D2: the
+# one-term records of ``_ONE_TERM``
+# ---------------------------------------------------------------------------
+
+def _one_term(name: str, p: ParamPair, z: complex, tol: float) -> EvalOutcome:
+    """The function ``name`` at z by its one-term record, through
+    ``_interpret`` under ``_guarded``.  DomainError outside the record's
+    domain, and ConvergenceError where the tail estimate exceeds
+    ``TAIL_FACTOR * tol``: such a value is not returned."""
+    spec = _ONE_TERM[name]
+    z = complex(z)
+    if not in_domain(DomainId(spec.domain), z):
+        raise DomainError(f"{name}: z not in {spec.domain}: {z}")
+    r = _guarded(name, _interpret, spec, _plan(p), z, cmath.sqrt(1.0 - z * z), tol, None)
+    if r.tail_estimate > TAIL_FACTOR * tol:
+        raise ConvergenceError(
+            f"{name}: tail estimate {r.tail_estimate:.3g} exceeds {TAIL_FACTOR:g} * tol")
+    return EvalOutcome(r.value, None, r.terms_used, r.tail_estimate)
+
+
+def ferrers_p(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
+    """Ferrers function of the first kind on the plane cut outside [-1, 1];
+    valid for all nu, mu."""
+    return _one_term("ferrers_p", p, x, tol)
+
+
+def legendre_p(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
+    """First-kind associated Legendre function on the plane cut along
+    (-inf, 1]; valid for all nu, mu."""
+    return _one_term("legendre_p", p, z, tol)
+
+
+def legendre_q_bold(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
+    """Normalized second-kind function e^{-i pi mu} Q / Gamma(nu + mu + 1)
+    on the plane cut along (-inf, 1]; entire in both parameters and even in
+    mu."""
+    return _one_term("legendre_q_bold", p, z, tol)
+
+
+def legendre_q(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
+    """Second-kind associated Legendre function on the plane cut along
+    (-inf, 1], e^{i pi mu} Gamma(nu + mu + 1) times ``legendre_q_bold``;
+    undefined when nu + mu is a negative integer."""
+    z = complex(z)
+    if not in_domain(DomainId.D2, z):
+        raise DomainError(f"legendre_q: z not in D2: {z}")
+    if "numu_neg" in _plan(p).excluded:
+        raise ParameterError(f"legendre_q undefined for nu + mu = {p.nu + p.mu} in -N")
+    bold = legendre_q_bold(p, z, tol)
+    return _guarded("legendre_q", lambda: EvalOutcome(
+        cmath.exp(1j * math.pi * p.mu) * gamma_quotient((p.nu + p.mu + 1.0,), ()) * bold.value,
+        None, bold.terms_used, bold.tail_estimate))
 
 
 # ---------------------------------------------------------------------------

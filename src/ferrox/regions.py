@@ -17,9 +17,10 @@ Re(x^2), and for the square-root family the criteria e^{+-2 beta}
 cos(2 alpha) with x = cos(alpha + i beta)) compared with a constant: disks,
 half-planes, the lemniscate |1-x||1+x| = 1, the circles |x| = 1, the
 hyperbola Re(x^2) = 1/2.  Boundary points classify as outside.
-``region_test`` and ``in_region`` build the test of one map from its record
-(``_test``); ``region_flags`` and ``classify`` form every quantity once per
-point, with one acos for both criteria, and read all eighteen tests.
+``region_test`` and ``in_region`` read the test of one map, built from its
+record once at import (``_test``); ``region_flags`` and ``classify`` form
+every quantity once per point, with one acos for both criteria, and read
+all eighteen tests.
 """
 
 from __future__ import annotations
@@ -199,6 +200,8 @@ _RATIOS = {j: (_TERM_NAMES.index(m.num), None if m.den is None else _TERM_NAMES.
            for j, m in _MAPS.items()}
 _QUANTITY_INDEX = {name: i for i, name in enumerate(_QUANTITIES)}
 _TESTS = tuple((_QUANTITY_INDEX[m.quantity], _SIDES[m.side], m.bound) for m in _MAPS.values())
+#: The test of every map as one function of x (``_test``).
+_REGION_TESTS = {j: _test(m) for j, m in _MAPS.items()}
 #: The maps singular where each ``_SINGULAR`` predicate holds.
 _SINGULAR_MAPS = {key: tuple(j for j, m in _MAPS.items() if m.singular == key)
                   for key in _SINGULAR}
@@ -256,7 +259,7 @@ def region_test(j: int) -> Callable[[complex], bool]:
     """The closed-form test of |w_j(x)| < 1 (root Y1) that ``in_region``
     applies, False where w_j is singular: the flag of map j that
     ``region_flags`` gives, for a caller that tests one map at many points."""
-    return _test(_MAPS[j])
+    return _REGION_TESTS[j]
 
 
 def region_flags(x: complex) -> list[bool]:
@@ -294,7 +297,7 @@ def argument(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> complex:
 def in_region(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> bool:
     """Closed-form test of |w_j(x)| < 1 (strict; boundary counts as outside)."""
     x = complex(x)
-    m = _lookup(j, x, root)
+    _lookup(j, x, root)
     if root is RootVariant.Y2:
         y = root_y(RootVariant.Y2, x)
         if j == 13:
@@ -302,7 +305,7 @@ def in_region(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> bool:
             return ((x - y) / (x + y)).real < 0.5
         # |w14*| < 1  iff  |x - y| < |x + y|  iff  Re(x conj(y)) > 0
         return (x * y.conjugate()).real > 0.0
-    return _test(m)(x)
+    return _REGION_TESTS[j](x)
 
 
 def classify(x: complex) -> RegionReport:

@@ -20,7 +20,6 @@ from ferrox.complexmath import (
     rgamma,
     root_y,
     sinpi,
-    z2m1_pow,
 )
 from ferrox.errors import (
     BranchCutError,
@@ -288,30 +287,6 @@ class TestPrincipalPow:
     def test_beyond_double_range(self, base, exponent):
         with pytest.raises(DomainError, match="beyond double range"):
             principal_pow(base, exponent)
-
-
-class TestZ2m1Pow:
-    def test_simple(self):
-        assert z2m1_pow(3.0, 1.0) == pytest.approx(8.0)
-        assert z2m1_pow(3.0, 0.5) == pytest.approx(math.sqrt(8.0))
-
-    def test_square_and_continuity(self):
-        val = z2m1_pow(2j, 0.5)
-        z = 2j
-        assert abs(val * val - (z * z - 1.0)) < 1e-12
-        # continuity along a path from 3 to 2i inside the cut plane
-        prev = z2m1_pow(3.0, 0.5)
-        for t in [k / 40.0 for k in range(1, 41)]:
-            cur = z2m1_pow(3.0 * (1 - t) + 2j * t, 0.5)
-            assert abs(cur - prev) < 0.2
-            prev = cur
-        assert abs(prev - val) < 1e-12
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            z2m1_pow(0.5, 0.5)
-        with pytest.raises(DomainError):
-            z2m1_pow(-2.0, 0.5)
 
 
 class TestRootY:

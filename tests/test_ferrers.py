@@ -1,6 +1,7 @@
 import cmath
 import math
 import pickle
+import random
 import sys
 import threading
 from collections import Counter
@@ -145,6 +146,115 @@ class TestFerrersP:
         above = legendre_p(ParamPair(nu, mu), complex(x, eps)).value
         want = cmath.exp(0.5j * math.pi * mu) * above
         assert rel_diff(ferrers_p(ParamPair(nu, mu), x).value, want) < 1e-5
+
+
+def _written_out(name, p, z, tol=DEFAULT_TOL):
+    """``ferrers_p`` or ``legendre_p`` as a hand-written prefactor times a
+    regularized series (DLMF 14.3.1, 14.3.6), under the domain check,
+    overflow guard and tail rule of the one-term step; it raises the
+    exception class that the step raises."""
+    z = complex(z)
+    if not in_domain(DomainId.D1 if name == "ferrers_p" else DomainId.D2, z):
+        raise DomainError(name)
+    nu, mu = p.nu, p.mu
+    try:
+        base = (1.0 + z) / (1.0 - z) if name == "ferrers_p" else (z + 1.0) / (z - 1.0)
+        pref = principal_pow(base, 0.5 * mu)
+        r = hyp2f1.f21_regularized(HypParams(-nu, nu + 1.0, 1.0 - mu), (1.0 - z) / 2.0, tol)
+        value = pref * r.value
+    except (ArithmeticError, ValueError):
+        raise DomainError(name) from None
+    if not cmath.isfinite(value):
+        raise DomainError(name)
+    if r.tail_estimate > TAIL_FACTOR * tol:
+        raise ConvergenceError(name)
+    return value
+
+
+def _sweep(seed, n, real_z):
+    """n random (nu, mu, z): moderate to large degree and order, some
+    integer ones, and z from 1e-6 to 1e6 in modulus, with a share on the
+    real interval ``real_z``."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        nu = complex(rng.uniform(-1, 1) * 10 ** rng.uniform(-1, 2.3),
+                     rng.choice([0.0, rng.uniform(-1, 1) * 10 ** rng.uniform(-1, 2)]))
+        mu = complex(rng.choice([rng.uniform(-8, 8), float(rng.randint(-4, 4))]),
+                     rng.choice([0.0, rng.uniform(-1, 1) * 10 ** rng.uniform(-1, 2.3)]))
+        if rng.random() < 0.2:
+            z = complex(rng.uniform(*real_z))
+        else:
+            z = 10 ** rng.uniform(-6, 6) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        out.append((nu, mu, z))
+    return out
+
+
+#: Points where the 2F1 series of legendre_q_bold stops with a tail estimate
+#: of 13.6, 9.5 and 3.3e-8; the values it returned were off by 3.4e10, 4.0e8
+#: and 1.4e-8 relative.
+TAIL_PROBES = [
+    (39.56240771471827 + 1.9588851645570098j, 4.490182109893276 + 0.025859238092219794j,
+     -0.5227724418423177 - 0.6629959637454492j),
+    (38.721939234655366 + 1.568564769540957j, -3.5933742797374633 + 0.4070892925621501j,
+     -0.016046386425497005 + 0.7360641885609113j),
+    (16.111292723244894 + 0.15955728109940104j, 0.9575005993084993 + 1.085871895549528j,
+     -0.39955153921780273 - 0.41582866052072004j),
+]
+
+
+class TestOneTermRecords:
+    # ferrers_p and legendre_p are records read by the interpreter that
+    # evaluates the representation table; they equal the written-out
+    # formulas to the last bit, and raise where those raise
+    @pytest.mark.parametrize("name,call,seed,real_z", [
+        ("ferrers_p", ferrers_p, 1, (-1.0, 1.0)), ("legendre_p", legendre_p, 2, (1.0, 50.0))],
+        ids=["ferrers_p", "legendre_p"])
+    def test_first_kind_equals_written_out_formula(self, name, call, seed, real_z):
+        kinds = Counter()
+        for nu, mu, z in _sweep(seed, 400, real_z):
+            p = ParamPair(nu, mu)
+            try:
+                want = _written_out(name, p, z)
+            except FerroxError as exc:
+                with pytest.raises(type(exc)):
+                    call(p, z)
+                kinds[type(exc).__name__] += 1
+            else:
+                assert repr(call(p, z).value) == repr(want), (nu, mu, z)
+                kinds["value"] += 1
+        assert kinds["value"] > 300 and kinds["DomainError"] > 0, kinds
+
+    @pytest.mark.parametrize("nu,mu,z", [
+        (0.3, 0.4, 1e200), (0.3, 0.4, 1.7), (1.2 + 0.3j, -0.7, 2 + 1j),
+        (-0.4 + 0.2j, 0.1 + 0.1j, -3 + 0.5j), (5.5, 2.5, 1.05), (0.3, 0.4, 3e5j),
+        (2.7 - 0.4j, 1.3 + 0.2j, 0.2 - 0.6j), (0.3, 0.4, -1e30 + 1e25j),
+        (12.3, -3.1, 1.5 + 0.2j)])
+    def test_q_bold_against_mpmath(self, nu, mu, z):
+        # at z = 1e200 the powers z^(nu + mu + 1) and (z^2 - 1)^(mu/2), taken
+        # apart, are beyond double range; the record adds their logs
+        with mp.workdps(40):
+            n, m = mp.mpc(nu), mp.mpc(mu)
+            want = complex(mp.exp(-1j * mp.pi * m) * mp.legenq(n, m, mp.mpc(z), type=3)
+                           / mp.gamma(n + m + 1))
+        assert rel_diff(legendre_q_bold(ParamPair(nu, mu), z).value, want) < 1e-12
+
+    @pytest.mark.parametrize("nu,mu,z", TAIL_PROBES)
+    def test_tail_beyond_bound_raises(self, nu, mu, z):
+        for call in (legendre_q_bold, legendre_q):
+            with pytest.raises(ConvergenceError, match="legendre_q_bold: tail estimate"):
+                call(ParamPair(nu, mu), z)
+
+    # tails 0.31 and 1.1e-10; the values were off by 4.2e23 and 4.3e-8
+    @pytest.mark.parametrize("call,nu,mu,z", [
+        (ferrers_p, 0.198663423201107 - 0.5333398416430357j,
+         -0.03768774542091287 + 155.76310192633514j, 0.7260943486909408 - 3.4952408088088545j),
+        (legendre_p, -0.0012227615007425246 - 0.07307057732762849j,
+         0.6840560757325022 + 42.38622420138408j, 4.414979369205831 - 1.8734459144230526j)],
+        ids=["ferrers_p", "legendre_p"])
+    def test_first_kind_tail_beyond_bound_raises(self, call, nu, mu, z):
+        with pytest.raises(ConvergenceError, match=f"{call.__name__}: tail estimate"):
+            call(ParamPair(nu, mu), z)
 
 
 class TestSecondKindRepresentations:

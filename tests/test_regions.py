@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 
 from conftest import kronecker_points
+from ferrox import regions
 from ferrox.complexmath import RootVariant, root_y
 from ferrox.errors import DomainError, SingularPointError
 from ferrox.regions import (
@@ -320,6 +321,19 @@ class TestRegionTable:
                     assert not want and j in unusable_maps(x), (j, x)
                     continue
                 assert got is want, (j, x)
+
+    def test_single_map_tests_are_built_once(self, monkeypatch):
+        # each map's test is made from its record at import; region_test
+        # hands out that one function, and in_region applies it
+        tests = [region_test(j) for j in range(1, ARGUMENT_COUNT + 1)]
+
+        def build(m):
+            raise AssertionError("a region test was built after import")
+
+        monkeypatch.setattr(regions, "_test", build)
+        for j in range(1, ARGUMENT_COUNT + 1):
+            assert region_test(j) is tests[j - 1]
+            assert in_region(j, 0.3 + 0.4j) is tests[j - 1](0.3 + 0.4j)
 
 
 class TestConformalRanges:
