@@ -37,14 +37,7 @@ from .ferrers import (
 )
 from .fourier import FourierTermStream, convergence_class, fourier_partial_sum
 from .hyp2f1 import DEFAULT_TOL, CutSide, HypParams, f21_cut
-from .olbricht import (
-    ALL_IDS,
-    catalogue_records,
-    default_samples,
-    ode_residual,
-    ode_samples,
-    verify_identity,
-)
+from .olbricht import ALL_IDS, catalogue_records, verify_catalogue
 from .regions import ARGUMENT_COUNT, region_flags, region_test
 
 EXIT_OK = 0
@@ -323,28 +316,18 @@ def _cmd_olbricht(args) -> int:
         raise _CliError("no catalogue entries match the selection", EXIT_USAGE)
     entries = []
     all_pass = True
-    for oid in ids:
-        samples = default_samples(oid)
-        if args.samples is not None:
-            samples = samples[:args.samples]
-        rep = verify_identity(oid, p, samples, tol)
-        ode_max = 0.0
-        ode_err = None
-        for x in ode_samples(oid):
-            try:
-                ode_max = max(ode_max, ode_residual(oid, p, x))
-            except FerroxError as exc:
-                ode_err = str(exc)
-        ok = (rep.max_residual < IDENTITY_TOL and ode_max < ODE_TOL
-              and ode_err is None)
+    for check in verify_catalogue(p, ids, tol, args.samples):
+        rep = check.identity
+        ok = (rep.max_residual < IDENTITY_TOL and check.ode_residual_max < ODE_TOL
+              and check.ode_error is None)
         all_pass = all_pass and ok
         entries.append({
-            "group": oid.group,
-            "index": oid.index,
-            "root": oid.root.value if oid.root else None,
+            "group": rep.id.group,
+            "index": rep.id.index,
+            "root": rep.id.root.value if rep.id.root else None,
             "identity": rep.description,
             "identity_residual_max": rep.max_residual,
-            "ode_residual_max": ode_max,
+            "ode_residual_max": check.ode_residual_max,
             "status": "pass" if ok else "fail",
         })
     out = {

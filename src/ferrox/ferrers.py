@@ -112,9 +112,9 @@ class ParamPair:
 
     On first use the pair keeps its plan (``_plan``): the exclusions and, for
     each record tried, its 2F1 parameters and the parameter part of its
-    coefficients.  The plan is not a field, so ``==``, ``hash``, ``repr`` and
-    pickles are those of (nu, mu); it holds only values computed from them,
-    so no result depends on it."""
+    coefficients (and ``olbricht`` its catalogue plan).  The plans are not
+    fields, so ``==``, ``hash``, ``repr`` and pickles are those of (nu, mu);
+    they hold only values computed from them, so no result depends on them."""
 
     nu: complex
     mu: complex
@@ -317,7 +317,7 @@ _EXCL_NAMES = {
 }
 
 
-def _exclusions(p: ParamPair) -> set[str]:
+def _exclusions(p: ParamPair | _Plan) -> set[str]:
     """The keys of ``_EXCL_NAMES`` that hold for p (see ``ParamPair``)."""
     nu, mu = p.nu, p.mu
     out = {key for key, z in (("mu_int", mu), ("two_mu_int", 2.0 * mu), ("two_nu_int", 2.0 * nu),
@@ -522,18 +522,25 @@ _REP_TABLE, _ONE_TERM = _rep_table()
 
 class _Plan:
     """The parameter-only work of the records at one (nu, mu): ``excluded``
-    (``_exclusions``) and, filled as records are tried, ``hyps`` (record ->
-    the ``HypParams`` of its two factors, one object when they share
-    (a, b, c)) and ``parts`` ((record, sign g) -> the ``_coefficient`` of each
-    term).  A part that raises is not stored, so it raises again."""
+    (``_exclusions``, on first read: the one-term records never read it)
+    and, filled as records are tried, ``hyps`` (record -> the ``HypParams``
+    of its two factors, one object when they share (a, b, c)) and ``parts``
+    ((record, sign g) -> the ``_coefficient`` of each term).  A part that
+    raises is not stored, so it raises again."""
 
-    __slots__ = ("nu", "mu", "excluded", "hyps", "parts")
+    __slots__ = ("nu", "mu", "_excluded", "hyps", "parts")
 
     def __init__(self, p: ParamPair):
         self.nu, self.mu = p.nu, p.mu
-        self.excluded = _exclusions(p)
+        self._excluded = None
         self.hyps = {}
         self.parts = {}
+
+    @property
+    def excluded(self) -> set[str]:
+        if self._excluded is None:
+            self._excluded = _exclusions(self)
+        return self._excluded
 
 
 def _plan(p: ParamPair) -> _Plan:

@@ -15,8 +15,9 @@ parameter restrictions, so no logarithmic connection formula is needed.
 
 What depends on (a, b, c) alone is worked out once per ``HypParams``: where
 the series terminates, the pole of c, which differences are
-``CONNECTION_GAP`` off the integers and the Pfaff parameters.  The routes
-read these facts instead of testing the parameters at each call, and a
+``CONNECTION_GAP`` off the integers, the Pfaff and ODE-start parameters and
+each connection term's gamma quotient and parameters.  The routes read
+these facts instead of working them out at each call, and a
 terminating series longer than ``MAX_TERMS`` raises ``ConvergenceError``
 before any term is summed.
 """
@@ -100,8 +101,9 @@ class HypParams:
     terminates (a or b = -m, the least such m) or None, and ``c_pole``, the
     m with c = -m or None; and, on first use by a route, ``gapped``, the
     connection differences ("a-b", "c-a-b") at least ``CONNECTION_GAP`` from
-    every integer, and ``pfaff``, the parameters (a, c - b, c) of the Pfaff
-    transform."""
+    every integer, ``pfaff`` and ``shifted``, the parameters (a, c - b, c)
+    and (a + 1, b + 1, c + 1), and ``connection_terms``, which ``_connect``
+    fills.  None of these is pickled."""
 
     a: complex
     b: complex
@@ -128,6 +130,14 @@ class HypParams:
     @functools.cached_property
     def pfaff(self) -> HypParams:
         return HypParams(self.a, self.c - self.b, self.c)
+
+    @functools.cached_property
+    def shifted(self) -> HypParams:
+        return HypParams(self.a + 1, self.b + 1, self.c + 1)
+
+    def __getstate__(self):
+        # the facts kept on first use are worked out again, not pickled
+        return {name: vars(self)[name] for name in ("a", "b", "c", "c_pole", "degree")}
 
 
 @dataclass(frozen=True)
@@ -262,7 +272,7 @@ def _continue_along(p: HypParams, waypoints: list[complex], tol: float) -> Serie
     inner = f21_series(p, z, tol * 1e-2)
     f0 = inner.value
     # F'(w) = (a b / c) 2F1(a+1, b+1; c+1; w)
-    shifted = f21_series(HypParams(p.a + 1, p.b + 1, p.c + 1), z, tol * 1e-2)
+    shifted = f21_series(p.shifted, z, tol * 1e-2)
     f1 = p.a * p.b / p.c * shifted.value
     terms = inner.terms_used
     tail = 0.0
@@ -301,9 +311,6 @@ class _Connection:
     bases: tuple[tuple[str, ...], tuple[str, ...]]  # keys of _BASES
     terms: Callable[[complex, complex, complex], tuple]
 
-    def usable(self, p: HypParams) -> bool:
-        return self.difference in p.gapped
-
 
 _BASES = {"w": lambda w: w, "-w": lambda w: -w, "1-w": lambda w: 1.0 - w}
 
@@ -326,18 +333,28 @@ _CONNECTIONS = {
 }
 
 
-def _connect(k: _Connection, p: HypParams, w: complex, tol: float,
+def _connect(n: int, p: HypParams, w: complex, tol: float,
              side: CutSide | None = None) -> SeriesResult:
-    """Principal value of a record at w off the cut (``side`` None; t(w) in
-    the series disk), or its limit at w = x > 1 from ``side``."""
+    """Principal value of record ``_CONNECTIONS[n]`` at w off the cut
+    (``side`` None; t(w) in the series disk), or its limit at w = x > 1 from
+    ``side``.  Per term, (n, term) -> its gamma quotient, ``HypParams``,
+    exponents and phase exponent is kept in ``p.connection_terms`` when the
+    term is first reached; one that raises is not kept, so it raises again."""
+    k = _CONNECTIONS[n]
     t = k.arg(w)
-    parts = []
-    for bases, (triple, num, den, alphas, beta) in zip(k.bases, k.terms(p.a, p.b, p.c)):
-        coef = gamma_quotient(num, den)
+    kept = vars(p).setdefault("connection_terms", {})  # not a field: see HypParams
+    parts, raw = [], None
+    for j, bases in enumerate(k.bases):
+        term = kept.get((n, j))
+        if term is None:
+            raw = raw or k.terms(p.a, p.b, p.c)
+            triple, num, den, alphas, beta = raw[j]
+            term = kept[n, j] = (gamma_quotient(num, den), HypParams(*triple), alphas, beta)
+        coef, hp, alphas, beta = term
         if side is None:
             for base, alpha in zip(bases, alphas):
                 coef *= principal_pow(_BASES[base](w), alpha)
-            parts.append((coef, f21_series(HypParams(*triple), t, tol / 4)))
+            parts.append((coef, f21_series(hp, t, tol / 4)))
             continue
         if beta is not None:
             coef *= cmath.exp((1.0 if side is CutSide.ABOVE else -1.0) * 1j * math.pi * beta)
@@ -347,19 +364,19 @@ def _connect(k: _Connection, p: HypParams, w: complex, tol: float,
             except ArithmeticError:
                 raise DomainError(
                     f"|{base}| ** {alpha} at w={w} is beyond double range") from None
-        parts.append((coef, f21(HypParams(*triple), t, tol / 4)))
+        parts.append((coef, f21(hp, t, tol / 4)))
     return combine(parts)
 
 
-def _first_route(p: HypParams, w: complex) -> tuple[float, str | _Connection]:
+def _first_route(p: HypParams, w: complex) -> tuple[float, str | int]:
     """f21's first choice at w off the cut, with the modulus of its series
     argument: the least of w, w/(w-1) (Pfaff) and, when a - b is off the
-    integers, 1/w."""
+    integers, 1/w (connection formula 1)."""
     r = abs(w)
     pfaff = abs(w / (w - 1.0))
     radius, route = (pfaff, "pfaff") if pfaff < r else (r, "direct")
-    if r > 1.0 and 1.0 / r < radius and _CONNECTIONS[1].usable(p):
-        return 1.0 / r, _CONNECTIONS[1]
+    if r > 1.0 and 1.0 / r < radius and "a-b" in p.gapped:
+        return 1.0 / r, 1
     return radius, route
 
 
@@ -386,7 +403,8 @@ def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
 
     radius, route = _first_route(p, w)
     if radius > THETA_CUT:
-        routes = [(abs(k.arg(w)), k) for k in map(_CONNECTIONS.get, (2, 3, 4)) if k.usable(p)]
+        routes = [(abs(_CONNECTIONS[n].arg(w)), n) for n in (2, 3, 4)
+                  if _CONNECTIONS[n].difference in p.gapped]
         radius, route = min(routes, key=lambda t: t[0], default=(radius, route))
         if radius > THETA_CUT:  # the radial path stays off [1, inf)
             return _continue_along(p, [0.5 * w / abs(w), w], tol)
@@ -436,7 +454,7 @@ def f21_cut_via(theorem: int, p: HypParams, x: float, side: CutSide,
     if near_int(p.difference(k.difference), DEGENERACY_TOL):
         raise DegenerateParameterError(
             f"cut formula {theorem} needs {k.difference} off the integers")
-    return _connect(k, p, float(x), tol, side)
+    return _connect(theorem, p, float(x), tol, side)
 
 
 def f21_cut(p: HypParams, x: float, side: CutSide,
@@ -454,7 +472,7 @@ def f21_cut(p: HypParams, x: float, side: CutSide,
     if p.degree is not None:
         return _polynomial(p, x)
     candidates = [(abs(_CONNECTIONS[n].arg(x)), n) for n in (3, 2, 1, 4)
-                  if _CONNECTIONS[n].usable(p)]
+                  if _CONNECTIONS[n].difference in p.gapped]
     if candidates:
         return f21_cut_via(min(candidates, key=lambda t: t[0])[1], p, x, side, tol)
     # Continue numerically onto the cut from the requested side; the path

@@ -1046,6 +1046,24 @@ class TestPlan:
         assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
         assert ferrers_q(q, 0.5) == ferrers_q(p, 0.5)
 
+    def test_one_term_records_test_no_exclusion(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return exclusions(p)
+
+        exclusions = ferrers._exclusions
+        monkeypatch.setattr(ferrers, "_exclusions", counted)
+        p = ParamPair(0.3, 0.4)
+        ferrers_p(p, 0.5)
+        legendre_p(p, 1.5 + 0.2j)
+        legendre_q_bold(p, 1.5 + 0.2j)
+        assert calls == []
+        ferrers_q(p, 0.5)
+        ferrers_q(p, 0.7)
+        assert len(calls) == 1
+
     def test_second_pass_does_no_parameter_work(self, monkeypatch):
         counts = Counter()
 

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import pickle
 
 import mpmath as mp
 import pytest
@@ -364,6 +365,68 @@ class TestParameterFacts:
             monkeypatch.setattr(hyp2f1, name, counted(getattr(hyp2f1, name)))
         assert f21(p, w) == first
         assert calls == []
+
+
+class TestConnectionFacts:
+    """Each ``HypParams`` keeps, per connection record, each term's gamma
+    quotient and parameters, and the shifted parameters of the ODE start:
+    a second call on the same object forms none of them again."""
+
+    ROUTES = {-3.0: (1, 0), 0.95: (2, 0), 0.5 + 0.85j: "shifted"}  # 1/w, 1 - w, ODE
+
+    @pytest.mark.parametrize("w", list(ROUTES))
+    def test_second_call_forms_no_term(self, monkeypatch, w):
+        p = HypParams(0.3, 0.7, 1.9)
+        first = f21(p, w)
+        kept = self.ROUTES[w]
+        assert kept in (vars(p) if kept == "shifted" else p.connection_terms)
+        calls = []
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("gamma_quotient", "nonpos_index", "near_int"):
+            monkeypatch.setattr(hyp2f1, name, counted(getattr(hyp2f1, name)))
+        assert f21(p, w) == first
+        assert calls == []
+
+    def test_kept_terms_give_the_values_of_fresh_ones(self):
+        used = HypParams(0.3 + 0.1j, -1.7, 0.55)
+        for w in (-3.0, 0.95, -0.6 + 1.4j, 0.5 + 0.85j, 4.0 + 1e-3j):
+            assert f21(used, w) == f21(used, w) == f21(HypParams(0.3 + 0.1j, -1.7, 0.55), w)
+        for n in (1, 2, 3, 4):
+            for side in CutSide:
+                assert (f21_cut_via(n, used, 1.7, side)
+                        == f21_cut_via(n, HypParams(0.3 + 0.1j, -1.7, 0.55), 1.7, side))
+
+    def test_term_that_raises_is_not_kept(self):
+        # the second term's Gamma(c) Gamma(a + b - c) / (Gamma(a) Gamma(b)) is
+        # beyond double range, the first term's is not
+        p = HypParams(600.1, 600.1, 1.9)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="gamma quotient beyond double range") as info:
+                f21_cut_via(2, p, 1.7, CutSide.ABOVE)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        assert sorted(p.connection_terms) == [(2, 0)]
+
+    def test_used_params_keep_equality_hash_repr_and_pickle(self):
+        used, fresh = HypParams(0.3, 0.7, 1.9), HypParams(0.3, 0.7, 1.9)
+        before = hash(used), repr(used)
+        values = [f21(used, w) for w in self.ROUTES]
+        assert {"connection_terms", "shifted", "gapped"} <= set(vars(used))
+        assert used == fresh
+        assert (hash(used), repr(used)) == before == (hash(fresh), repr(fresh))
+        # the kept facts are not pickled: the bytes are those of an unused object
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(used))
+        assert back == used and hash(back) == hash(used) and repr(back) == repr(used)
+        assert (back.degree, back.c_pole) == (used.degree, used.c_pole)
+        assert [f21(back, w) for w in self.ROUTES] == values
 
 
 class TestNonFinite:

@@ -1,6 +1,9 @@
+import pickle
+
 import pytest
 
 from conftest import rel_diff
+from ferrox import olbricht
 from ferrox.complexmath import RootVariant, gamma
 from ferrox.errors import DomainError, FerroxError, ParameterError
 from ferrox.ferrers import ParamPair, ferrers_p
@@ -15,6 +18,7 @@ from ferrox.olbricht import (
     identity_record,
     ode_residual,
     ode_samples,
+    verify_catalogue,
     verify_identity,
 )
 
@@ -148,3 +152,67 @@ class TestOde:
         assert e.argument == 8
         with pytest.raises(KeyError):
             entry("IV", 1)
+
+
+class TestCatalogueRun:
+    """``verify_catalogue`` keeps each pair's parameter work in its catalogue
+    plan and evaluates each entry value once per run; neither changes a
+    result."""
+
+    @pytest.mark.parametrize("nu,mu", [(0.3, 0.4), (1.3 - 0.1j, -0.3 + 0.02j)])
+    def test_run_equals_fresh_calls(self, nu, mu):
+        checks = verify_catalogue(ParamPair(nu, mu))
+        assert [c.identity.id for c in checks] == list(ALL_IDS)
+        for oid, (report, ode_max, ode_error) in zip(ALL_IDS, checks):
+            fresh = verify_identity(oid, ParamPair(nu, mu), default_samples(oid))
+            assert repr(report) == repr(fresh)
+            odes = [ode_residual(oid, ParamPair(nu, mu), x) for x in ode_samples(oid)]
+            assert repr((ode_max, ode_error)) == repr((max(odes), None))
+
+    def test_each_value_once(self, monkeypatch):
+        seen, depth = [], [0]
+
+        def counted(oid, p, x, tol=1e-12):
+            if not depth[0]:  # not a reflected entry's call of its base entry
+                seen.append((oid, repr(x), tol))
+            depth[0] += 1
+            try:
+                return evaluate(oid, p, x, tol)
+            finally:
+                depth[0] -= 1
+
+        evaluate = olbricht.eval_olbricht
+        monkeypatch.setattr(olbricht, "eval_olbricht", counted)
+        checks = verify_catalogue(P)
+        assert all(c.identity.max_residual < 1e-8 for c in checks)
+        assert len(seen) == len(set(seen))
+        # III.1 (Y1) is III.5 (Y1) at -x: its right-hand sides are III.5's values
+        assert (OlbrichtId("III", 5, RootVariant.Y1), repr(-(0.18 + 0.31j)), 1e-12) in seen
+
+    def test_values_keep_the_sign_of_zero(self):
+        values = {}
+        oid = OlbrichtId("I", 9)
+        above = olbricht._value(values, oid, P, complex(-1.9, 0.0), 1e-12)
+        below = olbricht._value(values, oid, P, complex(-1.9, -0.0), 1e-12)
+        assert len(values) == 2
+        assert above == eval_olbricht(oid, P, complex(-1.9, 0.0))
+        assert below == eval_olbricht(oid, P, complex(-1.9, -0.0))
+
+    def test_samples_and_selection(self):
+        ids = [oid for oid in ALL_IDS if oid.group == "III"][:6]
+        checks = verify_catalogue(P, ids, samples=2)
+        assert [c.identity.id for c in checks] == ids
+        assert all(len(c.identity.outcomes) == 2 for c in checks)
+
+    def test_pair_keeps_equality_hash_repr_and_pickle(self):
+        p, fresh = ParamPair(0.3, 0.4), ParamPair(0.3, 0.4)
+        before = hash(p), repr(p)
+        verify_catalogue(p)
+        assert olbricht._plan(p) is olbricht._plan(p) and olbricht._plan(p)
+        assert p == fresh
+        assert (hash(p), repr(p)) == before == (hash(fresh), repr(fresh))
+        # the plans are not pickled: the bytes are those of an unused pair
+        assert pickle.dumps(p) == pickle.dumps(fresh)
+        q = pickle.loads(pickle.dumps(p))
+        oid = OlbrichtId("III", 7, RootVariant.Y1)
+        assert verify_identity(oid, q, [0.3 - 0.5j]) == verify_identity(oid, p, [0.3 - 0.5j])
