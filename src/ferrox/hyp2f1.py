@@ -311,6 +311,9 @@ class _Connection:
     bases: tuple[tuple[str, ...], tuple[str, ...]]  # keys of _BASES
     terms: Callable[[complex, complex, complex], tuple]
 
+    def usable(self, p: HypParams) -> bool:
+        return self.difference in p.gapped
+
 
 _BASES = {"w": lambda w: w, "-w": lambda w: -w, "1-w": lambda w: 1.0 - w}
 
@@ -337,9 +340,11 @@ def _connect(n: int, p: HypParams, w: complex, tol: float,
              side: CutSide | None = None) -> SeriesResult:
     """Principal value of record ``_CONNECTIONS[n]`` at w off the cut
     (``side`` None; t(w) in the series disk), or its limit at w = x > 1 from
-    ``side``.  Per term, (n, term) -> its gamma quotient, ``HypParams``,
-    exponents and phase exponent is kept in ``p.connection_terms`` when the
-    term is first reached; one that raises is not kept, so it raises again."""
+    ``side``.  Per term, (n, term) -> [gamma quotient, ``HypParams``,
+    exponents, phase exponent] is kept in ``p.connection_terms`` when the
+    term is first reached.  The ``HypParams`` stays a triple until it is
+    first formed, after the term's x-part, so errors come in the order of a
+    fresh evaluation; a value that raises is not kept, so it raises again."""
     k = _CONNECTIONS[n]
     t = k.arg(w)
     kept = vars(p).setdefault("connection_terms", {})  # not a field: see HypParams
@@ -349,22 +354,23 @@ def _connect(n: int, p: HypParams, w: complex, tol: float,
         if term is None:
             raw = raw or k.terms(p.a, p.b, p.c)
             triple, num, den, alphas, beta = raw[j]
-            term = kept[n, j] = (gamma_quotient(num, den), HypParams(*triple), alphas, beta)
+            term = kept[n, j] = [gamma_quotient(num, den), triple, alphas, beta]
         coef, hp, alphas, beta = term
         if side is None:
             for base, alpha in zip(bases, alphas):
                 coef *= principal_pow(_BASES[base](w), alpha)
-            parts.append((coef, f21_series(hp, t, tol / 4)))
-            continue
-        if beta is not None:
-            coef *= cmath.exp((1.0 if side is CutSide.ABOVE else -1.0) * 1j * math.pi * beta)
-        for base, alpha in zip(bases, alphas):
-            try:
-                coef *= abs(_BASES[base](w)) ** alpha
-            except ArithmeticError:
-                raise DomainError(
-                    f"|{base}| ** {alpha} at w={w} is beyond double range") from None
-        parts.append((coef, f21(hp, t, tol / 4)))
+        else:
+            if beta is not None:
+                coef *= cmath.exp((1.0 if side is CutSide.ABOVE else -1.0) * 1j * math.pi * beta)
+            for base, alpha in zip(bases, alphas):
+                try:
+                    coef *= abs(_BASES[base](w)) ** alpha
+                except ArithmeticError:
+                    raise DomainError(
+                        f"|{base}| ** {alpha} at w={w} is beyond double range") from None
+        if not isinstance(hp, HypParams):
+            hp = term[1] = HypParams(*hp)
+        parts.append((coef, (f21_series if side is None else f21)(hp, t, tol / 4)))
     return combine(parts)
 
 
@@ -375,7 +381,7 @@ def _first_route(p: HypParams, w: complex) -> tuple[float, str | int]:
     r = abs(w)
     pfaff = abs(w / (w - 1.0))
     radius, route = (pfaff, "pfaff") if pfaff < r else (r, "direct")
-    if r > 1.0 and 1.0 / r < radius and "a-b" in p.gapped:
+    if r > 1.0 and 1.0 / r < radius and _CONNECTIONS[1].usable(p):
         return 1.0 / r, 1
     return radius, route
 
@@ -404,7 +410,7 @@ def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
     radius, route = _first_route(p, w)
     if radius > THETA_CUT:
         routes = [(abs(_CONNECTIONS[n].arg(w)), n) for n in (2, 3, 4)
-                  if _CONNECTIONS[n].difference in p.gapped]
+                  if _CONNECTIONS[n].usable(p)]
         radius, route = min(routes, key=lambda t: t[0], default=(radius, route))
         if radius > THETA_CUT:  # the radial path stays off [1, inf)
             return _continue_along(p, [0.5 * w / abs(w), w], tol)
@@ -472,7 +478,7 @@ def f21_cut(p: HypParams, x: float, side: CutSide,
     if p.degree is not None:
         return _polynomial(p, x)
     candidates = [(abs(_CONNECTIONS[n].arg(x)), n) for n in (3, 2, 1, 4)
-                  if _CONNECTIONS[n].difference in p.gapped]
+                  if _CONNECTIONS[n].usable(p)]
     if candidates:
         return f21_cut_via(min(candidates, key=lambda t: t[0])[1], p, x, side, tol)
     # Continue numerically onto the cut from the requested side; the path

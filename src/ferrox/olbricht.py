@@ -6,21 +6,21 @@ The catalogue is data-driven: every entry is a record holding its prefactor
 powers (exponents affine in nu and mu), its hypergeometric parameter triple
 (also affine), its argument map, and its domain.  One evaluator interprets
 the records; the prefactor powers are a ``ferrers.Coefficient`` record,
-read by ``ferrers._coefficient`` (the parameter part) and
-``ferrers._coefficients_at`` (the x-part).  Entries given classically as
-x -> -x reflections of earlier ones are stored that way.  Each entry also
-carries exactly one identity record: either a closed-form reduction to a
-Legendre or Ferrers function, or equality with another entry (Euler/Pfaff
-transformations, parity).  The reductions are records too (target function,
+read by ``ferrers._coefficient`` and ``ferrers._coefficients_at``, the
+interpreter of the second-kind representations' coefficients.  Entries
+given classically as x -> -x reflections of earlier ones are stored that
+way.  Each entry also carries exactly one identity record: either a
+closed-form reduction to a Legendre or Ferrers function, or equality with
+another entry (Euler/Pfaff transformations, parity).  The reductions are records too (target function,
 affine degree and order, a coefficient record for the gamma, power and phase
 factors, reflected terms), read by one interpreter.
 
-A ``ParamPair`` keeps its catalogue plan (``_plan``): per entry the
-parameter part of its prefactor and its ``HypParams``, per reduction its
-target pairs and scale part, so an evaluation at x does only x-dependent
-work.  ``verify_catalogue`` checks many variants in one run, in which each
-entry value (id, x, tol) is evaluated once: equality records read the
-values already computed.
+A ``ParamPair`` keeps its catalogue plan (``_plan``): per entry its
+``HypParams``, per reduction its target pairs, per coefficient record its
+parameter part, so an evaluation at x does only x-dependent work.
+``verify_catalogue`` checks many variants in one run, in which each entry
+value (id, x, tol) of an identity check is evaluated once: equality
+records read the values already computed.
 
 Square-root entries come in two branch variants (Y1 and Y2); the variants
 with arguments (y+x)/(2y) and (x+y)/(x-y) admit only Y1, since with Y2 those
@@ -132,19 +132,24 @@ _PRODUCTS = {"x2m1": ("x+1", "x-1")}
 
 def _plan(p: ParamPair) -> dict:
     """The catalogue plan kept on p like ``ferrers._plan``, filled on first
-    use: (group, index) -> the entry's prefactor part and ``HypParams``;
-    ``Reduction`` -> its target pair and monodromy pair (nu, -mu) or None;
-    scale ``Coefficient`` -> its part.  A value that raises is not kept."""
+    use: (group, index) -> the entry's ``HypParams``; ``Reduction`` -> its
+    target pair and monodromy pair (nu, -mu) or None; ``Coefficient`` -> its
+    ``ferrers._coefficient`` part (equal records, equal parts).  Each value
+    is formed where it was formed uncached, and one that raises is not kept,
+    so the errors raised are those of a fresh pair."""
     return vars(p).setdefault("_catalogue", {})  # not a field: see ParamPair
 
 
-def _at(part, coef: Coefficient, x: complex, y: complex | None, what: str) -> complex:
-    """``part``, the ``ferrers._coefficient`` of ``coef`` (sign +1), completed
-    at x by ``ferrers._coefficients_at`` on this vocabulary; a value beyond
-    double range raises ``DomainError`` naming ``what``."""
+def _scale(coef: Coefficient, p: ParamPair, x: complex, y: complex | None, what: str) -> complex:
+    """``coef`` on this vocabulary (sign +1), its ``ferrers._coefficient``
+    part (kept in p's plan) completed by ``ferrers._coefficients_at``; a
+    value beyond double range raises ``DomainError`` naming ``what``."""
     bases = _log_bases(_BASES, [tag for tag, _ in coef.powers], x, y)
+    kept = _plan(p)
     try:
-        return _coefficients_at([part], bases)[0]
+        if coef not in kept:
+            kept[coef] = _coefficient(coef, p.nu, p.mu, 1)
+        return _coefficients_at([kept[coef]], bases)[0]
     except ArithmeticError as exc:
         raise DomainError(f"{what}: beyond double range ({exc})") from None
 
@@ -175,7 +180,10 @@ def _build_catalogue() -> dict[tuple[str, int], CatalogueEntry]:
            ((0, -1, 0), (1, 1, 0), (1, 0, 1)), 1),
         _e("I", 4, (), "D1", [(hm, (0, 0, -.5)), (hp, (0, 0, -.5))],
            ((0, -1, -1), (1, 1, -1), (1, 0, -1)), 1),
-        *[_e("I", i, (), "D1", reflect=i - 4) for i in range(5, 9)],
+        _e("I", 5, (), "D1", reflect=1),
+        _e("I", 6, (), "D1", reflect=2),
+        _e("I", 7, (), "D1", reflect=3),
+        _e("I", 8, (), "D1", reflect=4),
         _e("I", 9, (), "D3", [(t_m, (0, -1, 0)), ("ratio_p", (0, 0, .5))],
            ((0, -1, 0), (0, -1, 1), (0, -2, 0)), 6),
         _e("I", 10, (), "D3", [(t_m, (1, 1, 0)), ("ratio_p", (0, 0, .5))],
@@ -184,7 +192,10 @@ def _build_catalogue() -> dict[tuple[str, int], CatalogueEntry]:
            ((0, -1, 0), (0, -1, -1), (0, -2, 0)), 6),
         _e("I", 12, (), "D3", [(t_m, (1, 1, 0)), ("ratio_p", (0, 0, -.5))],
            ((1, 1, 0), (1, 1, -1), (2, 2, 0)), 6),
-        *[_e("I", i, (), "D2", reflect=i - 4) for i in range(13, 17)],
+        _e("I", 13, (), "D2", reflect=9),
+        _e("I", 14, (), "D2", reflect=10),
+        _e("I", 15, (), "D2", reflect=11),
+        _e("I", 16, (), "D2", reflect=12),
         _e("I", 17, (), "D2", [("ratio_m", (0, 0, .5)), (t_p, (0, -1, 0))],
            ((0, -1, 0), (0, -1, 1), (1, 0, 1)), 3),
         _e("I", 18, (), "D2", [("ratio_m", (0, 0, -.5)), (t_p, (0, -1, 0))],
@@ -193,7 +204,10 @@ def _build_catalogue() -> dict[tuple[str, int], CatalogueEntry]:
            ((1, 1, 1), (1, 1, 0), (1, 0, 1)), 3),
         _e("I", 20, (), "D2", [("ratio_m", (0, 0, -.5)), (t_p, (1, 1, 0))],
            ((1, 1, 0), (1, 1, -1), (1, 0, -1)), 3),
-        *[_e("I", i, (), "D3", reflect=i - 4) for i in range(21, 25)],
+        _e("I", 21, (), "D3", reflect=17),
+        _e("I", 22, (), "D3", reflect=18),
+        _e("I", 23, (), "D3", reflect=19),
+        _e("I", 24, (), "D3", reflect=20),
     ]
 
     # ---- arguments in x^2 --------------------------------------------------
@@ -350,6 +364,7 @@ ALL_IDS: tuple[OlbrichtId, ...] = tuple(
     OlbrichtId(e.group, e.index, RootVariant(r) if e.roots else None)
     for e in _CATALOGUE.values()
     for r in (e.roots or (None,))
+    if not (e.roots and r is None)
 )
 
 
@@ -378,16 +393,17 @@ def eval_olbricht(oid: OlbrichtId, p: ParamPair, x: complex,
     if not _domain_ok(dom, x):
         raise DomainError(f"x = {x} outside domain {dom} of entry {oid.label()}")
     if e.reflect_of is not None:
-        return eval_olbricht(OlbrichtId(e.group, e.reflect_of, oid.root), p, -x, tol)
-    kept, key, nu, mu = _plan(p), (e.group, e.index), p.nu, p.mu
-    part, hp = kept.get(key) or kept.setdefault(key, (
-        _coefficient(_PREFACTORS[key], nu, mu, 1), HypParams(*[_aff(t, nu, mu) for t in e.hyp])))
+        base = OlbrichtId(e.group, e.reflect_of, oid.root)
+        return eval_olbricht(base, p, -x, tol)
+    nu, mu = p.nu, p.mu
     y = root_y(oid.root, x) if e.roots else None
-    pref = _at(part, _PREFACTORS[key], x, y, f"prefactor of entry {oid.label()}")
+    pref = _scale(_PREFACTORS[(e.group, e.index)], p, x, y, f"prefactor of entry {oid.label()}")
     if isinstance(e.argument, str):
         w = map_value(int(e.argument[1:]), x, y)
     else:
         w = argument(e.argument, x)
+    kept, key = _plan(p), (e.group, e.index)
+    hp = kept.get(key) or kept.setdefault(key, HypParams(*[_aff(t, nu, mu) for t in e.hyp]))
     return pref * f21(hp, w, tol).value
 
 
@@ -432,9 +448,7 @@ class Reduction:
             pv = legendre_p(mono, x, tol).value
             value = (cmath.exp(-1j * math.pi * mu) * value
                      - 1j * math.pi * rgamma(_aff(self.monodromy, nu, mu)) * pv)
-        part = kept.get(self.scale) or kept.setdefault(
-            self.scale, _coefficient(self.scale, nu, mu, 1))
-        return _at(part, self.scale, x, None, "reduction scale") * value
+        return _scale(self.scale, p, x, None, "reduction scale") * value
 
 
 @dataclass(frozen=True)
@@ -476,23 +490,32 @@ def _identity_table() -> dict[tuple[str, int, str | None], IdentityRecord]:
 
     named("I", 1, None, "Gamma(1+mu) * FerrersP(nu, -mu; x)", fp, **up)
     named("I", 2, None, "Gamma(1-mu) * FerrersP(nu, mu; x)", fp, **down)
+    dup("I", 3, None, 1, "equal to I.1 (Euler transformation)")
+    dup("I", 4, None, 2, "equal to I.2 (Euler transformation)")
     named("I", 5, None, "Gamma(1+mu) * FerrersP(nu, -mu; -x)", fp, **up, terms=at_minus_x)
     named("I", 6, None, "Gamma(1-mu) * FerrersP(nu, mu; -x)", fp, **down, terms=at_minus_x)
+    dup("I", 7, None, 5, "equal to I.5 (Euler transformation)")
+    dup("I", 8, None, 6, "equal to I.6 (Euler transformation)")
     named("I", 9, None, "4^-nu Gamma(1/2-nu) QBold(-nu-1, mu; -x) / sqrt(pi)", qb, **q_low,
           two=(0, -2, 0), terms=at_minus_x)
     named("I", 10, None, "4^(nu+1) Gamma(nu+3/2) QBold(nu, mu; -x) / sqrt(pi)", qb, **q_high,
           two=(2, 2, 0), terms=at_minus_x)
+    dup("I", 11, None, 9, "equal to I.9 (mu -> -mu symmetry)")
+    dup("I", 12, None, 10, "equal to I.10 (mu -> -mu symmetry)")
     named("I", 13, None, "4^-nu Gamma(1/2-nu) QBold(-nu-1, mu; x) / sqrt(pi)", qb, **q_low,
           two=(0, -2, 0))
     named("I", 14, None, "4^(nu+1) Gamma(nu+3/2) QBold(nu, mu; x) / sqrt(pi)", qb, **q_high,
           two=(2, 2, 0))
+    dup("I", 15, None, 13, "equal to I.13 (mu -> -mu symmetry)")
+    dup("I", 16, None, 14, "equal to I.14 (mu -> -mu symmetry)")
     named("I", 17, None, "Gamma(1+mu) * LegendreP(nu, -mu; x)", lp, **up)
     named("I", 18, None, "Gamma(1-mu) * LegendreP(nu, mu; x)", lp, **down)
+    dup("I", 19, None, 17, "equal to I.17 (Euler transformation)")
+    dup("I", 20, None, 18, "equal to I.18 (Euler transformation)")
     named("I", 21, None, "Gamma(1+mu) * LegendreP(nu, -mu; -x)", lp, **up, terms=at_minus_x)
     named("I", 22, None, "Gamma(1-mu) * LegendreP(nu, mu; -x)", lp, **down, terms=at_minus_x)
-    for i in (3, 4, 7, 8, 11, 12, 15, 16, 19, 20, 23, 24):
-        why = "mu -> -mu symmetry" if i in (11, 12, 15, 16) else "Euler transformation"
-        dup("I", i, None, i - 2, f"equal to I.{i - 2} ({why})")
+    dup("I", 23, None, 21, "equal to I.21 (Euler transformation)")
+    dup("I", 24, None, 22, "equal to I.22 (Euler transformation)")
 
     named("II", 1, None,
           "even solution: c * (FerrersP(x) + FerrersP(-x)), y(0)=1, y'(0)=0", fp,
@@ -516,8 +539,18 @@ def _identity_table() -> dict[tuple[str, int, str | None], IdentityRecord]:
           two=(1, 1, 0))
     dup("II", 11, None, 10, "equal to II.10 (mu -> -mu symmetry)")
     dup("II", 12, None, 9, "equal to II.9 (mu -> -mu symmetry)")
-    for i, j in zip(range(13, 25), (9, 10, 12, 11, 1, 3, 2, 4, 5, 6, 7, 8)):
-        dup("II", i, None, j, f"equal to II.{j} (Pfaff transformation)")
+    dup("II", 13, None, 9, "equal to II.9 (Pfaff transformation)")
+    dup("II", 14, None, 10, "equal to II.10 (Pfaff transformation)")
+    dup("II", 15, None, 12, "equal to II.12 (Pfaff transformation)")
+    dup("II", 16, None, 11, "equal to II.11 (Pfaff transformation)")
+    dup("II", 17, None, 1, "equal to II.1 (Pfaff transformation)")
+    dup("II", 18, None, 3, "equal to II.3 (Pfaff transformation)")
+    dup("II", 19, None, 2, "equal to II.2 (Pfaff transformation)")
+    dup("II", 20, None, 4, "equal to II.4 (Pfaff transformation)")
+    dup("II", 21, None, 5, "equal to II.5 (Pfaff transformation)")
+    dup("II", 22, None, 6, "equal to II.6 (Pfaff transformation)")
+    dup("II", 23, None, 7, "equal to II.7 (Pfaff transformation)")
+    dup("II", 24, None, 8, "equal to II.8 (Pfaff transformation)")
 
     dup("III", 1, "Y1", 5, "equal to III.5 (Y1) at -x", reflect=True)
     dup("III", 2, "Y1", 1, "equal to III.1 (Euler transformation)")
@@ -528,11 +561,15 @@ def _identity_table() -> dict[tuple[str, int, str | None], IdentityRecord]:
           "two-term monodromy-corrected form for Im x < 0", qb, **q_low,
           monodromy=(0, -1, -1))
     named("III", 5, "Y2", "Gamma(1/2-nu) QBold(-nu-1, mu; x) / sqrt(pi)", qb, **q_low)
+    dup("III", 6, "Y1", 5, "equal to III.5 (Euler transformation)")
+    dup("III", 6, "Y2", 5, "equal to III.5 (Euler transformation)")
     named("III", 7, "Y1",
           "Gamma(nu+3/2) QBold(nu, mu; x) / sqrt(pi) for Im x > 0; "
           "two-term monodromy-corrected form for Im x < 0", qb, **q_high,
           monodromy=(1, 1, -1))
     named("III", 7, "Y2", "Gamma(nu+3/2) QBold(nu, mu; x) / sqrt(pi)", qb, **q_high)
+    dup("III", 8, "Y1", 7, "equal to III.7 (Euler transformation)")
+    dup("III", 8, "Y2", 7, "equal to III.7 (Euler transformation)")
     named("III", 9, "Y1",
           "e^(i pi mu/2) 4^mu Gamma(1+mu) FerrersP(nu, -mu; x) on D1+", fp, **up,
           two=(0, 0, 2), phase=(0, 0, .5))
@@ -544,10 +581,16 @@ def _identity_table() -> dict[tuple[str, int, str | None], IdentityRecord]:
     named("III", 10, "Y2", "4^-mu Gamma(1-mu) LegendreP(nu, mu; x) on D2+", lp, **down,
           two=(0, 0, -2))
     for root in ("Y1", "Y2"):
-        for i, j in zip((6, 8, 11, 12, 13, 14, 15, 16, 21, 22, 23, 24),
-                        (5, 7, 10, 9, 9, 10, 11, 12, 5, 6, 7, 8)):
-            why = "Euler" if i < 13 else "Pfaff"
-            dup("III", i, root, j, f"equal to III.{j} ({why} transformation)")
+        dup("III", 11, root, 10, "equal to III.10 (Euler transformation)")
+        dup("III", 12, root, 9, "equal to III.9 (Euler transformation)")
+        dup("III", 13, root, 9, "equal to III.9 (Pfaff transformation)")
+        dup("III", 14, root, 10, "equal to III.10 (Pfaff transformation)")
+        dup("III", 15, root, 11, "equal to III.11 (Pfaff transformation)")
+        dup("III", 16, root, 12, "equal to III.12 (Pfaff transformation)")
+        dup("III", 21, root, 5, "equal to III.5 (Pfaff transformation)")
+        dup("III", 22, root, 6, "equal to III.6 (Pfaff transformation)")
+        dup("III", 23, root, 7, "equal to III.7 (Pfaff transformation)")
+        dup("III", 24, root, 8, "equal to III.8 (Pfaff transformation)")
     for i in range(17, 21):
         dup("III", i, "Y1", i - 16, f"equal to III.{i - 16} (Pfaff transformation)")
     return t
@@ -616,7 +659,8 @@ def verify_identity(oid: OlbrichtId, p: ParamPair, x_samples,
                 rhs = rec.reduction(p, x, tol)
             else:
                 g, j, reflect = rec.equals
-                rhs = _value(values, OlbrichtId(g, j, oid.root), p, -x if reflect else x, tol)
+                target = OlbrichtId(g, j, oid.root)
+                rhs = _value(values, target, p, -x if reflect else x, tol)
             denom = abs(lhs) + abs(rhs)
             res = abs(lhs - rhs) / denom if denom else 0.0
             outcomes.append(IdentityOutcome(x, res))
@@ -626,10 +670,9 @@ def verify_identity(oid: OlbrichtId, p: ParamPair, x_samples,
 
 
 def ode_residual(oid: OlbrichtId, p: ParamPair, x: complex,
-                 h: float = 1e-4, values: dict | None = None) -> float:
+                 h: float = 1e-4) -> float:
     """Five-point finite-difference residual of the associated Legendre
-    equation for this entry, normalized by the local term scale (``values``
-    as in ``verify_identity``).
+    equation for this entry, normalized by the local term scale.
 
     The stencil divides by h^2, so the entry is evaluated well below the
     default tolerance to keep truncation wobble out of the residual.
@@ -637,17 +680,16 @@ def ode_residual(oid: OlbrichtId, p: ParamPair, x: complex,
     x = complex(x)
     if min(abs(x - 1.0), abs(x + 1.0)) <= 0.01:
         raise DomainError(f"sample {x} too close to the singular points +-1")
-    values = {} if values is None else values
     return legendre_ode_residual(
-        lambda z: _value(values, oid, p, z, 1e-14), p.nu, p.mu, x, h)
+        lambda z: eval_olbricht(oid, p, z, tol=1e-14), p.nu, p.mu, x, h)
 
 
 def verify_catalogue(p: ParamPair, ids=ALL_IDS, tol: float = DEFAULT_TOL,
                      samples: int | None = None) -> list[CatalogueCheck]:
     """Per id, ``verify_identity`` at the first ``samples`` (all when None)
     of its ``default_samples`` and ``ode_residual`` at its ``ode_samples``.
-    The calls share one dict of entry values, kept for this run only, so a
-    value that an equality record reads again is evaluated once."""
+    The identity checks share one dict of entry values, kept for this run
+    only, so a value that an equality record reads again is evaluated once."""
     values = {}
     out = []
     for oid in ids:
@@ -655,7 +697,7 @@ def verify_catalogue(p: ParamPair, ids=ALL_IDS, tol: float = DEFAULT_TOL,
         ode_max, ode_err = 0.0, None
         for x in ode_samples(oid):
             try:
-                ode_max = max(ode_max, ode_residual(oid, p, x, values=values))
+                ode_max = max(ode_max, ode_residual(oid, p, x))
             except FerroxError as exc:
                 ode_err = str(exc)
         out.append(CatalogueCheck(report, ode_max, ode_err))
@@ -674,7 +716,8 @@ def default_samples(oid: OlbrichtId) -> tuple[complex, ...]:
     """Five domain-appropriate sample points for identity checks."""
     e = entry(oid.group, oid.index)
     dom = _entry_domain(e, oid.root)
-    if oid.group == "III" and oid.root is RootVariant.Y1 and oid.index not in range(9, 17):
+    if oid.group == "III" and oid.root is RootVariant.Y1 and oid.index in (
+            1, 2, 3, 4, 5, 6, 7, 8, 17, 18, 19, 20, 21, 22, 23, 24):
         # The named reductions of this family split by half-plane, so keep
         # the samples off the real axis.
         return _D1_COMPLEX

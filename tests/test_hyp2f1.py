@@ -414,6 +414,15 @@ class TestConnectionFacts:
         assert raised[0] == raised[1]
         assert sorted(p.connection_terms) == [(2, 0)]
 
+    def test_term_params_are_formed_after_its_powers(self):
+        # the first term's a - b + 1 is inf, but its |1 - w| ** -a leaves double
+        # range first, and that is the error raised, on a fresh and a used object
+        p = HypParams(5e307, -1.7e308, 0.3)
+        for _ in range(2):
+            with pytest.raises(DomainError) as info:
+                f21_cut_via(4, p, 1.7, CutSide.ABOVE)
+            assert str(info.value) == "|1-w| ** (-5e+307-0j) at w=1.7 is beyond double range"
+
     def test_used_params_keep_equality_hash_repr_and_pickle(self):
         used, fresh = HypParams(0.3, 0.7, 1.9), HypParams(0.3, 0.7, 1.9)
         before = hash(used), repr(used)

@@ -198,6 +198,19 @@ class TestCatalogueRun:
         assert above == eval_olbricht(oid, P, complex(-1.9, 0.0))
         assert below == eval_olbricht(oid, P, complex(-1.9, -0.0))
 
+    def test_huge_degree_raises_the_error_of_a_fresh_pair(self):
+        # I.9's c = -2 nu is -inf, but its prefactor power leaves double range
+        # first; the plan forms the HypParams after the prefactor, so that is
+        # the error raised, on a fresh pair and on a used one
+        p = ParamPair(1e308, 0.4)
+        message = "prefactor of entry I.9: beyond double range (math range error)"
+        for _ in range(2):
+            with pytest.raises(DomainError) as info:
+                eval_olbricht(OlbrichtId("I", 9), p, -1.9)
+            assert str(info.value) == message
+        report = verify_catalogue(p, [OlbrichtId("I", 9)], samples=1)[0].identity
+        assert report.outcomes[0].error == f"DomainError: {message}"
+
     def test_samples_and_selection(self):
         ids = [oid for oid in ALL_IDS if oid.group == "III"][:6]
         checks = verify_catalogue(P, ids, samples=2)
