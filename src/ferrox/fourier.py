@@ -101,11 +101,14 @@ def fourier_partial_sum(s: FourierTermStream, n_terms: int) -> complex:
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
     nu, mu, theta = s.nu, s.mu, s.theta
-    coeff = gamma_quotient((nu + mu + 1.0,), (nu + 1.5,))
+    # The loop's left operands, formed once: each sum rounds as written out.
+    numu, half_mu = nu + mu, mu + 0.5
+    numu1, nu_3half = numu + 1.0, nu + 1.5
+    coeff = gamma_quotient((numu1,), (nu_3half,))
     total = 0.0 + 0.0j
     for k in range(n_terms):
-        total += coeff * cmath.cos((nu + mu + 2.0 * k + 1.0) * theta)
-        coeff *= (nu + mu + 1.0 + k) / (nu + 1.5 + k) * (mu + 0.5 + k) / (k + 1.0)
+        total += coeff * cmath.cos((numu + 2.0 * k + 1.0) * theta)
+        coeff *= (numu1 + k) / (nu_3half + k) * (half_mu + k) / (k + 1.0)
     return _prefactor(s) * total
 
 

@@ -16,7 +16,8 @@ parameter restrictions, so no logarithmic connection formula is needed.
 What depends on (a, b, c) alone is worked out once per ``HypParams``: where
 the series terminates, the pole of c, which differences are
 ``CONNECTION_GAP`` off the integers, the Pfaff and ODE-start parameters and
-each connection term's gamma quotient and parameters.  The routes read
+each connection term's gamma quotient and parameters, and from the second
+series on the series term ratios (a+n)(b+n)/((c+n)(n+1)).  The routes read
 these facts instead of working them out at each call, and a
 terminating series longer than ``MAX_TERMS`` raises ``ConvergenceError``
 before any term is summed.
@@ -29,6 +30,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from typing import Callable
 
 from .complexmath import (
@@ -102,12 +104,14 @@ class HypParams:
     m with c = -m or None; and, on first use by a route, ``gapped``, the
     connection differences ("a-b", "c-a-b") at least ``CONNECTION_GAP`` from
     every integer, ``pfaff`` and ``shifted``, the parameters (a, c - b, c)
-    and (a + 1, b + 1, c + 1), and ``connection_terms``, which ``_connect``
-    fills.  None of these is pickled."""
+    and (a + 1, b + 1, c + 1), ``connection_terms``, which ``_connect``
+    fills, and ``ratios``, the term ratios ``_series`` keeps from its second
+    series at the object on.  None of these is pickled."""
 
     a: complex
     b: complex
     c: complex
+    ratios = None  # not a field: set in the instance dict by ``_series``
 
     def __init__(self, a: complex, b: complex, c: complex):
         a, b, c = complex(a), complex(b), complex(c)
@@ -201,29 +205,56 @@ def f21_series(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResu
 
 
 def _series(p: HypParams, w: complex, aw: float, tol: float) -> SeriesResult:
-    """The loop of ``f21_series``, once its checks have passed; aw = |w|."""
+    """The loop of ``f21_series``, once its checks have passed; aw = |w|.
+    Term ratios are read from ``p.ratios`` and formed past its end; a first
+    series at p keeps (), a later one publishes a new, longer tuple (never
+    one extended in place), one that raises nothing new.  |total| is read
+    only where |term| <= 2 tol (1 + sum |term|): elsewhere it is not small."""
     a, b, c = p.a, p.b, p.c
+    kept = p.ratios
+    formed = None if kept is None else []
     total = term = 1.0 + 0.0j
+    bound, tol2 = 1.0, 2.0 * tol
     prev_small = False
     # A float counter adds the same value as an int one, without the
     # int-to-float conversion in every complex operation.
     n = 0.0
+    # a first series forms every ratio: it skips chain's cost per term
+    source = (chain(kept, repeat(None, MAX_TERMS - len(kept))) if kept
+              else repeat(None, MAX_TERMS))
     try:
-        for _ in range(MAX_TERMS):
-            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * w
+        for r in source:
+            if r is None:
+                r = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+                if formed is not None:
+                    formed.append(r)
+            term *= r * w
             total += term
             aterm = abs(term)
-            atotal = abs(total)
-            small = aterm <= tol * atotal
-            if small and prev_small:
-                tail = aterm * aw / (1.0 - aw)
-                return SeriesResult(total, int(n) + 2, tail / atotal if atotal else tail)
-            prev_small = small
+            bound += aterm
+            if aterm <= tol2 * bound:
+                atotal = abs(total)
+                small = aterm <= tol * atotal
+                if small and prev_small:
+                    break
+                prev_small = small
+            else:
+                prev_small = False
             n += 1.0
-    except OverflowError:
-        raise ConvergenceError(f"2F1 series terms overflow at w={w}") from None
-    raise ConvergenceError(
-        f"2F1 series did not reach tol={tol:g} within {MAX_TERMS} terms at w={w}")
+        else:
+            raise ConvergenceError(
+                f"2F1 series did not reach tol={tol:g} within {MAX_TERMS} terms at w={w}")
+        finite = cmath.isfinite(total)
+    except OverflowError:  # |term| or |total| beyond double range
+        finite = False
+    if not finite:
+        raise ConvergenceError(f"2F1 series terms overflow at w={w}")
+    if formed is None:
+        vars(p)["ratios"] = ()
+    elif formed:
+        vars(p)["ratios"] = kept + tuple(formed)
+    tail = aterm * aw / (1.0 - aw)
+    return SeriesResult(total, int(n) + 2, tail / atotal if atotal else tail)
 
 
 def _taylor_step(p: HypParams, z0: complex, f0: complex, f1: complex,
@@ -361,7 +392,12 @@ def _connect(n: int, p: HypParams, w: complex, tol: float,
                 coef *= principal_pow(_BASES[base](w), alpha)
         else:
             if beta is not None:
-                coef *= cmath.exp((1.0 if side is CutSide.ABOVE else -1.0) * 1j * math.pi * beta)
+                try:
+                    coef *= cmath.exp(
+                        (1.0 if side is CutSide.ABOVE else -1.0) * 1j * math.pi * beta)
+                except (ArithmeticError, ValueError):
+                    raise DomainError(
+                        f"cut phase e^(+-i pi {beta}) is beyond double range") from None
             for base, alpha in zip(bases, alphas):
                 try:
                     coef *= abs(_BASES[base](w)) ** alpha
@@ -371,7 +407,10 @@ def _connect(n: int, p: HypParams, w: complex, tol: float,
         if not isinstance(hp, HypParams):
             hp = term[1] = HypParams(*hp)
         parts.append((coef, (f21_series if side is None else f21)(hp, t, tol / 4)))
-    return combine(parts)
+    out = combine(parts)
+    if side is not None and not cmath.isfinite(out.value):
+        raise DomainError(f"2F1 cut limit by formula {n} at x={w} is beyond double range")
+    return out
 
 
 def _first_route(p: HypParams, w: complex) -> tuple[float, str | int]:
@@ -434,6 +473,9 @@ def f21_regularized(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> Serie
     of order m + 1.
     """
     if (mm := nonpos_index(p.c, NEAR_INT_TOL)) is not None:
+        if mm + 1 > MAX_TERMS:
+            raise ConvergenceError(
+                f"2F1 limit at c = {p.c} starts past the {MAX_TERMS}-term budget")
         pref = (pochhammer(p.a, mm + 1) * pochhammer(p.b, mm + 1)
                 / math.factorial(mm + 1)) * principal_pow(complex(w), mm + 1)
         if pref == 0:

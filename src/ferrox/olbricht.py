@@ -150,7 +150,7 @@ def _scale(coef: Coefficient, p: ParamPair, x: complex, y: complex | None, what:
         if coef not in kept:
             kept[coef] = _coefficient(coef, p.nu, p.mu, 1)
         return _coefficients_at([kept[coef]], bases)[0]
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:  # ValueError: a cmath domain error
         raise DomainError(f"{what}: beyond double range ({exc})") from None
 
 

@@ -417,6 +417,14 @@ class TestOlbrichtCommand:
         code, _ = run_cli("olbricht", "--group", "I", "--index", "99")
         assert code == 1
 
+    def test_cmath_domain_error_exit_3(self):
+        # e^(i pi nu) at nu = 1e308 is a cmath domain error: it used to end
+        # the run on a traceback (exit 1); now the entry fails its check
+        code, obj = run_cli_json("olbricht", "--nu=1e308", "--mu=0.4", "--group=III",
+                                 "--index=2")
+        assert code == 3
+        assert obj["passed"] == 0 and obj["entries"][0]["status"] == "fail"
+
     def test_verification_failure_exit_3(self):
         # nu = 0.5 makes this entry's lower parameter a gamma pole, so the
         # verification cannot pass and the run must report failure
@@ -451,6 +459,15 @@ class TestCutCommand:
         assert code == 2
         check_schema(obj, SCHEMA["error"])
         assert obj["error"]["type"] == "DomainError"
+
+    def test_cut_phase_beyond_double_range_exit_2(self):
+        # e^(i pi beta) with |Im beta| = 300 used to exit 2 as an OverflowError
+        code, obj = run_cli_json("cut", "--a=0.3", "--b=0.45", "--c=-0.5+300i", "--x=1.7",
+                                 "--side=above")
+        assert code == 2
+        check_schema(obj, SCHEMA["error"])
+        assert obj["error"]["type"] == "DomainError"
+        assert "cut phase" in obj["error"]["message"]
 
     # 1e400 reads as inf, which no 2F1 parameter may be
     @pytest.mark.parametrize("slot", ["--a", "--b", "--c"])

@@ -4,6 +4,7 @@ import pickle
 import random
 import sys
 import threading
+import time
 from collections import Counter
 
 import mpmath as mp
@@ -708,6 +709,13 @@ class TestBeyondDoubleRange:
     def test_huge_parameters_raise_ferrox_error(self, nu, mu, call, x):
         with pytest.raises(FerroxError):
             call(ParamPair(nu, mu), x)
+
+    def test_regularized_limit_past_the_term_budget_returns_at_once(self):
+        # c = -m with m about 1e12: the limit's prefactor would take m + 1 products
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="50000-term budget"):
+            ferrers_p(ParamPair(1e12, 1e12), -0.37)
+        assert time.perf_counter() - start < 1.0
 
     def test_huge_terminating_degree(self):
         with pytest.raises(NoRepresentationError) as info:

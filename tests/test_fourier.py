@@ -1,8 +1,11 @@
+import cmath
 import math
 
 import mpmath as mp
 import pytest
 
+from ferrox import fourier
+from ferrox.complexmath import gamma_quotient
 from ferrox.errors import DomainError, ParameterError
 from ferrox.ferrers import ParamPair, RepresentationId, ferrers_q, ferrers_q_rep
 from ferrox.fourier import (
@@ -74,6 +77,21 @@ class TestPartialSums:
                 auto = ferrers_q(p, math.cos(theta)).value
                 assert abs(partial - rep) < 1e-6
                 assert abs(partial - auto) < 1e-6
+
+
+    # the sum as written before its loop invariants were hoisted
+    @pytest.mark.parametrize("nu,mu,theta", [(0.3, -0.5, math.pi / 3),
+                                             (1.1 - 0.2j, 0.4 + 0.1j, 0.7),
+                                             (-0.45, -1.3 + 0.5j, 2.9)])
+    def test_hoisted_sum_has_the_bits_of_the_written_out_one(self, nu, mu, theta):
+        s = FourierTermStream(nu, mu, theta)
+        nu, mu = s.nu, s.mu
+        coeff = gamma_quotient((nu + mu + 1.0,), (nu + 1.5,))
+        total = 0.0 + 0.0j
+        for k in range(3000):
+            total += coeff * cmath.cos((nu + mu + 2.0 * k + 1.0) * theta)
+            coeff *= (nu + mu + 1.0 + k) / (nu + 1.5 + k) * (mu + 0.5 + k) / (k + 1.0)
+        assert fourier_partial_sum(s, 3000) == fourier._prefactor(s) * total
 
 
 class TestTrichotomy:

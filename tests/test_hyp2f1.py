@@ -2,6 +2,9 @@ import cmath
 import dataclasses
 import math
 import pickle
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import pytest
@@ -247,6 +250,11 @@ class TestRegularized:
         approx2 = f21_regularized(HypParams(0.7, -1.9, -2.0 + eps), 0.3).value
         assert abs(got2 - approx2) < 1e-4
 
+    def test_limit_past_the_term_budget(self):
+        # the limit's prefactor (a)_(m+1) (b)_(m+1) would take m + 1 products
+        with pytest.raises(ConvergenceError, match="50000-term budget"):
+            f21_regularized(HypParams(0.3, 0.4, -50_000.0), 0.5)
+
 
 def _cut_param_sets(n):
     out = []
@@ -427,7 +435,9 @@ class TestConnectionFacts:
         used, fresh = HypParams(0.3, 0.7, 1.9), HypParams(0.3, 0.7, 1.9)
         before = hash(used), repr(used)
         values = [f21(used, w) for w in self.ROUTES]
+        assert [f21(used, w) for w in self.ROUTES] == values
         assert {"connection_terms", "shifted", "gapped"} <= set(vars(used))
+        assert used.shifted.ratios and used.connection_terms[2, 0][1].ratios
         assert used == fresh
         assert (hash(used), repr(used)) == before == (hash(fresh), repr(fresh))
         # the kept facts are not pickled: the bytes are those of an unused object
@@ -436,6 +446,117 @@ class TestConnectionFacts:
         assert back == used and hash(back) == hash(used) and repr(back) == repr(used)
         assert (back.degree, back.c_pole) == (used.degree, used.c_pole)
         assert [f21(back, w) for w in self.ROUTES] == values
+
+
+class TestKeptRatios:
+    """Each ``HypParams`` keeps its series term ratios from its second series
+    on; a warm evaluation gives the bits of a cold one."""
+
+    # direct, Pfaff, 1/w, 1 - w, 1 - 1/w, 1/(1 - w), ODE from 0.5 w/|w|
+    POINTS = [0.3 + 0.2j, -0.8 + 0.1j, -3.0, 0.95, 0.9 + 0.6j, 0.41 + 1.02j, 0.5 + 0.85j]
+    TOLS = [1e-12, 1e-9, 1e-15]
+
+    @staticmethod
+    def _params(rng):
+        return tuple(complex(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in range(2)) + (
+            complex(rng.uniform(0.5, 4), rng.uniform(-1, 1)),)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_warm_results_equal_cold_ones(self, seed):
+        rng = random.Random(seed)
+        abc = self._params(rng)
+        used = HypParams(*abc)
+        for _ in range(3):
+            for w in self.POINTS:
+                for tol in self.TOLS:
+                    assert f21(used, w, tol) == f21(HypParams(*abc), w, tol)
+            for side in CutSide:
+                x = rng.uniform(1.1, 4.0)
+                assert f21_cut(used, x, side) == f21_cut(HypParams(*abc), x, side)
+        # every route ran, and the objects under the routes keep ratios
+        assert used.ratios and used.pfaff.ratios and used.shifted.ratios
+        assert {n for n, _ in used.connection_terms} == {1, 2, 3, 4}
+        assert all(term[1].ratios for term in used.connection_terms.values())
+
+    def test_first_series_keeps_a_marker_second_the_ratios_used(self):
+        a, b, c = 0.3 + 0.2j, -1.7, 1.9 - 0.4j
+        p = HypParams(a, b, c)
+        first = f21_series(p, 0.6j)
+        assert p.ratios == ()
+        second = f21_series(p, 0.6j)
+        assert second == first
+        expected = [(a + n) * (b + n) / ((c + n) * (n + 1.0)) for n in range(200)]
+        assert list(p.ratios) == expected[:second.terms_used - 1]
+        # a longer series publishes a new tuple; a shorter one keeps it
+        kept = p.ratios
+        longer = f21_series(p, 0.6j, 1e-15)
+        assert p.ratios is not kept and list(p.ratios) == expected[:longer.terms_used - 1]
+        kept = p.ratios
+        assert f21_series(p, 0.1) == f21_series(HypParams(a, b, c), 0.1)
+        assert p.ratios is kept
+
+    def test_series_that_raises_keeps_nothing_new(self):
+        p = HypParams(400.1, 400.3, 1.9)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="terms overflow"):
+                f21_series(p, 0.59)
+            assert "ratios" not in vars(p)
+        f21_series(p, 1e-3)
+        f21_series(p, 1e-3)
+        kept = p.ratios
+        assert kept
+        with pytest.raises(ConvergenceError, match="terms overflow"):
+            f21_series(p, 0.59)
+        assert p.ratios is kept
+        q = HypParams(0.5, 0.5, 1.5)  # at |w| = 0.9999 the tail outlasts MAX_TERMS
+        f21_series(q, 0.5)
+        with pytest.raises(ConvergenceError, match="within 50000 terms"):
+            f21_series(q, 0.9999, 1e-16)
+        assert q.ratios == ()
+
+    def test_threads_sharing_params_give_the_serial_results(self):
+        a, b, c = 0.3 + 0.1j, 0.7 - 0.2j, 1.9
+        rng = random.Random(7)
+        ws = [cmath.rect(rng.uniform(0.05, 0.9), rng.uniform(-3.1, 3.1)) for _ in range(200)]
+        serial = [f21_series(HypParams(a, b, c), w) for w in ws]
+        shared = HypParams(a, b, c)
+        starts = (0, 50, 100, 150)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-series
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(lambda k: [f21_series(shared, w) for w in ws[k:] + ws[:k]],
+                                       k) for k in starts]
+                runs = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, run in zip(starts, runs):
+            assert run == serial[k:] + serial[:k]
+        # whatever tuple was published last is a whole prefix of the ratios
+        assert shared.ratios == tuple((a + n) * (b + n) / ((c + n) * (n + 1.0))
+                                      for n in range(len(shared.ratios)))
+
+
+class TestBeyondDoubleRange:
+    def test_series_terms_overflow(self):
+        # the terms reach inf before they fall; the sum used to be nan
+        with pytest.raises(ConvergenceError, match="2F1 series terms overflow"):
+            f21(HypParams(400.1, 400.3, 1.9), 1.7 + 1e-9j)
+
+    def test_cut_limit_beyond_double_range(self):
+        # the value is about 5.5e408; the limit used to be nan
+        with pytest.raises(DomainError, match="cut limit by formula 3 at x=1.7 is beyond double"):
+            f21_cut(HypParams(400.1, 400.3, 1.9), 1.7, CutSide.ABOVE)
+
+    # e^(i pi beta) overflows (|Im beta| > 226), or pi beta does (a cmath domain error)
+    @pytest.mark.parametrize("call", [
+        lambda: f21_cut(HypParams(0.3, 0.45, -0.5 + 300j), 1.7, CutSide.ABOVE),
+        lambda: f21_cut_via(1, HypParams(1e308, -1e308, 0.3), 1.7, CutSide.ABOVE),
+        lambda: f21_cut_via(4, HypParams(1e308, -1e308, 0.3), 1.7, CutSide.BELOW),
+    ], ids=["Im_beta_300", "theorem_1_pi_beta", "theorem_4_pi_beta"])
+    def test_cut_phase(self, call):
+        with pytest.raises(DomainError, match="cut phase .* is beyond double range"):
+            call()
 
 
 class TestNonFinite:

@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import pytest
@@ -210,6 +211,16 @@ class TestCatalogueRun:
             assert str(info.value) == message
         report = verify_catalogue(p, [OlbrichtId("I", 9)], samples=1)[0].identity
         assert report.outcomes[0].error == f"DomainError: {message}"
+
+    def test_cmath_domain_error_is_reported(self):
+        # e^(i pi nu) at nu = 1e308 is a cmath domain error (ValueError), not
+        # an ArithmeticError; the report names it and the run does not raise
+        oid = OlbrichtId("III", 2, RootVariant.Y1)
+        report = verify_identity(oid, ParamPair(1e308, 0.4), default_samples(oid))
+        errors = [o.error for o in report.outcomes]
+        assert all(o.residual == math.inf for o in report.outcomes)
+        assert ("DomainError: prefactor of entry III.2.Y1: beyond double range "
+                "(math domain error)") in errors
 
     def test_samples_and_selection(self):
         ids = [oid for oid in ALL_IDS if oid.group == "III"][:6]
