@@ -21,6 +21,7 @@ The ``ferrox`` command-line tool wraps all of the above; see ``ferrox -h``.
 
 from .complexmath import RootVariant
 from .errors import (
+    BeyondRangeError,
     BranchCutError,
     ConvergenceError,
     DegenerateParameterError,
@@ -48,6 +49,7 @@ from .regions import DomainId, classify, in_region
 __version__ = "0.1.0"
 
 __all__ = [
+    "BeyondRangeError",
     "BranchCutError",
     "ConvergenceError",
     "CutSide",

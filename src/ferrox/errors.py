@@ -11,6 +11,10 @@ class DomainError(FerroxError):
     """The evaluation point lies outside the function's domain of analyticity."""
 
 
+class BeyondRangeError(DomainError):
+    """A value on the way to the result is beyond double range."""
+
+
 class BranchCutError(DomainError):
     """The argument sits exactly on a branch cut where no single value exists."""
 

@@ -50,6 +50,7 @@ from .complexmath import (
     sinpi,
 )
 from .errors import (
+    BeyondRangeError,
     ConvergenceError,
     DomainError,
     FerroxError,
@@ -179,15 +180,16 @@ class RepValidity:
 
 
 def _guarded(label: str, evaluate: Callable, *args):
-    """``evaluate(*args)``; a non-finite value, an ``ArithmeticError`` or a
-    ``ValueError`` (a cmath domain error) becomes a ``DomainError`` naming
-    ``label``: some value on the way is beyond double range."""
+    """``evaluate(*args)``; a non-finite value, an ``ArithmeticError``, a
+    ``ValueError`` (a cmath domain error) or a ``BeyondRangeError`` becomes a
+    ``DomainError`` naming ``label``: some value on the way is beyond double
+    range."""
     try:
         out = evaluate(*args)
         if cmath.isfinite(out.value):
             return out
         reason = f"value {out.value}"
-    except (ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError, BeyondRangeError) as exc:
         reason = str(exc)
     raise DomainError(f"{label}: intermediate value beyond double range ({reason})")
 

@@ -43,6 +43,7 @@ from .complexmath import (
     rgamma,
 )
 from .errors import (
+    BeyondRangeError,
     BranchCutError,
     ConvergenceError,
     DegenerateParameterError,
@@ -375,7 +376,8 @@ def _connect(n: int, p: HypParams, w: complex, tol: float,
     exponents, phase exponent] is kept in ``p.connection_terms`` when the
     term is first reached.  The ``HypParams`` stays a triple until it is
     first formed, after the term's x-part, so errors come in the order of a
-    fresh evaluation; a value that raises is not kept, so it raises again."""
+    fresh evaluation; a value that raises is not kept, so it raises again.
+    A non-finite value raises ``BeyondRangeError`` (a cut limit: ``DomainError``)."""
     k = _CONNECTIONS[n]
     t = k.arg(w)
     kept = vars(p).setdefault("connection_terms", {})  # not a field: see HypParams
@@ -408,7 +410,9 @@ def _connect(n: int, p: HypParams, w: complex, tol: float,
             hp = term[1] = HypParams(*hp)
         parts.append((coef, (f21_series if side is None else f21)(hp, t, tol / 4)))
     out = combine(parts)
-    if side is not None and not cmath.isfinite(out.value):
+    if not cmath.isfinite(out.value):
+        if side is None:
+            raise BeyondRangeError(f"2F1 by formula {n} at w={w} is beyond double range")
         raise DomainError(f"2F1 cut limit by formula {n} at x={w} is beyond double range")
     return out
 

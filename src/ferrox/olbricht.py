@@ -4,8 +4,8 @@ reduces to.
 
 The catalogue is data-driven: every entry is a record holding its prefactor
 powers (exponents affine in nu and mu), its hypergeometric parameter triple
-(also affine), its argument map, and its domain.  One evaluator interprets
-the records; the prefactor powers are a ``ferrers.Coefficient`` record,
+(also affine), its argument map, and its domain.  ``_evaluator`` compiles
+each variant from them; the prefactor powers are a ``ferrers.Coefficient`` record,
 read by ``ferrers._coefficient`` and ``ferrers._coefficients_at``, the
 interpreter of the second-kind representations' coefficients.  Entries
 given classically as x -> -x reflections of earlier ones are stored that
@@ -15,12 +15,13 @@ another entry (Euler/Pfaff transformations, parity).  The reductions are records
 affine degree and order, a coefficient record for the gamma, power and phase
 factors, reflected terms), read by one interpreter.
 
-A ``ParamPair`` keeps its catalogue plan (``_plan``): per entry its
-``HypParams``, per reduction its target pairs, per coefficient record its
-parameter part, so an evaluation at x does only x-dependent work.
-``verify_catalogue`` checks many variants in one run, in which each entry
-value (id, x, tol) of an identity check is evaluated once: equality
-records read the values already computed.
+A ``ParamPair`` keeps its catalogue plan (``_plan``): per variant an
+evaluator, compiled once with its reflections resolved, its domain test,
+prefactor part, argument map and ``HypParams``, per reduction its target
+pairs and scale part, so an evaluation at x does only x-dependent work;
+``eval_olbricht``, ``verify_identity`` and ``ode_residual`` call the
+evaluators.  ``verify_catalogue`` checks many variants in one run, in which
+each entry value (evaluator, x, tol) is evaluated once.
 
 Square-root entries come in two branch variants (Y1 and Y2); the variants
 with arguments (y+x)/(2y) and (x+y)/(x-y) admit only Y1, since with Y2 those
@@ -132,32 +133,24 @@ _PRODUCTS = {"x2m1": ("x+1", "x-1")}
 
 def _plan(p: ParamPair) -> dict:
     """The catalogue plan kept on p like ``ferrers._plan``, filled on first
-    use: (group, index) -> the entry's ``HypParams``; ``Reduction`` -> its
-    target pair and monodromy pair (nu, -mu) or None; ``Coefficient`` -> its
-    ``ferrers._coefficient`` part (equal records, equal parts).  Each value
-    is formed where it was formed uncached, and one that raises is not kept,
-    so the errors raised are those of a fresh pair."""
+    use: ``OlbrichtId`` -> its evaluator; (group, index) -> a list holding
+    the entry's ``HypParams`` once formed; ``Reduction`` -> its target pair
+    and monodromy pair (nu, -mu) or None; ``Coefficient`` -> a reduction
+    scale's part.  Each value is formed where it was formed uncached, and one
+    that raises is not kept, so the errors raised are those of a fresh pair.
+    Nothing in the plan refers back to p, so p is freed when it is dropped."""
     return vars(p).setdefault("_catalogue", {})  # not a field: see ParamPair
 
 
-def _scale(coef: Coefficient, p: ParamPair, x: complex, y: complex | None, what: str) -> complex:
-    """``coef`` on this vocabulary (sign +1), its ``ferrers._coefficient``
-    part (kept in p's plan) completed by ``ferrers._coefficients_at``; a
+def _scaled(part, coef: Coefficient, nu: complex, mu: complex, bases, what: str):
+    """(part, value): ``coef`` (sign +1) at the point of ``bases``, from its
+    ``ferrers._coefficient`` part, formed here when ``part`` is None; a
     value beyond double range raises ``DomainError`` naming ``what``."""
-    bases = _log_bases(_BASES, [tag for tag, _ in coef.powers], x, y)
-    kept = _plan(p)
     try:
-        if coef not in kept:
-            kept[coef] = _coefficient(coef, p.nu, p.mu, 1)
-        return _coefficients_at([kept[coef]], bases)[0]
+        part = part or (_coefficient(coef, nu, mu, 1),)
+        return part, _coefficients_at(part, bases)[0]
     except (ArithmeticError, ValueError) as exc:  # ValueError: a cmath domain error
         raise DomainError(f"{what}: beyond double range ({exc})") from None
-
-
-def _domain_ok(tag: str, x: complex) -> bool:
-    if tag == "D1-offaxis":
-        return in_domain(DomainId.D1, x) and complex(x).real != 0.0
-    return in_domain(DomainId(tag), x)
 
 
 def _e(group, index, roots, domain, prefactors=(), hyp=None, arg=None, reflect=None):
@@ -376,11 +369,18 @@ def _entry_domain(e: CatalogueEntry, root: RootVariant | None) -> str:
     return e.domain
 
 
-def eval_olbricht(oid: OlbrichtId, p: ParamPair, x: complex,
-                  tol: float = DEFAULT_TOL) -> complex:
-    """Evaluate one catalogue entry: prefactor powers times the
-    hypergeometric factor, with the stated branch conventions; their
-    parameter parts are kept in p's catalogue plan."""
+def _evaluator(oid: OlbrichtId, p: ParamPair) -> Callable[[complex, float], complex]:
+    """The evaluator of variant oid at p, compiled on first use and kept in
+    p's plan: a function of complex x and tol that tests x against the
+    variant's domain and evaluates the entry its reflections lead to at +-x,
+    prefactor powers times the hypergeometric factor.  The prefactor's
+    ``ferrers._coefficient`` part and the ``HypParams`` (shared by the
+    entry's root variants) are formed on first use, where an uncached
+    evaluation forms them."""
+    kept = _plan(p)
+    evaluate = kept.get(oid)
+    if evaluate is not None:
+        return evaluate
     e = entry(oid.group, oid.index)
     if e.roots:
         if oid.root is None or oid.root.value not in e.roots:
@@ -388,23 +388,37 @@ def eval_olbricht(oid: OlbrichtId, p: ParamPair, x: complex,
                 f"entry {e.group}.{e.index} admits roots {e.roots}; got {oid.root}")
     elif oid.root is not None:
         raise ParameterError(f"entry {e.group}.{e.index} takes no root variant")
-    x = complex(x)
-    dom = _entry_domain(e, oid.root)
-    if not _domain_ok(dom, x):
-        raise DomainError(f"x = {x} outside domain {dom} of entry {oid.label()}")
-    if e.reflect_of is not None:
-        base = OlbrichtId(e.group, e.reflect_of, oid.root)
-        return eval_olbricht(base, p, -x, tol)
-    nu, mu = p.nu, p.mu
-    y = root_y(oid.root, x) if e.roots else None
-    pref = _scale(_PREFACTORS[(e.group, e.index)], p, x, y, f"prefactor of entry {oid.label()}")
-    if isinstance(e.argument, str):
-        w = map_value(int(e.argument[1:]), x, y)
-    else:
-        w = argument(e.argument, x)
-    kept, key = _plan(p), (e.group, e.index)
-    hp = kept.get(key) or kept.setdefault(key, HypParams(*[_aff(t, nu, mu) for t in e.hyp]))
-    return pref * f21(hp, w, tol).value
+    tag, label, root, flip = _entry_domain(e, oid.root), oid.label(), oid.root, False
+    dom, offaxis = DomainId(tag.removesuffix("-offaxis")), tag == "D1-offaxis"
+    while e.reflect_of is not None:
+        e, flip = entry(e.group, e.reflect_of), not flip
+    coef, nu, mu = _PREFACTORS[e.group, e.index], p.nu, p.mu
+    tags, j = [b for b, _ in coef.powers], int(e.argument[1:]) if root else e.argument
+    hyp = kept.setdefault((e.group, e.index), [])
+    what = f"prefactor of entry {OlbrichtId(e.group, e.index, root).label()}"
+    part = None
+
+    def evaluate(x: complex, tol: float) -> complex:
+        nonlocal part
+        if not in_domain(dom, x) or offaxis and x.real == 0.0:
+            raise DomainError(f"x = {x} outside domain {tag} of entry {label}")
+        x = -x if flip else x
+        y = root_y(root, x) if root else None
+        part, pref = _scaled(part, coef, nu, mu, _log_bases(_BASES, tags, x, y), what)
+        w = map_value(j, x, y) if root else argument(j, x)
+        if not hyp:
+            hyp.append(HypParams(*[_aff(t, nu, mu) for t in e.hyp]))
+        return pref * f21(hyp[0], w, tol).value
+
+    return kept.setdefault(oid, evaluate)
+
+
+def eval_olbricht(oid: OlbrichtId, p: ParamPair, x: complex,
+                  tol: float = DEFAULT_TOL) -> complex:
+    """Evaluate one catalogue entry: prefactor powers times the
+    hypergeometric factor, with the stated branch conventions, by its
+    evaluator kept in p's catalogue plan."""
+    return _evaluator(oid, p)(complex(x), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +462,10 @@ class Reduction:
             pv = legendre_p(mono, x, tol).value
             value = (cmath.exp(-1j * math.pi * mu) * value
                      - 1j * math.pi * rgamma(_aff(self.monodromy, nu, mu)) * pv)
-        return _scale(self.scale, p, x, None, "reduction scale") * value
+        bases = _log_bases(_BASES, [tag for tag, _ in self.scale.powers], x, None)
+        kept[self.scale], scale = _scaled(kept.get(self.scale), self.scale, nu, mu, bases,
+                                          "reduction scale")
+        return scale * value
 
 
 @dataclass(frozen=True)
@@ -632,14 +649,15 @@ class CatalogueCheck(NamedTuple):
     ode_error: str | None
 
 
-def _value(values: dict, oid: OlbrichtId, p: ParamPair, x: complex, tol: float) -> complex:
-    """``eval_olbricht(oid, p, x, tol)``, kept in ``values``.  Keys keep the
-    sign of a zero part of x (-x of a real sample is ...-0j).  A value that
-    raises is not kept."""
-    key = (oid, p, x, math.copysign(1.0, x.real), math.copysign(1.0, x.imag), tol)
+def _value(values: dict, evaluate: Callable[[complex, float], complex], x: complex,
+           tol: float) -> complex:
+    """``evaluate(x, tol)``, kept in ``values`` by evaluator, x, the signs of
+    x's parts (-x of a real sample is ...-0j) and tol.  A value that raises
+    is not kept."""
+    key = (evaluate, x, math.copysign(1.0, x.real), math.copysign(1.0, x.imag), tol)
     v = values.get(key)
     if v is None:
-        v = values[key] = eval_olbricht(oid, p, x, tol)
+        v = values[key] = evaluate(x, tol)
     return v
 
 
@@ -650,19 +668,19 @@ def verify_identity(oid: OlbrichtId, p: ParamPair, x_samples,
     values are kept in ``values`` (None: a dict for this call)."""
     values = {} if values is None else values
     rec = identity_record(oid)
+    lhs = _evaluator(oid, p)
+    if rec.reduction is None:
+        g, j, reflect = rec.equals
+        rhs = _evaluator(OlbrichtId(g, j, oid.root), p)
     outcomes = []
     for x in x_samples:
         x = complex(x)
         try:
-            lhs = _value(values, oid, p, x, tol)
-            if rec.reduction is not None:
-                rhs = rec.reduction(p, x, tol)
-            else:
-                g, j, reflect = rec.equals
-                target = OlbrichtId(g, j, oid.root)
-                rhs = _value(values, target, p, -x if reflect else x, tol)
-            denom = abs(lhs) + abs(rhs)
-            res = abs(lhs - rhs) / denom if denom else 0.0
+            a = _value(values, lhs, x, tol)
+            b = (rec.reduction(p, x, tol) if rec.reduction is not None
+                 else _value(values, rhs, -x if reflect else x, tol))
+            denom = abs(a) + abs(b)
+            res = abs(a - b) / denom if denom else 0.0
             outcomes.append(IdentityOutcome(x, res))
         except FerroxError as exc:
             outcomes.append(IdentityOutcome(x, math.inf, f"{type(exc).__name__}: {exc}"))
@@ -680,8 +698,8 @@ def ode_residual(oid: OlbrichtId, p: ParamPair, x: complex,
     x = complex(x)
     if min(abs(x - 1.0), abs(x + 1.0)) <= 0.01:
         raise DomainError(f"sample {x} too close to the singular points +-1")
-    return legendre_ode_residual(
-        lambda z: eval_olbricht(oid, p, z, tol=1e-14), p.nu, p.mu, x, h)
+    evaluate = _evaluator(oid, p)
+    return legendre_ode_residual(lambda z: evaluate(z, 1e-14), p.nu, p.mu, x, h)
 
 
 def verify_catalogue(p: ParamPair, ids=ALL_IDS, tol: float = DEFAULT_TOL,

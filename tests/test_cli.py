@@ -35,6 +35,9 @@ def check_schema(obj, spec, schema=SCHEMA):
             return check_schema(obj, schema[name], schema)
         if spec == "number":
             assert isinstance(obj, (int, float)) and not isinstance(obj, bool), obj
+        elif spec == "float":  # a number, or a non-finite one as cli._fmt_float writes it
+            assert obj in ("inf", "-inf", "nan") or (
+                isinstance(obj, (int, float)) and not isinstance(obj, bool)), obj
         elif spec == "integer":
             assert isinstance(obj, int) and not isinstance(obj, bool), obj
         elif spec == "string":
@@ -152,6 +155,17 @@ class TestJsonEmission:
 
     def test_nested(self):
         assert emit_json([True, None, "a\"b"]) == '[true, null, "a\\"b"]'
+
+    def test_string_escapes(self):
+        # a quote and a backslash take a backslash, each of the 32 control
+        # characters becomes \u00xx (lower-case hex), all else is kept
+        text = "".join(chr(c) for c in range(0x80)) + "é \U0001f600"
+        want = "".join('\\"' if ch == '"' else "\\\\" if ch == "\\"
+                       else f"\\u{ord(ch):04x}" if ord(ch) < 0x20 else ch for ch in text)
+        assert emit_json(text) == f'"{want}"'
+        assert emit_json({text: 1}) == f'{{"{want}": 1}}'
+        assert json.loads(emit_json(text)) == text
+        assert [emit_json(chr(c)) for c in range(0x20)] == [f'"\\u00{c:02x}"' for c in range(0x20)]
 
 
 class TestEval:
@@ -423,6 +437,8 @@ class TestOlbrichtCommand:
         code, obj = run_cli_json("olbricht", "--nu=1e308", "--mu=0.4", "--group=III",
                                  "--index=2")
         assert code == 3
+        check_schema(obj, SCHEMA["olbricht"])
+        assert obj["entries"][0]["identity_residual_max"] == "inf"
         assert obj["passed"] == 0 and obj["entries"][0]["status"] == "fail"
 
     def test_verification_failure_exit_3(self):
@@ -431,6 +447,8 @@ class TestOlbrichtCommand:
         code, obj = run_cli_json("olbricht", "--group", "I", "--index", "9",
                                  "--nu", "0.5", "--mu", "0.5")
         assert code == 3
+        check_schema(obj, SCHEMA["olbricht"])
+        assert obj["entries"][0]["identity_residual_max"] == "inf"
         assert obj["entries"][0]["status"] == "fail"
 
 

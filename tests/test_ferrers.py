@@ -14,6 +14,7 @@ from conftest import kronecker_points, rel_diff
 from ferrox import ferrers, hyp2f1, olbricht
 from ferrox.complexmath import gamma_quotient, ln_gamma, principal_pow
 from ferrox.errors import (
+    BeyondRangeError,
     BranchCutError,
     ConvergenceError,
     DomainError,
@@ -163,7 +164,7 @@ def _written_out(name, p, z, tol=DEFAULT_TOL):
         pref = principal_pow(base, 0.5 * mu)
         r = hyp2f1.f21_regularized(HypParams(-nu, nu + 1.0, 1.0 - mu), (1.0 - z) / 2.0, tol)
         value = pref * r.value
-    except (ArithmeticError, ValueError):
+    except (ArithmeticError, ValueError, BeyondRangeError):
         raise DomainError(name) from None
     if not cmath.isfinite(value):
         raise DomainError(name)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import kronecker_reals, rel_diff
 from ferrox import hyp2f1
 from ferrox.errors import (
+    BeyondRangeError,
     BranchCutError,
     ConvergenceError,
     DegenerateParameterError,
@@ -547,6 +548,15 @@ class TestBeyondDoubleRange:
         # the value is about 5.5e408; the limit used to be nan
         with pytest.raises(DomainError, match="cut limit by formula 3 at x=1.7 is beyond double"):
             f21_cut(HypParams(400.1, 400.3, 1.9), 1.7, CutSide.ABOVE)
+
+    def test_principal_value_beyond_double_range(self):
+        # formula 1's first coefficient, the gamma quotient times (-w)^(-a),
+        # is nan - inf i; f21 used to return nan with tail_estimate nan
+        p = HypParams(-400.5 - 1j, 401.5 + 1j, 1.3)
+        for _ in range(2):  # and again once the connection terms are kept
+            with pytest.raises(BeyondRangeError, match="2F1 by formula 1 at w=.* beyond double"):
+                f21(p, -1 - 2j)
+        assert issubclass(BeyondRangeError, DomainError)
 
     # e^(i pi beta) overflows (|Im beta| > 226), or pi beta does (a cmath domain error)
     @pytest.mark.parametrize("call", [

@@ -1,13 +1,24 @@
+import gc
 import math
 import pickle
+import weakref
 
 import pytest
 
 from conftest import rel_diff
 from ferrox import olbricht
-from ferrox.complexmath import RootVariant, gamma
+from ferrox.complexmath import RootVariant, gamma, root_y
 from ferrox.errors import DomainError, FerroxError, ParameterError
-from ferrox.ferrers import ParamPair, ferrers_p
+from ferrox.ferrers import (
+    DEFAULT_TOL,
+    Coefficient,
+    ParamPair,
+    _coefficient,
+    _coefficients_at,
+    _log_bases,
+    ferrers_p,
+)
+from ferrox.hyp2f1 import HypParams, f21
 from ferrox.olbricht import (
     ALL_IDS,
     OlbrichtId,
@@ -23,7 +34,46 @@ from ferrox.olbricht import (
     verify_identity,
 )
 
+from ferrox.regions import DomainId, argument, in_domain, map_value
+
 P = ParamPair(0.3, 0.4)
+
+
+def reference(oid, p, x, tol):
+    """The catalogue records read one call at a time, apart from the
+    evaluators: the domain test, a reflected entry by recursion at -x, the
+    prefactor from its powers, the argument map and f21 on a fresh
+    ``HypParams``."""
+    e = entry(oid.group, oid.index)
+    dom = olbricht._entry_domain(e, oid.root)
+    if dom == "D1-offaxis":
+        inside = in_domain(DomainId.D1, x) and x.real != 0.0
+    else:
+        inside = in_domain(DomainId(dom), x)
+    if not inside:
+        raise DomainError(f"x = {x} outside domain {dom} of entry {oid.label()}")
+    if e.reflect_of is not None:
+        return reference(OlbrichtId(e.group, e.reflect_of, oid.root), p, -x, tol)
+    y = root_y(oid.root, x) if e.roots else None
+    powers = tuple((b, a) for tag, a in e.prefactors
+                   for b in (("x+1", "x-1") if tag == "x2m1" else (tag,)))
+    bases = _log_bases(olbricht._BASES, [b for b, _ in powers], x, y)
+    try:
+        part = _coefficient(Coefficient(powers=powers), p.nu, p.mu, 1)
+        pref = _coefficients_at([part], bases)[0]
+    except (ArithmeticError, ValueError) as exc:
+        what = f"prefactor of entry {oid.label()}"
+        raise DomainError(f"{what}: beyond double range ({exc})") from None
+    w = map_value(int(e.argument[1:]), x, y) if e.roots else argument(e.argument, x)
+    hp = HypParams(*[a0 + a1 * p.nu + a2 * p.mu for a0, a1, a2 in e.hyp])
+    return pref * f21(hp, w, tol).value
+
+
+def outcome(evaluate, *args):
+    try:
+        return repr(evaluate(*args))
+    except FerroxError as exc:
+        return type(exc).__name__, str(exc)
 
 
 class TestCatalogueShape:
@@ -171,19 +221,19 @@ class TestCatalogueRun:
             assert repr((ode_max, ode_error)) == repr((max(odes), None))
 
     def test_each_value_once(self, monkeypatch):
-        seen, depth = [], [0]
+        seen, counting = [], {}
 
-        def counted(oid, p, x, tol=1e-12):
-            if not depth[0]:  # not a reflected entry's call of its base entry
+        def counted(oid, p):
+            # one counting wrapper per evaluator, as the run keeps values per evaluator
+            evaluate = compiled(oid, p)
+
+            def value(x, tol):
                 seen.append((oid, repr(x), tol))
-            depth[0] += 1
-            try:
-                return evaluate(oid, p, x, tol)
-            finally:
-                depth[0] -= 1
+                return evaluate(x, tol)
+            return counting.setdefault(evaluate, value)
 
-        evaluate = olbricht.eval_olbricht
-        monkeypatch.setattr(olbricht, "eval_olbricht", counted)
+        compiled = olbricht._evaluator
+        monkeypatch.setattr(olbricht, "_evaluator", counted)
         checks = verify_catalogue(P)
         assert all(c.identity.max_residual < 1e-8 for c in checks)
         assert len(seen) == len(set(seen))
@@ -193,11 +243,51 @@ class TestCatalogueRun:
     def test_values_keep_the_sign_of_zero(self):
         values = {}
         oid = OlbrichtId("I", 9)
-        above = olbricht._value(values, oid, P, complex(-1.9, 0.0), 1e-12)
-        below = olbricht._value(values, oid, P, complex(-1.9, -0.0), 1e-12)
+        evaluate = olbricht._evaluator(oid, P)
+        above = olbricht._value(values, evaluate, complex(-1.9, 0.0), 1e-12)
+        below = olbricht._value(values, evaluate, complex(-1.9, -0.0), 1e-12)
         assert len(values) == 2
         assert above == eval_olbricht(oid, P, complex(-1.9, 0.0))
         assert below == eval_olbricht(oid, P, complex(-1.9, -0.0))
+
+    @pytest.mark.parametrize("nu,mu", [(0.3, 0.4), (1.3 - 0.1j, -0.3 + 0.02j),
+                                       (1e308, 0.4), (-1e308, 0.4)])
+    def test_evaluators_match_the_records(self, nu, mu):
+        # every variant at its identity samples and at its ODE stencil points
+        # up to the first that raises, as a run takes them: the first point
+        # compiles its evaluator, the others reuse what it kept; at the two
+        # small pairs, again on a pair a run has used
+        p = ParamPair(nu, mu)
+        used = None if abs(nu) > 1e300 else ParamPair(nu, mu)
+        if used is not None:
+            verify_catalogue(used)
+
+        def check(oid, x, tol):
+            want = outcome(reference, oid, ParamPair(nu, mu), complex(x), tol)
+            assert outcome(eval_olbricht, oid, p, x, tol) == want, (oid, x)
+            if used is not None:
+                assert outcome(eval_olbricht, oid, used, x, tol) == want, (oid, x)
+            return isinstance(want, str)
+
+        for oid in ALL_IDS:
+            for x in default_samples(oid):
+                check(oid, x, DEFAULT_TOL)
+            for x in ode_samples(oid):
+                all(check(oid, x + k * 1e-4, 1e-14) for k in (-2, -1, 0, 1, 2))
+        assert pickle.dumps(p) == pickle.dumps(used or p) == pickle.dumps(ParamPair(nu, mu))
+
+    def test_a_dropped_pair_is_freed_at_once(self):
+        # the plan holds no reference back to its pair: a pair used in a run
+        # is freed when dropped, without waiting for the cycle collector
+        gc.disable()
+        try:
+            p = ParamPair(0.3, 0.4)
+            verify_catalogue(p, samples=1)
+            ref = weakref.ref(p)
+            del p
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_huge_degree_raises_the_error_of_a_fresh_pair(self):
         # I.9's c = -2 nu is -inf, but its prefactor power leaves double range
