@@ -17,8 +17,8 @@ regularized, sign rule and its terms: (a, b, c) and a ``Coefficient``
 phase, cos/sin factors), all affine in (nu, mu).  ``_coefficient`` takes the
 parameter part of a coefficient, here and in the catalogue of ``olbricht``,
 and ``_coefficients_at`` adds the power logs at x and exponentiates once.
-Each ``ParamPair`` keeps a plan (``_plan``) of its exclusions and, per record
-tried, its 2F1 parameters and coefficient parts.  One rule, ``_refusal``,
+Each ``ParamPair`` keeps its exclusions and, in its memo, per record tried
+its 2F1 parameters and coefficient parts.  One rule, ``_refusal``,
 decides whether a table record may be used at (p, x): ``ferrers_q`` ranks
 the records it lets through by argument modulus and tests regions only on
 the candidates it tries; ``valid_representations`` and
@@ -36,6 +36,7 @@ double range raises ``DomainError`` naming its function, a NaN argument
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -111,11 +112,15 @@ class ParamPair:
     than that the two terms of a representation cancel (its gamma and
     sin/cos factors stay accurate).  Non-finite nu or mu: ``ParameterError``.
 
-    On first use the pair keeps its plan (``_plan``): the exclusions and, for
-    each record tried, its 2F1 parameters and the parameter part of its
-    coefficients (and ``olbricht`` its catalogue plan).  The plans are not
-    fields, so ``==``, ``hash``, ``repr`` and pickles are those of (nu, mu);
-    they hold only values computed from them, so no result depends on them."""
+    On first use the pair keeps, outside its fields, ``_excluded`` (the
+    exclusions) and ``_memo``, one dict of its parameter-only work: record
+    (``_RepSpec``) -> the ``HypParams`` of its factors, one object when they
+    share (a, b, c); (record, sign g) -> the ``_coefficient`` of each term;
+    and the catalogue work of ``olbricht._evaluator``.  A value that raises
+    is not kept; threads may each build a value, and the last one set
+    stays.  ``==``, ``hash``, ``repr`` and pickles are those of (nu, mu),
+    and nothing kept refers back to the pair, so a dropped pair is freed at
+    once."""
 
     nu: complex
     mu: complex
@@ -126,8 +131,16 @@ class ParamPair:
         if not (cmath.isfinite(self.nu) and cmath.isfinite(self.mu)):
             raise ParameterError(f"nu and mu must be finite; got nu={self.nu}, mu={self.mu}")
 
+    @functools.cached_property
+    def _excluded(self) -> set[str]:
+        return _exclusions(self)
+
+    @functools.cached_property
+    def _memo(self) -> dict:
+        return {}
+
     def __getstate__(self):
-        # the plan (see ``_plan``) is rebuilt on first use, not pickled
+        # the values kept on first use are worked out again, not pickled
         return {"nu": self.nu, "mu": self.mu}
 
 
@@ -319,7 +332,7 @@ _EXCL_NAMES = {
 }
 
 
-def _exclusions(p: ParamPair | _Plan) -> set[str]:
+def _exclusions(p: ParamPair) -> set[str]:
     """The keys of ``_EXCL_NAMES`` that hold for p (see ``ParamPair``)."""
     nu, mu = p.nu, p.mu
     out = {key for key, z in (("mu_int", mu), ("two_mu_int", 2.0 * mu), ("two_nu_int", 2.0 * nu),
@@ -371,7 +384,7 @@ _X_BASES: dict[str, Callable[[complex, complex, int], complex]] = {
 }
 
 
-@dataclass(frozen=True, eq=False)   # by identity: a plan keys its entries by record
+@dataclass(frozen=True, eq=False)   # by identity: a pair's memo keys entries by record
 class _RepSpec:
     domain: str                       # "D1" | "D1+" | "half", or "D2" (one term)
     exclusions: tuple[str, ...]
@@ -522,48 +535,15 @@ def _rep_table() -> tuple[dict[RepresentationId, _RepSpec], dict[str, _RepSpec]]
 _REP_TABLE, _ONE_TERM = _rep_table()
 
 
-class _Plan:
-    """The parameter-only work of the records at one (nu, mu): ``excluded``
-    (``_exclusions``, on first read: the one-term records never read it)
-    and, filled as records are tried, ``hyps`` (record -> the ``HypParams``
-    of its two factors, one object when they share (a, b, c)) and ``parts``
-    ((record, sign g) -> the ``_coefficient`` of each term).  A part that
-    raises is not stored, so it raises again."""
-
-    __slots__ = ("nu", "mu", "_excluded", "hyps", "parts")
-
-    def __init__(self, p: ParamPair):
-        self.nu, self.mu = p.nu, p.mu
-        self._excluded = None
-        self.hyps = {}
-        self.parts = {}
-
-    @property
-    def excluded(self) -> set[str]:
-        if self._excluded is None:
-            self._excluded = _exclusions(self)
-        return self._excluded
-
-
-def _plan(p: ParamPair) -> _Plan:
-    """The plan kept on p, built on first use.  Threads that build one at
-    once each build the same values, and the last one set stays."""
-    plan = getattr(p, "_plan", None)
-    if plan is None:
-        plan = _Plan(p)
-        object.__setattr__(p, "_plan", plan)
-    return plan
-
-
-def _hyps(plan: _Plan, spec: _RepSpec) -> list[HypParams]:
-    """The ``HypParams`` of ``spec``'s factors at the plan's (nu, mu),
-    stored in the plan: one object, repeated, when they share (a, b, c)."""
-    nu, mu = plan.nu, plan.mu
+def _hyps(p: ParamPair, spec: _RepSpec) -> list[HypParams]:
+    """The ``HypParams`` of ``spec``'s factors at p, stored in p's memo:
+    one object, repeated, when they share (a, b, c)."""
+    nu, mu = p.nu, p.mu
     hyps = []
     for (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) in spec.hyps:
         hyps.append(HypParams(a0 + a1 * nu + a2 * mu, b0 + b1 * nu + b2 * mu,
                               c0 + c1 * nu + c2 * mu))
-    hyps = plan.hyps[spec] = hyps * (len(spec.terms) // len(hyps))
+    hyps = p._memo[spec] = hyps * (len(spec.terms) // len(hyps))
     return hyps
 
 
@@ -597,11 +577,11 @@ def _refusal(spec: _RepSpec, excluded: set[str], outside: dict[str, str | None],
     return None if reason is None else (DomainError, reason)
 
 
-def _check(rep: RepresentationId, plan: _Plan, x: complex, unusable: dict[int, str]) -> None:
-    """Raise ``rep``'s ``_refusal`` at (plan, x), if it has one, with the
+def _check(rep: RepresentationId, p: ParamPair, x: complex, unusable: dict[int, str]) -> None:
+    """Raise ``rep``'s ``_refusal`` at (p, x), if it has one, with the
     reason its ``valid_representations`` row gives; ``unusable`` are the maps
     taken as unusable at x."""
-    refusal = _refusal(_REP_TABLE[rep], plan.excluded, _outside(x), unusable)
+    refusal = _refusal(_REP_TABLE[rep], p._excluded, _outside(x), unusable)
     kind, reason = refusal or (None, None)
     if kind is ParameterError:
         raise ParameterError(f"{reason} excluded by representation {rep.value}")
@@ -609,7 +589,7 @@ def _check(rep: RepresentationId, plan: _Plan, x: complex, unusable: dict[int, s
         raise DomainError(f"{reason} (representation {rep.value})")
 
 
-def _rank(plan: _Plan, outside: dict[str, str | None], x: complex,
+def _rank(p: ParamPair, outside: dict[str, str | None], x: complex,
           y: complex) -> tuple[dict[int, complex], list[tuple]]:
     """(values, rows): the arguments w_j(x) of the maps usable at x, root
     y = i sqrt(1 - x^2), each computed once, and as (score, table index, rep,
@@ -619,7 +599,7 @@ def _rank(plan: _Plan, outside: dict[str, str | None], x: complex,
     records are left to ``_refusals``, and the region test to
     ``_converges``, so that ``ferrers_q`` runs it only on the candidates it
     tries."""
-    excluded = plan.excluded
+    excluded = p._excluded
     unusable = unusable_maps(x)
     values = map_values(x, y, unusable)  # a map unusable at x is left out
     # Nothing excluded, no unusable map and x^2 finite leave each record
@@ -634,7 +614,7 @@ def _rank(plan: _Plan, outside: dict[str, str | None], x: complex,
             continue
         ids = spec.argument_ids  # one map but for I7 and FourierUV
         if spec.routed:
-            hp = (plan.hyps.get(spec) or _hyps(plan, spec))[0]
+            hp = (p._memo.get(spec) or _hyps(p, spec))[0]
             score = max([route_radius(hp, values[j]) for j in ids])
         elif len(ids) == 1:
             score = abs(values[ids[0]])
@@ -644,12 +624,12 @@ def _rank(plan: _Plan, outside: dict[str, str | None], x: complex,
     return values, rows
 
 
-def _refusals(plan: _Plan, outside: dict[str, str | None], x: complex,
+def _refusals(p: ParamPair, outside: dict[str, str | None], x: complex,
               ranked: Container[int]) -> list[str | None]:
     """Per record, in table order, the reason of its ``_refusal`` at x, or
     None for the table indices in ``ranked``, the records ``_rank`` scored."""
     unusable = unusable_maps(x)
-    return [None if i in ranked else _refusal(spec, plan.excluded, outside, unusable)[1]
+    return [None if i in ranked else _refusal(spec, p._excluded, outside, unusable)[1]
             for i, spec in enumerate(_REP_TABLE.values())]
 
 
@@ -673,34 +653,34 @@ def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
     row by preference that is ok, converges at x and evaluates with a
     ``tail_estimate`` of at most ``TAIL_FACTOR * tol``."""
     x = complex(x)
-    plan, outside = _plan(p), _outside(x)
-    _, rows = _rank(plan, outside, x, 1j * cmath.sqrt(1.0 - x * x))
+    outside = _outside(x)
+    _, rows = _rank(p, outside, x, 1j * cmath.sqrt(1.0 - x * x))
     usable = {i: RepValidity(rep, True, None, _converges(spec, x, score), score)
               for score, i, rep, spec in rows}
-    reasons = _refusals(plan, outside, x, usable)
+    reasons = _refusals(p, outside, x, usable)
     return [usable[i] if reason is None else RepValidity(rep, False, reason, False, math.inf)
             for i, (rep, reason) in enumerate(zip(_REP_TABLE, reasons))]
 
 
-def _interpret(spec: _RepSpec, plan: _Plan, x: complex, s: complex, tol: float,
+def _interpret(spec: _RepSpec, p: ParamPair, x: complex, s: complex, tol: float,
                side: CutSide | None, ws: list[complex] | None = None) -> SeriesResult:
     """The one interpreter of the records: the argument of each 2F1 factor
     (``ws``, or from the record's maps with root y = i s), then the
     coefficient of each term with the record's sign at x (their parameter
-    parts from the plan), then each factor by ``f21`` (``f21_regularized``
+    parts from p's memo), then each factor by ``f21`` (``f21_regularized``
     for a regularized record), or by its limit ``f21_cut`` on the cut from
     ``side``."""
     g = spec.sign.at(x)
     if ws is None:
         ws = [map_value(j, x, 1j * s) for j in spec.argument_ids]
     bases = _log_bases(_X_BASES, spec.bases, x, s, g)
-    parts = plan.parts.get((spec, g))
+    memo = p._memo
+    parts = memo.get((spec, g))
     if parts is None:
-        parts = plan.parts[spec, g] = [_coefficient(term.coef, plan.nu, plan.mu, g)
-                                       for term in spec.terms]
+        parts = memo[spec, g] = [_coefficient(term.coef, p.nu, p.mu, g) for term in spec.terms]
     coefs = _coefficients_at(parts, bases)
     out = []
-    hyps = plan.hyps.get(spec) or _hyps(plan, spec)
+    hyps = memo.get(spec) or _hyps(p, spec)
     for coef, hp, w in zip(coefs, hyps, ws * (len(coefs) // len(ws))):  # one map: every factor
         if side is not None:
             r = f21_cut(hp, w.real, side, tol)
@@ -712,12 +692,12 @@ def _interpret(spec: _RepSpec, plan: _Plan, x: complex, s: complex, tol: float,
     return combine(out)
 
 
-def _run(rep: RepresentationId, plan: _Plan, x: complex, s: complex, tol: float,
+def _run(rep: RepresentationId, p: ParamPair, x: complex, s: complex, tol: float,
          side: CutSide | None = None, ws: list[complex] | None = None) -> EvalOutcome:
     """``rep`` at x, s = sqrt(1 - x^2), by ``_interpret`` under ``_guarded``;
     ``ws`` are the arguments of its factors, if already computed."""
-    r = _guarded(f"representation {rep.value}", _interpret, _REP_TABLE[rep], plan, x, s,
-                 tol, side, ws)
+    r = _guarded(f"representation {rep.value}", _interpret, _REP_TABLE[rep], p, x, s, tol,
+                 side, ws)
     return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
 
 
@@ -738,9 +718,8 @@ def ferrers_q_rep(rep: RepresentationId, p: ParamPair, x: complex,
     ``compare`` table keeps them; the caller weighs the tail.
     """
     x = complex(x)
-    plan = _plan(p)
-    _check(rep, plan, x, unusable_maps(x))
-    return _run(rep, plan, x, cmath.sqrt(1.0 - x * x), tol)
+    _check(rep, p, x, unusable_maps(x))
+    return _run(rep, p, x, cmath.sqrt(1.0 - x * x), tol)
 
 
 def ferrers_q_rep_trig(rep: RepresentationId, p: ParamPair, theta: float,
@@ -756,9 +735,8 @@ def ferrers_q_rep_trig(rep: RepresentationId, p: ParamPair, theta: float,
     if _REP_TABLE[rep].sign not in (_Sign.UPPER, _Sign.LOWER):
         raise ValueError(f"{rep.value} has no trigonometric form")
     x = complex(math.cos(theta))
-    plan = _plan(p)
-    _check(rep, plan, x, unusable_maps(x))
-    return _run(rep, plan, x, complex(math.sin(theta)), tol)
+    _check(rep, p, x, unusable_maps(x))
+    return _run(rep, p, x, complex(math.sin(theta)), tol)
 
 
 def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
@@ -782,11 +760,10 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     if outside["x^2"] is not None:
         raise DomainError(outside["x^2"])
     s = cmath.sqrt(1.0 - x * x)
-    plan = _plan(p)
-    if "numu_neg" in plan.excluded:
+    if "numu_neg" in p._excluded:
         raise ParameterError(
             f"Ferrers Q undefined for nu + mu = {p.nu + p.mu} in -N")
-    values, rows = _rank(plan, outside, x, 1j * s)
+    values, rows = _rank(p, outside, x, 1j * s)
     diverging, failed = set(), {}
     # Rows sort by (score, table index), so ties keep table order, and
     # dropping the rows whose series diverges keeps the order of the rest:
@@ -797,14 +774,14 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
             diverging.add(rep)
             continue
         try:
-            out = _run(rep, plan, x, s, tol, ws=[values[j] for j in spec.argument_ids])
+            out = _run(rep, p, x, s, tol, ws=[values[j] for j in spec.argument_ids])
         except FerroxError as exc:
             failed[rep.value] = str(exc)
             continue
         if out.tail_estimate <= TAIL_FACTOR * tol:
             return out
         failed[rep.value] = f"tail estimate {out.tail_estimate:.3g} exceeds {TAIL_FACTOR:g} * tol"
-    refused = _refusals(plan, outside, x, {i for _, i, _, _ in rows})
+    refused = _refusals(p, outside, x, {i for _, i, _, _ in rows})
     reasons = {rep.value: reason or "series argument has modulus >= 1 at x"
                for rep, reason in zip(_REP_TABLE, refused)
                if reason is not None or rep in diverging}
@@ -855,8 +832,7 @@ def ferrers_q_halfplane_cut(rep: RepresentationId, p: ParamPair, x: float,
     # there only excluded parameters refuse the record (its map is checked
     # on the axis).
     x_eval = complex(x, approach * 5e-324)
-    plan = _plan(p)
-    _check(rep, plan, x_eval, {})
+    _check(rep, p, x_eval, {})
     j = spec.argument_ids[0]
     w_on_axis = argument(j, x)
     if not (w_on_axis.imag == 0.0 and w_on_axis.real > 1.0):
@@ -864,7 +840,7 @@ def ferrers_q_halfplane_cut(rep: RepresentationId, p: ParamPair, x: float,
             f"argument w_{j}({x}) = {w_on_axis} is not on the cut (1, inf)")
     w_probe = argument(j, complex(x, approach * 1e-8))
     side = CutSide.ABOVE if w_probe.imag > 0 else CutSide.BELOW
-    return _run(rep, plan, x_eval, cmath.sqrt(1.0 - x_eval * x_eval), tol, side)
+    return _run(rep, p, x_eval, cmath.sqrt(1.0 - x_eval * x_eval), tol, side)
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +857,7 @@ def _one_term(name: str, p: ParamPair, z: complex, tol: float) -> EvalOutcome:
     z = complex(z)
     if not in_domain(DomainId(spec.domain), z):
         raise DomainError(f"{name}: z not in {spec.domain}: {z}")
-    r = _guarded(name, _interpret, spec, _plan(p), z, cmath.sqrt(1.0 - z * z), tol, None)
+    r = _guarded(name, _interpret, spec, p, z, cmath.sqrt(1.0 - z * z), tol, None)
     if r.tail_estimate > TAIL_FACTOR * tol:
         raise ConvergenceError(
             f"{name}: tail estimate {r.tail_estimate:.3g} exceeds {TAIL_FACTOR:g} * tol")
@@ -914,7 +890,7 @@ def legendre_q(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcom
     z = complex(z)
     if not in_domain(DomainId.D2, z):
         raise DomainError(f"legendre_q: z not in D2: {z}")
-    if "numu_neg" in _plan(p).excluded:
+    if "numu_neg" in p._excluded:
         raise ParameterError(f"legendre_q undefined for nu + mu = {p.nu + p.mu} in -N")
     bold = legendre_q_bold(p, z, tol)
     return _guarded("legendre_q", lambda: EvalOutcome(
@@ -937,7 +913,7 @@ def connection_residuals(p: ParamPair, x: complex,
     if not in_domain(DomainId.D1, x):
         raise DomainError(f"x not in D1: {x}")
     nu, mu = p.nu, p.mu
-    excluded = _plan(p).excluded
+    excluded = p._excluded
     out: list[tuple[str, float]] = []
     lhs = ferrers_q(p, x, tol).value
 
@@ -976,7 +952,7 @@ def connection_residuals(p: ParamPair, x: complex,
 
     if q_val is not None and "nu_half_int" not in excluded and not near_int(mu - nu):
         refl = ParamPair(-nu - 1.0, mu)
-        if "numu_neg" not in _plan(refl).excluded:
+        if "numu_neg" not in refl._excluded:
             q2_val = legendre_q(refl, x, tol).value
             t = sinpi(mu - nu) / (2.0 * cospi(nu))
             if upper:

@@ -224,6 +224,8 @@ def _series(p: HypParams, w: complex, aw: float, tol: float) -> SeriesResult:
     source = (chain(kept, repeat(None, MAX_TERMS - len(kept))) if kept
               else repeat(None, MAX_TERMS))
     try:
+        if not cmath.isfinite(a * b):  # the first term ratio is beyond double range
+            raise OverflowError
         for r in source:
             if r is None:
                 r = (a + n) * (b + n) / ((c + n) * (n + 1.0))
@@ -239,6 +241,8 @@ def _series(p: HypParams, w: complex, aw: float, tol: float) -> SeriesResult:
                 if small and prev_small:
                     break
                 prev_small = small
+            elif aterm != aterm:  # a NaN term (inf * 0, inf - inf): no sum to reach
+                break
             else:
                 prev_small = False
             n += 1.0
@@ -246,7 +250,7 @@ def _series(p: HypParams, w: complex, aw: float, tol: float) -> SeriesResult:
             raise ConvergenceError(
                 f"2F1 series did not reach tol={tol:g} within {MAX_TERMS} terms at w={w}")
         finite = cmath.isfinite(total)
-    except OverflowError:  # |term| or |total| beyond double range
+    except OverflowError:  # a * b, |term| or |total| beyond double range
         finite = False
     if not finite:
         raise ConvergenceError(f"2F1 series terms overflow at w={w}")

@@ -15,7 +15,7 @@ another entry (Euler/Pfaff transformations, parity).  The reductions are records
 affine degree and order, a coefficient record for the gamma, power and phase
 factors, reflected terms), read by one interpreter.
 
-A ``ParamPair`` keeps its catalogue plan (``_plan``): per variant an
+A ``ParamPair`` keeps in its memo (see ``ParamPair``) per variant an
 evaluator, compiled once with its reflections resolved, its domain test,
 prefactor part, argument map and ``HypParams``, per reduction its target
 pairs and scale part, so an evaluation at x does only x-dependent work;
@@ -129,17 +129,6 @@ _BASES: dict[str, Callable[[complex, complex | None], complex]] = {
 #: The tags that stand for a product of powers with one exponent:
 #: (x^2 - 1)^a is (x + 1)^a (x - 1)^a.
 _PRODUCTS = {"x2m1": ("x+1", "x-1")}
-
-
-def _plan(p: ParamPair) -> dict:
-    """The catalogue plan kept on p like ``ferrers._plan``, filled on first
-    use: ``OlbrichtId`` -> its evaluator; (group, index) -> a list holding
-    the entry's ``HypParams`` once formed; ``Reduction`` -> its target pair
-    and monodromy pair (nu, -mu) or None; ``Coefficient`` -> a reduction
-    scale's part.  Each value is formed where it was formed uncached, and one
-    that raises is not kept, so the errors raised are those of a fresh pair.
-    Nothing in the plan refers back to p, so p is freed when it is dropped."""
-    return vars(p).setdefault("_catalogue", {})  # not a field: see ParamPair
 
 
 def _scaled(part, coef: Coefficient, nu: complex, mu: complex, bases, what: str):
@@ -371,13 +360,16 @@ def _entry_domain(e: CatalogueEntry, root: RootVariant | None) -> str:
 
 def _evaluator(oid: OlbrichtId, p: ParamPair) -> Callable[[complex, float], complex]:
     """The evaluator of variant oid at p, compiled on first use and kept in
-    p's plan: a function of complex x and tol that tests x against the
+    p's memo: a function of complex x and tol that tests x against the
     variant's domain and evaluates the entry its reflections lead to at +-x,
-    prefactor powers times the hypergeometric factor.  The prefactor's
-    ``ferrers._coefficient`` part and the ``HypParams`` (shared by the
-    entry's root variants) are formed on first use, where an uncached
-    evaluation forms them."""
-    kept = _plan(p)
+    prefactor powers times the hypergeometric factor.  The memo keys are
+    ``OlbrichtId`` (the evaluator), (group, index) (a list holding the
+    entry's ``HypParams``, shared by its root variants), ``Reduction`` (its
+    target pair and monodromy pair (nu, -mu) or None) and ``Coefficient``
+    (a reduction scale's part).  The prefactor's ``ferrers._coefficient``
+    part and the ``HypParams`` are formed on first use, where an uncached
+    evaluation forms them, so the errors raised are those of a fresh pair."""
+    kept = p._memo
     evaluate = kept.get(oid)
     if evaluate is not None:
         return evaluate
@@ -417,7 +409,7 @@ def eval_olbricht(oid: OlbrichtId, p: ParamPair, x: complex,
                   tol: float = DEFAULT_TOL) -> complex:
     """Evaluate one catalogue entry: prefactor powers times the
     hypergeometric factor, with the stated branch conventions, by its
-    evaluator kept in p's catalogue plan."""
+    evaluator kept in p's memo."""
     return _evaluator(oid, p)(complex(x), tol)
 
 
@@ -452,7 +444,7 @@ class Reduction:
 
     def __call__(self, p: ParamPair, x: complex, tol: float) -> complex:
         nu, mu = p.nu, p.mu
-        kept = _plan(p)
+        kept = p._memo
         q, mono = kept.get(self) or kept.setdefault(self, (
             ParamPair(_aff(self.degree, nu, mu), _aff(self.order, nu, mu)),
             None if self.monodromy is None else ParamPair(nu, -mu)))

@@ -776,15 +776,15 @@ class TestRefusal:
     @pytest.mark.parametrize("nu,mu", PARAMS)
     def test_ranked_rows_are_those_not_refused(self, nu, mu):
         # _rank scores exactly the records _refusal lets through
-        plan = ferrers._plan(ParamPair(nu, mu))
+        p = ParamPair(nu, mu)
         for x in self.POINTS:
             x = complex(x)
             outside = ferrers._outside(x)
-            _, rows = ferrers._rank(plan, outside, x, 1j * cmath.sqrt(1.0 - x * x))
+            _, rows = ferrers._rank(p, outside, x, 1j * cmath.sqrt(1.0 - x * x))
             ranked = {rep for _, _, rep, _ in rows}
             unusable = unusable_maps(x)
             for rep, spec in ferrers._REP_TABLE.items():
-                refusal = ferrers._refusal(spec, plan.excluded, outside, unusable)
+                refusal = ferrers._refusal(spec, p._excluded, outside, unusable)
                 assert (refusal is None) == (rep in ranked), (x, rep)
 
     @pytest.mark.parametrize("nu,mu", PARAMS)
@@ -918,9 +918,9 @@ class TestThreadSafety:
             assert got == [[w] * 3 for w in want]
 
     def test_shared_unplanned_pairs(self):
-        # Four threads share pairs that no call has planned yet and sweep x
+        # Four threads share pairs that no call has used yet and sweep x
         # over the real axis and both half-planes in different orders, so
-        # they build and fill the same plans at once; each must see exactly
+        # they build and fill the same memos at once; each must see exactly
         # the single-threaded results of a fresh pair per call.
         pairs = [(0.3, 0.4), (1.7 - 0.2j, -0.6), (2.5, 1.0), (0.6 + 0.1j, -2.3)]
         xs = [complex(re, im) for re in (-0.7, -0.2, 0.4, 0.8) for im in (-0.5, 0.0, 0.3)]
@@ -980,8 +980,9 @@ PLAN_REPS = (R.I1, R.I5, R.II2, R.I7, R.III1_UPPER, R.FOURIER_UV)
 
 
 class TestPlan:
-    """The plan a ``ParamPair`` keeps (``ferrers._plan``) changes no result:
-    one pair reused for every call gives what a fresh pair per call gives."""
+    """The memo a ``ParamPair`` keeps (``ParamPair._memo``) changes no
+    result: one pair reused for every call gives what a fresh pair per call
+    gives."""
 
     @staticmethod
     def calls():
@@ -1006,29 +1007,30 @@ class TestPlan:
         calls = self.calls()
         cold = [_outcome(call, ParamPair(nu, mu)) for call in calls]
         p = ParamPair(nu, mu)
-        # the first pass fills the plan as x moves; the second is all warm
+        # the first pass fills the memo as x moves; the second is all warm
         warm = [_outcome(call, p) for call in calls]
         again = [_outcome(call, p) for call in reversed(calls)][::-1]
         assert warm == cold
         assert again == cold
-        assert ferrers._plan(p).parts and ferrers._plan(p).hyps
+        # records -> HypParams, (record, sign) -> coefficient parts
+        assert {type(key) for key in p._memo} == {ferrers._RepSpec, tuple}
 
     def test_shared_factor_is_one_object(self):
         p, x = ParamPair(0.3, 0.4), 0.2 + 0.3j
         rows = {v.rep: v for v in valid_representations(p, x)}
-        plan = ferrers._plan(p)
-        fourier = plan.hyps[ferrers._REP_TABLE[R.FOURIER_UV]]
+        memo = p._memo
+        fourier = memo[ferrers._REP_TABLE[R.FOURIER_UV]]
         # FourierUV was scored with its factor's route radius
         assert rows[R.FOURIER_UV].preference == hyp2f1.route_radius(
             fourier[0], argument(18, x))
         ferrers_q_rep(R.FOURIER_UV, p, x)
         ferrers_q_rep(R.I7, p, x)
         ferrers_q_rep(R.I1, p, x)
-        assert plan.hyps[ferrers._REP_TABLE[R.FOURIER_UV]] is fourier
+        assert memo[ferrers._REP_TABLE[R.FOURIER_UV]] is fourier
         assert fourier[0] is fourier[1]
-        i7 = plan.hyps[ferrers._REP_TABLE[R.I7]]
+        i7 = memo[ferrers._REP_TABLE[R.I7]]
         assert i7[0] is i7[1]
-        i1 = plan.hyps[ferrers._REP_TABLE[R.I1]]
+        i1 = memo[ferrers._REP_TABLE[R.I1]]
         assert i1[0] != i1[1]
 
     def test_errors_are_not_stored(self):
@@ -1037,8 +1039,8 @@ class TestPlan:
         for _ in range(2):
             with pytest.raises(ParameterError, match="gamma quotient beyond double range"):
                 ferrers_q_rep(R.FOURIER_UV, p, 0.3)
-        assert ferrers._REP_TABLE[R.FOURIER_UV] not in {
-            spec for spec, _ in ferrers._plan(p).parts}
+        fourier = ferrers._REP_TABLE[R.FOURIER_UV]
+        assert not any(isinstance(key, tuple) and key[0] is fourier for key in p._memo)
         assert ferrers_q_rep(R.I1, p, 0.3) == ferrers_q_rep(R.I1, ParamPair(300.3, 0.4), 0.3)
 
     def test_pair_keeps_equality_hash_repr_and_pickle(self):
@@ -1046,10 +1048,10 @@ class TestPlan:
         before = hash(p), repr(p)
         ferrers_q(p, 0.5)
         valid_representations(p, 0.3j)
-        assert ferrers._plan(p) is ferrers._plan(p)
+        assert p._memo is p._memo and p._memo
         assert p == fresh
         assert (hash(p), repr(p)) == before == (hash(fresh), repr(fresh))
-        # the plan is not pickled: the bytes are those of an unused pair
+        # the memo is not pickled: the bytes are those of an unused pair
         assert pickle.dumps(p) == pickle.dumps(fresh)
         q = pickle.loads(pickle.dumps(p))
         assert q == p and hash(q) == hash(p) and repr(q) == repr(p)

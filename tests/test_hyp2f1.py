@@ -544,6 +544,15 @@ class TestBeyondDoubleRange:
         with pytest.raises(ConvergenceError, match="2F1 series terms overflow"):
             f21(HypParams(400.1, 400.3, 1.9), 1.7 + 1e-9j)
 
+    # a * b is beyond double range, or a term becomes nan (inf * 0, inf -
+    # inf): the sum cannot converge, which the series reports at once
+    # rather than after its whole term budget ("did not reach tol")
+    @pytest.mark.parametrize("abc", [(1e308, 1e308, 1.5), (1e308, 0.9, 1.8),
+                                     (0.1, 1e308, 1e308)])
+    def test_series_that_cannot_converge(self, abc):
+        with pytest.raises(ConvergenceError, match="terms overflow"):
+            f21_series(HypParams(*abc), 0.5)
+
     def test_cut_limit_beyond_double_range(self):
         # the value is about 5.5e408; the limit used to be nan
         with pytest.raises(DomainError, match="cut limit by formula 3 at x=1.7 is beyond double"):

@@ -13,10 +13,13 @@ from ferrox.ferrers import (
     DEFAULT_TOL,
     Coefficient,
     ParamPair,
+    _RepSpec,
     _coefficient,
     _coefficients_at,
     _log_bases,
     ferrers_p,
+    ferrers_q,
+    legendre_q,
 )
 from ferrox.hyp2f1 import HypParams, f21
 from ferrox.olbricht import (
@@ -206,8 +209,8 @@ class TestOde:
 
 
 class TestCatalogueRun:
-    """``verify_catalogue`` keeps each pair's parameter work in its catalogue
-    plan and evaluates each entry value once per run; neither changes a
+    """``verify_catalogue`` keeps each pair's parameter work in its memo
+    and evaluates each entry value once per run; neither changes a
     result."""
 
     @pytest.mark.parametrize("nu,mu", [(0.3, 0.4), (1.3 - 0.1j, -0.3 + 0.02j)])
@@ -277,21 +280,28 @@ class TestCatalogueRun:
         assert pickle.dumps(p) == pickle.dumps(used or p) == pickle.dumps(ParamPair(nu, mu))
 
     def test_a_dropped_pair_is_freed_at_once(self):
-        # the plan holds no reference back to its pair: a pair used in a run
-        # is freed when dropped, without waiting for the cycle collector
+        # the memo holds no reference back to its pair: a pair used in a
+        # run, or by ferrers and a run, which fill one memo, is freed when
+        # dropped, without waiting for the cycle collector
+        def ferrers_and_run(p):
+            ferrers_q(p, 0.5), ferrers_p(p, 0.5), legendre_q(p, 1.5 + 0.2j)
+            verify_catalogue(p, samples=1)
+            assert {type(key) for key in p._memo} >= {_RepSpec, OlbrichtId}
+
         gc.disable()
         try:
-            p = ParamPair(0.3, 0.4)
-            verify_catalogue(p, samples=1)
-            ref = weakref.ref(p)
-            del p
-            assert ref() is None
+            for use in (lambda p: verify_catalogue(p, samples=1), ferrers_and_run):
+                p = ParamPair(0.3, 0.4)
+                use(p)
+                ref = weakref.ref(p)
+                del p
+                assert ref() is None
         finally:
             gc.enable()
 
     def test_huge_degree_raises_the_error_of_a_fresh_pair(self):
         # I.9's c = -2 nu is -inf, but its prefactor power leaves double range
-        # first; the plan forms the HypParams after the prefactor, so that is
+        # first; the memo forms the HypParams after the prefactor, so that is
         # the error raised, on a fresh pair and on a used one
         p = ParamPair(1e308, 0.4)
         message = "prefactor of entry I.9: beyond double range (math range error)"
@@ -301,6 +311,16 @@ class TestCatalogueRun:
             assert str(info.value) == message
         report = verify_catalogue(p, [OlbrichtId("I", 9)], samples=1)[0].identity
         assert report.outcomes[0].error == f"DomainError: {message}"
+
+    @pytest.mark.parametrize("nu,mu", [(1e308, 0.4), (-1e308, 0.4), (0.3, 1e308)])
+    def test_series_that_cannot_converge_are_refused_at_once(self, nu, mu):
+        # at a huge pair many entry series overflow in their first terms; each
+        # is refused as such, none runs its whole term budget first
+        checks = verify_catalogue(ParamPair(nu, mu))
+        errors = [o.error for c in checks for o in c.identity.outcomes if o.error]
+        errors += [c.ode_error for c in checks if c.ode_error]
+        assert any("2F1 series terms overflow" in e for e in errors)
+        assert not any("did not reach tol" in e for e in errors)
 
     def test_cmath_domain_error_is_reported(self):
         # e^(i pi nu) at nu = 1e308 is a cmath domain error (ValueError), not
@@ -322,10 +342,10 @@ class TestCatalogueRun:
         p, fresh = ParamPair(0.3, 0.4), ParamPair(0.3, 0.4)
         before = hash(p), repr(p)
         verify_catalogue(p)
-        assert olbricht._plan(p) is olbricht._plan(p) and olbricht._plan(p)
+        assert p._memo is p._memo and OlbrichtId("I", 1) in p._memo
         assert p == fresh
         assert (hash(p), repr(p)) == before == (hash(fresh), repr(fresh))
-        # the plans are not pickled: the bytes are those of an unused pair
+        # the memo is not pickled: the bytes are those of an unused pair
         assert pickle.dumps(p) == pickle.dumps(fresh)
         q = pickle.loads(pickle.dumps(p))
         oid = OlbrichtId("III", 7, RootVariant.Y1)
