@@ -25,7 +25,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import FerroxError
 from .ferrers import (
@@ -209,22 +209,20 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
-    nx: int
-    ny: int
+class GridSpec(namedtuple("GridSpec", "re_min re_max im_min im_max nx ny")):
+    """A region grid: float bounds and int node counts, checked on
+    construction."""
 
-    def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
+    __slots__ = ()
+
+    def __new__(cls, re_min: float, re_max: float, im_min: float, im_max: float,
+                nx: int, ny: int):
+        self = super().__new__(cls, re_min, re_max, im_min, im_max, nx, ny)
+        if nx < 2 or ny < 2:
             raise _CliError("grid needs nx, ny >= 2", EXIT_USAGE)
-        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
-        if not all(map(math.isfinite, bounds)):
+        if not all(map(math.isfinite, (re_min, re_max, im_min, im_max))):
             raise _CliError("grid bounds must be finite numbers", EXIT_USAGE)
-        if not (self.re_min < self.re_max and self.im_min < self.im_max):
+        if not (re_min < re_max and im_min < im_max):
             raise _CliError("grid needs re_min < re_max and im_min < im_max",
                             EXIT_USAGE)
         # The nodes run monotonically from the bounds, so the last ones are
@@ -233,6 +231,7 @@ class GridSpec:
         if not (math.isfinite(res[-1]) and math.isfinite(ims[-1])):
             raise _CliError("grid nodes beyond double range: re_max - re_min or "
                             "im_max - im_min is too large", EXIT_USAGE)
+        return self
 
     def axes(self) -> tuple[list[float], list[float]]:
         """The real parts of the grid's columns, left to right, and the

@@ -36,9 +36,7 @@ double range raises ``DomainError`` naming its function, a NaN argument
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Container, NamedTuple
 
@@ -65,6 +63,7 @@ from .hyp2f1 import (
     TAIL_FACTOR,
     THETA_CUT,
     SeriesResult,
+    _Record,
     combine,
     f21,
     f21_cut,
@@ -103,8 +102,7 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class ParamPair:
+class ParamPair(_Record):
     """Degree nu and order mu.  The representation table excludes the
     parameter sets named in ``_EXCL_NAMES``, which ``_exclusions`` decides
     by one near-integer test each of mu, 2 mu, 2 nu, nu + 1/2 and nu + mu:
@@ -112,36 +110,29 @@ class ParamPair:
     than that the two terms of a representation cancel (its gamma and
     sin/cos factors stay accurate).  Non-finite nu or mu: ``ParameterError``.
 
-    On first use the pair keeps, outside its fields, ``_excluded`` (the
-    exclusions) and ``_memo``, one dict of its parameter-only work: record
+    Outside its fields (see ``hyp2f1._Record``) the pair keeps ``_memo``,
+    one dict of its parameter-only work, made with the pair: record
     (``_RepSpec``) -> the ``HypParams`` of its factors, one object when they
     share (a, b, c); (record, sign g) -> the ``_coefficient`` of each term;
-    and the catalogue work of ``olbricht._evaluator``.  A value that raises
-    is not kept; threads may each build a value, and the last one set
-    stays.  ``==``, ``hash``, ``repr`` and pickles are those of (nu, mu),
-    and nothing kept refers back to the pair, so a dropped pair is freed at
+    and the catalogue work of ``olbricht._evaluator``.  ``_excluded``, the
+    exclusions, is worked out on first read.  A value that raises is not
+    kept; threads may each build a value, and the last one set stays.
+    Nothing kept refers back to the pair, so a dropped pair is freed at
     once."""
 
-    nu: complex
-    mu: complex
+    _fields = ("nu", "mu")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nu", complex(self.nu))
-        object.__setattr__(self, "mu", complex(self.mu))
-        if not (cmath.isfinite(self.nu) and cmath.isfinite(self.mu)):
-            raise ParameterError(f"nu and mu must be finite; got nu={self.nu}, mu={self.mu}")
+    def __init__(self, nu: complex, mu: complex):
+        nu, mu = complex(nu), complex(mu)
+        if not (cmath.isfinite(nu) and cmath.isfinite(mu)):
+            raise ParameterError(f"nu and mu must be finite; got nu={nu}, mu={mu}")
+        vars(self).update(nu=nu, mu=mu, _memo={})
 
-    @functools.cached_property
-    def _excluded(self) -> set[str]:
-        return _exclusions(self)
-
-    @functools.cached_property
-    def _memo(self) -> dict:
-        return {}
-
-    def __getstate__(self):
-        # the values kept on first use are worked out again, not pickled
-        return {"nu": self.nu, "mu": self.mu}
+    def __getattr__(self, name):  # only names that normal lookup misses
+        if name != "_excluded":
+            raise AttributeError(f"'ParamPair' object has no attribute {name!r}")
+        excluded = vars(self)["_excluded"] = _exclusions(self)
+        return excluded
 
 
 class RepresentationId(Enum):
@@ -167,16 +158,14 @@ class RepresentationId(Enum):
     FOURIER_UV = "FourierUV"
 
 
-@dataclass(frozen=True)
-class EvalOutcome:
+class EvalOutcome(NamedTuple):
     value: complex
     rep: RepresentationId | None
     terms_used: int
     tail_estimate: float
 
 
-@dataclass(frozen=True)
-class RepValidity:
+class RepValidity(NamedTuple):
     """Validity of one representation at a point.
 
     ``ok`` means the identity holds there (domain of x and parameter
@@ -384,32 +373,31 @@ _X_BASES: dict[str, Callable[[complex, complex, int], complex]] = {
 }
 
 
-@dataclass(frozen=True, eq=False)   # by identity: a pair's memo keys entries by record
 class _RepSpec:
-    domain: str                       # "D1" | "D1+" | "half", or "D2" (one term)
-    exclusions: tuple[str, ...]
-    #: the argument map of every 2F1 factor, or of each factor in turn
-    argument_ids: tuple[int, ...]
-    #: two terms (Ferrers Q), or one (the first-kind and cut-plane functions)
-    terms: tuple[_Term, ...]
-    sign: _Sign = _Sign.NONE
-    #: the factors are 2F1(a, b; c; w) / Gamma(c)
-    regularized: bool = False
-    #: f21 moves the factors, which share (a, b, c), to a smaller argument
-    #: first, so the route radius, not |w|, decides convergence and preference
-    routed: bool = False
-    #: the distinct power bases of the terms
-    bases: tuple[str, ...] = field(init=False)
-    #: the distinct (a, b, c) of the factors: one when they share it
-    hyps: tuple[tuple[Affine, Affine, Affine], ...] = field(init=False)
-    #: the closed-form test of |w_j| < 1 of each argument map
-    region_tests: tuple[Callable[[complex], bool], ...] = field(init=False)
+    """One record; hashed by identity, since a pair's memo keys entries by
+    record.  ``domain``: "D1" | "D1+" | "half", or "D2" (one term);
+    ``argument_ids``: the argument map of every 2F1 factor, or of each
+    factor in turn; ``terms``: two (Ferrers Q), or one (the first-kind and
+    cut-plane functions); ``regularized``: the factors are 2F1(a, b; c; w) /
+    Gamma(c); ``routed``: f21 moves the factors, which share (a, b, c), to a
+    smaller argument first, so the route radius, not |w|, decides
+    convergence and preference.  Derived: ``bases``, the distinct power
+    bases of the terms; ``hyps``, the distinct (a, b, c) of the factors (one
+    when they share it); ``region_tests``, the closed-form test of |w_j| < 1
+    of each argument map."""
 
-    def __post_init__(self):
-        tags = dict.fromkeys(tag for t in self.terms for tag, _ in t.coef.powers)
-        object.__setattr__(self, "bases", tuple(tags))
-        object.__setattr__(self, "hyps", tuple(dict.fromkeys(t.hyp for t in self.terms)))
-        object.__setattr__(self, "region_tests", tuple(map(region_test, self.argument_ids)))
+    __slots__ = ("domain", "exclusions", "argument_ids", "terms", "sign", "regularized",
+                 "routed", "bases", "hyps", "region_tests")
+
+    def __init__(self, domain: str, exclusions: tuple[str, ...], argument_ids: tuple[int, ...],
+                 terms: tuple[_Term, ...], sign: _Sign = _Sign.NONE, regularized: bool = False,
+                 routed: bool = False):
+        self.domain, self.exclusions, self.argument_ids, self.terms = (
+            domain, exclusions, argument_ids, terms)
+        self.sign, self.regularized, self.routed = sign, regularized, routed
+        self.bases = tuple(dict.fromkeys(tag for t in terms for tag, _ in t.coef.powers))
+        self.hyps = tuple(dict.fromkeys(t.hyp for t in terms))
+        self.region_tests = tuple(map(region_test, argument_ids))
 
 
 def _rep_table() -> tuple[dict[RepresentationId, _RepSpec], dict[str, _RepSpec]]:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
+from typing import NamedTuple
 
 from .complexmath import gamma_quotient, near_int, principal_pow
 from .errors import DomainError, ParameterError
@@ -40,23 +41,19 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class FourierTermStream:
-    """Parameters of one expansion: degree nu, order mu, angle theta."""
+class FourierTermStream(namedtuple("FourierTermStream", "nu mu theta")):
+    """Parameters of one expansion: complex degree nu and order mu, float
+    angle theta; checked on construction."""
 
-    nu: complex
-    mu: complex
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "nu", complex(self.nu))
-        object.__setattr__(self, "mu", complex(self.mu))
-        object.__setattr__(self, "theta", float(self.theta))
-        if not 0.0 < self.theta < math.pi:
-            raise DomainError(f"theta must lie in (0, pi); got {self.theta}")
-        if near_int(self.nu + self.mu) and round((self.nu + self.mu).real) <= -1:
-            raise ParameterError(
-                f"expansion undefined for nu + mu = {self.nu + self.mu} in -N")
+    def __new__(cls, nu: complex, mu: complex, theta: float):
+        nu, mu, theta = complex(nu), complex(mu), float(theta)
+        if not 0.0 < theta < math.pi:
+            raise DomainError(f"theta must lie in (0, pi); got {theta}")
+        if near_int(nu + mu) and round((nu + mu).real) <= -1:
+            raise ParameterError(f"expansion undefined for nu + mu = {nu + mu} in -N")
+        return super().__new__(cls, nu, mu, theta)
 
 
 class ConvergenceClass(Enum):
@@ -66,8 +63,7 @@ class ConvergenceClass(Enum):
     UNCLASSIFIED = "Unclassified"
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     kind: ConvergenceClass
     #: True when theta = pi/2 exempts the series from the non-absolute /
     #: divergence statements that hold elsewhere.
@@ -135,8 +131,7 @@ def convergence_class(mu: complex, theta: float) -> ConvergenceReport:
     return ConvergenceReport(ConvergenceClass.DIVERGENT)
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Empirical witnesses for the two trigonometric-sum facts behind the
     trichotomy."""
 

@@ -28,10 +28,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .complexmath import (
     NEAR_INT_TOL,
@@ -92,26 +91,55 @@ class CutSide(Enum):
     BELOW = "below"
 
 
-@dataclass(frozen=True, init=False)
-class HypParams:
+class _Record:
+    """Base of the records that keep work on their fields beside them, in
+    the instance dict (``HypParams``, ``ferrers.ParamPair``): ``==``,
+    ``hash``, ``repr`` and pickles are those of the fields ``_fields``
+    alone, and no attribute can be assigned or deleted."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # only the fields: what is kept is worked out again
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class HypParams(_Record):
     """The parameters (a, b, c) of 2F1, as complex numbers; a non-finite one
-    raises ``ParameterError`` here, so no route sees it.  Each field is set
-    once, in ``__init__``.
+    raises ``ParameterError`` here, so no route sees it.
 
     The parameter-only facts that every evaluation reads are worked out once
-    here and kept outside the fields (so ``==``, ``hash`` and ``repr`` are
-    those of (a, b, c)): ``degree``, the m at which the series
-    terminates (a or b = -m, the least such m) or None, and ``c_pole``, the
-    m with c = -m or None; and, on first use by a route, ``gapped``, the
-    connection differences ("a-b", "c-a-b") at least ``CONNECTION_GAP`` from
-    every integer, ``pfaff`` and ``shifted``, the parameters (a, c - b, c)
-    and (a + 1, b + 1, c + 1), ``connection_terms``, which ``_connect``
-    fills, and ``ratios``, the term ratios ``_series`` keeps from its second
-    series at the object on.  None of these is pickled."""
+    here and kept outside the fields (see ``_Record``): ``degree``, the m at
+    which the series terminates (a or b = -m, the least such m) or None, and
+    ``c_pole``, the m with c = -m or None; and, on first use by a route,
+    ``gapped``, the connection differences ("a-b", "c-a-b") at least
+    ``CONNECTION_GAP`` from every integer, ``pfaff`` and ``shifted``, the
+    parameters (a, c - b, c) and (a + 1, b + 1, c + 1),
+    ``connection_terms``, which ``_connect`` fills, and ``ratios``, the term
+    ratios ``_series`` keeps from its second series at the object on."""
 
-    a: complex
-    b: complex
-    c: complex
+    _fields = ("a", "b", "c")
     ratios = None  # not a field: set in the instance dict by ``_series``
 
     def __init__(self, a: complex, b: complex, c: complex):
@@ -119,7 +147,7 @@ class HypParams:
         if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
             raise ParameterError(f"2F1 parameters must be finite; got a={a}, b={b}, c={c}")
         ma, mb = nonpos_index(a), nonpos_index(b)
-        # one write to the instance dict, not five object.__setattr__ calls
+        # one write to the instance dict, past ``_Record.__setattr__``
         vars(self).update(a=a, b=b, c=c, c_pole=nonpos_index(c),
                           degree=mb if ma is None else ma if mb is None else min(ma, mb))
 
@@ -140,13 +168,8 @@ class HypParams:
     def shifted(self) -> HypParams:
         return HypParams(self.a + 1, self.b + 1, self.c + 1)
 
-    def __getstate__(self):
-        # the facts kept on first use are worked out again, not pickled
-        return {name: vars(self)[name] for name in ("a", "b", "c", "c_pole", "degree")}
 
-
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     value: complex
     terms_used: int
     tail_estimate: float
@@ -333,8 +356,7 @@ def _continue_along(p: HypParams, waypoints: list[complex], tol: float) -> Serie
     return SeriesResult(f0, terms, tail / denom if denom else tail)
 
 
-@dataclass(frozen=True)
-class _Connection:
+class _Connection(NamedTuple):
     """Two-term connection formula (DLMF 15.8.2, 15.10.21-36): 2F1(a, b; c; w)
     is sum_k G_k prod_j base_kj(w)^alpha_kj 2F1(a_k, b_k; c_k; t(w)), G_k a
     gamma quotient.  ``terms(a, b, c)`` gives per term (a_k, b_k, c_k), the
@@ -460,7 +482,15 @@ def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
                   if _CONNECTIONS[n].usable(p)]
         radius, route = min(routes, key=lambda t: t[0], default=(radius, route))
         if radius > THETA_CUT:  # the radial path stays off [1, inf)
-            return _continue_along(p, [0.5 * w / abs(w), w], tol)
+            try:
+                return _continue_along(p, [0.5 * w / abs(w), w], tol)
+            except ConvergenceError as radial:
+                # just off the cut it runs by w = 1: go round as f21_cut does
+                s = math.copysign(0.7, w.imag)
+                try:
+                    return _continue_along(p, [0.4, complex(0.4, s), complex(w.real, s), w], tol)
+                except ConvergenceError:
+                    raise radial from None
         out = _connect(route, p, w, tol)
         if out.tail_estimate > tol:  # terms cancel near |w| = 1: sum tighter
             out = _connect(route, p, w, tol * tol / out.tail_estimate)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .complexmath import RootVariant, rgamma, root_y
@@ -77,8 +76,7 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class OlbrichtId:
+class OlbrichtId(NamedTuple):
     group: str                       # "I" | "II" | "III"
     index: int                       # 1..24
     root: RootVariant | None = None  # group III only
@@ -89,8 +87,7 @@ class OlbrichtId:
         return f"{self.group}.{self.index}.{self.root.value}"
 
 
-@dataclass(frozen=True)
-class CatalogueEntry:
+class CatalogueEntry(NamedTuple):
     group: str
     index: int
     #: allowed root variants; empty for the rational-argument groups
@@ -417,8 +414,7 @@ def eval_olbricht(oid: OlbrichtId, p: ParamPair, x: complex,
 # Identity records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """Closed-form reduction of a catalogue entry, interpreted as
 
         scale * sum_k sign_k * target(degree, order; +-x)
@@ -460,8 +456,7 @@ class Reduction:
         return scale * value
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     """What one catalogue variant is verified against: a closed-form
     reduction record, or another entry of the same group."""
 
@@ -608,15 +603,13 @@ def _identity_table() -> dict[tuple[str, int, str | None], IdentityRecord]:
 _IDENTITIES = _identity_table()
 
 
-@dataclass(frozen=True)
-class IdentityOutcome:
+class IdentityOutcome(NamedTuple):
     x: complex
     residual: float
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     id: OlbrichtId
     description: str
     outcomes: tuple[IdentityOutcome, ...]

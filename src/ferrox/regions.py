@@ -28,7 +28,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Container, NamedTuple
 
@@ -85,8 +84,7 @@ class CurveBranch(Enum):
     STARRED = "starred"    # boundary piece of |w13*| = 1 (root Y2)
 
 
-@dataclass(frozen=True)
-class RegionReport:
+class RegionReport(NamedTuple):
     x: complex
     inside: dict[int, bool]
     domains: dict[DomainId, bool]

@@ -618,6 +618,18 @@ class TestDispatch:
                 assert rel_diff(got, want) < 2e-12, (x, got, want)
         assert not continued
 
+    @pytest.mark.parametrize("rep,nu,mu", [(R.FOURIER_UV, -0.5, 0.25), (R.FOURIER_UV, 0.5, 0.25),
+                                           (R.FOURIER_UV, 2.5, 0.25),
+                                           (R.III1_LOWER, 0.49, 0.1 + 0.005j)])
+    def test_forced_record_next_to_the_cut(self, rep, nu, mu):
+        # a factor's argument lies just off [1, inf) where no connection
+        # route is usable; its ODE continuation goes round w = 1
+        x = 2 + 1e-30j
+        got = ferrers_q_rep(rep, ParamPair(nu, mu), x).value
+        with mp.workdps(30):
+            want = complex(mp.legenq(nu, mu, mp.mpc(x.real, x.imag), type=2))
+        assert rel_diff(got, want) < 1e-8
+
     @pytest.mark.parametrize("x", [1e-300j, 1e-170j])
     def test_tiny_imaginary_x_matches_origin(self, x):
         # x * x underflows to 0 here, so maps 10 and 11 are singular as at 0

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import pickle
 import random
@@ -124,6 +123,15 @@ class TestF21:
         want = -cmath.log(1.0 - w) / w
         got = f21(HypParams(1, 1, 2), w).value
         assert abs(got - want) <= 1e-11 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("w", [13.93 + 1e-12j, 13.93 - 1e-12j])
+    def test_ode_goes_round_w_1_next_to_the_cut(self, ode_targets, w):
+        # no connection route is usable, and the radial path from 0.5 w/|w|
+        # stalls within 1e-13 of w = 1: the continuation goes round it along
+        # f21_cut's path, on the side of Im w
+        p = HypParams(0.75, 1.75, 2.0)
+        assert mp_rel_err(f21(p, w).value, p, w) < 1e-10
+        assert ode_targets == [w, w]
 
 
 def mp_rel_err(got: complex, p: HypParams, w: complex) -> float:
@@ -353,7 +361,9 @@ class TestParameterFacts:
         used.pfaff, used.gapped  # each kept on first use
         assert {"degree", "c_pole", "pfaff", "gapped"} <= set(vars(used))
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
-        assert [f.name for f in dataclasses.fields(used)] == ["a", "b", "c"]
+        # the fields are (a, b, c) alone: a pickle carries them and nothing kept
+        assert used._fields == ("a", "b", "c")
+        assert used.__reduce__() == (HypParams, (used.a, used.b, used.c))
 
     # a direct, a Pfaff and a terminating point
     @pytest.mark.parametrize("params,w", [((0.3, 0.7, 1.9), 0.3 + 0.2j),
