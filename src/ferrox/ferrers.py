@@ -2,26 +2,28 @@
 Ferrers functions (Legendre on the cut) on the plane cut outside [-1, 1],
 for complex degree nu and order mu.
 
-One interpreter, ``_interpret``, evaluates every function here from data: 20
-two-term records of the Ferrers function of the second kind, one per entry
-of its representation table (seven series in the arguments (1 -+ x)/2 and
-their Moebius images, group I; six in x^2-type arguments, group II; six in
-square-root arguments with the branch i sqrt(1 - x^2), group III, each in an
-upper-sign and a lower-sign form; one two-sided form in u = x + i sqrt(1 -
-x^2) and v = 1/u), and 3 one-term records outside that table: ``ferrers_p``,
-``legendre_p`` and ``legendre_q_bold`` (DLMF 14.3.1, 14.3.6, 14.3.7), which
-``legendre_q`` scales.  A record holds its domain, parameter exclusions, the
-``regions`` argument map of each 2F1 factor, whether the factors are
-regularized, sign rule and its terms: (a, b, c) and a ``Coefficient``
-(constant, gamma numerators and denominators, powers of named x-bases,
-phase, cos/sin factors), all affine in (nu, mu).  ``_coefficient`` takes the
-parameter part of a coefficient, here and in the catalogue of ``olbricht``,
-and ``_coefficients_at`` adds the power logs at x and exponentiates once.
-Each ``ParamPair`` keeps its exclusions and, in its memo, per record tried
-its 2F1 parameters and coefficient parts.  One rule, ``_refusal``,
-decides whether a table record may be used at (p, x): ``ferrers_q`` ranks
-the records it lets through by argument modulus and tests regions only on
-the candidates it tries; ``valid_representations`` and
+Every function here is evaluated from data: 20 two-term records of the
+Ferrers function of the second kind, one per entry of its representation
+table (seven series in the arguments (1 -+ x)/2 and their Moebius images,
+group I; six in x^2-type arguments, group II; six in square-root arguments
+with the branch i sqrt(1 - x^2), group III, each in an upper-sign and a
+lower-sign form; one two-sided form in u = x + i sqrt(1 - x^2) and v = 1/u),
+and 3 one-term records outside that table: ``ferrers_p``, ``legendre_p`` and
+``legendre_q_bold`` (DLMF 14.3.1, 14.3.6, 14.3.7), which ``legendre_q``
+scales.  A record holds its domain, parameter exclusions, the ``regions``
+argument map of each 2F1 factor, whether the factors are regularized, sign
+rule and its terms: (a, b, c) and a ``Coefficient`` (constant, gamma
+numerators and denominators, powers of named x-bases, phase, cos/sin
+factors), all affine in (nu, mu).  Each record is compiled, once per
+``ParamPair`` and sign of x, into an evaluator in the pair's memo
+(``_evaluate``) that keeps the parameter part of each coefficient
+(``_coefficient``, shared with the catalogue of ``olbricht``) and its
+``HypParams``: a call forms the arguments, the coefficients at x
+(``_coefficients_at``, also shared) and the 2F1 series.  One rule,
+``_refusal``, decides whether a table record may be used at (p, x):
+``ferrers_q`` ranks the records it lets through, from the candidates of x's
+domain outcome (``_CANDIDATES``), by argument modulus and tests regions
+only on the candidates it tries; ``valid_representations`` and
 ``NoRepresentationError`` report the reasons, and ``ferrers_q_rep``,
 ``ferrers_q_rep_trig`` (group III at x = cos(theta)) and
 ``ferrers_q_halfplane_cut`` raise them.  A value whose ``tail_estimate``
@@ -38,6 +40,8 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
+from itertools import product
+from operator import itemgetter
 from typing import Callable, Container, NamedTuple
 
 from .complexmath import (
@@ -113,8 +117,8 @@ class ParamPair(_Record):
     Outside its fields (see ``hyp2f1._Record``) the pair keeps ``_memo``,
     one dict of its parameter-only work, made with the pair: record
     (``_RepSpec``) -> the ``HypParams`` of its factors, one object when they
-    share (a, b, c); (record, sign g) -> the ``_coefficient`` of each term;
-    and the catalogue work of ``olbricht._evaluator``.  ``_excluded``, the
+    share (a, b, c); (record, sign g) -> its evaluator (``_compile``); and
+    the catalogue work of ``olbricht._evaluator``.  ``_excluded``, the
     exclusions, is worked out on first read.  A value that raises is not
     kept; threads may each build a value, and the last one set stays.
     Nothing kept refers back to the pair, so a dropped pair is freed at
@@ -238,20 +242,6 @@ _EXTRAS = {
 }
 
 
-def _log_bases(vocabulary: dict[str, Callable[..., complex]], tags, *args):
-    """(logs, odd): the log of each named base ``vocabulary[tag](*args)``,
-    taken once for every term that uses it, and the zero or negative real
-    bases, kept as values for ``principal_pow`` and its branch rules."""
-    logs, odd = {}, {}
-    for tag in tags:
-        v = vocabulary[tag](*args)
-        if v.imag == 0.0 and v.real <= 0.0:
-            odd[tag] = v
-        else:
-            logs[tag] = cmath.log(v)
-    return logs, odd
-
-
 def _coefficient(coef: Coefficient, nu: complex, mu: complex, g: int):
     """The parameter part of ``coef`` at (nu, mu) with sign g, which
     ``_coefficients_at`` completes at x: None where the gamma part is 0
@@ -279,12 +269,21 @@ def _coefficient(coef: Coefficient, nu: complex, mu: complex, g: int):
             factors)
 
 
-def _coefficients_at(parts, bases) -> list[complex]:
-    """The value of each ``_coefficient`` part in ``parts`` at the point of
-    ``bases`` (from ``_log_bases``): the power logs are added to the gamma
-    log and phase and exponentiated once.  Any overflow is an
-    ``OverflowError``."""
-    logs, odd = bases
+def _coefficients_at(parts, vocabulary: dict[str, Callable[..., complex]], tags,
+                     *args) -> list[complex]:
+    """The value of each ``_coefficient`` part in ``parts`` at the point
+    ``args``: the log of each named base ``vocabulary[tag](*args)`` of
+    ``tags`` is taken once for every term that uses it (a zero or negative
+    real base is kept as a value, for ``principal_pow`` and its branch
+    rules), and the power logs are added to the gamma log and phase and
+    exponentiated once.  Any overflow is an ``OverflowError``."""
+    logs, odd = {}, {}
+    for tag in tags:
+        v = vocabulary[tag](*args)
+        if v.imag == 0.0 and v.real <= 0.0:
+            odd[tag] = v
+        else:
+            logs[tag] = cmath.log(v)
     out = []
     for part in parts:
         if part is None:
@@ -347,7 +346,7 @@ class _Sign(Enum):
     def at(self, x: complex) -> int:
         if self is _Sign.HALFPLANE:
             return +1 if x.imag > 0 else -1
-        return self.value
+        return self._value_
 
 
 class _Term(NamedTuple):
@@ -521,6 +520,16 @@ def _rep_table() -> tuple[dict[RepresentationId, _RepSpec], dict[str, _RepSpec]]
 
 
 _REP_TABLE, _ONE_TERM = _rep_table()
+_LABELS = {spec: f"representation {rep.value}" for rep, spec in _REP_TABLE.items()} | {
+    spec: name for name, spec in _ONE_TERM.items()}  # what ``_guarded`` names in errors
+#: Per domain outcome of x (in D1, in D1 with Re x > 0, off the real axis), the records
+#: whose domain holds, in table order, as (table index, rep, record, j): j the one map
+#: that scores the record by |w_j|, or 0 for I7 and FourierUV (``_score``).
+_CANDIDATES = {key: tuple(
+    (i, rep, spec, 0 if spec.routed or len(spec.argument_ids) == 2 else spec.argument_ids[0])
+    for i, (rep, spec) in enumerate(_REP_TABLE.items())
+    if dict(zip(("D1", "D1+", "half"), key))[spec.domain])
+    for key in product((False, True), repeat=3)}
 
 
 def _hyps(p: ParamPair, spec: _RepSpec) -> list[HypParams]:
@@ -578,38 +587,36 @@ def _check(rep: RepresentationId, p: ParamPair, x: complex, unusable: dict[int, 
 
 
 def _rank(p: ParamPair, outside: dict[str, str | None], x: complex,
-          y: complex) -> tuple[dict[int, complex], list[tuple]]:
-    """(values, rows): the arguments w_j(x) of the maps usable at x, root
-    y = i sqrt(1 - x^2), each computed once, and as (score, table index, rep,
-    spec) every record that ``_refusal`` lets through, so that sorting the
-    rows ranks them, ties in table order.  A record scores the largest
-    modulus of its arguments (route radius for a routed record).  Refused
-    records are left to ``_refusals``, and the region test to
-    ``_converges``, so that ``ferrers_q`` runs it only on the candidates it
-    tries."""
+          y: complex) -> tuple[list[complex | None], list[tuple]]:
+    """(values, rows): the arguments w_j(x) at index j of the maps usable at
+    x, root y = i sqrt(1 - x^2), each computed once, and as (score, table
+    index, rep, spec) every record that ``_refusal`` lets through, in table
+    order, so that a stable sort by score ranks them, ties in table order.
+    A record scores the largest modulus of its arguments (``_score``).
+    Only the ``_CANDIDATES`` of x's domain outcome are read; refused records
+    are left to ``_refusals``, and the region test to ``_converges``, so
+    that ``ferrers_q`` runs it only on the candidates it tries."""
     excluded = p._excluded
     unusable = unusable_maps(x)
-    values = map_values(x, y, unusable)  # a map unusable at x is left out
-    # Nothing excluded, no unusable map and x^2 finite leave each record
-    # only its domain's reason: the common case calls no _refusal.
+    values = map_values(x, y, unusable)  # None for a map unusable at x
+    # Nothing excluded, no unusable map and x^2 finite refuse no candidate:
+    # the common case calls no _refusal.
     checked = excluded or unusable or outside["x^2"]
-    rows = []
-    for i, (rep, spec) in enumerate(_REP_TABLE.items()):
-        if checked:
-            if _refusal(spec, excluded, outside, unusable) is not None:
-                continue
-        elif outside[spec.domain] is not None:
-            continue
-        ids = spec.argument_ids  # one map but for I7 and FourierUV
-        if spec.routed:
-            hp = (p._memo.get(spec) or _hyps(p, spec))[0]
-            score = max([route_radius(hp, values[j]) for j in ids])
-        elif len(ids) == 1:
-            score = abs(values[ids[0]])
-        else:
-            score = max([abs(values[j]) for j in ids])
-        rows.append((score, i, rep, spec))
-    return values, rows
+    candidates = _CANDIDATES[outside["D1"] is None, outside["D1+"] is None,
+                             outside["half"] is None]
+    return values, [(abs(values[j]) if j else _score(p, spec, values), i, rep, spec)
+                    for i, rep, spec, j in candidates
+                    if not checked or _refusal(spec, excluded, outside, unusable) is None]
+
+
+def _score(p: ParamPair, spec: _RepSpec, values: list[complex | None]) -> float:
+    """The ``_rank`` score of I7 and FourierUV, records of two maps: the
+    larger modulus, or route radius (routed), of their arguments."""
+    j, k = spec.argument_ids
+    if spec.routed:
+        hp = (p._memo.get(spec) or _hyps(p, spec))[0]
+        return max(route_radius(hp, values[j]), route_radius(hp, values[k]))
+    return max(abs(values[j]), abs(values[k]))
 
 
 def _refusals(p: ParamPair, outside: dict[str, str | None], x: complex,
@@ -650,42 +657,52 @@ def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
             for i, (rep, reason) in enumerate(zip(_REP_TABLE, reasons))]
 
 
-def _interpret(spec: _RepSpec, p: ParamPair, x: complex, s: complex, tol: float,
-               side: CutSide | None, ws: list[complex] | None = None) -> SeriesResult:
-    """The one interpreter of the records: the argument of each 2F1 factor
-    (``ws``, or from the record's maps with root y = i s), then the
-    coefficient of each term with the record's sign at x (their parameter
-    parts from p's memo), then each factor by ``f21`` (``f21_regularized``
-    for a regularized record), or by its limit ``f21_cut`` on the cut from
-    ``side``."""
+def _evaluate(spec: _RepSpec, p: ParamPair, x: complex, s: complex, tol: float,
+              side: CutSide | None, values: list[complex | None] | None = None
+              ) -> SeriesResult:
+    """``spec`` at x, s = sqrt(1 - x^2), by the evaluator of (spec, its sign g
+    at x) in p's memo, compiled on first use under ``_guarded`` too: each
+    factor's argument from ``values`` (``_rank``'s) or its map with root
+    y = i s, each term's coefficient at x, each factor by ``f21``
+    (``f21_regularized``), or by its limit ``f21_cut`` on the cut from ``side``."""
     g = spec.sign.at(x)
-    if ws is None:
-        ws = [map_value(j, x, 1j * s) for j in spec.argument_ids]
-    bases = _log_bases(_X_BASES, spec.bases, x, s, g)
-    memo = p._memo
-    parts = memo.get((spec, g))
-    if parts is None:
-        parts = memo[spec, g] = [_coefficient(term.coef, p.nu, p.mu, g) for term in spec.terms]
-    coefs = _coefficients_at(parts, bases)
-    out = []
-    hyps = memo.get(spec) or _hyps(p, spec)
-    for coef, hp, w in zip(coefs, hyps, ws * (len(coefs) // len(ws))):  # one map: every factor
-        if side is not None:
-            r = f21_cut(hp, w.real, side, tol)
-        elif spec.regularized:
-            r = f21_regularized(hp, w, tol)
-        else:
-            r = f21(hp, w, tol)
-        out.append((coef, r))
-    return combine(out)
+    evaluate = p._memo.get((spec, g)) or _compile(spec, p, g)
+    return evaluate(x, s, tol, side, values)
+
+
+def _compile(spec: _RepSpec, p: ParamPair, g: int) -> Callable[..., SeriesResult]:
+    """The evaluator of ``spec`` with sign g at p (see ``_evaluate``): its
+    coefficient parts and ``HypParams`` formed once, and stored in p's memo
+    unless forming them raises."""
+    parts = [_coefficient(term.coef, p.nu, p.mu, g) for term in spec.terms]
+    hyps = p._memo.get(spec) or _hyps(p, spec)
+    ids, tags, regularized = spec.argument_ids, spec.bases, spec.regularized
+    factors = list(zip(hyps, (ids[0], ids[-1])))  # one map serves both, or one each
+
+    def evaluate(x, s, tol, side, values):
+        if values is None:
+            values = {j: map_value(j, x, 1j * s) for j in ids}
+        out = []
+        for coef, (hp, j) in zip(_coefficients_at(parts, _X_BASES, tags, x, s, g), factors):
+            if side is not None:
+                r = f21_cut(hp, values[j].real, side, tol)
+            elif regularized:
+                r = f21_regularized(hp, values[j], tol)
+            else:
+                r = f21(hp, values[j], tol)
+            out.append((coef, r))
+        return combine(out)
+
+    p._memo[spec, g] = evaluate
+    return evaluate
 
 
 def _run(rep: RepresentationId, p: ParamPair, x: complex, s: complex, tol: float,
-         side: CutSide | None = None, ws: list[complex] | None = None) -> EvalOutcome:
-    """``rep`` at x, s = sqrt(1 - x^2), by ``_interpret`` under ``_guarded``;
-    ``ws`` are the arguments of its factors, if already computed."""
-    r = _guarded(f"representation {rep.value}", _interpret, _REP_TABLE[rep], p, x, s, tol,
-                 side, ws)
+         side: CutSide | None = None, values: list[complex | None] | None = None) -> EvalOutcome:
+    """``rep`` at x, s = sqrt(1 - x^2), by ``_evaluate`` under ``_guarded``;
+    ``values`` are ``_rank``'s arguments, if already computed."""
+    spec = _REP_TABLE[rep]
+    r = _guarded(_LABELS[spec], _evaluate, spec, p, x, s, tol, side, values)
     return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
 
 
@@ -753,16 +770,16 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
             f"Ferrers Q undefined for nu + mu = {p.nu + p.mu} in -N")
     values, rows = _rank(p, outside, x, 1j * s)
     diverging, failed = set(), {}
-    # Rows sort by (score, table index), so ties keep table order, and
-    # dropping the rows whose series diverges keeps the order of the rest:
-    # testing regions only as candidates are reached picks the winner and
-    # the fallbacks that testing every row first would.
-    for score, _, rep, spec in sorted(rows):
+    # Rows come in table order and sort stably by score, so ties keep table
+    # order, and dropping the rows whose series diverges keeps the order of
+    # the rest: testing regions only as candidates are reached picks the
+    # winner and the fallbacks that testing every row first would.
+    for score, _, rep, spec in sorted(rows, key=itemgetter(0)):
         if not _converges(spec, x, score):
             diverging.add(rep)
             continue
         try:
-            out = _run(rep, p, x, s, tol, ws=[values[j] for j in spec.argument_ids])
+            out = _run(rep, p, x, s, tol, values=values)
         except FerroxError as exc:
             failed[rep.value] = str(exc)
             continue
@@ -838,14 +855,14 @@ def ferrers_q_halfplane_cut(rep: RepresentationId, p: ParamPair, x: float,
 
 def _one_term(name: str, p: ParamPair, z: complex, tol: float) -> EvalOutcome:
     """The function ``name`` at z by its one-term record, through
-    ``_interpret`` under ``_guarded``.  DomainError outside the record's
+    ``_evaluate`` under ``_guarded``.  DomainError outside the record's
     domain, and ConvergenceError where the tail estimate exceeds
     ``TAIL_FACTOR * tol``: such a value is not returned."""
     spec = _ONE_TERM[name]
     z = complex(z)
     if not in_domain(DomainId(spec.domain), z):
         raise DomainError(f"{name}: z not in {spec.domain}: {z}")
-    r = _guarded(name, _interpret, spec, p, z, cmath.sqrt(1.0 - z * z), tol, None)
+    r = _guarded(name, _evaluate, spec, p, z, cmath.sqrt(1.0 - z * z), tol, None)
     if r.tail_estimate > TAIL_FACTOR * tol:
         raise ConvergenceError(
             f"{name}: tail estimate {r.tail_estimate:.3g} exceeds {TAIL_FACTOR:g} * tol")

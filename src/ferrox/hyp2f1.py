@@ -26,7 +26,6 @@ before any term is summed.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from enum import Enum
 from itertools import chain, repeat
@@ -132,7 +131,7 @@ class HypParams(_Record):
     The parameter-only facts that every evaluation reads are worked out once
     here and kept outside the fields (see ``_Record``): ``degree``, the m at
     which the series terminates (a or b = -m, the least such m) or None, and
-    ``c_pole``, the m with c = -m or None; and, on first use by a route,
+    ``c_pole``, the m with c = -m or None; and, on first read (``__getattr__``),
     ``gapped``, the connection differences ("a-b", "c-a-b") at least
     ``CONNECTION_GAP`` from every integer, ``pfaff`` and ``shifted``, the
     parameters (a, c - b, c) and (a + 1, b + 1, c + 1),
@@ -155,18 +154,18 @@ class HypParams(_Record):
         """The difference a connection formula divides by: "a-b" or "c-a-b"."""
         return self.a - self.b if name == "a-b" else self.c - self.a - self.b
 
-    @functools.cached_property
-    def gapped(self) -> tuple[str, ...]:
-        return tuple(name for name in ("a-b", "c-a-b")
-                     if not near_int(self.difference(name), CONNECTION_GAP))
-
-    @functools.cached_property
-    def pfaff(self) -> HypParams:
-        return HypParams(self.a, self.c - self.b, self.c)
-
-    @functools.cached_property
-    def shifted(self) -> HypParams:
-        return HypParams(self.a + 1, self.b + 1, self.c + 1)
+    def __getattr__(self, name):  # only names that normal lookup misses
+        if name == "gapped":
+            value = tuple(d for d in ("a-b", "c-a-b")
+                          if not near_int(self.difference(d), CONNECTION_GAP))
+        elif name == "pfaff":
+            value = HypParams(self.a, self.c - self.b, self.c)
+        elif name == "shifted":
+            value = HypParams(self.a + 1, self.b + 1, self.c + 1)
+        else:
+            raise AttributeError(f"'HypParams' object has no attribute {name!r}")
+        vars(self)[name] = value
+        return value
 
 
 class SeriesResult(NamedTuple):

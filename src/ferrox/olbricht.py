@@ -45,7 +45,6 @@ from .ferrers import (
     _aff,
     _coefficient,
     _coefficients_at,
-    _log_bases,
     ferrers_p,
     legendre_ode_residual,
     legendre_p,
@@ -128,13 +127,14 @@ _BASES: dict[str, Callable[[complex, complex | None], complex]] = {
 _PRODUCTS = {"x2m1": ("x+1", "x-1")}
 
 
-def _scaled(part, coef: Coefficient, nu: complex, mu: complex, bases, what: str):
-    """(part, value): ``coef`` (sign +1) at the point of ``bases``, from its
-    ``ferrers._coefficient`` part, formed here when ``part`` is None; a
-    value beyond double range raises ``DomainError`` naming ``what``."""
+def _scaled(part, coef: Coefficient, nu: complex, mu: complex, what: str, tags, *args):
+    """(part, value): ``coef`` (sign +1) at the point ``args`` of its bases
+    ``tags`` of ``_BASES``, from its ``ferrers._coefficient`` part, formed
+    here when ``part`` is None; a value beyond double range raises
+    ``DomainError`` naming ``what``."""
     try:
         part = part or (_coefficient(coef, nu, mu, 1),)
-        return part, _coefficients_at(part, bases)[0]
+        return part, _coefficients_at(part, _BASES, tags, *args)[0]
     except (ArithmeticError, ValueError) as exc:  # ValueError: a cmath domain error
         raise DomainError(f"{what}: beyond double range ({exc})") from None
 
@@ -393,7 +393,7 @@ def _evaluator(oid: OlbrichtId, p: ParamPair) -> Callable[[complex, float], comp
             raise DomainError(f"x = {x} outside domain {tag} of entry {label}")
         x = -x if flip else x
         y = root_y(root, x) if root else None
-        part, pref = _scaled(part, coef, nu, mu, _log_bases(_BASES, tags, x, y), what)
+        part, pref = _scaled(part, coef, nu, mu, what, tags, x, y)
         w = map_value(j, x, y) if root else argument(j, x)
         if not hyp:
             hyp.append(HypParams(*[_aff(t, nu, mu) for t in e.hyp]))
@@ -450,9 +450,9 @@ class Reduction(NamedTuple):
             pv = legendre_p(mono, x, tol).value
             value = (cmath.exp(-1j * math.pi * mu) * value
                      - 1j * math.pi * rgamma(_aff(self.monodromy, nu, mu)) * pv)
-        bases = _log_bases(_BASES, [tag for tag, _ in self.scale.powers], x, None)
-        kept[self.scale], scale = _scaled(kept.get(self.scale), self.scale, nu, mu, bases,
-                                          "reduction scale")
+        kept[self.scale], scale = _scaled(kept.get(self.scale), self.scale, nu, mu,
+                                          "reduction scale", [t for t, _ in self.scale.powers],
+                                          x, None)
         return scale * value
 
 

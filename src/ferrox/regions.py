@@ -10,17 +10,17 @@ formula and its test of |w_j| < 1, all as data, resolved once at import.  A
 formula is the ratio of two terms, or one alone, of one vocabulary
 ``_TERM_NAMES`` (1 -+ x, x - 1, x^2, 1 - x^2, x^2 - 1 for the maps 1..12,
 2y, x +- y, y - x for 13..18), by index into the tuple that ``_terms``
-forms at a point: ``map_value`` and ``map_values`` both read ``_RATIOS``
-over it.  A test is a closed form (quantity, side, bound): one per-point
-quantity of ``_QUANTITIES`` (|1 -+ x|, Re x, Im x, |x|, |1-x||1+x|,
-Re(x^2), and for the square-root family the criteria e^{+-2 beta}
-cos(2 alpha) with x = cos(alpha + i beta)) compared with a constant: disks,
-half-planes, the lemniscate |1-x||1+x| = 1, the circles |x| = 1, the
-hyperbola Re(x^2) = 1/2.  Boundary points classify as outside.
-``region_test`` and ``in_region`` read the test of one map, built from its
-record once at import (``_test``); ``region_flags`` and ``classify`` form
-every quantity once per point, with one acos for both criteria, and read
-all eighteen tests.
+forms at a point: ``map_values`` reads ``_RATIOS`` over it, and
+``map_value`` forms only the terms of its own map.  A test is a closed form
+(quantity, side, bound): one per-point quantity of ``_QUANTITIES``
+(|1 -+ x|, Re x, Im x, |x|, |1-x||1+x|, Re(x^2), and for the square-root
+family the criteria e^{+-2 beta} cos(2 alpha) with x = cos(alpha + i beta))
+compared with a constant: disks, half-planes, the lemniscate
+|1-x||1+x| = 1, the circles |x| = 1, the hyperbola Re(x^2) = 1/2.  Boundary
+points classify as outside.  ``region_test`` and ``in_region`` read the test
+of one map, built from its record once at import (``_test``);
+``region_flags`` and ``classify`` form every quantity once per point, with
+one acos for both criteria, and read all eighteen tests.
 """
 
 from __future__ import annotations
@@ -113,6 +113,13 @@ def _terms(x: complex, y: complex | None) -> tuple[complex, ...]:
     return t if y is None else t + (2.0 * y, x + y, x - y, y - x)
 
 
+#: Each term of ``_TERM_NAMES`` as a function of x and y, as ``_terms`` forms it.
+_TERM = dict(zip(_TERM_NAMES, (
+    lambda x, y: 1.0, lambda x, y: 2.0, lambda x, y: 1.0 - x, lambda x, y: 1.0 + x,
+    lambda x, y: x - 1.0, lambda x, y: x * x, lambda x, y: 1.0 - x * x, lambda x, y: x * x - 1.0,
+    lambda x, y: 2.0 * y, lambda x, y: x + y, lambda x, y: x - y, lambda x, y: y - x)))
+
+
 def _criterion(th: complex, k: float) -> float:
     """e^{k beta} cos(2 alpha) for x = cos(alpha + i beta), alpha in [0, pi],
     from th = acos(x) = alpha + i beta.  e^{k beta} is capped at e^709,
@@ -192,10 +199,11 @@ def _test(m: _Map) -> Callable[[complex], bool]:
 
 #: Of every map, resolved once from its record: its numerator and
 #: denominator as indices into ``_terms`` (denominator None: w_j is the
-#: numerator), and its test as (index into ``_quantities``, comparison,
-#: bound).
+#: numerator) and as functions (``_TERM``), and its test as (index into
+#: ``_quantities``, comparison, bound).
 _RATIOS = {j: (_TERM_NAMES.index(m.num), None if m.den is None else _TERM_NAMES.index(m.den))
            for j, m in _MAPS.items()}
+_RATIO_TERMS = {j: (_TERM[m.num], m.den and _TERM[m.den]) for j, m in _MAPS.items()}
 _QUANTITY_INDEX = {name: i for i, name in enumerate(_QUANTITIES)}
 _TESTS = tuple((_QUANTITY_INDEX[m.quantity], _SIDES[m.side], m.bound) for m in _MAPS.values())
 #: The test of every map as one function of x (``_test``).
@@ -238,19 +246,19 @@ def unusable_maps(x: complex) -> dict[int, str]:
 
 def map_value(j: int, x: complex, y: complex | None) -> complex:
     """w_j(x) with y the chosen root of x^2 - 1 (read by maps 13..18 only),
-    without the checks of ``argument``."""
-    num, den = _RATIOS[j]
-    t = _terms(x, y)
-    return t[num] if den is None else t[num] / t[den]
+    without the checks of ``argument``; only the terms of map j are
+    formed."""
+    num, den = _RATIO_TERMS[j]
+    return num(x, y) if den is None else num(x, y) / den(x, y)
 
 
-def map_values(x: complex, y: complex, skip: Container[int]) -> dict[int, complex]:
-    """``map_value`` of every map j not in ``skip``, from one evaluation of
-    each term at x; skipping ``unusable_maps(x)`` leaves no division by
-    zero."""
+def map_values(x: complex, y: complex, skip: Container[int]) -> list[complex | None]:
+    """``map_value`` of every map j at index j, None at index 0 and for the
+    maps in ``skip``, from one evaluation of each term at x; skipping
+    ``unusable_maps(x)`` leaves no division by zero."""
     t = _terms(x, y)
-    return {j: t[num] if den is None else t[num] / t[den]
-            for j, (num, den) in _RATIOS.items() if j not in skip}
+    return [None] + [None if j in skip else t[num] if den is None else t[num] / t[den]
+                     for j, (num, den) in _RATIOS.items()]
 
 
 def region_test(j: int) -> Callable[[complex], bool]:

@@ -1024,8 +1024,59 @@ class TestPlan:
         again = [_outcome(call, p) for call in reversed(calls)][::-1]
         assert warm == cold
         assert again == cold
-        # records -> HypParams, (record, sign) -> coefficient parts
+        # records -> HypParams, (record, sign g) -> the evaluator compiled
+        # for them
         assert {type(key) for key in p._memo} == {ferrers._RepSpec, tuple}
+        for key, value in p._memo.items():
+            if type(key) is tuple:
+                spec, g = key
+                assert spec in ferrers._REP_TABLE.values() and g in (-1, 0, 1)
+                assert callable(value)
+            else:
+                assert value and all(isinstance(h, HypParams) for h in value)
+
+    @pytest.mark.parametrize("nu,mu", [(2.3, 0.6), (4.1 + 0.15j, -1.2 - 0.1j)])
+    def test_grid_sweep_warm_equals_cold(self, nu, mu):
+        # a tabulation: one pair over a real x sweep and a complex grid, in
+        # order; a fresh pair per call gives the same values, digit for digit,
+        # and the same rows
+        xs = ([complex(-0.98 + 1.96 * (i + 0.5) / 60, 0.0) for i in range(60)]
+              + [complex(-1.3 + 2.6 * (ix + 0.5) / 12, -0.9 + 1.8 * (iy + 0.5) / 10)
+                 for iy in range(10) for ix in range(12)])
+        calls = [call for x in xs for call in (lambda p, x=x: ferrers_q(p, x),
+                                               lambda p, x=x: valid_representations(p, x))]
+        cold = [repr(_outcome(call, ParamPair(nu, mu))) for call in calls]
+        p = ParamPair(nu, mu)
+        assert [repr(_outcome(call, p)) for call in calls] == cold
+
+    @pytest.mark.parametrize("nu,mu", PLAN_P)
+    def test_each_evaluator_compiled_once(self, nu, mu, monkeypatch):
+        # every (record, sign) that evaluates is compiled on its first call
+        # and never again, whichever function reaches it
+        compiled = Counter()
+
+        def counted(spec, p, g):
+            compiled[spec, g] += 1
+            return compile_(spec, p, g)
+
+        compile_ = ferrers._compile
+        monkeypatch.setattr(ferrers, "_compile", counted)
+        p = ParamPair(nu, mu)
+        calls = self.calls() + [lambda p, f=f, z=z: f(p, z) for f in (ferrers_p, legendre_p,
+                                                                     legendre_q_bold)
+                                for z in (0.3 + 0.2j, 1.5 + 0.2j, -1.4 - 0.3j)]
+        for _ in range(2):
+            for call in calls:
+                _outcome(call, p)
+        assert compiled and set(compiled.values()) == {1}
+        assert set(compiled) == {key for key in p._memo if type(key) is tuple}
+        # both signs of a half-plane record that evaluates (x lies in both
+        # half-planes), the one sign of the others
+        for spec, g in compiled:
+            if spec.sign is ferrers._Sign.HALFPLANE:
+                assert (spec, -g) in compiled
+            else:
+                assert g == spec.sign.value
 
     def test_shared_factor_is_one_object(self):
         p, x = ParamPair(0.3, 0.4), 0.2 + 0.3j
@@ -1235,9 +1286,9 @@ class TestCoefficient:
     @staticmethod
     def value(coef, x=0.3 + 0.2j, nu=0.3, mu=0.4):
         tags = [tag for tag, _ in coef.powers]
-        bases = ferrers._log_bases(ferrers._X_BASES, tags, complex(x), 0.5 + 0j, 1)
         part = ferrers._coefficient(coef, complex(nu), complex(mu), 1)
-        return ferrers._coefficients_at([part], bases)[0]
+        return ferrers._coefficients_at([part], ferrers._X_BASES, tags, complex(x), 0.5 + 0j,
+                                        1)[0]
 
     def test_matches_gamma_quotient_and_powers(self):
         coef = ferrers.Coefficient(0.5, gammas=((1, 1, 1),), rgammas=((1, 1, -1),),

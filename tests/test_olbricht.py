@@ -16,7 +16,6 @@ from ferrox.ferrers import (
     _RepSpec,
     _coefficient,
     _coefficients_at,
-    _log_bases,
     ferrers_p,
     ferrers_q,
     legendre_q,
@@ -60,10 +59,9 @@ def reference(oid, p, x, tol):
     y = root_y(oid.root, x) if e.roots else None
     powers = tuple((b, a) for tag, a in e.prefactors
                    for b in (("x+1", "x-1") if tag == "x2m1" else (tag,)))
-    bases = _log_bases(olbricht._BASES, [b for b, _ in powers], x, y)
     try:
         part = _coefficient(Coefficient(powers=powers), p.nu, p.mu, 1)
-        pref = _coefficients_at([part], bases)[0]
+        pref = _coefficients_at([part], olbricht._BASES, [b for b, _ in powers], x, y)[0]
     except (ArithmeticError, ValueError) as exc:
         what = f"prefactor of entry {oid.label()}"
         raise DomainError(f"{what}: beyond double range ({exc})") from None

@@ -132,6 +132,17 @@ def test_pair_makes_its_memo_and_works_out_exclusions_on_first_read():
         p.plan
 
 
+def test_params_work_out_their_route_facts_on_first_read():
+    h = HypParams(0.3, 0.7, 1.9)
+    assert set(vars(h)) == {"a", "b", "c", "c_pole", "degree"}
+    assert h.pfaff == HypParams(0.3, 1.2, 1.9) and h.pfaff is vars(h)["pfaff"]
+    assert h.shifted == HypParams(1.3, 1.7, 2.9) and h.shifted is h.shifted
+    assert h.gapped == ("a-b", "c-a-b") and vars(h)["gapped"] is h.gapped
+    assert HypParams(0.3, 1.3, 1.9).gapped == ("c-a-b",)
+    with pytest.raises(AttributeError, match="'HypParams' object has no attribute 'plan'"):
+        h.plan
+
+
 def test_memo_keys_do_not_collide():
     # every kind of key that ferrers and olbricht put in one pair's memo,
     # after a catalogue run: each key is of one kind, and its value is the
@@ -153,14 +164,19 @@ def test_memo_keys_do_not_collide():
         elif type(key) is ferrers.Coefficient:
             kind = "scale"
         elif isinstance(key[0], ferrers._RepSpec):
-            kind = "record parts"
-            assert len(value) == len(key[0].terms)
+            kind = "record evaluator"
+            # (record, sign g): g is the record's own sign, or either sign
+            # of a half-plane record; the evaluator is compiled for it
+            spec, g = key
+            signs = (1, -1) if spec.sign is ferrers._Sign.HALFPLANE else (spec.sign.value,)
+            assert g in signs and callable(value)
         else:
             kind = "entry"
             assert type(key) is tuple and isinstance(key[0], str) and isinstance(key[1], int)
             assert len(key) == 2 and isinstance(value, list)
         kinds[kind] = kinds.get(kind, 0) + 1
-    assert set(kinds) == {"record", "evaluator", "reduction", "scale", "record parts", "entry"}
+    assert set(kinds) == {"record", "evaluator", "reduction", "scale", "record evaluator",
+                          "entry"}
     # one evaluator per variant: no other key equals an OlbrichtId
     assert kinds["evaluator"] == len(olbricht.ALL_IDS)
     assert kinds["entry"] == sum(e.reflect_of is None for e in olbricht.catalogue())
