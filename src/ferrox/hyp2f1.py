@@ -10,8 +10,9 @@ one ``_Connection`` record, shared with the cut limits, taken only when the
 difference it divides by (a - b or c - a - b) is ``CONNECTION_GAP`` off the
 integers.  Elsewhere (degenerate parameters, and near e^(+-i pi/3), where
 every map has modulus about 1) Taylor steps on the hypergeometric equation
-continue the function along a cut-avoiding path; that fallback has no
-parameter restrictions, so no logarithmic connection formula is needed.
+continue the function from 0.4 up or down to Im = +-0.7, across to Re w and
+on to w, the one path ``f21_cut`` takes onto the cut too; that fallback has
+no parameter restrictions, so no logarithmic connection formula is needed.
 
 What depends on (a, b, c) alone is worked out once per ``HypParams``: where
 the series terminates, the pole of c, which differences are
@@ -318,15 +319,18 @@ def _taylor_step(p: HypParams, z0: complex, f0: complex, f1: complex,
     raise ConvergenceError(f"Taylor continuation step stalled at z0={z0}, h={h}")
 
 
-def _continue_along(p: HypParams, waypoints: list[complex], tol: float) -> SeriesResult:
-    """Taylor-step the hypergeometric ODE along the polyline through
-    ``waypoints``; the first waypoint must lie inside the series disk.
+def _continue_along(p: HypParams, w: complex, side: CutSide, tol: float) -> SeriesResult:
+    """Taylor-step the hypergeometric ODE from 0.4, inside the series disk,
+    to w along the module's one continuation path: up (``side`` ABOVE) or
+    down to Im = +-0.7, across to Re w, then straight to w, so it stays off
+    the cut [1, inf) up to its end.
 
-    The path may terminate on the cut [1, inf): the final Taylor element is
-    the analytic continuation from the side the path arrives on, which is
+    w may lie on the cut: the path then arrives vertically, and the final
+    Taylor element is the analytic continuation from ``side``, which is
     exactly the one-sided boundary value there.
     """
-    z = complex(waypoints[0])
+    s = 0.7 if side is CutSide.ABOVE else -0.7
+    z = 0.4 + 0.0j
     inner = f21_series(p, z, tol * 1e-2)
     f0 = inner.value
     # F'(w) = (a b / c) 2F1(a+1, b+1; c+1; w)
@@ -334,8 +338,7 @@ def _continue_along(p: HypParams, waypoints: list[complex], tol: float) -> Serie
     f1 = p.a * p.b / p.c * shifted.value
     terms = inner.terms_used
     tail = 0.0
-    for target in waypoints[1:]:
-        target = complex(target)
+    for target in (complex(0.4, s), complex(w.real, s), w):
         for _ in range(500):
             rem = target - z
             if rem == 0:
@@ -463,7 +466,9 @@ def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
     """Principal value of 2F1(a, b; c; w) for w off the cut [1, inf).
 
     Terminating cases (a or b a nonpositive integer) are polynomials with no
-    cut and are accepted at any w; a NaN w raises ``DomainError``.
+    cut and are accepted at any w; a NaN w raises ``DomainError``.  Where
+    every series argument exceeds ``THETA_CUT``, ODE steps go round w = 1 on
+    the side of Im w (-0.0: below), along the path of ``f21_cut``.
     """
     w = complex(w)
     if cmath.isnan(w):
@@ -480,16 +485,9 @@ def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
         routes = [(abs(_CONNECTIONS[n].arg(w)), n) for n in (2, 3, 4)
                   if _CONNECTIONS[n].usable(p)]
         radius, route = min(routes, key=lambda t: t[0], default=(radius, route))
-        if radius > THETA_CUT:  # the radial path stays off [1, inf)
-            try:
-                return _continue_along(p, [0.5 * w / abs(w), w], tol)
-            except ConvergenceError as radial:
-                # just off the cut it runs by w = 1: go round as f21_cut does
-                s = math.copysign(0.7, w.imag)
-                try:
-                    return _continue_along(p, [0.4, complex(0.4, s), complex(w.real, s), w], tol)
-                except ConvergenceError:
-                    raise radial from None
+        if radius > THETA_CUT:  # go round w = 1 on the side of Im w
+            side = CutSide.ABOVE if math.copysign(1.0, w.imag) > 0 else CutSide.BELOW
+            return _continue_along(p, w, side, tol)
         out = _connect(route, p, w, tol)
         if out.tail_estimate > tol:  # terms cancel near |w| = 1: sum tighter
             out = _connect(route, p, w, tol * tol / out.tail_estimate)
@@ -549,7 +547,7 @@ def f21_cut(p: HypParams, x: float, side: CutSide,
     Terminating (polynomial) cases are summed directly and carry no cut.
     Otherwise the formula with the smallest argument among those whose
     difference is ``CONNECTION_GAP`` off the integers is used (ties prefer
-    1-1/x, 1-x, 1/x); with none, ODE steps reach the cut.
+    1-1/x, 1-x, 1/x); with none, ODE steps reach the cut from ``side``.
     """
     if not (isinstance(x, (int, float)) and x > 1.0):
         raise DomainError(f"cut evaluation requires real x > 1; got {x}")
@@ -560,8 +558,4 @@ def f21_cut(p: HypParams, x: float, side: CutSide,
                   if _CONNECTIONS[n].usable(p)]
     if candidates:
         return f21_cut_via(min(candidates, key=lambda t: t[0])[1], p, x, side, tol)
-    # Continue numerically onto the cut from the requested side; the path
-    # arrives vertically, so the final Taylor element is the one-sided limit.
-    s = 0.7 if side is CutSide.ABOVE else -0.7
-    path = [0.4 + 0.0j, complex(0.4, s), complex(x, s), complex(x, 0.0)]
-    return _continue_along(p, path, tol)
+    return _continue_along(p, complex(x, 0.0), side, tol)

@@ -60,23 +60,26 @@ class DomainId(Enum):
     D3 = "D3"            # -D2: plane cut along [-1, inf)
 
 
+#: Per domain, whether a non-NaN x lies in it, given x and whether x is real.
+_IN_DOMAIN = {
+    DomainId.D1: lambda x, real: not (real and abs(x.real) >= 1.0),
+    DomainId.D1_PLUS: lambda x, real: x.real > 0.0 and not (real and x.real >= 1.0),
+    DomainId.D2: lambda x, real: not (real and x.real <= 1.0),
+    DomainId.D2_PLUS: lambda x, real: x.real > 0.0 and not (real and x.real <= 1.0),
+    DomainId.D3: lambda x, real: not (real and x.real >= -1.0),
+}
+
+
 def in_domain(dom: DomainId, x: complex) -> bool:
     """Whether x lies in ``dom``; a NaN x lies in none."""
     x = complex(x)
     if cmath.isnan(x):
         return False
-    real = x.imag == 0.0
-    if dom is DomainId.D1:
-        return not (real and abs(x.real) >= 1.0)
-    if dom is DomainId.D1_PLUS:
-        return x.real > 0.0 and not (real and x.real >= 1.0)
-    if dom is DomainId.D2:
-        return not (real and x.real <= 1.0)
-    if dom is DomainId.D2_PLUS:
-        return x.real > 0.0 and not (real and x.real <= 1.0)
-    if dom is DomainId.D3:
-        return not (real and x.real >= -1.0)
-    raise ValueError(f"unknown domain {dom!r}")
+    try:
+        test = _IN_DOMAIN[dom]
+    except (KeyError, TypeError):  # TypeError: an unhashable dom
+        raise ValueError(f"unknown domain {dom!r}") from None
+    return test(x, x.imag == 0.0)
 
 
 class CurveBranch(Enum):

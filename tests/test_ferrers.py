@@ -618,13 +618,15 @@ class TestDispatch:
                 assert rel_diff(got, want) < 2e-12, (x, got, want)
         assert not continued
 
+    @pytest.mark.parametrize("x", [2 + 1e-30j, 13.93 + 1e-12j, 1.005 + 1e-9j, 2 + 1e-6j,
+                                   13.93 + 1e-2j])
     @pytest.mark.parametrize("rep,nu,mu", [(R.FOURIER_UV, -0.5, 0.25), (R.FOURIER_UV, 0.5, 0.25),
                                            (R.FOURIER_UV, 2.5, 0.25),
-                                           (R.III1_LOWER, 0.49, 0.1 + 0.005j)])
-    def test_forced_record_next_to_the_cut(self, rep, nu, mu):
+                                           (R.III1_LOWER, 0.49, 0.1 + 0.005j),
+                                           (R.II6, 2.5, 1.0), (R.II6, 0.5, 0.25)])
+    def test_forced_record_next_to_the_cut(self, rep, nu, mu, x):
         # a factor's argument lies just off [1, inf) where no connection
         # route is usable; its ODE continuation goes round w = 1
-        x = 2 + 1e-30j
         got = ferrers_q_rep(rep, ParamPair(nu, mu), x).value
         with mp.workdps(30):
             want = complex(mp.legenq(nu, mu, mp.mpc(x.real, x.imag), type=2))
