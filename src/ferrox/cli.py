@@ -272,6 +272,8 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_fourier(args) -> int:
+    if args.n_terms < 1:
+        raise _CliError("--n-terms must be at least 1", EXIT_USAGE)
     tol = _tol()
     nu = parse_complex(args.nu)
     mu = parse_complex(args.mu)
@@ -300,6 +302,8 @@ def _cmd_fourier(args) -> int:
 
 
 def _cmd_olbricht(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise _CliError("--samples must be at least 1", EXIT_USAGE)
     tol = _tol()
     p = ParamPair(parse_complex(args.nu), parse_complex(args.mu))
     ids = [oid for oid in ALL_IDS

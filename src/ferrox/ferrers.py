@@ -673,8 +673,14 @@ def _evaluate(spec: _RepSpec, p: ParamPair, x: complex, s: complex, tol: float,
 def _compile(spec: _RepSpec, p: ParamPair, g: int) -> Callable[..., SeriesResult]:
     """The evaluator of ``spec`` with sign g at p (see ``_evaluate``): its
     coefficient parts and ``HypParams`` formed once, and stored in p's memo
-    unless forming them raises."""
+    unless forming them raises.  ``BeyondRangeError`` where every term's
+    gamma part is 0: the record would read 0 with no tail to flag it.  That
+    is seen only where rounding drops a gamma argument's constant
+    (nu = mu = 1e17: 1 + nu/2 - mu/2 rounds to the pole 0), and the value
+    there is beyond double range."""
     parts = [_coefficient(term.coef, p.nu, p.mu, g) for term in spec.terms]
+    if all(part is None for part in parts):
+        raise BeyondRangeError(f"the gamma part of every term is 0 at nu={p.nu}, mu={p.mu}")
     hyps = p._memo.get(spec) or _hyps(p, spec)
     ids, tags, regularized = spec.argument_ids, spec.bases, spec.regularized
     factors = list(zip(hyps, (ids[0], ids[-1])))  # one map serves both, or one each

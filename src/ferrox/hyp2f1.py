@@ -6,13 +6,17 @@ Provides the principal value everywhere off the cut, the regularized form
 Evaluation strategy: the argument is moved to small modulus, first by the
 least of w, w/(w-1) (Pfaff) and 1/w, and only when that exceeds
 ``THETA_CUT`` by 1-w, 1-1/w or 1/(1-w).  Each two-term connection formula is
-one ``_Connection`` record, shared with the cut limits, taken only when the
+one ``_Connection`` record, shared with the cut limits, usable only when the
 difference it divides by (a - b or c - a - b) is ``CONNECTION_GAP`` off the
-integers.  Elsewhere (degenerate parameters, and near e^(+-i pi/3), where
-every map has modulus about 1) Taylor steps on the hypergeometric equation
-continue the function from 0.4 up or down to Im = +-0.7, across to Re w and
-on to w, the one path ``f21_cut`` takes onto the cut too; that fallback has
-no parameter restrictions, so no logarithmic connection formula is needed.
+integers; ``f21`` and ``f21_cut`` take the usable one whose argument has the
+least modulus (``_nearest``).  ``route_radius``, the series-argument modulus
+of f21's first choice, is the one route fact ``ferrers`` reads, to rank the
+record whose arguments f21 moves.  Elsewhere (degenerate parameters, and near
+e^(+-i pi/3), where every map has modulus about 1) Taylor steps on the
+hypergeometric equation continue the function from 0.4 up or down to
+Im = +-0.7, across to Re w and on to w, the one path ``f21_cut`` takes onto
+the cut too; that fallback has no parameter restrictions, so no logarithmic
+connection formula is needed.
 
 What depends on (a, b, c) alone is worked out once per ``HypParams``: where
 the series terminates, the pole of c, which differences are
@@ -30,6 +34,7 @@ import cmath
 import math
 from enum import Enum
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .complexmath import (
@@ -462,6 +467,14 @@ def route_radius(p: HypParams, w: complex) -> float:
     return _first_route(p, w)[0]
 
 
+def _nearest(p: HypParams, w: complex, order: tuple[int, ...]) -> tuple[float, int] | None:
+    """(|t(w)|, n) of the usable ``_CONNECTIONS`` record n in ``order`` whose
+    argument t(w) has the least modulus, ties going to the first in
+    ``order``; None when none is usable."""
+    return min(((abs(_CONNECTIONS[n].arg(w)), n) for n in order if _CONNECTIONS[n].usable(p)),
+               key=itemgetter(0), default=None)
+
+
 def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
     """Principal value of 2F1(a, b; c; w) for w off the cut [1, inf).
 
@@ -482,9 +495,7 @@ def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
 
     radius, route = _first_route(p, w)
     if radius > THETA_CUT:
-        routes = [(abs(_CONNECTIONS[n].arg(w)), n) for n in (2, 3, 4)
-                  if _CONNECTIONS[n].usable(p)]
-        radius, route = min(routes, key=lambda t: t[0], default=(radius, route))
+        radius, route = _nearest(p, w, (2, 3, 4)) or (radius, route)
         if radius > THETA_CUT:  # go round w = 1 on the side of Im w
             side = CutSide.ABOVE if math.copysign(1.0, w.imag) > 0 else CutSide.BELOW
             return _continue_along(p, w, side, tol)
@@ -554,8 +565,7 @@ def f21_cut(p: HypParams, x: float, side: CutSide,
     x = float(x)
     if p.degree is not None:
         return _polynomial(p, x)
-    candidates = [(abs(_CONNECTIONS[n].arg(x)), n) for n in (3, 2, 1, 4)
-                  if _CONNECTIONS[n].usable(p)]
-    if candidates:
-        return f21_cut_via(min(candidates, key=lambda t: t[0])[1], p, x, side, tol)
+    nearest = _nearest(p, x, (3, 2, 1, 4))
+    if nearest:
+        return f21_cut_via(nearest[1], p, x, side, tol)
     return _continue_along(p, complex(x, 0.0), side, tol)

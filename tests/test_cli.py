@@ -404,6 +404,15 @@ class TestFourierCommand:
         assert obj["class"] == "Absolute"
         assert obj["discrepancy"] < 1e-6
 
+    # below 1 term fourier_partial_sum has no sum to form: a usage error, not
+    # a traceback
+    @pytest.mark.parametrize("n_terms", ["0", "-3"])
+    def test_n_terms_below_1_exit_1(self, capsys, n_terms):
+        code, out = run_cli("fourier", "--nu=0.3", "--mu=0.4", "--theta=1.0",
+                            f"--n-terms={n_terms}")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "ferrox: --n-terms must be at least 1\n"
+
 
 class TestOlbrichtCommand:
     def test_single_entry(self):
@@ -430,6 +439,14 @@ class TestOlbrichtCommand:
     def test_bad_selection_exit_1(self):
         code, _ = run_cli("olbricht", "--group", "I", "--index", "99")
         assert code == 1
+
+    # --samples=-2 used to drop the last two samples and pass, --samples=0
+    # to fail every entry with "inf"; both are usage errors
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_samples_below_1_exit_1(self, capsys, samples):
+        code, out = run_cli("olbricht", "--group=I", "--index=3", f"--samples={samples}")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "ferrox: --samples must be at least 1\n"
 
     def test_cmath_domain_error_exit_3(self):
         # e^(i pi nu) at nu = 1e308 is a cmath domain error: it used to end

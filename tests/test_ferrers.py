@@ -492,6 +492,37 @@ class TestDispatch:
             ferrers_q(p, x)
         assert "tail estimate" in info.value.reasons[R.II6.value]
 
+    def test_fourier_uv_ranked_by_its_route_radius(self):
+        # f21 moves FourierUV's factors to 1/w or Pfaff's w/(w-1) first: by
+        # that route radius it ranks first here and is within 1e-11, while
+        # max(|w18|, |w14|) >= 1 would never let it be tried, and every
+        # other candidate raises
+        p, x = ParamPair(-0.5, 0.4 + 300j), 0.3 + 0.4j
+        out = ferrers_q(p, x)
+        assert out.rep is R.FOURIER_UV
+        with mp.workdps(30):
+            want = complex(mp.legenq(p.nu, p.mu, x, type=2))
+        assert rel_diff(out.value, want) < 1e-11
+
+    # At these magnitudes 1 + nu/2 - mu/2 (II3) and its like in II6 round to
+    # the pole 0 of 1/Gamma, so both terms would read 0 with tail 0 while
+    # |Q| is beyond double range; nu + mu = inf makes FourierUV's 2F1
+    # parameters non-finite first at 1e308.
+    @pytest.mark.parametrize("nu,mu,x,error", [
+        (1e308, 1e308, 0.3, ParameterError),
+        (1e17, 1e17, 0.3, NoRepresentationError),
+        (1e17, 1e17, 0.3 + 0.4j, NoRepresentationError),
+        (-1e300, 1e300, 0.3 + 0.4j, NoRepresentationError),
+    ])
+    def test_vanishing_gamma_parts_raise(self, nu, mu, x, error):
+        p = ParamPair(nu, mu)
+        with pytest.raises(error) as info:
+            ferrers_q(p, x)
+        if error is NoRepresentationError:
+            assert "gamma part of every term is 0" in info.value.reasons[R.II3.value]
+        with pytest.raises(DomainError, match="gamma part of every term is 0"):
+            ferrers_q_rep(R.II3, p, x)
+
     @staticmethod
     def _ranked(p, x):
         # The documented rule: valid and convergent entries, stable-sorted
@@ -1181,7 +1212,8 @@ def _legenq(p, x):
 
 class TestRecordOracle:
     """Each of the 20 records against mpmath.legenq (type 2) to 1e-10,
-    wherever its series converge (``region_ok``)."""
+    wherever its series converge (``region_ok``); FourierUV, whose factors
+    f21 moves to a smaller argument first, wherever it is ``ok``."""
 
     @pytest.mark.parametrize("rep", list(R))
     def test_x_forms(self, rep):
@@ -1190,7 +1222,7 @@ class TestRecordOracle:
             p = ParamPair(nu, mu)
             for x in ORACLE_X:
                 v = next(v for v in valid_representations(p, x) if v.rep is rep)
-                if not v.region_ok:
+                if not (v.region_ok or v.ok and rep is R.FOURIER_UV):
                     continue
                 got = ferrers_q_rep(rep, p, x).value
                 assert rel_diff(got, _legenq(p, x)) < 1e-10, (nu, mu, x)
