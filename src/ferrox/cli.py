@@ -15,6 +15,8 @@ parameter or arithmetic (overflow) error, 3 verification failure.  All
 numeric JSON fields are printed with 17 significant digits so outputs diff
 cleanly.  The default tolerance 1e-12 can be overridden with ``--tol`` or
 the FERROX_TOL environment variable, by a finite number in [0, 1).
+``fourier`` and ``olbricht`` import their modules when they run, so no
+other command loads them.
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ from .ferrers import (
     ferrers_q_rep,
     valid_representations,
 )
-from .fourier import FourierTermStream, convergence_class, fourier_partial_sum
 from .hyp2f1 import DEFAULT_TOL, CutSide, HypParams, f21_cut
-from .olbricht import ALL_IDS, catalogue_records, verify_catalogue
 from .regions import ARGUMENT_COUNT, region_flags, region_test
 
 EXIT_OK = 0
@@ -272,6 +272,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_fourier(args) -> int:
+    from .fourier import FourierTermStream, convergence_class, fourier_partial_sum
     if args.n_terms < 1:
         raise _CliError("--n-terms must be at least 1", EXIT_USAGE)
     tol = _tol()
@@ -302,6 +303,7 @@ def _cmd_fourier(args) -> int:
 
 
 def _cmd_olbricht(args) -> int:
+    from .olbricht import ALL_IDS, catalogue_records, verify_catalogue
     if args.samples is not None and args.samples < 1:
         raise _CliError("--samples must be at least 1", EXIT_USAGE)
     tol = _tol()

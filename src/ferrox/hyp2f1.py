@@ -218,11 +218,11 @@ def f21_series(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResu
 
     Stops once two consecutive terms both fall below tol relative to the
     partial sum, which guards against alternating near-cancellation.  A NaN
-    w raises ``DomainError``.
+    or infinite w raises ``DomainError``.
     """
     w = complex(w)
-    if cmath.isnan(w):
-        raise DomainError(f"2F1 argument {w} is not a number")
+    if not cmath.isfinite(w):
+        raise DomainError(f"2F1 argument {w} is {'not a number' if cmath.isnan(w) else 'infinite'}")
     if p.degree is not None:
         return _polynomial(p, w)
     if p.c_pole is not None:
@@ -350,7 +350,7 @@ def _continue_along(p: HypParams, w: complex, side: CutSide, tol: float) -> Seri
                 break
             d = min(abs(z), abs(z - 1.0))
             final = abs(rem) <= 0.4 * d
-            h = rem if final else 0.4 * d * rem / abs(rem)
+            h = rem if final else 0.4 * d * (rem / abs(rem))
             f0, f1, used, err = _taylor_step(p, z, f0, f1, h, tol * 1e-2)
             z = target if final else z + h
             terms += used
@@ -479,13 +479,14 @@ def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
     """Principal value of 2F1(a, b; c; w) for w off the cut [1, inf).
 
     Terminating cases (a or b a nonpositive integer) are polynomials with no
-    cut and are accepted at any w; a NaN w raises ``DomainError``.  Where
-    every series argument exceeds ``THETA_CUT``, ODE steps go round w = 1 on
-    the side of Im w (-0.0: below), along the path of ``f21_cut``.
+    cut and are accepted at any finite w; a NaN or infinite w raises
+    ``DomainError``.  Where every series argument exceeds ``THETA_CUT``, ODE
+    steps go round w = 1 on the side of Im w (-0.0: below), along the path
+    of ``f21_cut``.
     """
     w = complex(w)
-    if cmath.isnan(w):
-        raise DomainError(f"2F1 argument {w} is not a number")
+    if not cmath.isfinite(w):
+        raise DomainError(f"2F1 argument {w} is {'not a number' if cmath.isnan(w) else 'infinite'}")
     if p.degree is not None:
         return _polynomial(p, w)
     if w.imag == 0.0 and w.real >= 1.0:
@@ -534,11 +535,11 @@ def f21_regularized(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> Serie
 
 def f21_cut_via(theorem: int, p: HypParams, x: float, side: CutSide,
                 tol: float = DEFAULT_TOL) -> SeriesResult:
-    """One-sided limit 2F1(a, b; c; x +- i0), x > 1, by one of the four
+    """One-sided limit 2F1(a, b; c; x +- i0), finite x > 1, by one of the four
     two-term connection formulas (1: argument 1/x, 2: 1-x, 3: 1-1/x,
     4: 1/(1-x)).  Formulas 1 and 4 need a - b off the integers; 2 and 3 need
     c - a - b off the integers."""
-    if not (isinstance(x, (int, float)) and x > 1.0):
+    if not (isinstance(x, (int, float)) and 1.0 < x < math.inf):
         raise DomainError(f"cut evaluation requires real x > 1; got {x}")
     if p.c_pole is not None:
         raise ParameterError(f"2F1 undefined for c = {p.c} in 0, -1, -2, ...")
@@ -553,14 +554,14 @@ def f21_cut_via(theorem: int, p: HypParams, x: float, side: CutSide,
 
 def f21_cut(p: HypParams, x: float, side: CutSide,
             tol: float = DEFAULT_TOL) -> SeriesResult:
-    """Limit of 2F1 on the cut from above or below, x > 1.
+    """Limit of 2F1 on the cut from above or below, finite x > 1.
 
     Terminating (polynomial) cases are summed directly and carry no cut.
     Otherwise the formula with the smallest argument among those whose
     difference is ``CONNECTION_GAP`` off the integers is used (ties prefer
     1-1/x, 1-x, 1/x); with none, ODE steps reach the cut from ``side``.
     """
-    if not (isinstance(x, (int, float)) and x > 1.0):
+    if not (isinstance(x, (int, float)) and 1.0 < x < math.inf):
         raise DomainError(f"cut evaluation requires real x > 1; got {x}")
     x = float(x)
     if p.degree is not None:

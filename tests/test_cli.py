@@ -486,8 +486,10 @@ class TestCutCommand:
         assert above["value"]["re"] == pytest.approx(below["value"]["re"], abs=1e-12)
         assert above["value"]["im"] == pytest.approx(-below["value"]["im"], abs=1e-12)
 
-    # x off the cut; a power |w| ** -a beyond double range
-    @pytest.mark.parametrize("a,x", [("0.3", "0.5"), ("-400.3", "1e6")])
+    # x off the cut; a power |w| ** -a beyond double range; x = inf, where a
+    # polynomial case would print nan
+    @pytest.mark.parametrize("a,x", [("0.3", "0.5"), ("-400.3", "1e6"), ("-2", "inf"),
+                                     ("0.3", "inf")])
     def test_domain_error_exit_2(self, a, x):
         code, obj = run_cli_json("cut", "--a", a, "--b", "1.1", "--c", "2.2",
                                  "--x", x, "--side", "above")

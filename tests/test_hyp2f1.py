@@ -136,6 +136,15 @@ class TestF21:
         assert mp_rel_err(f21(p, w).value, p, w) < 1e-10
         assert ode_targets == [w]
 
+    def test_ode_step_stays_finite_far_out(self):
+        # 0.4 * d * rem would overflow once |rem| * d passes 1e308: the step
+        # is scaled from the unit direction rem / |rem|, so a stall names a
+        # finite one
+        with pytest.raises(ConvergenceError, match="stalled") as err:
+            f21(HypParams(0.75, 1.75, 2.0), 1e300 + 1j)
+        h = complex(str(err.value).rpartition("h=")[2])
+        assert cmath.isfinite(h) and h != 0
+
 
 def mp_rel_err(got: complex, p: HypParams, w: complex) -> float:
     """Relative error of ``got`` against mpmath's 2F1 at 30 digits."""
@@ -593,7 +602,7 @@ class TestBeyondDoubleRange:
 
 class TestNonFinite:
     """A non-finite parameter raises ``ParameterError`` where ``HypParams``
-    is built, so no entry point sees one; a NaN argument raises
+    is built, so no entry point sees one; a NaN or infinite argument raises
     ``DomainError`` before any term is summed."""
 
     BAD = [math.nan, math.inf, complex(0.3, -math.inf)]
@@ -628,6 +637,26 @@ class TestNonFinite:
     def test_nan_argument(self, fn, params):
         with pytest.raises(DomainError, match="not a number"):
             fn(HypParams(*params), complex(math.nan, 0.0))
+
+    @pytest.mark.parametrize("w", [complex(math.inf, 1.0), math.inf, complex(0.3, -math.inf)],
+                             ids=["inf+1i", "inf", "0.3-inf_i"])
+    @pytest.mark.parametrize("fn,params", [
+        (fn, params) for fn in (f21, f21_regularized, f21_series)
+        for params in ((0.3, 0.4, 1.2), (-2, 0.4, 1.2))] + [(f21_regularized, (0.3, 0.4, -2.0))])
+    def test_infinite_argument(self, fn, params, w):
+        # summed at inf, a terminating series would give nan with tail 0
+        with pytest.raises(DomainError, match="infinite"):
+            fn(HypParams(*params), w)
+
+    @pytest.mark.parametrize("cut", [
+        lambda p: f21_cut(p, math.inf, CutSide.ABOVE),
+        lambda p: f21_cut_via(3, p, math.inf, CutSide.ABOVE)], ids=["f21_cut", "f21_cut_via"])
+    @pytest.mark.parametrize("params", [(-2, 1.3, 2.6), (0.3, 1.1, 2.7)])
+    def test_infinite_cut_point(self, cut, params):
+        # inf > 1, but no formula or ODE path reaches it: nan, a stalled step
+        # or a BranchCutError about w = 1 would follow
+        with pytest.raises(DomainError, match="requires real x > 1"):
+            cut(HypParams(*params))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,7 +1,9 @@
 """The record types of ferrox: plain records are named tuples, and the two
 records that keep work beside their fields (``ParamPair``, ``HypParams``)
 compare, hash, print and pickle by their fields alone.  ``import ferrox``
-and ``import ferrox.cli`` load neither ``dataclasses`` nor ``inspect``."""
+and ``import ferrox.cli`` load neither ``dataclasses`` nor ``inspect``, and
+``ferrox.cli`` loads ``ferrox.olbricht`` and ``ferrox.fourier`` only when their
+commands run."""
 
 import pickle
 import subprocess
@@ -27,6 +29,21 @@ def test_import_loads_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-I", "-c", code, str(SRC)], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_loads_olbricht_and_fourier_when_they_run():
+    # only `ferrox olbricht` and `ferrox fourier` read these modules
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ferrox.cli; "
+            "lazy = lambda: sorted({'ferrox.olbricht', 'ferrox.fourier'} & set(sys.modules)); "
+            "print(lazy(), file=sys.stderr); "
+            "codes = [ferrox.cli.main(['olbricht', '--group=I', '--index=1']), "
+            "ferrox.cli.main(['fourier', '--nu=0.3', '--mu=0.4', '--theta=1', '--n-terms=10'])]; "
+            "print(codes, lazy(), file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(SRC)], capture_output=True,
+                         text=True, check=True)
+    assert out.stderr.splitlines() == [
+        "[]", "[0, 0] ['ferrox.fourier', 'ferrox.olbricht']"]
+    assert '"passed": 1, "total": 1}' in out.stdout and '"class": ' in out.stdout
 
 
 RECORD_FIELDS = {
