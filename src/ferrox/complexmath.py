@@ -42,6 +42,7 @@ __all__ = [
     "rgamma",
     "root_y",
     "sinpi",
+    "to_complex",
 ]
 
 # Rational-approximation weights for the shifted gamma sum, g = 607/128.
@@ -80,6 +81,15 @@ _LN_GAMMA_MEMO_SIZE = 256
 #: Default tolerance for "is effectively an integer" predicates, such as the
 #: parameter exclusions of the representations (see ``ferrers.ParamPair``).
 NEAR_INT_TOL = 1e-9
+
+
+def to_complex(z) -> complex:
+    """``complex(z)``, but a number beyond double range (a large integer)
+    becomes the infinity of its sign, for the caller's non-finite check."""
+    try:
+        return complex(z)
+    except OverflowError:
+        return complex(math.inf if z > 0 else -math.inf)
 
 
 def near_int(z: complex, tol: float = NEAR_INT_TOL) -> bool:

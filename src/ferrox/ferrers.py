@@ -21,9 +21,9 @@ factors), all affine in (nu, mu).  Each record is compiled, once per
 ``HypParams``: a call forms the arguments, the coefficients at x
 (``_coefficients_at``, also shared) and the 2F1 series.  One rule,
 ``_refusal``, decides whether a table record may be used at (p, x):
-``ferrers_q`` ranks the records it lets through, from the candidates of x's
-domain outcome (``_CANDIDATES``), by argument modulus and tests regions
-only on the candidates it tries; ``valid_representations`` and
+``ferrers_q`` ranks the records it lets through, from the score slots of x's
+domain outcome (``_CANDIDATES``), by argument moduli (``map_moduli``) and
+tests regions only on the candidates it tries; ``valid_representations`` and
 ``NoRepresentationError`` report the reasons, and ``ferrers_q_rep``,
 ``ferrers_q_rep_trig`` (group III at x = cos(theta)) and
 ``ferrers_q_halfplane_cut`` raise them.  A value whose ``tail_estimate``
@@ -41,7 +41,6 @@ import cmath
 import math
 from enum import Enum
 from itertools import product
-from operator import itemgetter
 from typing import Callable, Container, NamedTuple
 
 from .complexmath import (
@@ -51,6 +50,7 @@ from .complexmath import (
     near_int,
     principal_pow,
     sinpi,
+    to_complex,
 )
 from .errors import (
     BeyondRangeError,
@@ -72,14 +72,14 @@ from .hyp2f1 import (
     f21,
     f21_cut,
     f21_regularized,
-    route_radius,
+    _first_route,
 )
 from .regions import (
     DomainId,
     argument,
     in_domain,
+    map_moduli,
     map_value,
-    map_values,
     region_test,
     unusable_maps,
 )
@@ -127,7 +127,7 @@ class ParamPair(_Record):
     _fields = ("nu", "mu")
 
     def __init__(self, nu: complex, mu: complex):
-        nu, mu = complex(nu), complex(mu)
+        nu, mu = to_complex(nu), to_complex(mu)
         if not (cmath.isfinite(nu) and cmath.isfinite(mu)):
             raise ParameterError(f"nu and mu must be finite; got nu={nu}, mu={mu}")
         vars(self).update(nu=nu, mu=mu, _memo={})
@@ -175,8 +175,8 @@ class RepValidity(NamedTuple):
     ``ok`` means the identity holds there (domain of x and parameter
     exclusions); ``region_ok`` additionally means the hypergeometric series
     converges at the point's argument, which is what the automatic dispatch
-    keys on.  ``preference`` is the largest argument modulus (smaller sorts
-    first)."""
+    keys on.  ``preference`` is the largest argument modulus, or route
+    radius for FourierUV (smaller sorts first)."""
 
     rep: RepresentationId
     ok: bool
@@ -522,14 +522,16 @@ def _rep_table() -> tuple[dict[RepresentationId, _RepSpec], dict[str, _RepSpec]]
 _REP_TABLE, _ONE_TERM = _rep_table()
 _LABELS = {spec: f"representation {rep.value}" for rep, spec in _REP_TABLE.items()} | {
     spec: name for name, spec in _ONE_TERM.items()}  # what ``_guarded`` names in errors
-#: Per domain outcome of x (in D1, in D1 with Re x > 0, off the real axis), the records
-#: whose domain holds, in table order, as (table index, rep, record, j): j the one map
-#: that scores the record by |w_j|, or 0 for I7 and FourierUV (``_score``).
-_CANDIDATES = {key: tuple(
-    (i, rep, spec, 0 if spec.routed or len(spec.argument_ids) == 2 else spec.argument_ids[0])
-    for i, (rep, spec) in enumerate(_REP_TABLE.items())
-    if dict(zip(("D1", "D1+", "half"), key))[spec.domain])
-    for key in product((False, True), repeat=3)}
+#: The score slot of each record, in table order, where ``_rank`` keeps its score:
+#: its one map j, 19 for I7 (two maps) and 20 for FourierUV (routed).
+_SLOTS = [20 if spec.routed else 19 if len(spec.argument_ids) == 2 else spec.argument_ids[0]
+          for spec in _REP_TABLE.values()]
+_BY_SLOT = dict(zip(_SLOTS, _REP_TABLE.items()))  # slot -> (rep, record)
+#: Per domain outcome of x (in D1, in D1 with Re x > 0, off the real axis), the slots
+#: of the records whose domain holds, in table order.
+_CANDIDATES = {key: tuple(k for k, spec in zip(_SLOTS, _REP_TABLE.values())
+                          if dict(zip(("D1", "D1+", "half"), key))[spec.domain])
+               for key in product((False, True), repeat=3)}
 
 
 def _hyps(p: ParamPair, spec: _RepSpec) -> list[HypParams]:
@@ -587,50 +589,47 @@ def _check(rep: RepresentationId, p: ParamPair, x: complex, unusable: dict[int, 
 
 
 def _rank(p: ParamPair, outside: dict[str, str | None], x: complex,
-          y: complex) -> tuple[list[complex | None], list[tuple]]:
-    """(values, rows): the arguments w_j(x) at index j of the maps usable at
-    x, root y = i sqrt(1 - x^2), each computed once, and as (score, table
-    index, rep, spec) every record that ``_refusal`` lets through, in table
-    order, so that a stable sort by score ranks them, ties in table order.
-    A record scores the largest modulus of its arguments (``_score``).
-    Only the ``_CANDIDATES`` of x's domain outcome are read; refused records
-    are left to ``_refusals``, and the region test to ``_converges``, so
-    that ``ferrers_q`` runs it only on the candidates it tries."""
+          y: complex) -> tuple[list[float | None], list[int]]:
+    """(scores, ranked): each record's score at its slot (``_SLOTS``), with
+    y = i sqrt(1 - x^2), and, sorted by score, the slots of the records that
+    ``_refusal`` lets through; they come in table order and the sort is
+    stable, so ties keep table order.  Scores are moduli (``map_moduli``,
+    None for a map unusable at x): |w_j|, for I7 the larger of |w_1| and
+    |w_2|, and for FourierUV the larger route radius (``_first_route``) from
+    |w18|, |w17| = |w18/(w18 - 1)| and |w14|, |w13|, the floats that score
+    III1 and III2.  Only the ``_CANDIDATES`` of x's domain outcome are read;
+    refused records are left to ``_refusals``, and the region test to
+    ``_converges``, so that ``ferrers_q`` runs it only on those it tries."""
     excluded = p._excluded
     unusable = unusable_maps(x)
-    values = map_values(x, y, unusable)  # None for a map unusable at x
+    scores = map_moduli(x, y, unusable)
+    slots = _CANDIDATES[outside["D1"] is None, outside["D1+"] is None, outside["half"] is None]
     # Nothing excluded, no unusable map and x^2 finite refuse no candidate:
     # the common case calls no _refusal.
-    checked = excluded or unusable or outside["x^2"]
-    candidates = _CANDIDATES[outside["D1"] is None, outside["D1+"] is None,
-                             outside["half"] is None]
-    return values, [(abs(values[j]) if j else _score(p, spec, values), i, rep, spec)
-                    for i, rep, spec, j in candidates
-                    if not checked or _refusal(spec, excluded, outside, unusable) is None]
-
-
-def _score(p: ParamPair, spec: _RepSpec, values: list[complex | None]) -> float:
-    """The ``_rank`` score of I7 and FourierUV, records of two maps: the
-    larger modulus, or route radius (routed), of their arguments."""
-    j, k = spec.argument_ids
-    if spec.routed:
+    if excluded or unusable or outside["x^2"]:
+        slots = [k for k in slots if _refusal(_BY_SLOT[k][1], excluded, outside, unusable) is None]
+    fourier = None
+    if 20 in slots:  # FourierUV's factors share one HypParams
+        spec = _BY_SLOT[20][1]
         hp = (p._memo.get(spec) or _hyps(p, spec))[0]
-        return max(route_radius(hp, values[j]), route_radius(hp, values[k]))
-    return max(abs(values[j]), abs(values[k]))
+        fourier = max(_first_route(hp, scores[18], scores[17])[0],
+                      _first_route(hp, scores[14], scores[13])[0])
+    scores += max(scores[1], scores[2]), fourier
+    return scores, sorted(slots, key=scores.__getitem__)
 
 
 def _refusals(p: ParamPair, outside: dict[str, str | None], x: complex,
               ranked: Container[int]) -> list[str | None]:
     """Per record, in table order, the reason of its ``_refusal`` at x, or
-    None for the table indices in ``ranked``, the records ``_rank`` scored."""
+    None for the slots in ``ranked``, the records ``_rank`` scored."""
     unusable = unusable_maps(x)
-    return [None if i in ranked else _refusal(spec, p._excluded, outside, unusable)[1]
-            for i, spec in enumerate(_REP_TABLE.values())]
+    return [None if k in ranked else _refusal(spec, p._excluded, outside, unusable)[1]
+            for k, spec in zip(_SLOTS, _REP_TABLE.values())]
 
 
 def _converges(spec: _RepSpec, x: complex, score: float) -> bool:
-    """Whether every series of ``spec`` converges at x, given the score of
-    its ``_rank`` row: each argument inside the closed-form region of its
+    """Whether every series of ``spec`` converges at x, given its ``_rank``
+    score: each argument inside the closed-form region of its
     map, or for a routed record every route radius below ``THETA_CUT``."""
     if spec.routed:
         return score < THETA_CUT
@@ -641,33 +640,32 @@ def _converges(spec: _RepSpec, x: complex, score: float) -> bool:
 
 
 def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
-    """Per-representation validity at (p, x), in table order: the rows
+    """Per-representation validity at (p, x), in table order: the records
     ``ferrers_q`` ranks, each with the reason ``ferrers_q_rep`` refuses it
-    for and its argument-modulus preference score (inf when refused).  The
-    region test runs on every usable row.  ``ferrers_q`` takes the first
-    row by preference that is ok, converges at x and evaluates with a
-    ``tail_estimate`` of at most ``TAIL_FACTOR * tol``."""
-    x = complex(x)
+    for and its preference, the score ``_rank`` keeps at its slot, from
+    argument moduli (inf when refused).  The region test runs on every
+    usable row.  ``ferrers_q`` takes the first row by preference that is
+    ok, converges at x and evaluates with a ``tail_estimate`` of at most
+    ``TAIL_FACTOR * tol``."""
+    x = to_complex(x)
     outside = _outside(x)
-    _, rows = _rank(p, outside, x, 1j * cmath.sqrt(1.0 - x * x))
-    usable = {i: RepValidity(rep, True, None, _converges(spec, x, score), score)
-              for score, i, rep, spec in rows}
-    reasons = _refusals(p, outside, x, usable)
-    return [usable[i] if reason is None else RepValidity(rep, False, reason, False, math.inf)
-            for i, (rep, reason) in enumerate(zip(_REP_TABLE, reasons))]
+    scores, ranked = _rank(p, outside, x, 1j * cmath.sqrt(1.0 - x * x))
+    reasons = _refusals(p, outside, x, set(ranked))
+    return [RepValidity(rep, True, None, _converges(spec, x, scores[k]), scores[k])
+            if reason is None else RepValidity(rep, False, reason, False, math.inf)
+            for k, (rep, spec), reason in zip(_SLOTS, _REP_TABLE.items(), reasons)]
 
 
 def _evaluate(spec: _RepSpec, p: ParamPair, x: complex, s: complex, tol: float,
-              side: CutSide | None, values: list[complex | None] | None = None
-              ) -> SeriesResult:
+              side: CutSide | None) -> SeriesResult:
     """``spec`` at x, s = sqrt(1 - x^2), by the evaluator of (spec, its sign g
     at x) in p's memo, compiled on first use under ``_guarded`` too: each
-    factor's argument from ``values`` (``_rank``'s) or its map with root
-    y = i s, each term's coefficient at x, each factor by ``f21``
-    (``f21_regularized``), or by its limit ``f21_cut`` on the cut from ``side``."""
+    factor's argument by its map with root y = i s, each term's coefficient
+    at x, each factor by ``f21`` (``f21_regularized``), or by its limit
+    ``f21_cut`` on the cut from ``side``."""
     g = spec.sign.at(x)
     evaluate = p._memo.get((spec, g)) or _compile(spec, p, g)
-    return evaluate(x, s, tol, side, values)
+    return evaluate(x, s, tol, side)
 
 
 def _compile(spec: _RepSpec, p: ParamPair, g: int) -> Callable[..., SeriesResult]:
@@ -683,19 +681,19 @@ def _compile(spec: _RepSpec, p: ParamPair, g: int) -> Callable[..., SeriesResult
         raise BeyondRangeError(f"the gamma part of every term is 0 at nu={p.nu}, mu={p.mu}")
     hyps = p._memo.get(spec) or _hyps(p, spec)
     ids, tags, regularized = spec.argument_ids, spec.bases, spec.regularized
-    factors = list(zip(hyps, (ids[0], ids[-1])))  # one map serves both, or one each
+    factors = list(zip(hyps, (0, -1)))  # one argument serves both, or one each
 
-    def evaluate(x, s, tol, side, values):
-        if values is None:
-            values = {j: map_value(j, x, 1j * s) for j in ids}
+    def evaluate(x, s, tol, side):
+        y = 1j * s
+        values = [map_value(j, x, y) for j in ids]
         out = []
-        for coef, (hp, j) in zip(_coefficients_at(parts, _X_BASES, tags, x, s, g), factors):
+        for coef, (hp, i) in zip(_coefficients_at(parts, _X_BASES, tags, x, s, g), factors):
             if side is not None:
-                r = f21_cut(hp, values[j].real, side, tol)
+                r = f21_cut(hp, values[i].real, side, tol)
             elif regularized:
-                r = f21_regularized(hp, values[j], tol)
+                r = f21_regularized(hp, values[i], tol)
             else:
-                r = f21(hp, values[j], tol)
+                r = f21(hp, values[i], tol)
             out.append((coef, r))
         return combine(out)
 
@@ -704,11 +702,10 @@ def _compile(spec: _RepSpec, p: ParamPair, g: int) -> Callable[..., SeriesResult
 
 
 def _run(rep: RepresentationId, p: ParamPair, x: complex, s: complex, tol: float,
-         side: CutSide | None = None, values: list[complex | None] | None = None) -> EvalOutcome:
-    """``rep`` at x, s = sqrt(1 - x^2), by ``_evaluate`` under ``_guarded``;
-    ``values`` are ``_rank``'s arguments, if already computed."""
+         side: CutSide | None = None) -> EvalOutcome:
+    """``rep`` at x, s = sqrt(1 - x^2), by ``_evaluate`` under ``_guarded``."""
     spec = _REP_TABLE[rep]
-    r = _guarded(_LABELS[spec], _evaluate, spec, p, x, s, tol, side, values)
+    r = _guarded(_LABELS[spec], _evaluate, spec, p, x, s, tol, side)
     return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
 
 
@@ -728,7 +725,7 @@ def ferrers_q_rep(rep: RepresentationId, p: ParamPair, x: complex,
     carry tails up to about 1.5e-9, above ``TAIL_FACTOR * tol``, so a
     ``compare`` table keeps them; the caller weighs the tail.
     """
-    x = complex(x)
+    x = to_complex(x)
     _check(rep, p, x, unusable_maps(x))
     return _run(rep, p, x, cmath.sqrt(1.0 - x * x), tol)
 
@@ -754,17 +751,17 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     """Ferrers function of the second kind, representation chosen
     automatically: among the representations ``_refusal`` lets through whose
     series converges at x, the one with the smallest argument modulus wins
-    (ties broken by table order).  ``_rank`` gives the usable rows
-    ``valid_representations`` reports, and the region test runs only on the
-    candidates tried, each with the arguments ``_rank`` computed.  A
-    candidate that raises a ``FerroxError`` (such as a gamma ratio beyond
+    (ties broken by table order).  ``_rank`` scores the usable rows
+    ``valid_representations`` reports from argument moduli, the region test
+    runs only on the candidates tried, and each forms its own arguments, as
+    a forced call does.  A candidate that raises a ``FerroxError`` (such as a gamma ratio beyond
     double range, or any ``ArithmeticError`` or non-finite value, which
     ``_run`` maps to ``DomainError``), or whose ``tail_estimate`` exceeds
     ``TAIL_FACTOR * tol``, is skipped for the next one; when none is left,
     ``NoRepresentationError`` maps every representation to the reason it
     was not used (``DomainError`` at once where x^2 is beyond double
     range)."""
-    x = complex(x)
+    x = to_complex(x)
     outside = _outside(x)
     if outside["D1"] is not None:
         raise DomainError(f"x not in D1: {x}")
@@ -774,25 +771,25 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
     if "numu_neg" in p._excluded:
         raise ParameterError(
             f"Ferrers Q undefined for nu + mu = {p.nu + p.mu} in -N")
-    values, rows = _rank(p, outside, x, 1j * s)
+    scores, ranked = _rank(p, outside, x, 1j * s)
     diverging, failed = set(), {}
-    # Rows come in table order and sort stably by score, so ties keep table
-    # order, and dropping the rows whose series diverges keeps the order of
-    # the rest: testing regions only as candidates are reached picks the
-    # winner and the fallbacks that testing every row first would.
-    for score, _, rep, spec in sorted(rows, key=itemgetter(0)):
-        if not _converges(spec, x, score):
+    # Dropping the candidates whose series diverges keeps the order of the
+    # rest: testing regions only as candidates are reached picks the winner
+    # and the fallbacks that testing every record first would.
+    for k in ranked:
+        rep, spec = _BY_SLOT[k]
+        if not _converges(spec, x, scores[k]):
             diverging.add(rep)
             continue
         try:
-            out = _run(rep, p, x, s, tol, values=values)
+            out = _run(rep, p, x, s, tol)
         except FerroxError as exc:
             failed[rep.value] = str(exc)
             continue
         if out.tail_estimate <= TAIL_FACTOR * tol:
             return out
         failed[rep.value] = f"tail estimate {out.tail_estimate:.3g} exceeds {TAIL_FACTOR:g} * tol"
-    refused = _refusals(p, outside, x, {i for _, i, _, _ in rows})
+    refused = _refusals(p, outside, x, ranked)
     reasons = {rep.value: reason or "series argument has modulus >= 1 at x"
                for rep, reason in zip(_REP_TABLE, refused)
                if reason is not None or rep in diverging}
@@ -865,7 +862,7 @@ def _one_term(name: str, p: ParamPair, z: complex, tol: float) -> EvalOutcome:
     domain, and ConvergenceError where the tail estimate exceeds
     ``TAIL_FACTOR * tol``: such a value is not returned."""
     spec = _ONE_TERM[name]
-    z = complex(z)
+    z = to_complex(z)
     if not in_domain(DomainId(spec.domain), z):
         raise DomainError(f"{name}: z not in {spec.domain}: {z}")
     r = _guarded(name, _evaluate, spec, p, z, cmath.sqrt(1.0 - z * z), tol, None)
@@ -898,7 +895,7 @@ def legendre_q(p: ParamPair, z: complex, tol: float = DEFAULT_TOL) -> EvalOutcom
     """Second-kind associated Legendre function on the plane cut along
     (-inf, 1], e^{i pi mu} Gamma(nu + mu + 1) times ``legendre_q_bold``;
     undefined when nu + mu is a negative integer."""
-    z = complex(z)
+    z = to_complex(z)
     if not in_domain(DomainId.D2, z):
         raise DomainError(f"legendre_q: z not in D2: {z}")
     if "numu_neg" in p._excluded:
@@ -920,7 +917,7 @@ def connection_residuals(p: ParamPair, x: complex,
     connection relations linking the second-kind Ferrers function to the
     cut-plane Legendre functions.  Relations whose preconditions fail at
     (p, x) are omitted."""
-    x = complex(x)
+    x = to_complex(x)
     if not in_domain(DomainId.D1, x):
         raise DomainError(f"x not in D1: {x}")
     nu, mu = p.nu, p.mu
@@ -985,7 +982,7 @@ def legendre_ode_residual(f: Callable[[complex], complex], nu: complex,
     """Residual of (1-x^2) y'' - 2x y' + (nu(nu+1) - mu^2/(1-x^2)) y at x,
     with derivatives from five-point central differences of step h,
     normalized by the sum of the term magnitudes."""
-    x = complex(x)
+    x = to_complex(x)
     ys = [f(x + k * h) for k in (-2, -1, 0, 1, 2)]
     d1 = (ys[0] - 8.0 * ys[1] + 8.0 * ys[3] - ys[4]) / (12.0 * h)
     d2 = (-ys[0] + 16.0 * ys[1] - 30.0 * ys[2] + 16.0 * ys[3] - ys[4]) / (12.0 * h * h)

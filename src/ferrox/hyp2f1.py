@@ -9,14 +9,14 @@ least of w, w/(w-1) (Pfaff) and 1/w, and only when that exceeds
 one ``_Connection`` record, shared with the cut limits, usable only when the
 difference it divides by (a - b or c - a - b) is ``CONNECTION_GAP`` off the
 integers; ``f21`` and ``f21_cut`` take the usable one whose argument has the
-least modulus (``_nearest``).  ``route_radius``, the series-argument modulus
-of f21's first choice, is the one route fact ``ferrers`` reads, to rank the
-record whose arguments f21 moves.  Elsewhere (degenerate parameters, and near
-e^(+-i pi/3), where every map has modulus about 1) Taylor steps on the
-hypergeometric equation continue the function from 0.4 up or down to
-Im = +-0.7, across to Re w and on to w, the one path ``f21_cut`` takes onto
-the cut too; that fallback has no parameter restrictions, so no logarithmic
-connection formula is needed.
+least modulus (``_nearest``).  f21's first choice, ``_first_route``, reads
+|w| and |w/(w-1)| only, so ``ferrers`` ranks the record whose arguments f21
+moves by it from the argument moduli it has; ``route_radius`` gives it at a
+complex w.  Elsewhere (degenerate parameters, and near e^(+-i pi/3), where
+every map has modulus about 1) Taylor steps on the hypergeometric equation
+continue the function from 0.4 up or down to Im = +-0.7, across to Re w and
+on to w, the one path ``f21_cut`` takes onto the cut too; that fallback has
+no parameter restrictions, so no logarithmic connection formula is needed.
 
 What depends on (a, b, c) alone is worked out once per ``HypParams``: where
 the series terminates, the pole of c, which differences are
@@ -45,6 +45,7 @@ from .complexmath import (
     pochhammer,
     principal_pow,
     rgamma,
+    to_complex,
 )
 from .errors import (
     BeyondRangeError,
@@ -148,7 +149,7 @@ class HypParams(_Record):
     ratios = None  # not a field: set in the instance dict by ``_series``
 
     def __init__(self, a: complex, b: complex, c: complex):
-        a, b, c = complex(a), complex(b), complex(c)
+        a, b, c = to_complex(a), to_complex(b), to_complex(c)
         if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
             raise ParameterError(f"2F1 parameters must be finite; got a={a}, b={b}, c={c}")
         ma, mb = nonpos_index(a), nonpos_index(b)
@@ -218,9 +219,9 @@ def f21_series(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResu
 
     Stops once two consecutive terms both fall below tol relative to the
     partial sum, which guards against alternating near-cancellation.  A NaN
-    or infinite w raises ``DomainError``.
+    or infinite w (an integer beyond double range too) raises ``DomainError``.
     """
-    w = complex(w)
+    w = to_complex(w)
     if not cmath.isfinite(w):
         raise DomainError(f"2F1 argument {w} is {'not a number' if cmath.isnan(w) else 'infinite'}")
     if p.degree is not None:
@@ -450,12 +451,11 @@ def _connect(n: int, p: HypParams, w: complex, tol: float,
     return out
 
 
-def _first_route(p: HypParams, w: complex) -> tuple[float, str | int]:
-    """f21's first choice at w off the cut, with the modulus of its series
-    argument: the least of w, w/(w-1) (Pfaff) and, when a - b is off the
-    integers, 1/w (connection formula 1)."""
-    r = abs(w)
-    pfaff = abs(w / (w - 1.0))
+def _first_route(p: HypParams, r: float, pfaff: float) -> tuple[float, str | int]:
+    """f21's first choice at w off the cut, given r = |w| and pfaff =
+    |w/(w-1)|, with the modulus of its series argument: the least of w,
+    w/(w-1) (Pfaff) and, when a - b is off the integers, 1/w (connection
+    formula 1)."""
     radius, route = (pfaff, "pfaff") if pfaff < r else (r, "direct")
     if r > 1.0 and 1.0 / r < radius and _CONNECTIONS[1].usable(p):
         return 1.0 / r, 1
@@ -464,7 +464,7 @@ def _first_route(p: HypParams, w: complex) -> tuple[float, str | int]:
 
 def route_radius(p: HypParams, w: complex) -> float:
     """Series-argument modulus of f21's first choice at w off the cut."""
-    return _first_route(p, w)[0]
+    return _first_route(p, abs(w), abs(w / (w - 1.0)))[0]
 
 
 def _nearest(p: HypParams, w: complex, order: tuple[int, ...]) -> tuple[float, int] | None:
@@ -484,7 +484,7 @@ def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
     steps go round w = 1 on the side of Im w (-0.0: below), along the path
     of ``f21_cut``.
     """
-    w = complex(w)
+    w = to_complex(w)
     if not cmath.isfinite(w):
         raise DomainError(f"2F1 argument {w} is {'not a number' if cmath.isnan(w) else 'infinite'}")
     if p.degree is not None:
@@ -494,7 +494,7 @@ def f21(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
     if p.c_pole is not None:
         raise ParameterError(f"2F1 undefined for c = {p.c} in 0, -1, -2, ...")
 
-    radius, route = _first_route(p, w)
+    radius, route = _first_route(p, abs(w), abs(w / (w - 1.0)))
     if radius > THETA_CUT:
         radius, route = _nearest(p, w, (2, 3, 4)) or (radius, route)
         if radius > THETA_CUT:  # go round w = 1 on the side of Im w
@@ -524,7 +524,7 @@ def f21_regularized(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> Serie
             raise ConvergenceError(
                 f"2F1 limit at c = {p.c} starts past the {MAX_TERMS}-term budget")
         pref = (pochhammer(p.a, mm + 1) * pochhammer(p.b, mm + 1)
-                / math.factorial(mm + 1)) * principal_pow(complex(w), mm + 1)
+                / math.factorial(mm + 1)) * principal_pow(to_complex(w), mm + 1)
         if pref == 0:
             return SeriesResult(0.0 + 0.0j, 0, 0.0)
         inner = f21(HypParams(p.a + mm + 1, p.b + mm + 1, mm + 2), w, tol)
@@ -533,14 +533,22 @@ def f21_regularized(p: HypParams, w: complex, tol: float = DEFAULT_TOL) -> Serie
     return SeriesResult(rgamma(p.c) * inner.value, inner.terms_used, inner.tail_estimate)
 
 
+def _cut_point(x) -> float:
+    """x as a float; ``DomainError`` unless it is a real number in (1, inf)."""
+    if isinstance(x, (int, float)) and 1.0 < x < math.inf:
+        if (real := to_complex(x).real) < math.inf:
+            return real
+        x = "an integer beyond double range"
+    raise DomainError(f"cut evaluation requires real x > 1; got {x}")
+
+
 def f21_cut_via(theorem: int, p: HypParams, x: float, side: CutSide,
                 tol: float = DEFAULT_TOL) -> SeriesResult:
     """One-sided limit 2F1(a, b; c; x +- i0), finite x > 1, by one of the four
     two-term connection formulas (1: argument 1/x, 2: 1-x, 3: 1-1/x,
     4: 1/(1-x)).  Formulas 1 and 4 need a - b off the integers; 2 and 3 need
     c - a - b off the integers."""
-    if not (isinstance(x, (int, float)) and 1.0 < x < math.inf):
-        raise DomainError(f"cut evaluation requires real x > 1; got {x}")
+    x = _cut_point(x)
     if p.c_pole is not None:
         raise ParameterError(f"2F1 undefined for c = {p.c} in 0, -1, -2, ...")
     if theorem not in _CONNECTIONS:
@@ -549,7 +557,7 @@ def f21_cut_via(theorem: int, p: HypParams, x: float, side: CutSide,
     if near_int(p.difference(k.difference), DEGENERACY_TOL):
         raise DegenerateParameterError(
             f"cut formula {theorem} needs {k.difference} off the integers")
-    return _connect(theorem, p, float(x), tol, side)
+    return _connect(theorem, p, x, tol, side)
 
 
 def f21_cut(p: HypParams, x: float, side: CutSide,
@@ -561,9 +569,7 @@ def f21_cut(p: HypParams, x: float, side: CutSide,
     difference is ``CONNECTION_GAP`` off the integers is used (ties prefer
     1-1/x, 1-x, 1/x); with none, ODE steps reach the cut from ``side``.
     """
-    if not (isinstance(x, (int, float)) and 1.0 < x < math.inf):
-        raise DomainError(f"cut evaluation requires real x > 1; got {x}")
-    x = float(x)
+    x = _cut_point(x)
     if p.degree is not None:
         return _polynomial(p, x)
     nearest = _nearest(p, x, (3, 2, 1, 4))

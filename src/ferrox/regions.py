@@ -9,18 +9,18 @@ Each map is one record of the table ``_MAPS``: its singular points, its
 formula and its test of |w_j| < 1, all as data, resolved once at import.  A
 formula is the ratio of two terms, or one alone, of one vocabulary
 ``_TERM_NAMES`` (1 -+ x, x - 1, x^2, 1 - x^2, x^2 - 1 for the maps 1..12,
-2y, x +- y, y - x for 13..18), by index into the tuple that ``_terms``
-forms at a point: ``map_values`` reads ``_RATIOS`` over it, and
-``map_value`` forms only the terms of its own map.  A test is a closed form
-(quantity, side, bound): one per-point quantity of ``_QUANTITIES``
-(|1 -+ x|, Re x, Im x, |x|, |1-x||1+x|, Re(x^2), and for the square-root
-family the criteria e^{+-2 beta} cos(2 alpha) with x = cos(alpha + i beta))
-compared with a constant: disks, half-planes, the lemniscate
-|1-x||1+x| = 1, the circles |x| = 1, the hyperbola Re(x^2) = 1/2.  Boundary
-points classify as outside.  ``region_test`` and ``in_region`` read the test
-of one map, built from its record once at import (``_test``);
-``region_flags`` and ``classify`` form every quantity once per point, with
-one acos for both criteria, and read all eighteen tests.
+2y, x +- y, y - x for 13..18), by index: ``map_value`` forms only the
+terms of its own map, and ``map_moduli`` (which ranks the records of
+``ferrers``) the modulus of each term once and every |w_j| from them.  A
+test is a closed form (quantity, side, bound): one per-point quantity of
+``_QUANTITIES`` (|1 -+ x|, Re x, Im x, |x|, |1-x||1+x|, Re(x^2), and for the
+square-root family the criteria e^{+-2 beta} cos(2 alpha) with
+x = cos(alpha + i beta)) compared with a constant: disks, half-planes, the
+lemniscate |1-x||1+x| = 1, the circles |x| = 1, the hyperbola
+Re(x^2) = 1/2.  Boundary points classify as outside.  ``region_test`` and
+``in_region`` read the test of one map, built from its record once at
+import (``_test``); ``region_flags`` and ``classify`` form every quantity
+once per point, with one acos for both criteria, and read all eighteen tests.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ __all__ = [
     "curve_w13",
     "in_domain",
     "in_region",
+    "map_moduli",
     "map_value",
-    "map_values",
     "region_flags",
     "region_test",
     "unusable_maps",
@@ -103,20 +103,12 @@ _SINGULAR = {
 }
 
 
-#: The terms that the maps divide, in the order of ``_terms``: the x-terms
-#: of the maps 1..12, then the y-terms of the maps 13..18.
+#: The terms that the maps divide, in the order of ``map_moduli``: the
+#: x-terms of the maps 1..12, then the y-terms of the maps 13..18.
 _TERM_NAMES = ("1", "2", "1-x", "1+x", "x-1", "x^2", "1-x^2", "x^2-1", "2y", "x+y", "x-y", "y-x")
 
 
-def _terms(x: complex, y: complex | None) -> tuple[complex, ...]:
-    """The terms of ``_TERM_NAMES`` at x and y, the chosen root of x^2 - 1,
-    in that order; only the eight x-terms when y is None."""
-    x2 = x * x
-    t = (1.0, 2.0, 1.0 - x, 1.0 + x, x - 1.0, x2, 1.0 - x2, x2 - 1.0)
-    return t if y is None else t + (2.0 * y, x + y, x - y, y - x)
-
-
-#: Each term of ``_TERM_NAMES`` as a function of x and y, as ``_terms`` forms it.
+#: Each term of ``_TERM_NAMES`` as a function of x and y.
 _TERM = dict(zip(_TERM_NAMES, (
     lambda x, y: 1.0, lambda x, y: 2.0, lambda x, y: 1.0 - x, lambda x, y: 1.0 + x,
     lambda x, y: x - 1.0, lambda x, y: x * x, lambda x, y: 1.0 - x * x, lambda x, y: x * x - 1.0,
@@ -201,11 +193,10 @@ def _test(m: _Map) -> Callable[[complex], bool]:
 
 
 #: Of every map, resolved once from its record: its numerator and
-#: denominator as indices into ``_terms`` (denominator None: w_j is the
-#: numerator) and as functions (``_TERM``), and its test as (index into
-#: ``_quantities``, comparison, bound).
-_RATIOS = {j: (_TERM_NAMES.index(m.num), None if m.den is None else _TERM_NAMES.index(m.den))
-           for j, m in _MAPS.items()}
+#: denominator as indices into ``_TERM_NAMES`` (the term "1" where w_j is the
+#: numerator) and as functions (``_TERM``; None where w_j is the numerator),
+#: and its test as (index into ``_quantities``, comparison, bound).
+_RATIOS = {j: (_TERM_NAMES.index(m.num), _TERM_NAMES.index(m.den or "1")) for j, m in _MAPS.items()}
 _RATIO_TERMS = {j: (_TERM[m.num], m.den and _TERM[m.den]) for j, m in _MAPS.items()}
 _QUANTITY_INDEX = {name: i for i, name in enumerate(_QUANTITIES)}
 _TESTS = tuple((_QUANTITY_INDEX[m.quantity], _SIDES[m.side], m.bound) for m in _MAPS.values())
@@ -255,13 +246,19 @@ def map_value(j: int, x: complex, y: complex | None) -> complex:
     return num(x, y) if den is None else num(x, y) / den(x, y)
 
 
-def map_values(x: complex, y: complex, skip: Container[int]) -> list[complex | None]:
-    """``map_value`` of every map j at index j, None at index 0 and for the
-    maps in ``skip``, from one evaluation of each term at x; skipping
+def map_moduli(x: complex, y: complex, skip: Container[int]) -> list[float | None]:
+    """|w_j(x)| of every map j at index j, None at index 0 and for the maps
+    in ``skip``: the modulus of each term of ``_TERM_NAMES`` is taken once,
+    the y-terms only when map 13 is not skipped (``unusable_maps`` skips
+    13..18 together), and map j's is |num| / |den| (``_RATIOS``).  Skipping
     ``unusable_maps(x)`` leaves no division by zero."""
-    t = _terms(x, y)
-    return [None] + [None if j in skip else t[num] if den is None else t[num] / t[den]
-                     for j, (num, den) in _RATIOS.items()]
+    x2 = x * x
+    a, b = abs(1.0 - x), abs(1.0 - x2)
+    t = (1.0, 2.0, a, abs(1.0 + x), a, abs(x2), b, b)
+    if 13 not in skip:
+        d = abs(x - y)
+        t += (2.0 * abs(y), abs(x + y), d, d)
+    return [None] + [None if j in skip else t[num] / t[den] for j, (num, den) in _RATIOS.items()]
 
 
 def region_test(j: int) -> Callable[[complex], bool]:

@@ -626,6 +626,23 @@ class TestDispatch:
             assert reasons[rep.value] == (
                 f"w_{j} at x = (60+80j): x -+ sqrt(x^2 - 1) loses its digits")
 
+    # FourierUV's route radii come from |w18| and |w17| = |w18 / (w18 - 1)|
+    # and from |w14| and |w13|, the floats that score III1 and III2: here
+    # its preference ties III2's exactly, and table order gives III2.
+    @pytest.mark.parametrize("x,rep,want", [
+        (0.9733865790434939 - 0.5502674138978345j, R.III2_LOWER,
+         complex("7.29192522010312338988407934978+3.20782066271749460971063260646j")),
+        (-1.1932800876231728 + 0.8897325861021655j, R.III2_UPPER,
+         complex("-166.388400063699965410210209280+31.9029408037577889517053696858j")),
+    ])
+    def test_fourier_uv_tie_goes_to_table_order(self, x, rep, want):
+        p = ParamPair(9.538402571041548, -1.6294666653609529)
+        rows = {v.rep: v for v in valid_representations(p, x)}
+        assert rows[R.FOURIER_UV].preference == rows[rep].preference
+        out = ferrers_q(p, x)
+        assert out.rep is rep
+        assert rel_diff(out.value, want) < 1e-10
+
     @pytest.mark.parametrize("nu", [-0.5, 0.5, 2.5])
     def test_fourier_uv_ranked_by_route_taken(self, nu, monkeypatch):
         # a - b = -(nu + 1/2) is an integer, so f21 does not take the 1/w
@@ -820,13 +837,15 @@ class TestRefusal:
 
     @pytest.mark.parametrize("nu,mu", PARAMS)
     def test_ranked_rows_are_those_not_refused(self, nu, mu):
-        # _rank scores exactly the records _refusal lets through
+        # _rank ranks exactly the records _refusal lets through, each by
+        # the score at its slot
         p = ParamPair(nu, mu)
         for x in self.POINTS:
             x = complex(x)
             outside = ferrers._outside(x)
-            _, rows = ferrers._rank(p, outside, x, 1j * cmath.sqrt(1.0 - x * x))
-            ranked = {rep for _, _, rep, _ in rows}
+            scores, slots = ferrers._rank(p, outside, x, 1j * cmath.sqrt(1.0 - x * x))
+            assert [scores[k] for k in slots] == sorted(scores[k] for k in slots), x
+            ranked = {ferrers._BY_SLOT[k][0] for k in slots}
             unusable = unusable_maps(x)
             for rep, spec in ferrers._REP_TABLE.items():
                 refusal = ferrers._refusal(spec, p._excluded, outside, unusable)
@@ -1309,6 +1328,21 @@ class TestNonFiniteArguments:
         args = {"nu": 0.3, "mu": 0.4, slot: bad}
         with pytest.raises(ParameterError, match="must be finite"):
             ParamPair(**args)
+
+    # complex() of an integer beyond double range raises a bare
+    # OverflowError; it is refused as non-finite instead
+    @pytest.mark.parametrize("huge", [10 ** 400, -10 ** 400], ids=["1e400", "-1e400"])
+    @pytest.mark.parametrize("slot", ["nu", "mu"])
+    def test_huge_integer_parameters(self, huge, slot):
+        with pytest.raises(ParameterError, match="must be finite"):
+            ParamPair(**{"nu": 0.3, "mu": 0.4, slot: huge})
+
+    @pytest.mark.parametrize("call", [ferrers_q, lambda p, x: ferrers_q_rep(R.II3, p, x)],
+                             ids=["ferrers_q", "ferrers_q_rep"])
+    @pytest.mark.parametrize("x", [10 ** 400, -10 ** 400], ids=["1e400", "-1e400"])
+    def test_huge_integer_x_is_domain_error(self, call, x):
+        with pytest.raises(DomainError, match="x not in D1"):
+            call(ParamPair(0.3, 0.4), x)
 
 
 class TestCoefficient:

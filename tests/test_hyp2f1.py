@@ -648,6 +648,27 @@ class TestNonFinite:
         with pytest.raises(DomainError, match="infinite"):
             fn(HypParams(*params), w)
 
+    # complex() and float() of an integer beyond double range raise a bare
+    # OverflowError; it is refused as non-finite instead
+    @pytest.mark.parametrize("call", [
+        lambda p, w: f21(p, w), lambda p, w: f21_series(p, w), lambda p, w: f21_regularized(p, w),
+        lambda p, w: f21_regularized(HypParams(p.a, p.b, -2.0), w),
+        lambda p, w: f21_cut(p, w, CutSide.ABOVE), lambda p, w: f21_cut_via(3, p, w, CutSide.BELOW),
+    ], ids=["f21", "f21_series", "f21_regularized", "f21_regularized_c_pole", "f21_cut",
+            "f21_cut_via"])
+    @pytest.mark.parametrize("w", [10 ** 400, -10 ** 400], ids=["1e400", "-1e400"])
+    def test_huge_integer_argument(self, call, w):
+        with pytest.raises(DomainError, match="infinite|beyond double range|requires real x > 1"):
+            call(HypParams(0.3, 1.1, 2.2), w)
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("huge", [10 ** 400, -10 ** 400], ids=["1e400", "-1e400"])
+    def test_huge_integer_parameter(self, slot, huge):
+        args = [0.3, 1.1, 2.2]
+        args[slot] = huge
+        with pytest.raises(ParameterError, match="must be finite"):
+            HypParams(*args)
+
     @pytest.mark.parametrize("cut", [
         lambda p: f21_cut(p, math.inf, CutSide.ABOVE),
         lambda p: f21_cut_via(3, p, math.inf, CutSide.ABOVE)], ids=["f21_cut", "f21_cut_via"])
