@@ -186,7 +186,7 @@ def ln_gamma(z: complex) -> complex:
     equal, such as 2, 2.0 and 2+0j or imaginary parts +0.0 and -0.0, share
     an entry; their values are bit-identical.  Errors are not cached.
     """
-    z = complex(z)
+    z = to_complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"ln_gamma needs a finite argument; got {z}")
     return _ln_gamma(z)

@@ -8,18 +8,19 @@ table (seven series in the arguments (1 -+ x)/2 and their Moebius images,
 group I; six in x^2-type arguments, group II; six in square-root arguments
 with the branch i sqrt(1 - x^2), group III, each in an upper-sign and a
 lower-sign form; one two-sided form in u = x + i sqrt(1 - x^2) and v = 1/u),
-and 3 one-term records outside that table: ``ferrers_p``, ``legendre_p`` and
+3 one-term records outside that table: ``ferrers_p``, ``legendre_p`` and
 ``legendre_q_bold`` (DLMF 14.3.1, 14.3.6, 14.3.7), which ``legendre_q``
-scales.  A record holds its domain, parameter exclusions, the ``regions``
-argument map of each 2F1 factor, whether the factors are regularized, sign
+scales, and the one-term records of the catalogue of ``olbricht``.  A
+record holds its domain, parameter exclusions, the ``regions`` argument map
+of each 2F1 factor, whether the factors are regularized, sign
 rule and its terms: (a, b, c) and a ``Coefficient`` (constant, gamma
-numerators and denominators, powers of named x-bases, phase, cos/sin
-factors), all affine in (nu, mu).  Each record is compiled, once per
-``ParamPair`` and sign of x, into an evaluator in the pair's memo
-(``_evaluate``) that keeps the parameter part of each coefficient
-(``_coefficient``, shared with the catalogue of ``olbricht``) and its
-``HypParams``: a call forms the arguments, the coefficients at x
-(``_coefficients_at``, also shared) and the 2F1 series.  One rule,
+numerators and denominators, powers of the bases ``_BASES`` of x and the
+root y, phase, cos/sin factors), all affine in (nu, mu).  ``_compile``, the
+one compiler, makes each record, once per ``ParamPair`` and sign of x, an
+evaluator in the pair's memo (``_evaluate``) that keeps the parameter part
+of each coefficient (``_coefficient``) and its ``HypParams``: a call forms
+the arguments, the coefficients at (x, y) (``_coefficients_at``) and the
+2F1 series.  One rule,
 ``_refusal``, decides whether a table record may be used at (p, x):
 ``ferrers_q`` ranks the records it lets through, from the score slots of x's
 domain outcome (``_CANDIDATES``), by argument moduli (``map_moduli``) and
@@ -118,7 +119,7 @@ class ParamPair(_Record):
     one dict of its parameter-only work, made with the pair: record
     (``_RepSpec``) -> the ``HypParams`` of its factors, one object when they
     share (a, b, c); (record, sign g) -> its evaluator (``_compile``); and
-    the catalogue work of ``olbricht._evaluator``.  ``_excluded``, the
+    the reduction work of ``olbricht.Reduction``.  ``_excluded``, the
     exclusions, is worked out on first read.  A value that raises is not
     kept; threads may each build a value, and the last one set stays.
     Nothing kept refers back to the pair, so a dropped pair is freed at
@@ -202,8 +203,7 @@ def _guarded(label: str, evaluate: Callable, *args):
 
 # ---------------------------------------------------------------------------
 # Coefficients as data, affine in (nu, mu); ``_coefficient`` (the parameter
-# part) and ``_coefficients_at`` (the x-part) interpret them here and for the
-# catalogue of ``olbricht``.
+# part) and ``_coefficients_at`` (the x-part) interpret them.
 # ---------------------------------------------------------------------------
 
 Affine = tuple[float, float, float]   # value = a0 + a_nu * nu + a_mu * mu
@@ -269,17 +269,16 @@ def _coefficient(coef: Coefficient, nu: complex, mu: complex, g: int):
             factors)
 
 
-def _coefficients_at(parts, vocabulary: dict[str, Callable[..., complex]], tags,
-                     *args) -> list[complex]:
-    """The value of each ``_coefficient`` part in ``parts`` at the point
-    ``args``: the log of each named base ``vocabulary[tag](*args)`` of
-    ``tags`` is taken once for every term that uses it (a zero or negative
-    real base is kept as a value, for ``principal_pow`` and its branch
-    rules), and the power logs are added to the gamma log and phase and
-    exponentiated once.  Any overflow is an ``OverflowError``."""
+def _coefficients_at(parts, tags, x: complex, y: complex | None, g: int) -> list[complex]:
+    """The value of each ``_coefficient`` part in ``parts`` at (x, y, g):
+    the log of each base ``_BASES[tag](x, y, g)`` of ``tags`` is taken once
+    for every term that uses it (a zero or negative real base is kept as a
+    value, for ``principal_pow`` and its branch rules), and the power logs
+    are added to the gamma log and phase and exponentiated once.  Any
+    overflow is an ``OverflowError``."""
     logs, odd = {}, {}
     for tag in tags:
-        v = vocabulary[tag](*args)
+        v = _BASES[tag](x, y, g)
         if v.imag == 0.0 and v.real <= 0.0:
             odd[tag] = v
         else:
@@ -354,27 +353,37 @@ class _Term(NamedTuple):
     coef: Coefficient
 
 
-#: The power bases of the coefficients, of (x, s = sqrt(1 - x^2), sign g).
-_X_BASES: dict[str, Callable[[complex, complex, int], complex]] = {
-    "2": lambda x, s, g: 2.0,
-    "1+x": lambda x, s, g: 1.0 + x,
-    "1-x": lambda x, s, g: 1.0 - x,
-    "(1+x)/(1-x)": lambda x, s, g: (1.0 + x) / (1.0 - x),
-    "(x+1)/(x-1)": lambda x, s, g: (x + 1.0) / (x - 1.0),
-    "1-x^2": lambda x, s, g: 1.0 - x * x,
-    "x": lambda x, s, g: x,
-    "x-1": lambda x, s, g: x - 1.0,
-    "s": lambda x, s, g: s,
-    "x+igs": lambda x, s, g: x + g * 1j * s,
-    "x-igs": lambda x, s, g: x - g * 1j * s,
-    "x+is": lambda x, s, g: x + 1j * s,
-    "x-is": lambda x, s, g: x - 1j * s,
+#: The power bases of every coefficient, of (x, y, sign g), y the root of x^2 - 1
+#: that the maps read: i sqrt(1 - x^2), or a catalogue entry's root (None where
+#: unread).  The catalogue's names are public, in ``ferrox olbricht --catalogue``.
+_BASES: dict[str, Callable[[complex, complex | None, int], complex]] = {
+    "2": lambda x, y, g: 2.0,
+    "x": lambda x, y, g: x,
+    "x+1": lambda x, y, g: x + 1.0,
+    "x-1": lambda x, y, g: x - 1.0,
+    "one_minus_x": lambda x, y, g: 1.0 - x,
+    "half_one_minus_x": lambda x, y, g: (1.0 - x) / 2.0,
+    "half_one_plus_x": lambda x, y, g: (1.0 + x) / 2.0,
+    "ratio_p": lambda x, y, g: (x + 1.0) / (x - 1.0),
+    "ratio_m": lambda x, y, g: (x - 1.0) / (x + 1.0),
+    "ratio_d1": lambda x, y, g: (1.0 + x) / (1.0 - x),
+    "two_over_one_minus_x": lambda x, y, g: 2.0 / (1.0 - x),
+    "two_over_one_plus_x": lambda x, y, g: 2.0 / (1.0 + x),
+    "one_minus_x2": lambda x, y, g: 1.0 - x * x,
+    "s": lambda x, y, g: y / 1j,  # sqrt(1 - x^2), bit for bit where y = i s
+    "two_y": lambda x, y, g: 2.0 * y,
+    "x_plus_y": lambda x, y, g: x + y,
+    "x_minus_y": lambda x, y, g: x - y,
+    "y_minus_x": lambda x, y, g: y - x,
+    "x_plus_gy": lambda x, y, g: x + y if g > 0 else x - y,
+    "x_minus_gy": lambda x, y, g: x - y if g > 0 else x + y,
 }
 
 
 class _RepSpec:
     """One record; hashed by identity, since a pair's memo keys entries by
-    record.  ``domain``: "D1" | "D1+" | "half", or "D2" (one term);
+    record.  ``domain``: "D1" | "D1+" | "half", or "D2" (one term), or
+    None for a catalogue entry, whose variants test their own;
     ``argument_ids``: the argument map of every 2F1 factor, or of each
     factor in turn; ``terms``: two (Ferrers Q), or one (the first-kind and
     cut-plane functions); ``regularized``: the factors are 2F1(a, b; c; w) /
@@ -413,9 +422,9 @@ def _rep_table() -> tuple[dict[RepresentationId, _RepSpec], dict[str, _RepSpec]]
     n1, d1, nu1 = (1, 1, 1), (1, 1, -1), (1, 1, 0)      # nu + mu + 1, nu - mu + 1, nu + 1
     c_lo, c_hi = (1, 0, -1), (1, 0, 1)                   # 1 - mu, 1 + mu
     p1, q1, h = (1.5, 1, 0), (.5, -1, 0), (0, .5, .5)    # nu + 3/2, 1/2 - nu, (nu + mu) / 2
-    x2, mu2 = "1-x^2", (0, 0, .5)                       # mu / 2
-    up, down = (("(1+x)/(1-x)", mu2),), (("(1+x)/(1-x)", (0, 0, -.5)),)
-    i3, i4 = (("1+x", nu), ("2", (-1, -1, 0))), (("2", nu), ("1-x", (-1, -1, 0)))
+    x2, mu2 = "one_minus_x2", (0, 0, .5)                       # mu / 2
+    up, down = (("ratio_d1", mu2),), (("ratio_d1", (0, 0, -.5)),)
+    i3, i4 = (("x+1", nu), ("2", (-1, -1, 0))), (("2", nu), ("one_minus_x", (-1, -1, 0)))
     ii3 = (("2", (-1, 0, 1)), (x2, (0, 0, -.5)))
     excl, half = ("mu_int", "numu_neg"), dict(sign=_Sign.HALFPLANE)
     rows = {
@@ -433,17 +442,17 @@ def _rep_table() -> tuple[dict[RepresentationId, _RepSpec], dict[str, _RepSpec]]
             t((nu1, n1, c_hi), -1.0, (neg_mu, n1), (d1,), i4 + up, ("cos", nu_mu)))),
         R.I5: _RepSpec("half", ("two_nu_int", "numu_nonpos"), (5,), (
             t((d1, nu1, (2, 2, 0)), 1.0, (nu1, n1), ((2, 2, 0),),
-              (("2", nu), ("1+x", (-1, -1, .5)), ("1-x", (0, 0, -.5))), extra="mix"),
+              (("2", nu), ("x+1", (-1, -1, .5)), ("one_minus_x", (0, 0, -.5))), extra="mix"),
             t((neg_nu, (0, -1, -1), (0, -2, 0)), 1j * pi, (neg_nu,), ((0, -2, 0), d1),
-              (("2", (-2, -1, 0)), ("1+x", (0, 1, .5)), ("1-x", (0, 0, -.5))), ("1/cos", nu),
-              signed=True)), **half),
+              (("2", (-2, -1, 0)), ("x+1", (0, 1, .5)), ("one_minus_x", (0, 0, -.5))),
+              ("1/cos", nu), signed=True)), **half),
         R.I6: _RepSpec("half", ("two_nu_int", "numu_nonpos"), (6,), (
             t((n1, nu1, (2, 2, 0)), 1.0, (nu1, n1), ((2, 2, 0),),
-              (("2", nu), ("1+x", (0, 0, .5)), ("1-x", (-1, -1, -.5))), phase=(-1, -1, 0),
+              (("2", nu), ("x+1", (0, 0, .5)), ("one_minus_x", (-1, -1, -.5))), phase=(-1, -1, 0),
               extra="mix"),
             t((neg_nu, (0, -1, 1), (0, -2, 0)), 1j * pi, (neg_nu,), ((0, -2, 0), d1),
-              (("2", (-2, -1, 0)), ("1+x", (0, 0, .5)), ("1-x", (0, 1, -.5))), ("1/cos", nu),
-              phase=nu, signed=True)), **half),
+              (("2", (-2, -1, 0)), ("x+1", (0, 0, .5)), ("one_minus_x", (0, 1, -.5))),
+              ("1/cos", nu), phase=nu, signed=True)), **half),
         # Both terms share the parameter set; the regularized series removes
         # the Gamma(1 - mu) pole, so integer mu is allowed here.
         R.I7: _RepSpec("D1", ("numu_int",), (1, 2), (
@@ -483,37 +492,37 @@ def _rep_table() -> tuple[dict[RepresentationId, _RepSpec], dict[str, _RepSpec]]
     groups = {
         (R.III1_UPPER, R.III1_LOWER, "D1", "nu_half_int", 13, 17): (
             t(((.5, 0, 1), (.5, 0, -1), q1), rpi / 2.0 ** 1.5, ((.5, 1, 0),), (d1,),
-              (("s", (-.5, 0, 0)), ("x+igs", (.5, 1, 0))), phase=(.25, 0, .5)),
+              (("s", (-.5, 0, 0)), ("x_plus_gy", (.5, 1, 0))), phase=(.25, 0, .5)),
             t(((.5, 0, 1), (.5, 0, -1), p1), rpi / 2.0 ** 1.5, (n1,), (p1,),
-              (("s", (-.5, 0, 0)), ("x-igs", (.5, 1, 0))), phase=(-.25, 0, -.5), extra="fac")),
+              (("s", (-.5, 0, 0)), ("x_minus_gy", (.5, 1, 0))), phase=(-.25, 0, -.5), extra="fac")),
         (R.III2_UPPER, R.III2_LOWER, "D1", "nu_half_int", 14, 18): (
             t(((.5, 0, 1), (0, -1, 1), q1), rpi, ((.5, 1, 0),), (d1,),
-              (("2", (-1, 0, 1)), ("s", mu), ("x+igs", (0, 1, -1))), phase=(.5, 0, 1)),
+              (("2", (-1, 0, 1)), ("s", mu), ("x_plus_gy", (0, 1, -1))), phase=(.5, 0, 1)),
             t(((.5, 0, 1), n1, p1), rpi, (n1,), (p1,),
-              (("2", (-1, 0, 1)), ("s", mu), ("x-igs", n1)), extra="fac")),
+              (("2", (-1, 0, 1)), ("s", mu), ("x_minus_gy", n1)), extra="fac")),
         (R.III3_UPPER, R.III3_LOWER, "D1+", "two_mu_int", 15, 16): (
             t(((.5, 0, 1), (0, -1, 1), (1, 0, 2)), 1.0, (neg_mu, n1), (d1,),
-              (("2", (-1, 0, -1)), ("s", mu), ("x+igs", (0, 1, -1)))),
+              (("2", (-1, 0, -1)), ("s", mu), ("x_plus_gy", (0, 1, -1)))),
             t(((.5, 0, -1), (0, -1, -1), (1, 0, -2)), 1.0, (mu,), (),
-              (("2", (-1, 0, 1)), ("x+igs", nu_mu), ("s", neg_mu)), ("cos", mu))),
+              (("2", (-1, 0, 1)), ("x_plus_gy", nu_mu), ("s", neg_mu)), ("cos", mu))),
     }
     for (upper, lower, domain, excluded, j_up, j_low), terms in groups.items():
         rows[upper] = _RepSpec(domain, (excluded, "numu_neg"), (j_up,), terms, _Sign.UPPER)
         rows[lower] = _RepSpec(domain, (excluded, "numu_neg"), (j_low,), terms, _Sign.LOWER)
     uv, pre = ((.5, 0, 1), n1, p1), (("2", (-1, 0, 1)), (x2, (0, 0, .5)))
     rows[R.FOURIER_UV] = _RepSpec("D1", ("numu_neg",), (18, 14), (
-        t(uv, rpi, (n1,), (), pre + (("x+is", n1),)),
-        t(uv, rpi, (n1,), (), pre + (("x-is", n1),))), regularized=True, routed=True)
+        t(uv, rpi, (n1,), (), pre + (("x_plus_y", n1),)),
+        t(uv, rpi, (n1,), (), pre + (("x_minus_y", n1),))), regularized=True, routed=True)
     # DLMF 14.3.1, 14.3.6 and 14.3.7, on D1 for Ferrers P and on D2 (z for x)
     # for the others; the regularized series removes the Gamma(1 - mu) pole.
     p_hyp = (neg_nu, nu1, c_lo)
     one_term = {
         "ferrers_p": _RepSpec("D1", (), (1,), (t(p_hyp, 1.0, (), (), up),), regularized=True),
         "legendre_p": _RepSpec("D2", (), (1,), (
-            t(p_hyp, 1.0, (), (), (("(x+1)/(x-1)", mu2),)),), regularized=True),
+            t(p_hyp, 1.0, (), (), (("ratio_p", mu2),)),), regularized=True),
         "legendre_q_bold": _RepSpec("D2", (), (10,), (
             t(((1, .5, .5), (.5, .5, .5), p1), rpi, (), (),
-              (("1+x", mu2), ("x-1", mu2), ("2", (-1, -1, 0)), ("x", (-1, -1, -1)))),),
+              (("x+1", mu2), ("x-1", mu2), ("2", (-1, -1, 0)), ("x", (-1, -1, -1)))),),
             regularized=True),
     }
     return {rep: rows[rep] for rep in R}, one_term
@@ -537,11 +546,7 @@ _CANDIDATES = {key: tuple(k for k, spec in zip(_SLOTS, _REP_TABLE.values())
 def _hyps(p: ParamPair, spec: _RepSpec) -> list[HypParams]:
     """The ``HypParams`` of ``spec``'s factors at p, stored in p's memo:
     one object, repeated, when they share (a, b, c)."""
-    nu, mu = p.nu, p.mu
-    hyps = []
-    for (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) in spec.hyps:
-        hyps.append(HypParams(a0 + a1 * nu + a2 * mu, b0 + b1 * nu + b2 * mu,
-                              c0 + c1 * nu + c2 * mu))
+    hyps = [HypParams(*[_aff(t, p.nu, p.mu) for t in abc]) for abc in spec.hyps]
     hyps = p._memo[spec] = hyps * (len(spec.terms) // len(hyps))
     return hyps
 
@@ -656,16 +661,16 @@ def valid_representations(p: ParamPair, x: complex) -> list[RepValidity]:
             for k, (rep, spec), reason in zip(_SLOTS, _REP_TABLE.items(), reasons)]
 
 
-def _evaluate(spec: _RepSpec, p: ParamPair, x: complex, s: complex, tol: float,
+def _evaluate(spec: _RepSpec, p: ParamPair, x: complex, y: complex | None, tol: float,
               side: CutSide | None) -> SeriesResult:
-    """``spec`` at x, s = sqrt(1 - x^2), by the evaluator of (spec, its sign g
-    at x) in p's memo, compiled on first use under ``_guarded`` too: each
-    factor's argument by its map with root y = i s, each term's coefficient
-    at x, each factor by ``f21`` (``f21_regularized``), or by its limit
+    """``spec`` at x and root y (see ``_BASES``), by the evaluator of (spec,
+    its sign g at x) in p's memo, compiled on first use under ``_guarded``
+    too: each factor's argument by its map, each term's coefficient at
+    (x, y, g), each factor by ``f21`` (``f21_regularized``), or by its limit
     ``f21_cut`` on the cut from ``side``."""
     g = spec.sign.at(x)
     evaluate = p._memo.get((spec, g)) or _compile(spec, p, g)
-    return evaluate(x, s, tol, side)
+    return evaluate(x, y, tol, side)
 
 
 def _compile(spec: _RepSpec, p: ParamPair, g: int) -> Callable[..., SeriesResult]:
@@ -683,11 +688,10 @@ def _compile(spec: _RepSpec, p: ParamPair, g: int) -> Callable[..., SeriesResult
     ids, tags, regularized = spec.argument_ids, spec.bases, spec.regularized
     factors = list(zip(hyps, (0, -1)))  # one argument serves both, or one each
 
-    def evaluate(x, s, tol, side):
-        y = 1j * s
+    def evaluate(x, y, tol, side):
         values = [map_value(j, x, y) for j in ids]
         out = []
-        for coef, (hp, i) in zip(_coefficients_at(parts, _X_BASES, tags, x, s, g), factors):
+        for coef, (hp, i) in zip(_coefficients_at(parts, tags, x, y, g), factors):
             if side is not None:
                 r = f21_cut(hp, values[i].real, side, tol)
             elif regularized:
@@ -701,11 +705,11 @@ def _compile(spec: _RepSpec, p: ParamPair, g: int) -> Callable[..., SeriesResult
     return evaluate
 
 
-def _run(rep: RepresentationId, p: ParamPair, x: complex, s: complex, tol: float,
+def _run(rep: RepresentationId, p: ParamPair, x: complex, y: complex, tol: float,
          side: CutSide | None = None) -> EvalOutcome:
-    """``rep`` at x, s = sqrt(1 - x^2), by ``_evaluate`` under ``_guarded``."""
+    """``rep`` at x, y = i sqrt(1 - x^2), by ``_evaluate`` under ``_guarded``."""
     spec = _REP_TABLE[rep]
-    r = _guarded(_LABELS[spec], _evaluate, spec, p, x, s, tol, side)
+    r = _guarded(_LABELS[spec], _evaluate, spec, p, x, y, tol, side)
     return EvalOutcome(r.value, rep, r.terms_used, r.tail_estimate)
 
 
@@ -727,7 +731,7 @@ def ferrers_q_rep(rep: RepresentationId, p: ParamPair, x: complex,
     """
     x = to_complex(x)
     _check(rep, p, x, unusable_maps(x))
-    return _run(rep, p, x, cmath.sqrt(1.0 - x * x), tol)
+    return _run(rep, p, x, 1j * cmath.sqrt(1.0 - x * x), tol)
 
 
 def ferrers_q_rep_trig(rep: RepresentationId, p: ParamPair, theta: float,
@@ -735,7 +739,7 @@ def ferrers_q_rep_trig(rep: RepresentationId, p: ParamPair, theta: float,
     """The theta-forms of the square-root-family representations, with
     x = cos(theta) and theta in (0, pi); equal to the x-forms there.
 
-    The same record runs with s = sin(theta) in place of sqrt(1 - x^2),
+    The same record runs with y = i sin(theta) in place of i sqrt(1 - x^2),
     which keeps full relative accuracy of s as theta -> 0.  Parameter and
     domain checks are those of ``ferrers_q_rep`` at x = cos(theta)."""
     if not 0.0 < theta < math.pi:
@@ -744,7 +748,7 @@ def ferrers_q_rep_trig(rep: RepresentationId, p: ParamPair, theta: float,
         raise ValueError(f"{rep.value} has no trigonometric form")
     x = complex(math.cos(theta))
     _check(rep, p, x, unusable_maps(x))
-    return _run(rep, p, x, complex(math.sin(theta)), tol)
+    return _run(rep, p, x, 1j * complex(math.sin(theta)), tol)
 
 
 def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome:
@@ -767,11 +771,11 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
         raise DomainError(f"x not in D1: {x}")
     if outside["x^2"] is not None:
         raise DomainError(outside["x^2"])
-    s = cmath.sqrt(1.0 - x * x)
+    y = 1j * cmath.sqrt(1.0 - x * x)
     if "numu_neg" in p._excluded:
         raise ParameterError(
             f"Ferrers Q undefined for nu + mu = {p.nu + p.mu} in -N")
-    scores, ranked = _rank(p, outside, x, 1j * s)
+    scores, ranked = _rank(p, outside, x, y)
     diverging, failed = set(), {}
     # Dropping the candidates whose series diverges keeps the order of the
     # rest: testing regions only as candidates are reached picks the winner
@@ -782,7 +786,7 @@ def ferrers_q(p: ParamPair, x: complex, tol: float = DEFAULT_TOL) -> EvalOutcome
             diverging.add(rep)
             continue
         try:
-            out = _run(rep, p, x, s, tol)
+            out = _run(rep, p, x, y, tol)
         except FerroxError as exc:
             failed[rep.value] = str(exc)
             continue
@@ -848,7 +852,7 @@ def ferrers_q_halfplane_cut(rep: RepresentationId, p: ParamPair, x: float,
             f"argument w_{j}({x}) = {w_on_axis} is not on the cut (1, inf)")
     w_probe = argument(j, complex(x, approach * 1e-8))
     side = CutSide.ABOVE if w_probe.imag > 0 else CutSide.BELOW
-    return _run(rep, p, x_eval, cmath.sqrt(1.0 - x_eval * x_eval), tol, side)
+    return _run(rep, p, x_eval, 1j * cmath.sqrt(1.0 - x_eval * x_eval), tol, side)
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +869,7 @@ def _one_term(name: str, p: ParamPair, z: complex, tol: float) -> EvalOutcome:
     z = to_complex(z)
     if not in_domain(DomainId(spec.domain), z):
         raise DomainError(f"{name}: z not in {spec.domain}: {z}")
-    r = _guarded(name, _evaluate, spec, p, z, cmath.sqrt(1.0 - z * z), tol, None)
+    r = _guarded(name, _evaluate, spec, p, z, 1j * cmath.sqrt(1.0 - z * z), tol, None)
     if r.tail_estimate > TAIL_FACTOR * tol:
         raise ConvergenceError(
             f"{name}: tail estimate {r.tail_estimate:.3g} exceeds {TAIL_FACTOR:g} * tol")

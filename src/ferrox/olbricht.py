@@ -4,24 +4,24 @@ reduces to.
 
 The catalogue is data-driven: every entry is a record holding its prefactor
 powers (exponents affine in nu and mu), its hypergeometric parameter triple
-(also affine), its argument map, and its domain.  ``_evaluator`` compiles
-each variant from them; the prefactor powers are a ``ferrers.Coefficient`` record,
-read by ``ferrers._coefficient`` and ``ferrers._coefficients_at``, the
-interpreter of the second-kind representations' coefficients.  Entries
-given classically as x -> -x reflections of earlier ones are stored that
-way.  Each entry also carries exactly one identity record: either a
-closed-form reduction to a Legendre or Ferrers function, or equality with
-another entry (Euler/Pfaff transformations, parity).  The reductions are records too (target function,
-affine degree and order, a coefficient record for the gamma, power and phase
-factors, reflected terms), read by one interpreter.
+(also affine), its argument map, and its domain.  Entries given classically
+as x -> -x reflections of earlier ones are stored that way.  Each entry with
+a series is also a one-term record of ``ferrers`` (``_RECORDS``), compiled
+by ``ferrers._compile`` like the second-kind representations, on the one
+base vocabulary ``ferrers._BASES`` of x and the root y; each variant is
+resolved once to its domain, reflections and record (``_VARIANTS``).  Each
+entry also carries exactly one identity record: either a closed-form
+reduction to a Legendre or Ferrers function, or equality with another entry
+(Euler/Pfaff transformations, parity).  The reductions are records too
+(target function, affine degree and order, a coefficient record for the
+gamma, power and phase factors, reflected terms), read by one interpreter.
 
-A ``ParamPair`` keeps in its memo (see ``ParamPair``) per variant an
-evaluator, compiled once with its reflections resolved, its domain test,
-prefactor part, argument map and ``HypParams``, per reduction its target
-pairs and scale part, so an evaluation at x does only x-dependent work;
-``eval_olbricht``, ``verify_identity`` and ``ode_residual`` call the
-evaluators.  ``verify_catalogue`` checks many variants in one run, in which
-each entry value (evaluator, x, tol) is evaluated once.
+A ``ParamPair`` keeps in its memo (see ``ParamPair``) each record's
+evaluator and ``HypParams``, and per reduction its target pairs and scale
+part, so an evaluation at x does only x-dependent work; ``verify_identity``
+and ``ode_residual`` call ``eval_olbricht``.  ``verify_catalogue`` checks
+many variants in one run, in which each entry value (variant, x, tol) is
+evaluated once.
 
 Square-root entries come in two branch variants (Y1 and Y2); the variants
 with arguments (y+x)/(2y) and (x+y)/(x-y) admit only Y1, since with Y2 those
@@ -34,7 +34,7 @@ import cmath
 import math
 from typing import Callable, NamedTuple
 
-from .complexmath import RootVariant, rgamma, root_y
+from .complexmath import RootVariant, rgamma, root_y, to_complex
 from .errors import DomainError, FerroxError, ParameterError
 from .ferrers import (
     DEFAULT_TOL,
@@ -42,16 +42,19 @@ from .ferrers import (
     Coefficient,
     EvalOutcome,
     ParamPair,
+    _RepSpec,
+    _Term,
     _aff,
     _coefficient,
     _coefficients_at,
+    _evaluate,
+    _guarded,
     ferrers_p,
     legendre_ode_residual,
     legendre_p,
     legendre_q_bold,
 )
-from .hyp2f1 import HypParams, f21
-from .regions import DomainId, argument, in_domain, map_value
+from .regions import DomainId, in_domain
 
 __all__ = [
     "ALL_IDS",
@@ -103,40 +106,10 @@ class CatalogueEntry(NamedTuple):
     reflect_of: int | None = None
 
 
-# -- prefactor base vocabulary (functions of x and the chosen root y) -------
-
-_BASES: dict[str, Callable[[complex, complex | None], complex]] = {
-    "2": lambda x, y: 2.0,
-    "x+1": lambda x, y: x + 1.0,
-    "x-1": lambda x, y: x - 1.0,
-    "half_one_minus_x": lambda x, y: (1.0 - x) / 2.0,
-    "half_one_plus_x": lambda x, y: (1.0 + x) / 2.0,
-    "ratio_p": lambda x, y: (x + 1.0) / (x - 1.0),
-    "ratio_m": lambda x, y: (x - 1.0) / (x + 1.0),
-    "two_over_one_minus_x": lambda x, y: 2.0 / (1.0 - x),
-    "two_over_one_plus_x": lambda x, y: 2.0 / (1.0 + x),
-    "x": lambda x, y: x,
-    "one_minus_x2": lambda x, y: 1.0 - x * x,
-    "two_y": lambda x, y: 2.0 * y,
-    "x_plus_y": lambda x, y: x + y,
-    "x_minus_y": lambda x, y: x - y,
-    "y_minus_x": lambda x, y: y - x,
-}
 #: The tags that stand for a product of powers with one exponent:
-#: (x^2 - 1)^a is (x + 1)^a (x - 1)^a.
+#: (x^2 - 1)^a is (x + 1)^a (x - 1)^a.  Every other tag names a base of
+#: ``ferrers._BASES``, of x and the entry's root y.
 _PRODUCTS = {"x2m1": ("x+1", "x-1")}
-
-
-def _scaled(part, coef: Coefficient, nu: complex, mu: complex, what: str, tags, *args):
-    """(part, value): ``coef`` (sign +1) at the point ``args`` of its bases
-    ``tags`` of ``_BASES``, from its ``ferrers._coefficient`` part, formed
-    here when ``part`` is None; a value beyond double range raises
-    ``DomainError`` naming ``what``."""
-    try:
-        part = part or (_coefficient(coef, nu, mu, 1),)
-        return part, _coefficients_at(part, _BASES, tags, *args)[0]
-    except (ArithmeticError, ValueError) as exc:  # ValueError: a cmath domain error
-        raise DomainError(f"{what}: beyond double range ({exc})") from None
 
 
 def _e(group, index, roots, domain, prefactors=(), hyp=None, arg=None, reflect=None):
@@ -322,10 +295,18 @@ def _build_catalogue() -> dict[tuple[str, int], CatalogueEntry]:
 
 
 _CATALOGUE = _build_catalogue()
-#: Each entry's prefactor powers as one coefficient record.
-_PREFACTORS = {key: Coefficient(powers=tuple((b, a) for tag, a in e.prefactors
-                                             for b in _PRODUCTS.get(tag, (tag,))))
-               for key, e in _CATALOGUE.items()}
+
+
+def _record(e: CatalogueEntry) -> _RepSpec:
+    """Entry e, which has a series, as a one-term record: its prefactor
+    powers (``_PRODUCTS`` expanded), (a, b, c) and map j ("w13" is 13)."""
+    powers = tuple((b, a) for tag, a in e.prefactors for b in _PRODUCTS.get(tag, (tag,)))
+    j = int(e.argument[1:]) if e.roots else e.argument
+    return _RepSpec(None, (), (j,), (_Term(e.hyp, Coefficient(powers=powers)),))
+
+
+#: The record of each entry that has a series, built once.
+_RECORDS = {key: _record(e) for key, e in _CATALOGUE.items() if e.hyp is not None}
 
 
 def catalogue() -> tuple[CatalogueEntry, ...]:
@@ -343,71 +324,58 @@ ALL_IDS: tuple[OlbrichtId, ...] = tuple(
     OlbrichtId(e.group, e.index, RootVariant(r) if e.roots else None)
     for e in _CATALOGUE.values()
     for r in (e.roots or (None,))
-    if not (e.roots and r is None)
 )
 
 
 def _entry_domain(e: CatalogueEntry, root: RootVariant | None) -> str:
-    if isinstance(e.domain, dict):
-        if root is None:
-            raise ParameterError(f"entry {e.group}.{e.index} needs a root variant")
-        return e.domain[root.value]
-    return e.domain
+    if isinstance(e.domain, dict) and root is None:
+        raise ParameterError(f"entry {e.group}.{e.index} needs a root variant")
+    return e.domain[root.value] if isinstance(e.domain, dict) else e.domain
 
 
-def _evaluator(oid: OlbrichtId, p: ParamPair) -> Callable[[complex, float], complex]:
-    """The evaluator of variant oid at p, compiled on first use and kept in
-    p's memo: a function of complex x and tol that tests x against the
-    variant's domain and evaluates the entry its reflections lead to at +-x,
-    prefactor powers times the hypergeometric factor.  The memo keys are
-    ``OlbrichtId`` (the evaluator), (group, index) (a list holding the
-    entry's ``HypParams``, shared by its root variants), ``Reduction`` (its
-    target pair and monodromy pair (nu, -mu) or None) and ``Coefficient``
-    (a reduction scale's part).  The prefactor's ``ferrers._coefficient``
-    part and the ``HypParams`` are formed on first use, where an uncached
-    evaluation forms them, so the errors raised are those of a fresh pair."""
-    kept = p._memo
-    evaluate = kept.get(oid)
-    if evaluate is not None:
-        return evaluate
+class _Variant(NamedTuple):
+    """What a variant's value needs that depends on its id alone."""
+    tag: str              # the domain tag
+    dom: DomainId
+    offaxis: bool         # D1-offaxis: D1 without the imaginary axis
+    flip: bool            # evaluated at -x: an odd number of reflections
+    root: RootVariant | None
+    record: _RepSpec      # of the entry the reflections lead to
+    label: str            # that entry's, with the variant's root, for errors
+
+
+def _variant(oid: OlbrichtId) -> _Variant:
+    """oid resolved: its root checked (``ParameterError``), its domain and
+    its reflections followed to the entry that has a series."""
     e = entry(oid.group, oid.index)
-    if e.roots:
-        if oid.root is None or oid.root.value not in e.roots:
-            raise ParameterError(
-                f"entry {e.group}.{e.index} admits roots {e.roots}; got {oid.root}")
-    elif oid.root is not None:
-        raise ParameterError(f"entry {e.group}.{e.index} takes no root variant")
-    tag, label, root, flip = _entry_domain(e, oid.root), oid.label(), oid.root, False
-    dom, offaxis = DomainId(tag.removesuffix("-offaxis")), tag == "D1-offaxis"
+    if (oid.root and oid.root.value) not in (e.roots or (None,)):
+        raise ParameterError(f"entry {e.group}.{e.index} admits roots {e.roots}; got {oid.root}")
+    tag, flip = _entry_domain(e, oid.root), False
     while e.reflect_of is not None:
         e, flip = entry(e.group, e.reflect_of), not flip
-    coef, nu, mu = _PREFACTORS[e.group, e.index], p.nu, p.mu
-    tags, j = [b for b, _ in coef.powers], int(e.argument[1:]) if root else e.argument
-    hyp = kept.setdefault((e.group, e.index), [])
-    what = f"prefactor of entry {OlbrichtId(e.group, e.index, root).label()}"
-    part = None
+    return _Variant(tag, DomainId(tag.removesuffix("-offaxis")), tag == "D1-offaxis", flip,
+                    oid.root, _RECORDS[e.group, e.index],
+                    f"entry {OlbrichtId(e.group, e.index, oid.root).label()}")
 
-    def evaluate(x: complex, tol: float) -> complex:
-        nonlocal part
-        if not in_domain(dom, x) or offaxis and x.real == 0.0:
-            raise DomainError(f"x = {x} outside domain {tag} of entry {label}")
-        x = -x if flip else x
-        y = root_y(root, x) if root else None
-        part, pref = _scaled(part, coef, nu, mu, what, tags, x, y)
-        w = map_value(j, x, y) if root else argument(j, x)
-        if not hyp:
-            hyp.append(HypParams(*[_aff(t, nu, mu) for t in e.hyp]))
-        return pref * f21(hyp[0], w, tol).value
 
-    return kept.setdefault(oid, evaluate)
+#: Every variant resolved, once.
+_VARIANTS = {oid: _variant(oid) for oid in ALL_IDS}
 
 
 def eval_olbricht(oid: OlbrichtId, p: ParamPair, x: complex,
                   tol: float = DEFAULT_TOL) -> complex:
-    """Evaluate one catalogue entry: prefactor powers times the
-    hypergeometric factor, with the stated branch conventions, by its
-    evaluator kept in p's memo."""
-    return _evaluator(oid, p)(complex(x), tol)
+    """Evaluate one catalogue entry, prefactor powers times the 2F1 factor:
+    x tested against the variant's domain and reflected as its entry is, then
+    the record (``_VARIANTS``) at x and root y = ``root_y(root, x)`` through
+    ``ferrers._evaluate``; beyond double range, ``DomainError``."""
+    v = _VARIANTS.get(oid) or _variant(oid)
+    x = to_complex(x)
+    if not in_domain(v.dom, x) or v.offaxis and x.real == 0.0:
+        raise DomainError(f"x = {x} outside domain {v.tag} of entry {oid.label()}")
+    if v.flip:
+        x = -x
+    y = root_y(v.root, x) if v.root else None
+    return _guarded(v.label, _evaluate, v.record, p, x, y, tol, None).value
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +407,7 @@ class Reduction(NamedTuple):
     monodromy: Affine | None = None
 
     def __call__(self, p: ParamPair, x: complex, tol: float) -> complex:
-        nu, mu = p.nu, p.mu
-        kept = p._memo
+        nu, mu, kept = p.nu, p.mu, p._memo
         q, mono = kept.get(self) or kept.setdefault(self, (
             ParamPair(_aff(self.degree, nu, mu), _aff(self.order, nu, mu)),
             None if self.monodromy is None else ParamPair(nu, -mu)))
@@ -450,9 +417,12 @@ class Reduction(NamedTuple):
             pv = legendre_p(mono, x, tol).value
             value = (cmath.exp(-1j * math.pi * mu) * value
                      - 1j * math.pi * rgamma(_aff(self.monodromy, nu, mu)) * pv)
-        kept[self.scale], scale = _scaled(kept.get(self.scale), self.scale, nu, mu,
-                                          "reduction scale", [t for t, _ in self.scale.powers],
-                                          x, None)
+        try:
+            part = kept.get(self.scale) or kept.setdefault(
+                self.scale, (_coefficient(self.scale, nu, mu, 1),))
+            scale = _coefficients_at(part, [t for t, _ in self.scale.powers], x, None, 1)[0]
+        except (ArithmeticError, ValueError) as exc:  # ValueError: a cmath domain error
+            raise DomainError(f"reduction scale: beyond double range ({exc})") from None
         return scale * value
 
 
@@ -634,15 +604,14 @@ class CatalogueCheck(NamedTuple):
     ode_error: str | None
 
 
-def _value(values: dict, evaluate: Callable[[complex, float], complex], x: complex,
-           tol: float) -> complex:
-    """``evaluate(x, tol)``, kept in ``values`` by evaluator, x, the signs of
-    x's parts (-x of a real sample is ...-0j) and tol.  A value that raises
-    is not kept."""
-    key = (evaluate, x, math.copysign(1.0, x.real), math.copysign(1.0, x.imag), tol)
+def _value(values: dict, oid: OlbrichtId, p: ParamPair, x: complex, tol: float) -> complex:
+    """``eval_olbricht(oid, p, x, tol)``, kept in ``values``, which serves
+    one pair, by oid, x, the signs of x's parts (-x of a real sample is
+    ...-0j) and tol.  A value that raises is not kept."""
+    key = (oid, x, math.copysign(1.0, x.real), math.copysign(1.0, x.imag), tol)
     v = values.get(key)
     if v is None:
-        v = values[key] = evaluate(x, tol)
+        v = values[key] = eval_olbricht(oid, p, x, tol)
     return v
 
 
@@ -650,20 +619,20 @@ def verify_identity(oid: OlbrichtId, p: ParamPair, x_samples,
                     tol: float = DEFAULT_TOL, values: dict | None = None) -> IdentityReport:
     """Relative residual between the entry and its recorded identity at each
     sample.  Failures are reported in the outcome list, never raised.  Entry
-    values are kept in ``values`` (None: a dict for this call)."""
+    values are kept in ``values`` (None: a dict for this call), which
+    serves p alone."""
     values = {} if values is None else values
     rec = identity_record(oid)
-    lhs = _evaluator(oid, p)
     if rec.reduction is None:
         g, j, reflect = rec.equals
-        rhs = _evaluator(OlbrichtId(g, j, oid.root), p)
+        rhs = OlbrichtId(g, j, oid.root)
     outcomes = []
     for x in x_samples:
-        x = complex(x)
+        x = to_complex(x)
         try:
-            a = _value(values, lhs, x, tol)
+            a = _value(values, oid, p, x, tol)
             b = (rec.reduction(p, x, tol) if rec.reduction is not None
-                 else _value(values, rhs, -x if reflect else x, tol))
+                 else _value(values, rhs, p, -x if reflect else x, tol))
             denom = abs(a) + abs(b)
             res = abs(a - b) / denom if denom else 0.0
             outcomes.append(IdentityOutcome(x, res))
@@ -680,11 +649,10 @@ def ode_residual(oid: OlbrichtId, p: ParamPair, x: complex,
     The stencil divides by h^2, so the entry is evaluated well below the
     default tolerance to keep truncation wobble out of the residual.
     """
-    x = complex(x)
+    x = to_complex(x)
     if min(abs(x - 1.0), abs(x + 1.0)) <= 0.01:
         raise DomainError(f"sample {x} too close to the singular points +-1")
-    evaluate = _evaluator(oid, p)
-    return legendre_ode_residual(lambda z: evaluate(z, 1e-14), p.nu, p.mu, x, h)
+    return legendre_ode_residual(lambda z: eval_olbricht(oid, p, z, 1e-14), p.nu, p.mu, x, h)
 
 
 def verify_catalogue(p: ParamPair, ids=ALL_IDS, tol: float = DEFAULT_TOL,
@@ -719,8 +687,7 @@ def default_samples(oid: OlbrichtId) -> tuple[complex, ...]:
     """Five domain-appropriate sample points for identity checks."""
     e = entry(oid.group, oid.index)
     dom = _entry_domain(e, oid.root)
-    if oid.group == "III" and oid.root is RootVariant.Y1 and oid.index in (
-            1, 2, 3, 4, 5, 6, 7, 8, 17, 18, 19, 20, 21, 22, 23, 24):
+    if oid.group == "III" and oid.root is RootVariant.Y1 and oid.index not in range(9, 17):
         # The named reductions of this family split by half-plane, so keep
         # the samples off the real axis.
         return _D1_COMPLEX
@@ -742,22 +709,19 @@ def ode_samples(oid: OlbrichtId) -> tuple[complex, ...]:
 def catalogue_records() -> list[dict]:
     """Machine-readable dump of the catalogue (used by the CLI)."""
     out = []
-    for e in _CATALOGUE.values():
-        roots = e.roots or (None,)
-        for r in roots:
-            oid = OlbrichtId(e.group, e.index, RootVariant(r) if r else None)
-            rec = identity_record(oid)
-            out.append({
-                "group": e.group,
-                "index": e.index,
-                "root": r,
-                "domain": _entry_domain(e, RootVariant(r) if r else None),
-                "reflected_of": e.reflect_of,
-                "prefactors": [
-                    {"base": tag, "exponent": list(expo)} for tag, expo in e.prefactors
-                ],
-                "hyp_params": [list(t) for t in e.hyp] if e.hyp else None,
-                "argument": e.argument,
-                "identity": rec.description,
-            })
+    for oid in ALL_IDS:
+        e = entry(oid.group, oid.index)
+        out.append({
+            "group": e.group,
+            "index": e.index,
+            "root": oid.root.value if oid.root else None,
+            "domain": _entry_domain(e, oid.root),
+            "reflected_of": e.reflect_of,
+            "prefactors": [
+                {"base": tag, "exponent": list(expo)} for tag, expo in e.prefactors
+            ],
+            "hyp_params": [list(t) for t in e.hyp] if e.hyp else None,
+            "argument": e.argument,
+            "identity": identity_record(oid).description,
+        })
     return out

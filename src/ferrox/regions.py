@@ -31,7 +31,7 @@ import operator
 from enum import Enum
 from typing import Callable, Container, NamedTuple
 
-from .complexmath import RootVariant, root_y
+from .complexmath import RootVariant, root_y, to_complex
 from .errors import DomainError, SingularPointError
 
 __all__ = [
@@ -71,8 +71,8 @@ _IN_DOMAIN = {
 
 
 def in_domain(dom: DomainId, x: complex) -> bool:
-    """Whether x lies in ``dom``; a NaN x lies in none."""
-    x = complex(x)
+    """Whether x lies in ``dom``; a NaN x lies in none (``to_complex``)."""
+    x = to_complex(x)
     if cmath.isnan(x):
         return False
     try:
@@ -290,7 +290,7 @@ def argument(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> complex:
     cancels, to 0 from |x| of about 1e8 on.  From |x| = 50 on, where it has
     lost four of its sixteen digits, they raise ``DomainError``.
     """
-    x = complex(x)
+    x = to_complex(x)
     _lookup(j, x, root)
     if j <= 12:
         return map_value(j, x, None)
@@ -302,7 +302,7 @@ def argument(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> complex:
 
 def in_region(j: int, x: complex, root: RootVariant = RootVariant.Y1) -> bool:
     """Closed-form test of |w_j(x)| < 1 (strict; boundary counts as outside)."""
-    x = complex(x)
+    x = to_complex(x)
     _lookup(j, x, root)
     if root is RootVariant.Y2:
         y = root_y(RootVariant.Y2, x)
@@ -318,7 +318,7 @@ def classify(x: complex) -> RegionReport:
     """Full membership report: |w_j| < 1 flags for j = 1..18 (root Y1 for the
     square-root family) plus domain flags.  Points where a map is undefined
     yield inside = False rather than an error."""
-    x = complex(x)
+    x = to_complex(x)
     inside = dict(zip(_MAPS, region_flags(x)))
     domains = {dom: in_domain(dom, x) for dom in DomainId}
     return RegionReport(x=x, inside=inside, domains=domains)

@@ -1,19 +1,20 @@
+import cmath
 import gc
 import math
 import pickle
 import weakref
+from collections import Counter
 
 import pytest
 
 from conftest import rel_diff
-from ferrox import olbricht
+from ferrox import ferrers, olbricht
 from ferrox.complexmath import RootVariant, gamma, root_y
-from ferrox.errors import DomainError, FerroxError, ParameterError
+from ferrox.errors import BeyondRangeError, DomainError, FerroxError, ParameterError
 from ferrox.ferrers import (
     DEFAULT_TOL,
     Coefficient,
     ParamPair,
-    _RepSpec,
     _coefficient,
     _coefficients_at,
     ferrers_p,
@@ -36,16 +37,18 @@ from ferrox.olbricht import (
     verify_identity,
 )
 
-from ferrox.regions import DomainId, argument, in_domain, map_value
+from ferrox.regions import DomainId, in_domain, map_value
 
 P = ParamPair(0.3, 0.4)
 
 
 def reference(oid, p, x, tol):
-    """The catalogue records read one call at a time, apart from the
-    evaluators: the domain test, a reflected entry by recursion at -x, the
-    prefactor from its powers, the argument map and f21 on a fresh
-    ``HypParams``."""
+    """The catalogue read one call at a time, apart from its records and
+    their evaluators: the domain test, a reflected entry by recursion at -x,
+    a fresh ``HypParams``, the argument map with the root y, the prefactor
+    from its powers on the one base vocabulary, and f21; an error on the
+    way, or a value, beyond double range is a ``DomainError`` naming the
+    entry."""
     e = entry(oid.group, oid.index)
     dom = olbricht._entry_domain(e, oid.root)
     if dom == "D1-offaxis":
@@ -59,15 +62,19 @@ def reference(oid, p, x, tol):
     y = root_y(oid.root, x) if e.roots else None
     powers = tuple((b, a) for tag, a in e.prefactors
                    for b in (("x+1", "x-1") if tag == "x2m1" else (tag,)))
-    try:
-        part = _coefficient(Coefficient(powers=powers), p.nu, p.mu, 1)
-        pref = _coefficients_at([part], olbricht._BASES, [b for b, _ in powers], x, y)[0]
-    except (ArithmeticError, ValueError) as exc:
-        what = f"prefactor of entry {oid.label()}"
-        raise DomainError(f"{what}: beyond double range ({exc})") from None
-    w = map_value(int(e.argument[1:]), x, y) if e.roots else argument(e.argument, x)
     hp = HypParams(*[a0 + a1 * p.nu + a2 * p.mu for a0, a1, a2 in e.hyp])
-    return pref * f21(hp, w, tol).value
+    try:
+        w = map_value(int(e.argument[1:]) if e.roots else e.argument, x, y)
+        part = _coefficient(Coefficient(powers=powers), p.nu, p.mu, 0)
+        pref = _coefficients_at([part], [b for b, _ in powers], x, y, 0)[0]
+        value = 0j + pref * f21(hp, w, tol).value  # a sum: a -0.0 part becomes +0.0
+        reason = None if cmath.isfinite(value) else f"value {value}"
+    except (ArithmeticError, ValueError, BeyondRangeError) as exc:
+        reason = str(exc)
+    if reason is not None:
+        raise DomainError(f"entry {oid.label()}: intermediate value beyond double range "
+                          f"({reason})")
+    return value
 
 
 def outcome(evaluate, *args):
@@ -222,19 +229,14 @@ class TestCatalogueRun:
             assert repr((ode_max, ode_error)) == repr((max(odes), None))
 
     def test_each_value_once(self, monkeypatch):
-        seen, counting = [], {}
+        seen = []
 
-        def counted(oid, p):
-            # one counting wrapper per evaluator, as the run keeps values per evaluator
-            evaluate = compiled(oid, p)
+        def counted(oid, p, x, tol=DEFAULT_TOL):
+            seen.append((oid, repr(x), tol))
+            return evaluate(oid, p, x, tol)
 
-            def value(x, tol):
-                seen.append((oid, repr(x), tol))
-                return evaluate(x, tol)
-            return counting.setdefault(evaluate, value)
-
-        compiled = olbricht._evaluator
-        monkeypatch.setattr(olbricht, "_evaluator", counted)
+        evaluate = olbricht.eval_olbricht
+        monkeypatch.setattr(olbricht, "eval_olbricht", counted)
         checks = verify_catalogue(P)
         assert all(c.identity.max_residual < 1e-8 for c in checks)
         assert len(seen) == len(set(seen))
@@ -244,9 +246,8 @@ class TestCatalogueRun:
     def test_values_keep_the_sign_of_zero(self):
         values = {}
         oid = OlbrichtId("I", 9)
-        evaluate = olbricht._evaluator(oid, P)
-        above = olbricht._value(values, evaluate, complex(-1.9, 0.0), 1e-12)
-        below = olbricht._value(values, evaluate, complex(-1.9, -0.0), 1e-12)
+        above = olbricht._value(values, oid, P, complex(-1.9, 0.0), 1e-12)
+        below = olbricht._value(values, oid, P, complex(-1.9, -0.0), 1e-12)
         assert len(values) == 2
         assert above == eval_olbricht(oid, P, complex(-1.9, 0.0))
         assert below == eval_olbricht(oid, P, complex(-1.9, -0.0))
@@ -284,7 +285,7 @@ class TestCatalogueRun:
         def ferrers_and_run(p):
             ferrers_q(p, 0.5), ferrers_p(p, 0.5), legendre_q(p, 1.5 + 0.2j)
             verify_catalogue(p, samples=1)
-            assert {type(key) for key in p._memo} >= {_RepSpec, OlbrichtId}
+            assert set(olbricht._RECORDS.values()) & set(p._memo)
 
         gc.disable()
         try:
@@ -298,17 +299,17 @@ class TestCatalogueRun:
             gc.enable()
 
     def test_huge_degree_raises_the_error_of_a_fresh_pair(self):
-        # I.9's c = -2 nu is -inf, but its prefactor power leaves double range
-        # first; the memo forms the HypParams after the prefactor, so that is
-        # the error raised, on a fresh pair and on a used one
+        # I.9's c = -2 nu is -inf: compiling its record forms the HypParams,
+        # which refuse it, on a fresh pair and on a used one alike
         p = ParamPair(1e308, 0.4)
-        message = "prefactor of entry I.9: beyond double range (math range error)"
-        for _ in range(2):
-            with pytest.raises(DomainError) as info:
-                eval_olbricht(OlbrichtId("I", 9), p, -1.9)
-            assert str(info.value) == message
+        messages = []
+        for pair in (p, p, ParamPair(1e308, 0.4)):
+            with pytest.raises(ParameterError) as info:
+                eval_olbricht(OlbrichtId("I", 9), pair, -1.9)
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1 and "c=(-inf+0j)" in messages[0]
         report = verify_catalogue(p, [OlbrichtId("I", 9)], samples=1)[0].identity
-        assert report.outcomes[0].error == f"DomainError: {message}"
+        assert report.outcomes[0].error == f"ParameterError: {messages[0]}"
 
     @pytest.mark.parametrize("nu,mu", [(1e308, 0.4), (-1e308, 0.4), (0.3, 1e308)])
     def test_series_that_cannot_converge_are_refused_at_once(self, nu, mu):
@@ -327,7 +328,7 @@ class TestCatalogueRun:
         report = verify_identity(oid, ParamPair(1e308, 0.4), default_samples(oid))
         errors = [o.error for o in report.outcomes]
         assert all(o.residual == math.inf for o in report.outcomes)
-        assert ("DomainError: prefactor of entry III.2.Y1: beyond double range "
+        assert ("DomainError: entry III.2.Y1: intermediate value beyond double range "
                 "(math domain error)") in errors
 
     def test_samples_and_selection(self):
@@ -340,7 +341,7 @@ class TestCatalogueRun:
         p, fresh = ParamPair(0.3, 0.4), ParamPair(0.3, 0.4)
         before = hash(p), repr(p)
         verify_catalogue(p)
-        assert p._memo is p._memo and OlbrichtId("I", 1) in p._memo
+        assert p._memo is p._memo and olbricht._RECORDS["I", 1] in p._memo
         assert p == fresh
         assert (hash(p), repr(p)) == before == (hash(fresh), repr(fresh))
         # the memo is not pickled: the bytes are those of an unused pair
@@ -348,3 +349,30 @@ class TestCatalogueRun:
         q = pickle.loads(pickle.dumps(p))
         oid = OlbrichtId("III", 7, RootVariant.Y1)
         assert verify_identity(oid, q, [0.3 - 0.5j]) == verify_identity(oid, p, [0.3 - 0.5j])
+
+    def test_one_compiler_one_evaluator_per_record(self, monkeypatch):
+        # a run compiles each catalogue record it reaches once, by
+        # ferrers._compile; the Y1 and Y2 variants of an entry share its
+        # evaluator, and so do an entry and its reflections
+        compiled = Counter()
+
+        def counted(spec, p, g):
+            compiled[spec, g] += 1
+            return compile_(spec, p, g)
+
+        compile_ = ferrers._compile
+        monkeypatch.setattr(ferrers, "_compile", counted)
+        p = ParamPair(0.3, 0.4)
+        verify_catalogue(p)
+        records = set(olbricht._RECORDS.values())
+        assert {spec for spec, _ in compiled if spec in records} == records
+        assert all(compiled[spec, 0] == 1 for spec in records)
+        for pair in ((OlbrichtId("III", 5, RootVariant.Y1), OlbrichtId("III", 5, RootVariant.Y2)),
+                     (OlbrichtId("I", 1), OlbrichtId("I", 5))):
+            first, second = (olbricht._VARIANTS[oid].record for oid in pair)
+            assert first is second and p._memo[first, 0] is p._memo[second, 0]
+
+    def test_prefactor_tags_are_bases_of_the_one_vocabulary(self):
+        tags = {b for e in catalogue() for tag, _ in e.prefactors
+                for b in olbricht._PRODUCTS.get(tag, (tag,))}
+        assert tags and tags <= set(ferrers._BASES)

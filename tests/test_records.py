@@ -172,9 +172,6 @@ def test_memo_keys_do_not_collide():
         if isinstance(key, ferrers._RepSpec):
             kind = "record"
             assert all(isinstance(h, HypParams) for h in value)
-        elif type(key) is OlbrichtId:
-            kind = "evaluator"
-            assert callable(value)
         elif type(key) is Reduction:
             kind = "reduction"
             assert isinstance(value[0], ParamPair)
@@ -188,12 +185,10 @@ def test_memo_keys_do_not_collide():
             signs = (1, -1) if spec.sign is ferrers._Sign.HALFPLANE else (spec.sign.value,)
             assert g in signs and callable(value)
         else:
-            kind = "entry"
-            assert type(key) is tuple and isinstance(key[0], str) and isinstance(key[1], int)
-            assert len(key) == 2 and isinstance(value, list)
+            raise AssertionError(f"unknown memo key {key!r}")
         kinds[kind] = kinds.get(kind, 0) + 1
-    assert set(kinds) == {"record", "evaluator", "reduction", "scale", "record evaluator",
-                          "entry"}
-    # one evaluator per variant: no other key equals an OlbrichtId
-    assert kinds["evaluator"] == len(olbricht.ALL_IDS)
-    assert kinds["entry"] == sum(e.reflect_of is None for e in olbricht.catalogue())
+    assert set(kinds) == {"record", "reduction", "scale", "record evaluator"}
+    # the catalogue's records are records too, each compiled for its one sign 0
+    catalogue = set(olbricht._RECORDS.values())
+    assert catalogue <= set(p._memo)
+    assert {(spec, 0) for spec in catalogue} <= set(p._memo)

@@ -6,8 +6,10 @@ import pytest
 
 from conftest import kronecker_points
 from ferrox import regions
-from ferrox.complexmath import RootVariant, root_y
+from ferrox.complexmath import RootVariant, ln_gamma, root_y
 from ferrox.errors import DomainError, SingularPointError
+from ferrox.ferrers import ParamPair
+from ferrox.olbricht import OlbrichtId, eval_olbricht
 from ferrox.regions import (
     ARGUMENT_COUNT,
     CurveBranch,
@@ -445,3 +447,24 @@ class TestBoundaryCurve:
             math.sqrt(15.0 / 32.0 + 7.0 * math.sqrt(5.0) / 32.0), abs=1e-4)
         assert peak.imag == pytest.approx(
             math.sqrt(-11.0 / 32.0 + 5.0 * math.sqrt(5.0) / 32.0), abs=1e-4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: in_domain(DomainId.D2, x),
+    lambda x: argument(1, x),
+    lambda x: in_region(1, x),
+    classify,
+    ln_gamma,
+    lambda x: eval_olbricht(OlbrichtId("I", 17), ParamPair(0.3, 0.4), x),
+], ids=["in_domain", "argument", "in_region", "classify", "ln_gamma", "eval_olbricht"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integer_beyond_double_range_is_infinity(call, sign):
+    # 10**400 does not convert to a float: it is taken as the infinity of its
+    # sign, value or error, never a bare OverflowError
+    def outcome(x):
+        try:
+            return repr(call(x))
+        except Exception as exc:  # noqa: BLE001 - the outcome is compared, whatever it is
+            return type(exc).__name__, str(exc)
+
+    assert outcome(sign * 10 ** 400) == outcome(sign * math.inf)
